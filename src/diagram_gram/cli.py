@@ -237,7 +237,7 @@ def cmd_stirling(args) -> int:
 
 def cmd_semisimple(args) -> int:
     q = None if args.q in (None, "x") else Fraction(args.q)
-    result = verdict(args.algebra, args.k, q)
+    result = verdict(args.algebra, args.k, q, args.guard)
     _emit(args, json.dumps(result.to_json(), indent=1) + "\n")
     return EXIT_OK
 
@@ -250,7 +250,7 @@ def cmd_verify(args) -> int:
         status = "PASS" if check.ok else "FAIL"
         lines.append(f"{status}  {check.name:<24} {check.seconds:7.2f}s  {check.details}")
         failures += 0 if check.ok else 1
-    gram = build_gram("signed", 3, 1, 0)
+    gram = build_gram("signed", 3, 1, 0, DEFAULT_GUARD)
     report = published_gram_report(gram)
     golden_ok = report.permutation is not None and not report.hard_mismatches
     status = "PASS" if golden_ok else "FAIL"

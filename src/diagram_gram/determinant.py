@@ -9,25 +9,12 @@ used to cross-validate it.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import Poly, linear_factor, phi_partition, phi_z2, quadratic_factor
 
-__all__ = ["DetResult", "det_direct", "det_blocks", "worker_count"]
-
-THREADS_ENV = "DIAGRAM_GRAM_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap for the evaluation stage, from DIAGRAM_GRAM_THREADS."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+__all__ = ["DetResult", "det_direct", "det_blocks"]
 
 
 @dataclass(frozen=True)
@@ -121,13 +108,7 @@ def det_direct(matrix) -> Poly:
             rows.append(vals)
         return _bareiss_int(rows)
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ys = list(pool.map(det_at, xs))
-    else:
-        ys = [det_at(x) for x in xs]
-    return _interpolate(xs, ys)
+    return _interpolate(xs, [det_at(x) for x in xs])
 
 
 def _components(block) -> list[list[int]]:

@@ -5,19 +5,75 @@ index i-1, bottom vertex i' maps to k+i-1. Multiplication stacks one diagram
 above another, closes under union-find on 3k vertices, and reports how many
 connected components were confined to the glued middle row; the caller turns
 that count into a monomial coefficient.
+
+A mirror-symmetric diagram is also described by its `RowView`: the
+partition of one row plus the set of blocks that run through to the other
+row. The Gram, poset and role-swap stages work on that view instead of on
+products.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .partitions import SetPartition, UnionFind
 
-__all__ = ["PartitionDiagram"]
+__all__ = ["PartitionDiagram", "RowView"]
+
+
+@dataclass(frozen=True)
+class RowView:
+    """A mirror-symmetric diagram as one row partition plus its through blocks.
+
+    `blocks` holds the row blocks as bitmasks over the row's points, ordered
+    by least point; `through` lists the positions in `blocks` of the blocks
+    that run to the other row, ascending; `fixed[i]` says whether block i is
+    mapped to itself by the e/g flip (always False for plain diagrams).
+    """
+
+    blocks: tuple[int, ...]
+    through: tuple[int, ...]
+    fixed: tuple[bool, ...]
+
+    @classmethod
+    def of(cls, part: SetPartition, row: int, doubled: bool) -> "RowView":
+        """View of a partition of two rows of `row` points each.
+
+        Raises ValueError unless the bottom row mirrors the top row and every
+        through block joins a row block to its own mirror image. For doubled
+        diagrams the flip exchanges the points 2i and 2i+1 of a row.
+        """
+        top, bottom, through = set(), set(), set()
+        for block in part.blocks:
+            t = b = 0
+            for v in block:
+                if v < row:
+                    t |= 1 << v
+                else:
+                    b |= 1 << (v - row)
+            if t and b:
+                if t != b:
+                    raise ValueError("diagram is not mirror-symmetric")
+                through.add(t)
+            if t:
+                top.add(t)
+            if b:
+                bottom.add(b)
+        if top != bottom:
+            raise ValueError("diagram is not mirror-symmetric")
+        blocks = tuple(sorted(top, key=lambda m: m & -m))
+        if doubled:
+            even = sum(1 << v for v in range(0, row, 2))
+            fixed = tuple(((m & even) << 1 | (m >> 1) & even) == m for m in blocks)
+        else:
+            fixed = (False,) * len(blocks)
+        return cls(blocks, tuple(i for i, m in enumerate(blocks) if m in through), fixed)
 
 
 class PartitionDiagram:
     """A set partition of {0..2k-1} viewed as a two-row diagram."""
 
-    __slots__ = ("k", "part")
+    __slots__ = ("k", "part", "_view")
 
     def __init__(self, k: int, part: SetPartition):
         if k <= 0:
@@ -53,6 +109,15 @@ class PartitionDiagram:
         """Number of blocks meeting both the top and the bottom row."""
         k = self.k
         return sum(1 for b in self.part.blocks if b[0] < k <= b[-1])
+
+    def row_view(self) -> RowView:
+        """Row partition and through blocks, computed once per instance."""
+        try:
+            return self._view
+        except AttributeError:
+            view = RowView.of(self.part, self.k, doubled=False)
+            object.__setattr__(self, "_view", view)
+            return view
 
     def multiply(self, other: "PartitionDiagram") -> tuple["PartitionDiagram", int]:
         """Stack self above other; return (resulting diagram, middle loops)."""

@@ -6,6 +6,16 @@ shape, canonical encoding). An entry is the monomial x**loops of the product
 of its row and column diagrams when that product keeps the full through
 count, and the zero polynomial otherwise.
 
+The entries are read off row partitions, not computed as products. Each
+basis diagram is a row partition P plus a set of through blocks (its
+`RowView`). Stacking u on v glues u's bottom row P_u to v's top row P_v, so
+the middle row becomes the join of P_u and P_v. The product keeps all
+`target` through blocks iff every join block holds as many through blocks
+of u as of v, and that number is 0 or 1; the loops are then the join blocks
+holding none, #join - target of them. `build_gram` therefore computes one
+join per pair of distinct row partitions. `PartitionDiagram.multiply` is
+not used here; the tests and `verify` compare these entries against it.
+
 Algebra tags: "partition" (plain diagrams, profile s), "z2" (doubled
 diagrams, profile (s1, s2)), "signed" (the subfamily whose rows keep a spare
 fiber or a conjugate edge pair).
@@ -66,9 +76,6 @@ class DiagramKey:
     alpha: tuple[tuple[int, ...], ...]
     r1: int
     r2: int
-
-    def cell_degree(self) -> int:
-        return 2 * self.r1 + self.r2
 
     def sort_key(self):
         return (
@@ -412,26 +419,79 @@ def underlying_partition(diagram):
 # -- Gram matrices ----------------------------------------------------------------
 
 
+def _join(pa: tuple[int, ...], pb: tuple[int, ...]) -> list[int]:
+    """Blocks of the join of two partitions of one row, as bitmasks."""
+    joined = list(pa)
+    for b in pb:
+        merged, rest = b, []
+        for c in joined:
+            if c & b:
+                merged |= c
+            else:
+                rest.append(c)
+        rest.append(merged)
+        joined = rest
+    return joined
+
+
+def _through_image(view, joined: list[int]) -> int | None:
+    """Union of the join blocks holding a through block of `view`, or None
+    when some join block holds two of them."""
+    image = 0
+    for i in view.through:
+        block = view.blocks[i]
+        for c in joined:
+            if c & block:
+                break
+        if image & c:
+            return None
+        image |= c
+    return image
+
+
+def row_partition_groups(views) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(row partition, basis indices) for each distinct row partition, in
+    order of first occurrence."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for idx, view in enumerate(views):
+        groups.setdefault(view.blocks, []).append(idx)
+    return list(groups.items())
+
+
 @lru_cache(maxsize=None)
 def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD) -> GramMatrix:
-    """Gram matrix over the ordered basis for the given profile."""
+    """Gram matrix over the ordered basis for the given profile.
+
+    Entries come from one join per pair of distinct row partitions; see the
+    module docstring. Equal entries share one `Poly` instance.
+    """
     basis = enumerate_diagrams(algebra, k, s1, s2, guard)
     keys = tuple(key for key, _ in basis)
     diagrams = tuple(diagram for _, diagram in basis)
     target = s1 if algebra == "partition" else 2 * s1 + s2
+    views = [diagram.row_view() for diagram in diagrams]
+    groups = row_partition_groups(views)
     n = len(diagrams)
-    rows = []
-    for u in range(n):
-        row = []
-        du = diagrams[u]
-        for v in range(n):
-            # every entry is computed independently; symmetry of the result
-            # is asserted by the test suite, not assumed here
-            prod, loops = du.multiply(diagrams[v])
-            if prod.propagating_number() == target:
-                row.append(Poly.monomial(loops))
-            else:
-                row.append(Poly.zero())
-        rows.append(row)
+    rows = [[Poly.zero()] * n for _ in range(n)]
+    monomials: dict[int, Poly] = {}
+    for a, (pa, us) in enumerate(groups):
+        for pb, vs in groups[a:]:
+            joined = _join(pa, pb)
+            loops = len(joined) - target
+            if loops < 0:
+                continue  # too few join blocks to keep every through block
+            by_image: dict[int, list[int]] = {}
+            for v in vs:
+                image = _through_image(views[v], joined)
+                if image is not None:
+                    by_image.setdefault(image, []).append(v)
+            if not by_image:
+                continue
+            if loops not in monomials:
+                monomials[loops] = Poly.monomial(loops)
+            entry = monomials[loops]
+            for u in us:
+                for v in by_image.get(_through_image(views[u], joined), ()):
+                    rows[u][v] = rows[v][u] = entry
     entries = tuple(tuple(row) for row in rows)
     return GramMatrix(algebra, k, s1, s2, keys, diagrams, entries)

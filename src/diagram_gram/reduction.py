@@ -14,6 +14,18 @@ The reduced matrix decomposes into one block per horizontal-edge profile,
 plus, for the signed algebra only, a separate block collecting the diagrams
 whose classes are all singletons covering every fiber (their natural
 coarsenings leave the signed family, so their entries keep extra terms).
+
+The poset and the role-swap pairs are read off each diagram's `RowView` (row
+partition, through blocks, flip-fixed flags). u lies below v iff P_u is
+coarser than P_v and the through blocks of v land one-to-one on the through
+blocks of u. The flip-type conditions need no test of their own: row
+partitions are flip-stable, so a block containing a flip-fixed block is
+flip-fixed, and a flip-fixed block containing one block of a conjugate
+through pair also contains the other, which breaks one-to-one landing. A
+role swap is a pair with one row partition and two different through sets;
+(t1, t2) count the through blocks only u has. `diagram_coarser_or_equal`
+and `swap_pair_parameters` decide the same on whole diagrams; they are kept
+as the oracles the tests and `verify` compare against.
 """
 
 from __future__ import annotations
@@ -21,8 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagrams import PartitionDiagram
-from .gram import DiagramKey, GramMatrix, build_gram, enumerate_diagrams
+from .gram import (
+    DEFAULT_GUARD,
+    DiagramKey,
+    GramMatrix,
+    build_gram,
+    enumerate_diagrams,
+    row_partition_groups,
+)
 from .polynomials import Poly, phi_partition, phi_z2
 from .z2diagrams import Z2Diagram
 
@@ -38,6 +56,7 @@ __all__ = [
     "predicted_blocks",
     "compare_blocks",
     "swap_pair_parameters",
+    "role_swaps",
     "is_rho_key",
 ]
 
@@ -113,16 +132,45 @@ class CoarseningPoset:
         return [u for u in range(len(self.keys)) if u != v and self.leq[u][v]]
 
 
+def _landing(coarse: tuple[int, ...], fine: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Position in `coarse` of the block holding each block of `fine`, or
+    None when `coarse` is not coarser than `fine`."""
+    out = []
+    for b in fine:
+        for i, a in enumerate(coarse):
+            if a & b:
+                break
+        if b & ~a:
+            return None
+        out.append(i)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def coarsening_poset(algebra: str, k: int, s1: int, s2: int = 0) -> CoarseningPoset:
+    """Coarsening order of the basis, one row-partition pair at a time."""
     basis = enumerate_diagrams(algebra, k, s1, s2)
-    diagrams = [d for _, d in basis]
-    n = len(diagrams)
-    leq = tuple(
-        tuple(diagram_coarser_or_equal(diagrams[u], diagrams[v]) for v in range(n))
-        for u in range(n)
-    )
-    return CoarseningPoset(tuple(key for key, _ in basis), leq)
+    views = [d.row_view() for _, d in basis]
+    n = len(views)
+    leq = [[False] * n for _ in range(n)]
+    groups = row_partition_groups(views)
+    for pa, us in groups:
+        by_through: dict[tuple[int, ...], list[int]] = {}
+        for u in us:
+            by_through.setdefault(views[u].through, []).append(u)
+        for pb, vs in groups:
+            if len(pa) > len(pb):
+                continue  # a coarser partition has no more blocks
+            landing = _landing(pa, pb)
+            if landing is None:
+                continue
+            for v in vs:
+                # a repeated landing block matches no u, whose through
+                # positions are distinct
+                image = tuple(sorted(landing[j] for j in views[v].through))
+                for u in by_through.get(image, ()):
+                    leq[u][v] = True
+    return CoarseningPoset(tuple(key for key, _ in basis), tuple(tuple(row) for row in leq))
 
 
 def minimal_common_coarsening(algebra: str, k: int, s1: int, s2: int, u: int, v: int):
@@ -359,8 +407,10 @@ def reduce_gram(gram: GramMatrix, method: str = "mobius") -> BlockDecomposition:
 
 
 @lru_cache(maxsize=None)
-def reduced_decomposition(algebra: str, k: int, s1: int, s2: int = 0) -> BlockDecomposition:
-    return reduce_gram(build_gram(algebra, k, s1, s2))
+def reduced_decomposition(
+    algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD
+) -> BlockDecomposition:
+    return reduce_gram(build_gram(algebra, k, s1, s2, guard))
 
 
 def predicted_blocks(gram: GramMatrix, cells=None) -> dict:
@@ -375,29 +425,52 @@ def predicted_blocks(gram: GramMatrix, cells=None) -> dict:
     """
     if cells is None:
         cells = _cells_of(gram)
-    s1, s2, k = gram.s1, gram.s2, gram.k
+    s1, s2 = gram.s1, gram.s2
     partition = gram.algebra == "partition"
     out = {}
     for label, members in cells:
         size = len(members)
         block = [[Poly.zero()] * size for _ in range(size)]
-        for a in range(size):
-            ka = gram.keys[members[a]]
-            da = gram.diagrams[members[a]]
-            for b in range(size):
-                kb = gram.keys[members[b]]
-                db = gram.diagrams[members[b]]
-                if label[0] == "rho":
-                    block[a][b] = _predict_rho_entry(gram, ka, da, kb, db)
-                elif a == b:
-                    block[a][b] = (
-                        phi_partition(s1, ka.r1) if partition else phi_z2(s1, s2, ka.r1, ka.r2)
+        swaps = role_swaps(gram, members)
+        if label[0] == "rho":
+            for a in range(size):
+                for b in range(size):
+                    block[a][b] = _predict_rho_entry(
+                        gram, members[a], members[b], swaps.get((a, b))
                     )
-                else:
-                    swap = swap_pair_parameters(da, db)
-                    if swap is not None:
-                        block[a][b] = _swap_pair_value(gram, ka, swap)
+        else:
+            for a in range(size):
+                key = gram.keys[members[a]]
+                block[a][a] = (
+                    phi_partition(s1, key.r1) if partition else phi_z2(s1, s2, key.r1, key.r2)
+                )
+            for (a, b), swap in swaps.items():
+                block[a][b] = _swap_pair_value(gram, gram.keys[members[a]], swap)
         out[label] = tuple(tuple(row) for row in block)
+    return out
+
+
+def role_swaps(gram: GramMatrix, members) -> dict[tuple[int, int], tuple[int, int]]:
+    """Role-swap pairs among `members`, as {(a, b): (t1, t2)} over positions.
+
+    A pair qualifies when both diagrams have one row partition and different
+    through sets; t1 counts the conjugate pairs and t2 the flip-fixed blocks
+    among the through blocks only the first diagram has. This is what
+    `swap_pair_parameters` returns for the same pair.
+    """
+    doubled = gram.algebra != "partition"
+    views = [gram.diagrams[m].row_view() for m in members]
+    out = {}
+    for _, same in row_partition_groups(views):
+        for a in same:
+            va = views[a]
+            for b in same:
+                only = set(va.through).difference(views[b].through)
+                if not only:
+                    continue
+                t2 = sum(va.fixed[i] for i in only)
+                t1 = len(only) - t2
+                out[a, b] = (t1 // 2 if doubled else t1, t2)
     return out
 
 
@@ -413,19 +486,19 @@ def _swap_pair_value(gram: GramMatrix, key: DiagramKey, swap) -> Poly:
     return value.scalar_mul(coeff)
 
 
-def _predict_rho_entry(gram: GramMatrix, ka, da, kb, db) -> Poly:
+def _predict_rho_entry(gram: GramMatrix, u: int, v: int, swap) -> Poly:
     s1, s2, k = gram.s1, gram.s2, gram.k
+    ku, kv = gram.keys[u], gram.keys[v]
     free = k - s1 - s2
     correction = phi_z2(s1, s2, 0, free)
-    if ka == kb and da == db:
-        return phi_z2(s1, s2, ka.r1, ka.r2) + correction
-    prod, _ = da.multiply(db)
-    if prod.propagating_number() == 2 * s1 + s2:
-        return correction.scalar_mul((-1) ** (ka.r1 + kb.r1))
-    swap = swap_pair_parameters(da, db)
+    if u == v:
+        return phi_z2(s1, s2, ku.r1, ku.r2) + correction
+    # a nonzero Gram entry means the product keeps the full through count
+    if not gram.entries[u][v].is_zero():
+        return correction.scalar_mul((-1) ** (ku.r1 + kv.r1))
     if swap is not None:
         # literal statement value: role-swap term plus the correction product
-        return _swap_pair_value(gram, ka, swap) + correction
+        return _swap_pair_value(gram, ku, swap) + correction
     return Poly.zero()
 
 

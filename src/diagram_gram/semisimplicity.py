@@ -97,7 +97,7 @@ def global_poly(algebra: str, k: int, guard: int = DEFAULT_GUARD):
     records: list[FactorRecord] = []
     poly = Poly.one()
     for s1, s2 in admissible_profiles(algebra, k):
-        decomposition = reduced_decomposition(algebra, k, s1, s2)
+        decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
         if decomposition.gram.dimension() == 0:
             continue
         result = det_blocks(decomposition)
@@ -109,11 +109,17 @@ def global_poly(algebra: str, k: int, guard: int = DEFAULT_GUARD):
     return DetResult(poly), tuple(records)
 
 
-def verdict(algebra: str, k: int, q: Fraction | int | None) -> Verdict:
-    """Decide semisimplicity at an exact rational q (None for symbolic)."""
+def verdict(
+    algebra: str, k: int, q: Fraction | int | None, guard: int = DEFAULT_GUARD
+) -> Verdict:
+    """Decide semisimplicity at an exact rational q (None for symbolic).
+
+    Raises ResourceGuardError when a profile's Gram matrix would exceed
+    `guard` rows.
+    """
     if isinstance(q, float):
         raise TypeError("q must be an exact rational, not a float")
-    result, records = global_poly(algebra, k)
+    result, records = global_poly(algebra, k, guard)
     if q is None:
         # over the rational function field the obstruction never vanishes
         return Verdict(algebra, k, None, not result.poly.is_zero(), (), CAVEAT)

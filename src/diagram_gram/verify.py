@@ -13,9 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .determinant import det_blocks, det_direct
-from .gram import build_gram, enumerate_diagrams, standard_diagram, underlying_partition
+from .gram import (
+    DEFAULT_GUARD,
+    WindowError,
+    build_gram,
+    enumerate_diagrams,
+    standard_diagram,
+    underlying_partition,
+)
 from .polynomials import Poly, phi_partition, phi_z2
 from .reduction import (
+    coarsening_poset,
     diagram_coarser_or_equal,
     minimal_common_coarsening,
     reduce_gram,
@@ -65,7 +73,9 @@ def check_gram_invariants(k_max: int = 3, k_max_partition: int = 4):
             top = k_max_partition if algebra == "partition" else k_max
             for k in range(1, top + 1):
                 for s1, s2 in profiles_for(algebra, k):
-                    gram = build_gram(algebra, k, s1, s2)
+                    # the same argument form as reduced_decomposition's call,
+                    # so that both share one cache entry
+                    gram = build_gram(algebra, k, s1, s2, DEFAULT_GUARD)
                     n = gram.dimension()
                     if n == 0:
                         continue
@@ -121,7 +131,11 @@ def check_block_closed_forms(k_max: int = 3, k_max_partition: int = 4):
 
 
 def check_poset_duality(k_max: int = 3):
-    """Coarsening equals the loop-count criterion; joins are unique."""
+    """Coarsening equals the loop-count criterion; joins are unique.
+
+    On the same pairs, the row-partition Gram entries and poset must equal
+    their product-based oracles.
+    """
 
     def run():
         failures = []
@@ -132,6 +146,8 @@ def check_poset_duality(k_max: int = 3):
                     diagrams = [d for _, d in basis]
                     keys = [key for key, _ in basis]
                     target = s1 if algebra == "partition" else 2 * s1 + s2
+                    gram = build_gram(algebra, k, s1, s2, DEFAULT_GUARD)
+                    poset = coarsening_poset(algebra, k, s1, s2)
                     n = len(diagrams)
                     for u in range(n):
                         degu = keys[u].r1 if algebra == "partition" else 2 * keys[u].r1 + keys[u].r2
@@ -141,9 +157,16 @@ def check_poset_duality(k_max: int = 3):
                                 continue
                             coarser = diagram_coarser_or_equal(diagrams[u], diagrams[v])
                             prod, loops = diagrams[u].multiply(diagrams[v])
-                            dual = loops == degu and prod.propagating_number() == target
+                            kept = prod.propagating_number() == target
+                            dual = loops == degu and kept
+                            entry = Poly.monomial(loops) if kept else Poly.zero()
                             if coarser != dual:
                                 failures.append(f"{algebra} k={k} ({s1},{s2}) pair {u},{v}")
+                            if poset.leq[u][v] != coarser or gram.entries[u][v] != entry:
+                                failures.append(
+                                    f"{algebra} k={k} ({s1},{s2}) pair {u},{v}: "
+                                    "row-partition view differs from the oracle"
+                                )
                     if algebra == "signed":
                         continue
                     for u in range(n):
@@ -364,8 +387,13 @@ def check_zero_profile_blocks(k_max: int = 3):
 
 
 def run_all_checks(k_max: int = 3):
-    """Full invariant suite; the plain partition family runs one size higher."""
-    k_max = min(k_max, 3)  # documented desk scale; larger sizes guard-protected
+    """Full invariant suite; the plain partition family runs one size higher.
+
+    Raises WindowError unless 1 <= k_max <= 3, the scale the suite is sized
+    for.
+    """
+    if not 1 <= k_max <= 3:
+        raise WindowError(f"verify runs at k from 1 to 3, got {k_max}")
     checks = [
         check_gram_invariants(k_max, k_max + 1),
         check_block_closed_forms(k_max, k_max + 1),

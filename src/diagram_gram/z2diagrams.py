@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .diagrams import PartitionDiagram
+from .diagrams import PartitionDiagram, RowView
 from .partitions import SetPartition
 
 __all__ = ["BlockKind", "Z2Stats", "Z2Diagram", "top_index", "bottom_index"]
@@ -57,7 +57,7 @@ def bottom_index(k: int, fiber: int, sign: int) -> int:
 class Z2Diagram:
     """A flip-stable set partition of the 4k doubled vertices."""
 
-    __slots__ = ("k", "part")
+    __slots__ = ("k", "part", "_view")
 
     def __init__(self, k: int, part: SetPartition):
         if k <= 0:
@@ -149,6 +149,16 @@ class Z2Diagram:
             self.part.restrict(range(half)),
             self.part.restrict(range(half, 2 * half)),
         )
+
+    def row_view(self) -> RowView:
+        """Row partition of the 2k row points, through blocks and flip-fixed
+        flags, computed once per instance."""
+        try:
+            return self._view
+        except AttributeError:
+            view = RowView.of(self.part, 2 * self.k, doubled=True)
+            object.__setattr__(self, "_view", view)
+            return view
 
     def is_mirror_symmetric(self) -> bool:
         """True when bottom mirrors top and through blocks join identically."""

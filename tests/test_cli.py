@@ -129,3 +129,18 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["count"] == 3
+
+
+def test_semisimple_honours_guard(capsys):
+    code, out, err = run_cli(
+        capsys, "semisimple", "--algebra", "z2", "--k", "3", "--guard", "5"
+    )
+    assert code == 3 and out == ""
+    assert "resource guard" in err
+
+
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_verify_rejects_k_outside_window(capsys, k):
+    code, out, err = run_cli(capsys, "verify", "--k", k)
+    assert code == 1 and out == ""
+    assert "parameter error" in err and "from 1 to 3" in err

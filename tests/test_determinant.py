@@ -1,9 +1,6 @@
-import os
-from unittest import mock
-
 import pytest
 
-from diagram_gram.determinant import det_blocks, det_direct, worker_count
+from diagram_gram.determinant import det_blocks, det_direct
 from diagram_gram.gram import build_gram
 from diagram_gram.polynomials import Poly, phi_z2
 from diagram_gram.reduction import reduced_decomposition
@@ -68,19 +65,3 @@ def test_det_blocks_keeps_diagonal_atoms_symbolic():
     assert result.poly == result.factored_product()
     assert all(mult >= 1 for _, mult in result.factored)
 
-
-def test_worker_count_env():
-    with mock.patch.dict(os.environ, {"DIAGRAM_GRAM_THREADS": "4"}):
-        assert worker_count() == 4
-    with mock.patch.dict(os.environ, {"DIAGRAM_GRAM_THREADS": "junk"}):
-        assert worker_count() == 1
-    with mock.patch.dict(os.environ, {}, clear=True):
-        assert worker_count() == 1
-
-
-def test_threaded_evaluation_matches_sequential():
-    gram = build_gram("partition", 3, 1, 0)
-    plain = det_direct(gram.entries)
-    with mock.patch.dict(os.environ, {"DIAGRAM_GRAM_THREADS": "3"}):
-        threaded = det_direct(gram.entries)
-    assert plain == threaded

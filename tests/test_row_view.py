@@ -1,0 +1,94 @@
+"""Row-partition fast paths pinned against the diagram-level oracles.
+
+`build_gram`, `coarsening_poset` and `role_swaps` read everything off each
+basis diagram's row view. Here they are compared entrywise with
+`multiply`, `diagram_coarser_or_equal` and `swap_pair_parameters`.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diagram_gram.diagrams import PartitionDiagram, RowView
+from diagram_gram.gram import build_gram
+from diagram_gram.partitions import SetPartition
+from diagram_gram.polynomials import Poly
+from diagram_gram.reduction import (
+    coarsening_poset,
+    diagram_coarser_or_equal,
+    reduced_decomposition,
+    role_swaps,
+    swap_pair_parameters,
+)
+from diagram_gram.verify import profiles_for
+
+PROFILES = (
+    [
+        (algebra, k, s1, s2)
+        for algebra in ("partition", "z2", "signed")
+        for k in (1, 2, 3)
+        for s1, s2 in profiles_for(algebra, k)
+    ]
+    + [("partition", 4, s, 0) for s in range(5)]
+    # the k=4 profiles of test_k4_extension.py
+    + [("signed", 4, 1, 0), ("z2", 4, 2, 0), ("z2", 4, 0, 2), ("z2", 4, 1, 1)]
+)
+
+
+def product_entry(du, dv, target: int) -> Poly:
+    prod, loops = du.multiply(dv)
+    return Poly.monomial(loops) if prod.propagating_number() == target else Poly.zero()
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_gram_entries_match_products(profile):
+    gram = build_gram(*profile)
+    target = gram.through_count()
+    for du, row in zip(gram.diagrams, gram.entries):
+        assert row == tuple(product_entry(du, dv, target) for dv in gram.diagrams)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_poset_matches_coarsening_oracle(profile):
+    poset = coarsening_poset(*profile)
+    diagrams = build_gram(*profile).diagrams
+    for du, row in zip(diagrams, poset.leq):
+        assert row == tuple(diagram_coarser_or_equal(du, dv) for dv in diagrams)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_role_swaps_match_oracle(profile):
+    dec = reduced_decomposition(*profile)
+    diagrams = dec.gram.diagrams
+    for _, members in dec.cells:
+        swaps = role_swaps(dec.gram, members)
+        for a, u in enumerate(members):
+            for b, v in enumerate(members):
+                assert swaps.get((a, b)) == swap_pair_parameters(diagrams[u], diagrams[v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([("z2", 4, s1, s2) for s1, s2 in profiles_for("z2", 4)]
+                       + [("signed", 4, s1, s2) for s1, s2 in profiles_for("signed", 4)]),
+       st.data())
+def test_random_k4_entries_match_products(profile, data):
+    gram = build_gram(*profile)
+    n = gram.dimension()
+    u = data.draw(st.integers(0, n - 1))
+    v = data.draw(st.integers(0, n - 1))
+    target = gram.through_count()
+    assert gram.entries[u][v] == product_entry(gram.diagrams[u], gram.diagrams[v], target)
+
+
+def test_row_view_of_plain_diagram():
+    # through block {1,3 | 1',3'}, horizontal blocks {2}, {2'}
+    d = PartitionDiagram(3, SetPartition(6, [[0, 2, 3, 5], [1], [4]]))
+    assert d.row_view() == RowView(blocks=(0b101, 0b010), through=(0,), fixed=(False, False))
+    assert d.row_view() is d.row_view()
+
+
+def test_row_view_rejects_asymmetric_diagram():
+    with pytest.raises(ValueError):
+        PartitionDiagram(2, SetPartition(4, [[0, 3], [1, 2]])).row_view()
+    with pytest.raises(ValueError):
+        PartitionDiagram(2, SetPartition(4, [[0, 1], [2], [3]])).row_view()
