@@ -243,14 +243,14 @@ def cmd_semisimple(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = run_all_checks(args.k)
+    checks = run_all_checks(args.k, args.guard)
     failures = 0
     lines = []
     for check in checks:
         status = "PASS" if check.ok else "FAIL"
         lines.append(f"{status}  {check.name:<24} {check.seconds:7.2f}s  {check.details}")
         failures += 0 if check.ok else 1
-    gram = build_gram("signed", 3, 1, 0, DEFAULT_GUARD)
+    gram = build_gram("signed", 3, 1, 0, args.guard)
     report = published_gram_report(gram)
     golden_ok = report.permutation is not None and not report.hard_mismatches
     status = "PASS" if golden_ok else "FAIL"

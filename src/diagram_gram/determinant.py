@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .polynomials import Poly, linear_factor, phi_partition, phi_z2, quadratic_factor
 
@@ -19,12 +20,25 @@ __all__ = ["DetResult", "det_direct", "det_blocks"]
 
 @dataclass(frozen=True)
 class DetResult:
-    poly: Poly
-    factored: tuple[tuple[Poly, int], ...] | None = None
+    """A determinant kept as its factors: (factor, multiplicity) pairs.
+
+    `poly` multiplies the factors out on first access and caches the
+    product on the instance, so callers that only read the factors never
+    pay for the (possibly large) product.
+    """
+
+    factored: tuple[tuple[Poly, int], ...]
+
+    @classmethod
+    def from_counts(cls, factors: dict[Poly, int]) -> "DetResult":
+        """Factors with their multiplicities, sorted by their rendering."""
+        return cls(tuple(sorted(factors.items(), key=lambda kv: str(kv[0]))))
+
+    @cached_property
+    def poly(self) -> Poly:
+        return self.factored_product()
 
     def factored_product(self) -> Poly:
-        if self.factored is None:
-            return self.poly
         out = Poly.one()
         for factor, mult in self.factored:
             for _ in range(mult):
@@ -174,8 +188,4 @@ def det_blocks(decomposition) -> DetResult:
                 continue
             sub = tuple(tuple(block[i][j] for j in comp) for i in comp)
             add(det_direct(sub))
-    poly = Poly.one()
-    for factor, mult in factors.items():
-        for _ in range(mult):
-            poly = poly * factor
-    return DetResult(poly, tuple(sorted(factors.items(), key=lambda kv: str(kv[0]))))
+    return DetResult.from_counts(factors)

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .gram import GramMatrix
+from .gram import GramMatrix, exponent_grid
 from .polynomials import Poly
 
 __all__ = [
@@ -40,21 +40,6 @@ FIXTURE_VERSION = "v1"
 def load_fixture(name: str) -> dict:
     path = resources.files("diagram_gram") / "fixtures" / FIXTURE_VERSION / name
     return json.loads(path.read_text())
-
-
-def _exponent_grid(entries) -> list[list[int | None]]:
-    grid = []
-    for row in entries:
-        out = []
-        for p in row:
-            if p.is_zero():
-                out.append(None)
-            elif p == Poly.monomial(p.degree()):
-                out.append(p.degree())
-            else:
-                raise ValueError(f"entry {p} is not a monomial")
-        grid.append(out)
-    return grid
 
 
 @dataclass
@@ -104,7 +89,7 @@ def match_published_gram(gram: GramMatrix, fixture: dict | None = None) -> Golde
     ]
     asym = {(i, j) for i, j, _, _ in fixture.get("asymmetric_positions", [])}
     asym |= {(j, i) for i, j in asym}
-    ours = _exponent_grid(gram.entries)
+    ours = exponent_grid(gram.entries)
     n = len(ours)
     our_cells = _cells_in_order(gram)
     printed_cells = []

@@ -24,6 +24,7 @@ fiber or a conjugate edge pair).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +44,7 @@ __all__ = [
     "standard_diagram",
     "underlying_partition",
     "build_gram",
+    "exponent_grid",
     "count_row_configs",
     "projected_dimension",
 ]
@@ -495,3 +497,30 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
                     rows[u][v] = rows[v][u] = entry
     entries = tuple(tuple(row) for row in rows)
     return GramMatrix(algebra, k, s1, s2, keys, diagrams, entries)
+
+
+_coeffs = operator.attrgetter("coeffs")
+
+
+class _Exponents(dict):
+    """Coefficient tuple -> monomial exponent (None for zero), filled on miss."""
+
+    def __missing__(self, coeffs: tuple) -> int | None:
+        if not coeffs:
+            exponent = None
+        elif coeffs[-1] == 1 and not any(coeffs[:-1]):
+            exponent = len(coeffs) - 1
+        else:
+            raise ValueError(f"entry {Poly(coeffs)} is not a monomial")
+        self[coeffs] = exponent
+        return exponent
+
+
+def exponent_grid(entries) -> list[list[int | None]]:
+    """Exponent e of every entry x**e, or None for a zero entry.
+
+    Raw Gram entries are monomials or zero; any other entry raises
+    ValueError. Each distinct coefficient tuple is classified once.
+    """
+    exponent = _Exponents()
+    return [list(map(exponent.__getitem__, map(_coeffs, row))) for row in entries]

@@ -26,6 +26,24 @@ role swap is a pair with one row partition and two different through sets;
 (t1, t2) count the through blocks only u has. `diagram_coarser_or_equal`
 and `swap_pair_parameters` decide the same on whole diagrams; they are kept
 as the oracles the tests and `verify` compare against.
+
+The congruence `_congruence` runs on Python ints by Kronecker substitution
+(von zur Gathen & Gerhard, Modern Computer Algebra, 8.4). Every raw Gram
+entry is x**e or 0; it becomes the integer 2**(width*e) or 0. A coefficient
+of an entry (T'GT)[u][j] is a sum of products T[w][u] T[i][j], so its
+absolute value is at most L1(T_u) L1(T_j) <= L**2, with L the largest column
+L1 norm of T. With width = 2 bitlen(L) + 1, L**2 < 2**(width-1), so the
+balanced base-2**width digits of a packed result are its coefficients, read
+back uniquely. A second level packs a whole row of G or of T'G, or a column
+of T'GT, into one integer of n slots. The digits of an entry of T'G or T'GT
+sum to at most L**2 < 2**(width-1) in absolute value, so the entry is below
+2**(width*(top+1)), top being the largest exponent in G, and a slot of
+width*(top+1)//8 + 1 bytes holds it with its sign. A row of T'G is then a
+sum of multiples of packed rows of G over a sparse column of T, a column of
+T'GT a sum of multiples of packed columns of T'G, and the transpose in
+between is a strided copy of bytes, once every slot is biased to be
+nonnegative. The entrywise `Poly` computation of T'GT is the oracle in the
+tests.
 """
 
 from __future__ import annotations
@@ -39,6 +57,7 @@ from .gram import (
     GramMatrix,
     build_gram,
     enumerate_diagrams,
+    exponent_grid,
     row_partition_groups,
 )
 from .polynomials import Poly, phi_partition, phi_z2
@@ -242,29 +261,84 @@ def _sequential_transform(poset: CoarseningPoset) -> tuple[tuple[int, ...], ...]
 
 
 def _congruence(transform, entries):
-    """T' G T for an integer matrix T (given as rows) and polynomial G."""
+    """T' G T for an integer matrix T (given as rows) and a monomial G.
+
+    Runs on packed Python ints, as the module docstring describes: an entry
+    x**e is the integer 2**(width*e), and a row or column of n entries is
+    one integer of n slots. Equal results share one `Poly`.
+    """
     n = len(entries)
-    cols = [[(u, transform[u][v]) for u in range(n) if transform[u][v]] for v in range(n)]
-    gt = [[None] * n for _ in range(n)]
-    for i in range(n):
-        row = entries[i]
-        for v in range(n):
-            acc = Poly.zero()
-            for u, c in cols[v]:
-                p = row[u]
-                if p.coeffs:
-                    acc = acc + p.scalar_mul(c)
-            gt[i][v] = acc
-    out = [[None] * n for _ in range(n)]
-    for u in range(n):
-        for j in range(n):
-            acc = Poly.zero()
-            for w, c in cols[u]:
-                p = gt[w][j]
-                if p.coeffs:
-                    acc = acc + p.scalar_mul(c)
-            out[u][j] = acc
-    return tuple(tuple(row) for row in out)
+    cols = [[(u, c) for u, c in enumerate(col) if c] for col in zip(*transform)]
+    norm = max((sum(abs(c) for _, c in col) for col in cols), default=0)
+    width = 2 * norm.bit_length() + 1
+    grid = exponent_grid(entries)
+    top = max(set().union(*grid) - {None}, default=0)
+    size = width * (top + 1) // 8 + 1  # bytes per slot, sign bit included
+    slot = {None: bytes(size)}
+    for e in range(top + 1):
+        slot[e] = (1 << width * e).to_bytes(size, "little")
+    gram_rows = [int.from_bytes(b"".join(map(slot.__getitem__, row)), "little") for row in grid]
+    # each stage's n packed ints are dropped once the next stage has them,
+    # which keeps the peak memory near one stage's worth
+    del grid
+    left_rows = [sum(c * gram_rows[w] for w, c in col) for col in cols]  # T' G
+    del gram_rows
+    bits = 8 * size
+    half = 1 << bits - 1
+    bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    left_cols = _transpose(left_rows, n, size, bias)
+    del left_rows
+    reduced_cols = [sum(c * left_cols[i] for i, c in col) for col in cols]  # T' G T
+    del left_cols
+    mask = (1 << bits) - 1
+    polys: dict[int, Poly] = {}
+    out = []
+    for value in reduced_cols:
+        value += bias
+        col = [Poly.zero()] * n
+        nonzero = value ^ bias  # nonzero exactly in the slots of nonzero entries
+        while nonzero:
+            u = (nonzero.bit_length() - 1) // bits
+            low = bits * u
+            entry = (value >> low & mask) - half
+            if entry not in polys:
+                polys[entry] = _unpack(entry, width)
+            col[u] = polys[entry]
+            nonzero &= (1 << low) - 1
+        out.append(col)
+    return tuple(zip(*out))
+
+
+def _transpose(rows: list[int], n: int, size: int, bias: int) -> list[int]:
+    """Packed columns of the n x n matrix with packed rows `rows`.
+
+    With `bias` added every slot of `size` bytes is nonnegative, so the
+    slots are plain bytes and a column is gathered by strided slices.
+    """
+    stride = n * size
+    data = b"".join((row + bias).to_bytes(stride, "little") for row in rows)
+    cols = []
+    for j in range(n):
+        col = bytearray(stride)
+        for b in range(size):
+            col[b::size] = data[j * size + b :: stride]
+        cols.append(int.from_bytes(col, "little") - bias)
+    return cols
+
+
+def _unpack(value: int, width: int) -> Poly:
+    """The polynomial whose coefficients are the balanced base-2**width
+    digits of `value`."""
+    base = 1 << width
+    half = base >> 1
+    coeffs = []
+    while value:
+        digit = value & (base - 1)
+        if digit >= half:
+            digit -= base
+        coeffs.append(digit)
+        value = (value - digit) >> width
+    return Poly(coeffs)
 
 
 # -- blocks and predictions --------------------------------------------------------

@@ -92,21 +92,23 @@ def admissible_profiles(algebra: str, k: int):
 
 @lru_cache(maxsize=None)
 def global_poly(algebra: str, k: int, guard: int = DEFAULT_GUARD):
-    """Obstruction polynomial with its factor records, over all profiles."""
+    """Obstruction polynomial with its factor records, over all profiles.
+
+    The result keeps the merged factors of every profile; its `poly` is
+    multiplied out only when read.
+    """
     check_window(algebra, k, 0, 0)
     records: list[FactorRecord] = []
-    poly = Poly.one()
+    factors: dict[Poly, int] = {}
     for s1, s2 in admissible_profiles(algebra, k):
         decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
         if decomposition.gram.dimension() == 0:
             continue
-        result = det_blocks(decomposition)
-        poly = poly * result.poly
-        for factor, mult in result.factored:
-            if factor.degree() <= 0:
-                continue
-            records.append(FactorRecord(s1, s2, factor, mult))
-    return DetResult(poly), tuple(records)
+        for factor, mult in det_blocks(decomposition).factored:
+            factors[factor] = factors.get(factor, 0) + mult
+            if factor.degree() > 0:
+                records.append(FactorRecord(s1, s2, factor, mult))
+    return DetResult.from_counts(factors), tuple(records)
 
 
 def verdict(
@@ -121,8 +123,10 @@ def verdict(
         raise TypeError("q must be an exact rational, not a float")
     result, records = global_poly(algebra, k, guard)
     if q is None:
-        # over the rational function field the obstruction never vanishes
-        return Verdict(algebra, k, None, not result.poly.is_zero(), (), CAVEAT)
+        # over the rational function field the obstruction vanishes only
+        # when one of its factors is the zero polynomial
+        nonzero = not any(factor.is_zero() for factor, _ in result.factored)
+        return Verdict(algebra, k, None, nonzero, (), CAVEAT)
     q = Fraction(q)
     witnesses = tuple(
         (rec.s1, rec.s2, rec.describe_at(q))

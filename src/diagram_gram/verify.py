@@ -64,7 +64,7 @@ def _timed(fn):
 # -- individual checks -----------------------------------------------------------
 
 
-def check_gram_invariants(k_max: int = 3, k_max_partition: int = 4):
+def check_gram_invariants(k_max: int = 3, k_max_partition: int = 4, guard: int = DEFAULT_GUARD):
     """Symmetry, monic integral determinant, degree dominance, det agreement."""
 
     def run():
@@ -73,9 +73,9 @@ def check_gram_invariants(k_max: int = 3, k_max_partition: int = 4):
             top = k_max_partition if algebra == "partition" else k_max
             for k in range(1, top + 1):
                 for s1, s2 in profiles_for(algebra, k):
-                    # the same argument form as reduced_decomposition's call,
-                    # so that both share one cache entry
-                    gram = build_gram(algebra, k, s1, s2, DEFAULT_GUARD)
+                    # the guard goes in positionally, as reduced_decomposition
+                    # passes it, so that both share one cache entry
+                    gram = build_gram(algebra, k, s1, s2, guard)
                     n = gram.dimension()
                     if n == 0:
                         continue
@@ -93,7 +93,7 @@ def check_gram_invariants(k_max: int = 3, k_max_partition: int = 4):
                                     failures.append(
                                         f"{algebra} k={k} ({s1},{s2}) degree dominance at {u},{v}"
                                     )
-                    decomposition = reduced_decomposition(algebra, k, s1, s2)
+                    decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
                     if decomposition.offblock_violations:
                         failures.append(f"{algebra} k={k} ({s1},{s2}) off-block entries")
                     d_raw = det_direct(gram.entries)
@@ -110,7 +110,7 @@ def check_gram_invariants(k_max: int = 3, k_max_partition: int = 4):
     return CheckResult("gram-invariants", *_timed(run))
 
 
-def check_block_closed_forms(k_max: int = 3, k_max_partition: int = 4):
+def check_block_closed_forms(k_max: int = 3, k_max_partition: int = 4, guard: int = DEFAULT_GUARD):
     """Reduced blocks match the closed forms; only known informative diffs."""
 
     def run():
@@ -119,7 +119,7 @@ def check_block_closed_forms(k_max: int = 3, k_max_partition: int = 4):
             top = k_max_partition if algebra == "partition" else k_max
             for k in range(1, top + 1):
                 for s1, s2 in profiles_for(algebra, k):
-                    decomposition = reduced_decomposition(algebra, k, s1, s2)
+                    decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
                     hard = decomposition.hard_diffs()
                     if hard:
                         failures.append(
@@ -130,7 +130,7 @@ def check_block_closed_forms(k_max: int = 3, k_max_partition: int = 4):
     return CheckResult("block-closed-forms", *_timed(run))
 
 
-def check_poset_duality(k_max: int = 3):
+def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
     """Coarsening equals the loop-count criterion; joins are unique.
 
     On the same pairs, the row-partition Gram entries and poset must equal
@@ -142,11 +142,11 @@ def check_poset_duality(k_max: int = 3):
         for algebra in ("partition", "z2", "signed"):
             for k in range(1, k_max + 1):
                 for s1, s2 in profiles_for(algebra, k):
-                    basis = enumerate_diagrams(algebra, k, s1, s2)
+                    basis = enumerate_diagrams(algebra, k, s1, s2, guard)
                     diagrams = [d for _, d in basis]
                     keys = [key for key, _ in basis]
                     target = s1 if algebra == "partition" else 2 * s1 + s2
-                    gram = build_gram(algebra, k, s1, s2, DEFAULT_GUARD)
+                    gram = build_gram(algebra, k, s1, s2, guard)
                     poset = coarsening_poset(algebra, k, s1, s2)
                     n = len(diagrams)
                     for u in range(n):
@@ -192,7 +192,7 @@ def check_poset_duality(k_max: int = 3):
     return CheckResult("poset-duality", *_timed(run))
 
 
-def check_oracle_equivalence(k_max: int = 3, k_max_partition: int = 4):
+def check_oracle_equivalence(k_max: int = 3, k_max_partition: int = 4, guard: int = DEFAULT_GUARD):
     """Closed-formula coarser counts equal the brute-force enumeration."""
 
     def run():
@@ -200,7 +200,7 @@ def check_oracle_equivalence(k_max: int = 3, k_max_partition: int = 4):
         for algebra in ("z2", "signed"):
             for k in range(1, k_max + 1):
                 for s1, s2 in profiles_for(algebra, k):
-                    for key, diagram in enumerate_diagrams(algebra, k, s1, s2):
+                    for key, diagram in enumerate_diagrams(algebra, k, s1, s2, guard):
                         for p1 in range(key.r1 + 1):
                             for p2 in range(key.r1 + key.r2 + 2):
                                 got = count_coarser_bruteforce(diagram, p1, p2)
@@ -212,7 +212,7 @@ def check_oracle_equivalence(k_max: int = 3, k_max_partition: int = 4):
                                     )
         for k in range(1, k_max_partition + 1):
             for s in range(k + 1):
-                for key, diagram in enumerate_diagrams("partition", k, s):
+                for key, diagram in enumerate_diagrams("partition", k, s, 0, guard):
                     for p in range(key.r1 + 1):
                         got = count_coarser_bruteforce(diagram, p)
                         want = gen_stirling_partition(s, key.r1, p)
@@ -361,14 +361,14 @@ def check_monomial_expansion():
     return CheckResult("monomial-expansion", *_timed(run))
 
 
-def check_zero_profile_blocks(k_max: int = 3):
+def check_zero_profile_blocks(k_max: int = 3, guard: int = DEFAULT_GUARD):
     """At the empty through profile the block diagonals are the bare products."""
 
     def run():
         failures = []
         for k in range(1, k_max + 1):
             for algebra in ("z2", "signed", "partition"):
-                decomposition = reduced_decomposition(algebra, k, 0, 0)
+                decomposition = reduced_decomposition(algebra, k, 0, 0, guard)
                 for label, members in decomposition.cells:
                     block = decomposition.block(label)
                     for a, idx in enumerate(members):
@@ -386,22 +386,23 @@ def check_zero_profile_blocks(k_max: int = 3):
     return CheckResult("zero-profile-blocks", *_timed(run))
 
 
-def run_all_checks(k_max: int = 3):
+def run_all_checks(k_max: int = 3, guard: int = DEFAULT_GUARD):
     """Full invariant suite; the plain partition family runs one size higher.
 
     Raises WindowError unless 1 <= k_max <= 3, the scale the suite is sized
-    for.
+    for, and ResourceGuardError when a Gram matrix would exceed `guard`
+    rows.
     """
     if not 1 <= k_max <= 3:
         raise WindowError(f"verify runs at k from 1 to 3, got {k_max}")
     checks = [
-        check_gram_invariants(k_max, k_max + 1),
-        check_block_closed_forms(k_max, k_max + 1),
-        check_poset_duality(k_max),
-        check_oracle_equivalence(k_max, k_max + 1),
+        check_gram_invariants(k_max, k_max + 1, guard),
+        check_block_closed_forms(k_max, k_max + 1, guard),
+        check_poset_duality(k_max, guard),
+        check_oracle_equivalence(k_max, k_max + 1, guard),
         check_stirling_recurrences(),
         check_phi_identities(),
         check_monomial_expansion(),
-        check_zero_profile_blocks(k_max),
+        check_zero_profile_blocks(k_max, guard),
     ]
     return checks

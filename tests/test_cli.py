@@ -131,6 +131,12 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["count"] == 3
 
 
+def test_verify_honours_guard(capsys):
+    code, out, err = run_cli(capsys, "verify", "--k", "1", "--guard", "1")
+    assert code == 3 and out == ""
+    assert "resource guard" in err
+
+
 def test_semisimple_honours_guard(capsys):
     code, out, err = run_cli(
         capsys, "semisimple", "--algebra", "z2", "--k", "3", "--guard", "5"

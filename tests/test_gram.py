@@ -8,6 +8,7 @@ from diagram_gram.gram import (
     WindowError,
     build_gram,
     enumerate_diagrams,
+    exponent_grid,
     projected_dimension,
     standard_diagram,
     underlying_partition,
@@ -178,3 +179,19 @@ def test_gram_entry_zero_iff_through_count_drops():
                 assert g.entries[u][v] == Poly.monomial(loops)
             else:
                 assert g.entries[u][v].is_zero()
+
+
+def test_exponent_grid_reads_monomials_and_zeros():
+    entries = ((Poly.one(), Poly.zero()), (Poly.monomial(3), Poly.x()))
+    assert exponent_grid(entries) == [[0, None], [3, 1]]
+    gram = build_gram("signed", 3, 1, 0)
+    grid = exponent_grid(gram.entries)
+    for row, exps in zip(gram.entries, grid):
+        for p, e in zip(row, exps):
+            assert p == (Poly.zero() if e is None else Poly.monomial(e))
+
+
+@pytest.mark.parametrize("entry", [Poly([0, 2]), Poly([1, 1]), Poly([0, -1]), Poly([3])], ids=str)
+def test_exponent_grid_rejects_other_entries(entry):
+    with pytest.raises(ValueError, match="not a monomial"):
+        exponent_grid(((Poly.x(), entry),))

@@ -1,10 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagram_gram.gram import build_gram, enumerate_diagrams
 from diagram_gram.polynomials import Poly, phi_partition, phi_z2
 from diagram_gram.reduction import (
+    _congruence,
+    _zeta_inverse,
     coarsening_poset,
     diagram_coarser_or_equal,
     is_rho_key,
@@ -15,6 +19,81 @@ from diagram_gram.reduction import (
 )
 from diagram_gram.stirling import count_coarser_bruteforce
 from diagram_gram.verify import profiles_for
+
+PROFILES = (
+    [
+        (algebra, k, s1, s2)
+        for algebra in ("partition", "z2", "signed")
+        for k in (1, 2, 3)
+        for s1, s2 in profiles_for(algebra, k)
+    ]
+    + [("partition", 4, s, 0) for s in range(5)]
+    # the k=4 profiles of test_k4_extension.py
+    + [("signed", 4, 1, 0), ("z2", 4, 2, 0), ("z2", 4, 0, 2), ("z2", 4, 1, 1)]
+)
+
+
+def congruence_oracle(transform, entries):
+    """T' G T entry by entry in `Poly` arithmetic: the reference for the
+    packed-integer `_congruence`."""
+    n = len(entries)
+    cols = [[(u, transform[u][v]) for u in range(n) if transform[u][v]] for v in range(n)]
+    gt = [[None] * n for _ in range(n)]
+    for i in range(n):
+        row = entries[i]
+        for v in range(n):
+            acc = Poly.zero()
+            for u, c in cols[v]:
+                p = row[u]
+                if p.coeffs:
+                    acc = acc + p.scalar_mul(c)
+            gt[i][v] = acc
+    out = [[None] * n for _ in range(n)]
+    for u in range(n):
+        for j in range(n):
+            acc = Poly.zero()
+            for w, c in cols[u]:
+                p = gt[w][j]
+                if p.coeffs:
+                    acc = acc + p.scalar_mul(c)
+            out[u][j] = acc
+    return tuple(tuple(row) for row in out)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_packed_congruence_matches_oracle(profile):
+    gram = build_gram(*profile)
+    transform = _zeta_inverse(coarsening_poset(*profile))
+    assert _congruence(transform, gram.entries) == congruence_oracle(transform, gram.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_congruence_matches_oracle_on_random_input(data):
+    # large transform entries stress the digit width, negative ones the
+    # balanced decoding
+    n = data.draw(st.integers(0, 12))
+    coeff = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+    transform = tuple(
+        tuple(1 if u == v else data.draw(coeff) if u < v else 0 for v in range(n))
+        for u in range(n)
+    )
+    exponent = st.one_of(st.none(), st.integers(0, 12))
+    entries = tuple(
+        tuple(
+            Poly.zero() if e is None else Poly.monomial(e)
+            for e in data.draw(st.lists(exponent, min_size=n, max_size=n))
+        )
+        for _ in range(n)
+    )
+    assert _congruence(transform, entries) == congruence_oracle(transform, entries)
+
+
+@pytest.mark.parametrize("entry", [Poly([0, 2]), Poly([1, 1])], ids=str)
+def test_congruence_rejects_non_monomial_entries(entry):
+    entries = ((Poly.one(), entry), (Poly.zero(), Poly.x()))
+    with pytest.raises(ValueError, match="not a monomial"):
+        _congruence(((1, 0), (0, 1)), entries)
 
 
 def test_poset_is_a_partial_order():

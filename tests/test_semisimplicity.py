@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from diagram_gram import semisimplicity
+from diagram_gram.determinant import DetResult, det_blocks
+from diagram_gram.gram import DEFAULT_GUARD
 from diagram_gram.polynomials import Poly
+from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import admissible_profiles, global_poly, verdict
 
 
@@ -80,3 +84,45 @@ def test_verdict_json_shape():
     assert payload["q"] == "1/2"
     assert isinstance(payload["witnesses"], list)
     assert payload["caveat"]
+
+
+def test_global_poly_is_the_product_of_the_profile_determinants():
+    for algebra in ("partition", "z2", "signed"):
+        for k in (1, 2, 3):
+            want = Poly.one()
+            for s1, s2 in admissible_profiles(algebra, k):
+                dec = reduced_decomposition(algebra, k, s1, s2)
+                if dec.gram.dimension():
+                    want = want * det_blocks(dec).poly
+            result, _ = global_poly(algebra, k)
+            assert result.poly == want, (algebra, k)
+
+
+def test_det_result_multiplies_out_once_on_demand():
+    result = DetResult(((Poly([-1, 1]), 2), (Poly.x(), 1)))
+    assert "poly" not in vars(result)
+    assert result.poly == result.factored_product() == Poly([0, 1, -2, 1])
+    assert vars(result)["poly"] is result.poly
+
+
+def test_rational_verdict_leaves_the_product_unbuilt():
+    # other tests read `.poly` of the shared cached results
+    global_poly.cache_clear()
+    cases = [(a, k) for a in ("partition", "z2", "signed") for k in (1, 2, 3)] + [("z2", 4)]
+    for algebra, k in cases:
+        verdict(algebra, k, Fraction(5, 2))
+        assert "poly" not in vars(global_poly(algebra, k, DEFAULT_GUARD)[0]), (algebra, k)
+
+
+def test_symbolic_verdict_matches_the_product():
+    for algebra in ("partition", "z2", "signed"):
+        for k in (1, 2, 3):
+            v = verdict(algebra, k, None)
+            assert not v.witnesses
+            assert v.semisimple == (not global_poly(algebra, k)[0].poly.is_zero())
+
+
+def test_symbolic_verdict_fails_on_a_zero_factor(monkeypatch):
+    zero = DetResult(((Poly.x(), 1), (Poly.zero(), 1)))
+    monkeypatch.setattr(semisimplicity, "global_poly", lambda *args: (zero, ()))
+    assert not verdict("z2", 2, None).semisimple
