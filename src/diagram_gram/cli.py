@@ -124,7 +124,7 @@ def cmd_gram(args) -> int:
 def cmd_reduce(args) -> int:
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
-    decomposition = reduce_gram(gram, method=args.method)
+    decomposition = reduce_gram(gram, args.guard)
     checksum = hashlib.sha256(
         json.dumps(decomposition.transform).encode()
     ).hexdigest()
@@ -133,7 +133,7 @@ def cmd_reduce(args) -> int:
         "k": gram.k,
         "s1": gram.s1,
         "s2": gram.s2,
-        "method": args.method,
+        "method": "mobius",
         "transform_checksum": checksum,
         "offblock_violations": [list(v) for v in decomposition.offblock_violations],
         "blocks": [
@@ -169,7 +169,7 @@ def cmd_det(args) -> int:
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
     direct = det_direct(gram.entries)
-    decomposition = reduce_gram(gram)
+    decomposition = reduce_gram(gram, args.guard)
     blocks = det_blocks(decomposition)
     payload = {
         "algebra": gram.algebra,
@@ -191,6 +191,10 @@ TABLE_LABELS = [(1, 2), (2, 0), (0, 3), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0)]
 
 
 def cmd_stirling(args) -> int:
+    for name in ("s", "r", "p", "s1", "s2", "r1", "r2", "p1", "p2"):
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise WindowError(f"--{name} must be nonnegative, got {value}")
     if args.algebra == "partition":
         if None in (args.s, args.r, args.p):
             raise WindowError("partition variant requires --s, --r, --p")
@@ -260,7 +264,7 @@ def cmd_verify(args) -> int:
     )
     for line in report.describe():
         lines.append(f"        {line}")
-    reduced = published_reduced_report(reduce_gram(gram))
+    reduced = published_reduced_report(reduce_gram(gram, args.guard))
     blocks_ok = all(
         b["size_ok"] and b["diag_ok"] and b["structure_ok"] for b in reduced["scalar_blocks"]
     )
@@ -303,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="block-diagonal reduction and closed-form diff")
     common(p)
-    p.add_argument("--method", choices=("mobius", "sequential"), default="mobius")
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("det", help="Gram determinant, direct and from blocks")
@@ -351,7 +354,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

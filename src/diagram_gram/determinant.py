@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .polynomials import Poly, linear_factor, phi_partition, phi_z2, quadratic_factor
+from .polynomials import Poly, linear_factor, quadratic_factor
 
 __all__ = ["DetResult", "det_direct", "det_blocks"]
 
@@ -146,9 +146,8 @@ def _components(block) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def _phi_atoms(algebra: str, s1: int, s2: int, r1: int, r2: int) -> list[Poly]:
-    if algebra == "partition":
-        return [linear_factor(s1 + l) for l in range(r1)]
+def _phi_atoms(s1: int, s2: int, r1: int, r2: int) -> list[Poly]:
+    """Factors of phi_z2(s1, s2, r1, r2), in doubled coordinates."""
     return [quadratic_factor(s1 + j) for j in range(r1)] + [
         linear_factor(s2 + l) for l in range(r2)
     ]
@@ -174,14 +173,9 @@ def det_blocks(decomposition) -> DetResult:
             if len(comp) == 1:
                 idx = comp[0]
                 key = gram.keys[members[idx]]
-                expected = (
-                    phi_partition(gram.s1, key.r1)
-                    if gram.algebra == "partition"
-                    else phi_z2(gram.s1, gram.s2, key.r1, key.r2)
-                )
                 entry = block[idx][idx]
-                if label[0] != "rho" and entry == expected:
-                    for atom in _phi_atoms(gram.algebra, gram.s1, gram.s2, key.r1, key.r2):
+                if label[0] != "rho" and entry == gram.phi(key):
+                    for atom in _phi_atoms(*gram.doubled(key)):
                         add(atom)
                     continue
                 add(entry)

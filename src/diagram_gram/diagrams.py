@@ -28,7 +28,9 @@ class RowView:
     `blocks` holds the row blocks as bitmasks over the row's points, ordered
     by least point; `through` lists the positions in `blocks` of the blocks
     that run to the other row, ascending; `fixed[i]` says whether block i is
-    mapped to itself by the e/g flip (always False for plain diagrams).
+    mapped to itself by the e/g flip. Every block of a plain diagram counts
+    as flip-fixed: plain diagrams are the flip-fixed slice of the doubled
+    ones.
     """
 
     blocks: tuple[int, ...]
@@ -66,7 +68,7 @@ class RowView:
             even = sum(1 << v for v in range(0, row, 2))
             fixed = tuple(((m & even) << 1 | (m >> 1) & even) == m for m in blocks)
         else:
-            fixed = (False,) * len(blocks)
+            fixed = (True,) * len(blocks)
         return cls(blocks, tuple(i for i, m in enumerate(blocks) if m in through), fixed)
 
 

@@ -1,0 +1,180 @@
+"""One description per algebra family: "partition", "z2" and "signed".
+
+The three families share one Gram construction, one block reduction and one
+set of generalized Stirling numbers. A `Family` holds what differs between
+them; every stage looks the record up in `FAMILIES` instead of testing the
+algebra's name.
+
+Plain partition diagrams are the flip-fixed slice of the doubled diagrams:
+a plain block is a flip-fixed block, so the plain profile (s, r) is the
+doubled profile (0, s, 0, r). Plain diagrams store s in s1 and r in r1 (with
+s2 == r2 == 0), and `to_doubled` carries those stored coordinates to the
+doubled ones. Every closed form is then the doubled one:
+phi_partition(s, r) == phi_z2(0, s, 0, r) and gen_stirling_partition(s, r, p)
+== gen_stirling_z2(0, s, 0, r, 0, p), the through count is 2 s1 + s2 and
+the diagonal degree 2 r1 + r2, all in doubled coordinates. The map is
+linear, so it also carries a role swap (t1, t2) over.
+
+A row configuration of k fibers is a tuple of units (role, fibers,
+section): a group of fibers, the role of its class, and for a conjugate
+pair the sign choice of its first side (first fiber pinned to e). Roles
+index the stored profile (s1, s2, r1, r2): 0 conjugate-pair through, 1
+flip-fixed through, 2 conjugate-pair horizontal, 3 flip-fixed horizontal.
+Plain classes take roles 0 (through) and 2 (horizontal).
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
+
+from .diagrams import PartitionDiagram
+from .partitions import SetPartition, set_partitions
+from .z2diagrams import Z2Diagram, top_index
+
+__all__ = ["Family", "FAMILIES", "profile_of"]
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the pipeline needs to know about one algebra family.
+
+    `profiles(k)` lists the admissible (s1, s2) in the order the verdict
+    visits them; `window` describes that set for error messages.
+    `unit_choices(m)` gives the (role, section) choices of a group of m
+    fibers, `alpha_roles` the roles whose class sizes make up a key's
+    shape, `assemble(k, units)` the basis diagram of a configuration and
+    `row_ok(k, s1, s2, r1, r2)` whether a row of that stored profile lies
+    in the family. `ambient` names the unrestricted family whose basis
+    contains this one's, `has_rho` says whether the reduction keeps a
+    separate tail block of all-singleton diagrams, and `to_doubled` maps a
+    stored (s1, s2, r1, r2) to doubled coordinates.
+    """
+
+    window: str
+    profiles: Callable[[int], tuple[tuple[int, int], ...]]
+    unit_choices: Callable[[int], tuple[tuple[int, tuple[int, ...] | None], ...]]
+    alpha_roles: tuple[int, ...]
+    assemble: Callable
+    ambient: str
+    row_ok: Callable[[int, int, int, int, int], bool] = lambda k, s1, s2, r1, r2: True
+    has_rho: bool = False
+    to_doubled: Callable[[int, int, int, int], tuple[int, int, int, int]] = (
+        lambda s1, s2, r1, r2: (s1, s2, r1, r2)
+    )
+
+    def configs(self, k: int):
+        """Every row configuration of k fibers, as a tuple of units."""
+        for grouping in set_partitions(range(1, k + 1)):
+            choices = [
+                [(role, fibers, section) for role, section in self.unit_choices(len(fibers))]
+                for fibers in map(tuple, grouping)
+            ]
+            yield from itertools.product(*choices)
+
+    def alpha(self, units) -> tuple[tuple[int, ...], ...]:
+        """Class sizes per role of `alpha_roles`, each weakly decreasing."""
+        return tuple(
+            tuple(sorted((len(fibers) for r, fibers, _ in units if r == role), reverse=True))
+            for role in self.alpha_roles
+        )
+
+    def through_count(self, s1: int, s2: int) -> int:
+        """Through blocks of a profile's diagrams, as one row of points sees them."""
+        d1, d2, _, _ = self.to_doubled(s1, s2, 0, 0)
+        return 2 * d1 + d2
+
+
+def profile_of(units) -> tuple[int, int, int, int]:
+    """Stored profile (s1, s2, r1, r2) of a configuration: units per role."""
+    counts = [0, 0, 0, 0]
+    for role, _, _ in units:
+        counts[role] += 1
+    return tuple(counts)
+
+
+# -- the three records -----------------------------------------------------------
+
+
+def _doubled_profiles(k: int):
+    return tuple((s1, s2) for s1 in range(k + 1) for s2 in range(k - s1 + 1))
+
+
+@lru_cache(maxsize=None)
+def _doubled_units(size: int):
+    sections = [(0,) + bits for bits in itertools.product((0, 1), repeat=size - 1)]
+    return ((1, None), (3, None)) + tuple(
+        (role, section) for section in sections for role in (0, 2)
+    )
+
+
+def _assemble_plain(k: int, units) -> PartitionDiagram:
+    blocks: list[list[int]] = []
+    for role, fibers, _ in units:
+        top = [i - 1 for i in fibers]
+        bottom = [v + k for v in top]
+        if role < 2:
+            blocks.append(top + bottom)
+        else:
+            blocks.extend([top, bottom])
+    return PartitionDiagram(k, SetPartition(2 * k, blocks))
+
+
+def _assemble_doubled(k: int, units) -> Z2Diagram:
+    blocks: list[list[int]] = []
+    for role, fibers, section in units:
+        if role % 2:  # flip-fixed: both points of every fiber
+            sides = [[top_index(i, s) for i in fibers for s in (0, 1)]]
+        else:  # a conjugate pair of blocks
+            sides = [
+                [top_index(i, s) for i, s in zip(fibers, section)],
+                [top_index(i, 1 - s) for i, s in zip(fibers, section)],
+            ]
+        for top in sides:
+            bottom = [v + 2 * k for v in top]
+            if role < 2:
+                blocks.append(top + bottom)
+            else:
+                blocks.extend([top, bottom])
+    return Z2Diagram(k, SetPartition(4 * k, blocks))
+
+
+def _signed_row(k: int, s1: int, s2: int, r1: int, r2: int) -> bool:
+    """A row keeps a spare fiber, or fills every fiber with a conjugate
+    horizontal pair among its classes or with conjugate through pairs."""
+    total = s1 + s2 + r1 + r2
+    return total <= k - 1 or (total == k and (s1 == k or r1 != 0))
+
+
+FAMILIES = {
+    "partition": Family(
+        window="s <= k",
+        profiles=lambda k: tuple((s, 0) for s in range(k + 1)),
+        unit_choices=lambda size: ((0, None), (2, None)),
+        alpha_roles=(0, 2),
+        assemble=_assemble_plain,
+        ambient="partition",
+        row_ok=lambda k, s1, s2, r1, r2: r2 == 0,
+        to_doubled=lambda s1, s2, r1, r2: (0, s1, 0, r1),
+    ),
+    "z2": Family(
+        window="s1+s2 <= k",
+        profiles=_doubled_profiles,
+        unit_choices=_doubled_units,
+        alpha_roles=(0, 1, 2, 3),
+        assemble=_assemble_doubled,
+        ambient="z2",
+    ),
+    "signed": Family(
+        window="s1+s2 <= k-1",
+        profiles=lambda k: _doubled_profiles(k - 1),
+        unit_choices=_doubled_units,
+        alpha_roles=(0, 1, 2, 3),
+        assemble=_assemble_doubled,
+        ambient="z2",
+        row_ok=_signed_row,
+        has_rho=True,
+    ),
+}

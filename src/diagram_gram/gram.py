@@ -16,23 +16,23 @@ holding none, #join - target of them. `build_gram` therefore computes one
 join per pair of distinct row partitions. `PartitionDiagram.multiply` is
 not used here; the tests and `verify` compare these entries against it.
 
-Algebra tags: "partition" (plain diagrams, profile s), "z2" (doubled
-diagrams, profile (s1, s2)), "signed" (the subfamily whose rows keep a spare
-fiber or a conjugate edge pair).
+The algebra tag ("partition", "z2" or "signed") names a `Family` in
+`families.FAMILIES`, which holds the profile window, the row
+configurations and the map of plain profiles into doubled coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .diagrams import PartitionDiagram
-from .partitions import SetPartition, set_partitions
-from .polynomials import Poly
+from .families import FAMILIES, Family, profile_of
+from .polynomials import Poly, phi_z2
 from .stirling import binomial
-from .z2diagrams import Z2Diagram, bottom_index, top_index
+from .z2diagrams import Z2Diagram
 
 __all__ = [
     "ALGEBRAS",
@@ -49,7 +49,7 @@ __all__ = [
     "projected_dimension",
 ]
 
-ALGEBRAS = ("partition", "z2", "signed")
+ALGEBRAS = tuple(FAMILIES)
 
 DEFAULT_GUARD = 2000
 
@@ -112,140 +112,43 @@ class GramMatrix:
     def dimension(self) -> int:
         return len(self.keys)
 
+    @property
+    def family(self) -> Family:
+        return FAMILIES[self.algebra]
+
     def through_count(self) -> int:
         """Propagating number preserved by nonzero entries."""
-        if self.algebra == "partition":
-            return self.s1
-        return 2 * self.s1 + self.s2
+        return self.family.through_count(self.s1, self.s2)
+
+    def doubled(self, key: DiagramKey) -> tuple[int, int, int, int]:
+        """The profile of `key`'s cell, (s1, s2, r1, r2), in doubled coordinates."""
+        return self.family.to_doubled(self.s1, self.s2, key.r1, key.r2)
 
     def diagonal_degree(self, key: DiagramKey) -> int:
-        return key.r1 if self.algebra == "partition" else 2 * key.r1 + key.r2
+        """Degree of the diagonal entry x**loops at `key`."""
+        _, _, r1, r2 = self.doubled(key)
+        return 2 * r1 + r2
+
+    def phi(self, key: DiagramKey) -> Poly:
+        """Named product polynomial on the reduced diagonal at `key`."""
+        return phi_z2(*self.doubled(key))
 
 
 # -- validity windows ----------------------------------------------------------
 
 
-def check_window(algebra: str, k: int, s1: int, s2: int = 0) -> None:
-    if algebra not in ALGEBRAS:
+def check_window(algebra: str, k: int, s1: int, s2: int = 0) -> Family:
+    """The algebra's `Family`, once (s1, s2) is one of its profiles at k."""
+    family = FAMILIES.get(algebra)
+    if family is None:
         raise WindowError(f"unknown algebra {algebra!r}, expected one of {ALGEBRAS}")
     if k < 1:
         raise WindowError(f"k must be at least 1, got {k}")
-    if s1 < 0 or s2 < 0:
-        raise WindowError(f"negative profile ({s1}, {s2})")
-    if algebra == "partition":
-        if s2 != 0:
-            raise WindowError("partition algebra takes a single through count s")
-        if s1 > k:
-            raise WindowError(f"s={s1} exceeds k={k}")
-    elif algebra == "z2":
-        if s1 + s2 > k:
-            raise WindowError(f"s1+s2={s1 + s2} exceeds k={k}")
-    else:  # signed
-        if s2 > k - 1 or s1 + s2 > k - 1:
-            raise WindowError(
-                f"signed window requires s2 <= k-1 and s1+s2 <= k-1, got ({s1}, {s2})"
-            )
-
-
-# -- row configurations --------------------------------------------------------
-
-
-def _sections(size: int):
-    """Sign choices for a conjugate-pair unit, first fiber pinned to e."""
-    for bits in itertools.product((0, 1), repeat=size - 1):
-        yield (0,) + bits
-
-
-def _row_unit_choices(group: tuple[int, ...]):
-    yield ("z", group, None)
-    for sec in _sections(len(group)):
-        yield ("e", group, sec)
-
-
-def _iter_z2_configs(k: int):
-    """All (units, flags) rows: unit = (kind, fibers, section), flag = through."""
-    for grouping in set_partitions(range(1, k + 1)):
-        groups = [tuple(g) for g in grouping]
-        for units in itertools.product(*(_row_unit_choices(g) for g in groups)):
-            for flags in itertools.product((False, True), repeat=len(units)):
-                yield units, flags
-
-
-def _z2_config_profile(units, flags):
-    s1 = s2 = r1 = r2 = 0
-    for (kind, _, _), through in zip(units, flags):
-        if kind == "e":
-            if through:
-                s1 += 1
-            else:
-                r1 += 1
-        else:
-            if through:
-                s2 += 1
-            else:
-                r2 += 1
-    return s1, s2, r1, r2
-
-
-def _assemble_z2(k: int, units, flags) -> Z2Diagram:
-    blocks: list[list[int]] = []
-    shift = 2 * k
-    for (kind, fibers, section), through in zip(units, flags):
-        if kind == "z":
-            top = [top_index(i, s) for i in fibers for s in (0, 1)]
-            if through:
-                blocks.append(top + [v + shift for v in top])
-            else:
-                blocks.append(top)
-                blocks.append([v + shift for v in top])
-        else:
-            side_a = [top_index(i, s) for i, s in zip(fibers, section)]
-            side_b = [top_index(i, 1 - s) for i, s in zip(fibers, section)]
-            if through:
-                blocks.append(side_a + [v + shift for v in side_a])
-                blocks.append(side_b + [v + shift for v in side_b])
-            else:
-                blocks.extend([side_a, side_b])
-                blocks.extend([[v + shift for v in side_a], [v + shift for v in side_b]])
-    return Z2Diagram(k, SetPartition(4 * k, blocks))
-
-
-def _z2_alpha(units, flags):
-    sizes = {"s1": [], "s2": [], "r1": [], "r2": []}
-    for (kind, fibers, _), through in zip(units, flags):
-        role = ("s1" if through else "r1") if kind == "e" else ("s2" if through else "r2")
-        sizes[role].append(len(fibers))
-    return tuple(tuple(sorted(sizes[r], reverse=True)) for r in ("s1", "s2", "r1", "r2"))
-
-
-def _signed_config_ok(k: int, s1: int, s2: int, r1: int, r2: int) -> bool:
-    total = s1 + s2 + r1 + r2
-    return total <= k - 1 or (total == k and (s1 == k or r1 != 0))
-
-
-def _iter_partition_configs(k: int):
-    for grouping in set_partitions(range(1, k + 1)):
-        groups = [tuple(g) for g in grouping]
-        for flags in itertools.product((False, True), repeat=len(groups)):
-            yield groups, flags
-
-
-def _assemble_partition(k: int, groups, flags) -> PartitionDiagram:
-    blocks: list[list[int]] = []
-    for fibers, through in zip(groups, flags):
-        top = [i - 1 for i in fibers]
-        if through:
-            blocks.append(top + [v + k for v in top])
-        else:
-            blocks.append(top)
-            blocks.append([v + k for v in top])
-    return PartitionDiagram(k, SetPartition(2 * k, blocks))
-
-
-def _partition_alpha(groups, flags):
-    through = sorted((len(g) for g, f in zip(groups, flags) if f), reverse=True)
-    horiz = sorted((len(g) for g, f in zip(groups, flags) if not f), reverse=True)
-    return (tuple(through), tuple(horiz))
+    if (s1, s2) not in family.profiles(k):
+        raise WindowError(
+            f"profile ({s1}, {s2}) is outside the {algebra} window {family.window} at k={k}"
+        )
+    return family
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -254,7 +157,7 @@ def _partition_alpha(groups, flags):
 @lru_cache(maxsize=None)
 def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD):
     """Ordered basis: tuple of (DiagramKey, diagram) for the given profile."""
-    check_window(algebra, k, s1, s2)
+    family = check_window(algebra, k, s1, s2)
     dim = projected_dimension(algebra, k, s1, s2)
     if dim > guard:
         raise ResourceGuardError(
@@ -262,33 +165,14 @@ def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = 
             f"for {algebra} k={k} profile ({s1}, {s2})"
         )
     rows = []
-    if algebra == "partition":
-        for groups, flags in _iter_partition_configs(k):
-            if sum(flags) != s1:
-                continue
-            alpha = _partition_alpha(groups, flags)
-            r = len(groups) - s1
-            rows.append(((2 * r, r, alpha_sort_key(alpha)), alpha, r, 0,
-                         _assemble_partition(k, groups, flags)))
-    else:
-        for units, flags in _iter_z2_configs(k):
-            cs1, cs2, r1, r2 = _z2_config_profile(units, flags)
-            if (cs1, cs2) != (s1, s2):
-                continue
-            if algebra == "signed" and not _signed_config_ok(k, s1, s2, r1, r2):
-                continue
-            alpha = _z2_alpha(units, flags)
-            rows.append(((2 * r1 + r2, r1 + r2, alpha_sort_key(alpha)), alpha, r1, r2,
-                         _assemble_z2(k, units, flags)))
-    rows.sort(key=lambda row: (row[0], row[4].part.blocks))
+    for units in family.configs(k):
+        c1, c2, r1, r2 = profile_of(units)
+        if (c1, c2) == (s1, s2) and family.row_ok(k, s1, s2, r1, r2):
+            rows.append((DiagramKey(0, family.alpha(units), r1, r2), family.assemble(k, units)))
+    rows.sort(key=lambda row: (row[0].sort_key(), row[1].part.blocks))
     out = []
-    ordinal = 0
-    previous_cell = None
-    for cell, alpha, r1, r2, diagram in rows:
-        cell_id = (alpha, r1, r2)
-        ordinal = ordinal + 1 if cell_id == previous_cell else 1
-        previous_cell = cell_id
-        out.append((DiagramKey(ordinal, alpha, r1, r2), diagram))
+    for _, cell in itertools.groupby(rows, lambda row: (row[0].alpha, row[0].r1, row[0].r2)):
+        out.extend((replace(key, i=i), diagram) for i, (key, diagram) in enumerate(cell, 1))
     return tuple(out)
 
 
@@ -317,32 +201,19 @@ def count_row_configs(k: int, s1: int, s2: int, r1: int, r2: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def count_partition_configs(k: int, s: int, r: int) -> int:
-    if s < 0 or r < 0:
-        return 0
-    if k == 0:
-        return 1 if s == 0 and r == 0 else 0
-    total = 0
-    for m in range(1, k + 1):
-        ways = binomial(k - 1, m - 1)
-        total += ways * count_partition_configs(k - m, s - 1, r)
-        total += ways * count_partition_configs(k - m, s, r - 1)
-    return total
-
-
 def projected_dimension(algebra: str, k: int, s1: int, s2: int = 0) -> int:
-    """Matrix dimension, computed without enumerating diagrams."""
-    check_window(algebra, k, s1, s2)
-    if algebra == "partition":
-        return sum(count_partition_configs(k, s1, r) for r in range(k - s1 + 1))
-    total = 0
-    for r1 in range(k - s1 - s2 + 1):
-        for r2 in range(k - s1 - s2 - r1 + 1):
-            if algebra == "signed" and not _signed_config_ok(k, s1, s2, r1, r2):
-                continue
-            total += count_row_configs(k, s1, s2, r1, r2)
-    return total
+    """Matrix dimension, computed without enumerating diagrams.
+
+    Plain rows are counted as the flip-fixed doubled rows they equal.
+    """
+    family = check_window(algebra, k, s1, s2)
+    free = k - s1 - s2
+    return sum(
+        count_row_configs(k, *family.to_doubled(s1, s2, r1, r2))
+        for r1 in range(free + 1)
+        for r2 in range(free - r1 + 1)
+        if family.row_ok(k, s1, s2, r1, r2)
+    )
 
 
 # -- standard diagrams and shape extraction ---------------------------------------
@@ -351,40 +222,23 @@ def projected_dimension(algebra: str, k: int, s1: int, s2: int = 0) -> int:
 def standard_diagram(alpha, k: int, algebra: str = "z2"):
     """Contiguous-interval diagram realizing the shape `alpha`.
 
-    Fibers are consumed left to right: paired through classes first, then
-    fixed through classes, then the horizontal classes, with conjugate-pair
-    units taking the all-e section.
+    Fibers are consumed left to right in role order (paired through, fixed
+    through, paired horizontal, fixed horizontal), with conjugate-pair units
+    taking the all-e section.
     """
-    if algebra == "partition":
-        through, horiz = alpha
-        if sum(through) + sum(horiz) != k:
-            raise ValueError(f"shape {alpha} does not have weight {k}")
-        for part in alpha:
-            if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
-                raise ValueError(f"shape parts must be weakly decreasing, got {alpha}")
-        groups, flags = [], []
-        nxt = 1
-        for size in list(through) + list(horiz):
-            groups.append(tuple(range(nxt, nxt + size)))
-            nxt += size
-        flags = [True] * len(through) + [False] * len(horiz)
-        return _assemble_partition(k, groups, flags)
-    a1, a2, a3, a4 = alpha
-    if sum(map(sum, alpha)) != k:
-        raise ValueError(f"shape {alpha} does not have weight {k}")
+    family = FAMILIES[algebra]
+    if len(alpha) != len(family.alpha_roles) or sum(map(sum, alpha)) != k:
+        raise ValueError(f"shape {alpha} is not a {algebra} shape of weight {k}")
     for part in alpha:
         if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
             raise ValueError(f"shape parts must be weakly decreasing, got {alpha}")
-    units, flags = [], []
+    units = []
     nxt = 1
-    for part, kind, through in ((a1, "e", True), (a2, "z", True), (a3, "e", False), (a4, "z", False)):
+    for role, part in zip(family.alpha_roles, alpha):
         for size in part:
-            fibers = tuple(range(nxt, nxt + size))
+            units.append((role, tuple(range(nxt, nxt + size)), (0,) * size))
             nxt += size
-            section = (0,) * size if kind == "e" else None
-            units.append((kind, fibers, section))
-            flags.append(through)
-    return _assemble_z2(k, units, flags)
+    return family.assemble(k, units)
 
 
 def underlying_partition(diagram):
@@ -470,7 +324,7 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
     basis = enumerate_diagrams(algebra, k, s1, s2, guard)
     keys = tuple(key for key, _ in basis)
     diagrams = tuple(diagram for _, diagram in basis)
-    target = s1 if algebra == "partition" else 2 * s1 + s2
+    target = FAMILIES[algebra].through_count(s1, s2)
     views = [diagram.row_view() for diagram in diagrams]
     groups = row_partition_groups(views)
     n = len(diagrams)

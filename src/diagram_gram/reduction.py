@@ -7,13 +7,13 @@ into flip-fixed targets, and so on). Subtracting, for every diagram, the
 fully reduced columns of all strictly coarser diagrams is Moebius inversion
 along that poset, so the congruence transform is computed in closed form as
 the inverse of the poset's zeta matrix: a unitriangular integer matrix T
-with G~ = T' G T. A literal column-by-column subtraction is kept as an
-alternative method for arbitration; both produce the same transform.
+with G~ = T' G T.
 
 The reduced matrix decomposes into one block per horizontal-edge profile,
-plus, for the signed algebra only, a separate block collecting the diagrams
-whose classes are all singletons covering every fiber (their natural
-coarsenings leave the signed family, so their entries keep extra terms).
+plus, for the signed algebra only (`Family.has_rho`), a separate block
+collecting the diagrams whose classes are all singletons covering every
+fiber (their natural coarsenings leave the signed family, so their entries
+keep extra terms).
 
 The poset and the role-swap pairs are read off each diagram's `RowView` (row
 partition, through blocks, flip-fixed flags). u lies below v iff P_u is
@@ -48,9 +48,11 @@ tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .families import FAMILIES
 from .gram import (
     DEFAULT_GUARD,
     DiagramKey,
@@ -60,7 +62,7 @@ from .gram import (
     exponent_grid,
     row_partition_groups,
 )
-from .polynomials import Poly, phi_partition, phi_z2
+from .polynomials import Poly, phi_z2
 from .z2diagrams import Z2Diagram
 
 __all__ = [
@@ -166,9 +168,11 @@ def _landing(coarse: tuple[int, ...], fine: tuple[int, ...]) -> tuple[int, ...] 
 
 
 @lru_cache(maxsize=None)
-def coarsening_poset(algebra: str, k: int, s1: int, s2: int = 0) -> CoarseningPoset:
+def coarsening_poset(
+    algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD
+) -> CoarseningPoset:
     """Coarsening order of the basis, one row-partition pair at a time."""
-    basis = enumerate_diagrams(algebra, k, s1, s2)
+    basis = enumerate_diagrams(algebra, k, s1, s2, guard)
     views = [d.row_view() for _, d in basis]
     n = len(views)
     leq = [[False] * n for _ in range(n)]
@@ -192,7 +196,9 @@ def coarsening_poset(algebra: str, k: int, s1: int, s2: int = 0) -> CoarseningPo
     return CoarseningPoset(tuple(key for key, _ in basis), tuple(tuple(row) for row in leq))
 
 
-def minimal_common_coarsening(algebra: str, k: int, s1: int, s2: int, u: int, v: int):
+def minimal_common_coarsening(
+    algebra: str, k: int, s1: int, s2: int, u: int, v: int, guard: int = DEFAULT_GUARD
+):
     """Index of the finest diagram coarser than both basis elements, or None.
 
     Applies when the product of the two diagrams keeps the full through
@@ -200,10 +206,10 @@ def minimal_common_coarsening(algebra: str, k: int, s1: int, s2: int, u: int, v:
     family's basis (the search runs there even when called for the signed
     algebra). Raises if the minimum is not unique.
     """
-    ambient = "partition" if algebra == "partition" else "z2"
-    basis = enumerate_diagrams(ambient, k, s1, s2)
+    family = FAMILIES[algebra]
+    basis = enumerate_diagrams(family.ambient, k, s1, s2, guard)
     diagrams = [d for _, d in basis]
-    target = s1 if algebra == "partition" else 2 * s1 + s2
+    target = family.through_count(s1, s2)
     prod, _ = diagrams[u].multiply(diagrams[v])
     if prod.propagating_number() != target:
         return None
@@ -246,17 +252,6 @@ def _zeta_inverse(poset: CoarseningPoset) -> tuple[tuple[int, ...], ...]:
                 if w != u and leq[u][w]:
                     acc += col[w]
             col[u] = -acc
-    return tuple(tuple(cols[v][u] for v in range(n)) for u in range(n))
-
-
-def _sequential_transform(poset: CoarseningPoset) -> tuple[tuple[int, ...], ...]:
-    """Literal column operations in basis order: col v -= reduced col u."""
-    n = len(poset.keys)
-    cols = [[1 if u == v else 0 for u in range(n)] for v in range(n)]
-    for v in range(n):
-        for u in poset.strictly_below(v):
-            for w in range(n):
-                cols[v][w] -= cols[u][w]
     return tuple(tuple(cols[v][u] for v in range(n)) for u in range(n))
 
 
@@ -442,7 +437,7 @@ def _cells_of(gram: GramMatrix):
     """Ordered (label, indices) cells; signed all-singleton keys go to "rho"."""
     groups: dict[tuple, list[int]] = {}
     for idx, key in enumerate(gram.keys):
-        if gram.algebra == "signed" and is_rho_key(key, gram.k, gram.s1, gram.s2):
+        if gram.family.has_rho and is_rho_key(key, gram.k, gram.s1, gram.s2):
             label = ("rho",)
         else:
             label = ("cell", key.r1, key.r2)
@@ -451,15 +446,10 @@ def _cells_of(gram: GramMatrix):
     return tuple((label, tuple(members)) for label, members in ordered)
 
 
-def reduce_gram(gram: GramMatrix, method: str = "mobius") -> BlockDecomposition:
+def reduce_gram(gram: GramMatrix, guard: int = DEFAULT_GUARD) -> BlockDecomposition:
     """Congruence-reduce a Gram matrix and compare against the closed forms."""
-    poset = coarsening_poset(gram.algebra, gram.k, gram.s1, gram.s2)
-    if method == "mobius":
-        transform = _zeta_inverse(poset)
-    elif method == "sequential":
-        transform = _sequential_transform(poset)
-    else:
-        raise ValueError(f"unknown reduction method {method!r}")
+    poset = coarsening_poset(gram.algebra, gram.k, gram.s1, gram.s2, guard)
+    transform = _zeta_inverse(poset)
     reduced = _congruence(transform, gram.entries)
     cells = _cells_of(gram)
     cell_of = {}
@@ -484,7 +474,7 @@ def reduce_gram(gram: GramMatrix, method: str = "mobius") -> BlockDecomposition:
 def reduced_decomposition(
     algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD
 ) -> BlockDecomposition:
-    return reduce_gram(build_gram(algebra, k, s1, s2, guard))
+    return reduce_gram(build_gram(algebra, k, s1, s2, guard), guard)
 
 
 def predicted_blocks(gram: GramMatrix, cells=None) -> dict:
@@ -499,8 +489,6 @@ def predicted_blocks(gram: GramMatrix, cells=None) -> dict:
     """
     if cells is None:
         cells = _cells_of(gram)
-    s1, s2 = gram.s1, gram.s2
-    partition = gram.algebra == "partition"
     out = {}
     for label, members in cells:
         size = len(members)
@@ -514,10 +502,7 @@ def predicted_blocks(gram: GramMatrix, cells=None) -> dict:
                     )
         else:
             for a in range(size):
-                key = gram.keys[members[a]]
-                block[a][a] = (
-                    phi_partition(s1, key.r1) if partition else phi_z2(s1, s2, key.r1, key.r2)
-                )
+                block[a][a] = gram.phi(gram.keys[members[a]])
             for (a, b), swap in swaps.items():
                 block[a][b] = _swap_pair_value(gram, gram.keys[members[a]], swap)
         out[label] = tuple(tuple(row) for row in block)
@@ -530,9 +515,10 @@ def role_swaps(gram: GramMatrix, members) -> dict[tuple[int, int], tuple[int, in
     A pair qualifies when both diagrams have one row partition and different
     through sets; t1 counts the conjugate pairs and t2 the flip-fixed blocks
     among the through blocks only the first diagram has. This is what
-    `swap_pair_parameters` returns for the same pair.
+    `swap_pair_parameters` returns for the same pair, in doubled
+    coordinates: every plain block is flip-fixed, so a plain swap of t
+    blocks is (0, t).
     """
-    doubled = gram.algebra != "partition"
     views = [gram.diagrams[m].row_view() for m in members]
     out = {}
     for _, same in row_partition_groups(views):
@@ -544,19 +530,16 @@ def role_swaps(gram: GramMatrix, members) -> dict[tuple[int, int], tuple[int, in
                     continue
                 t2 = sum(va.fixed[i] for i in only)
                 t1 = len(only) - t2
-                out[a, b] = (t1 // 2 if doubled else t1, t2)
+                out[a, b] = (t1 // 2, t2)
     return out
 
 
 def _swap_pair_value(gram: GramMatrix, key: DiagramKey, swap) -> Poly:
+    """Role-swap entry for a swap (t1, t2) in doubled coordinates."""
     t1, t2 = swap
-    if gram.algebra == "partition":
-        value = phi_partition(gram.s1 + t1, key.r1 - t1)
-        sign = (-1) ** t1
-        fact = _factorial(t1)
-        return value.scalar_mul(sign * fact)
-    value = phi_z2(gram.s1 + t1, gram.s2 + t2, key.r1 - t1, key.r2 - t2)
-    coeff = (-1) ** (t1 + t2) * 2**t1 * _factorial(t1) * _factorial(t2)
+    s1, s2, r1, r2 = gram.doubled(key)
+    value = phi_z2(s1 + t1, s2 + t2, r1 - t1, r2 - t2)
+    coeff = (-1) ** (t1 + t2) * 2**t1 * math.factorial(t1) * math.factorial(t2)
     return value.scalar_mul(coeff)
 
 
@@ -566,7 +549,7 @@ def _predict_rho_entry(gram: GramMatrix, u: int, v: int, swap) -> Poly:
     free = k - s1 - s2
     correction = phi_z2(s1, s2, 0, free)
     if u == v:
-        return phi_z2(s1, s2, ku.r1, ku.r2) + correction
+        return gram.phi(ku) + correction
     # a nonzero Gram entry means the product keeps the full through count
     if not gram.entries[u][v].is_zero():
         return correction.scalar_mul((-1) ** (ku.r1 + kv.r1))
@@ -591,10 +574,3 @@ def compare_blocks(gram: GramMatrix, reduced, cells, predicted) -> tuple[DiffEnt
                         DiffEntry(label, gram.keys[u], gram.keys[v], got, want, informative)
                     )
     return tuple(diffs)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

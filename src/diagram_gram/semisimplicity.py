@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .determinant import DetResult, det_blocks
+from .families import FAMILIES
 from .gram import DEFAULT_GUARD, check_window
 from .polynomials import Poly, linear_factor, quadratic_factor
 from .reduction import reduced_decomposition
@@ -79,15 +80,7 @@ CAVEAT = (
 
 def admissible_profiles(algebra: str, k: int):
     """Profiles (s1, s2) whose Gram matrix is assembled for the product."""
-    if algebra == "partition":
-        return tuple((s, 0) for s in range(k + 1))
-    if algebra == "z2":
-        return tuple(
-            (s1, s2) for s1 in range(k + 1) for s2 in range(k - s1 + 1)
-        )
-    return tuple(
-        (s1, s2) for s1 in range(k) for s2 in range(k - s1)
-    )
+    return FAMILIES[algebra].profiles(k)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,6 @@ from diagram_gram.verify import (
     check_poset_duality,
     check_stirling_recurrences,
     check_zero_profile_blocks,
-    profiles_for,
 )
 
 PUBLISHED_PARAMS = ("signed", 3, 1, 0)

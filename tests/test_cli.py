@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -55,12 +56,7 @@ def test_reduce_json(capsys):
     ]
     assert all(d["informative"] for d in payload["diffs"])
     assert payload["transform_checksum"]
-    code2, out2, _ = run_cli(
-        capsys, "reduce", "--algebra", "signed", "--k", "3", "--s1", "1", "--s2", "0",
-        "--method", "sequential",
-    )
-    assert code2 == 0
-    assert json.loads(out2)["transform_checksum"] == payload["transform_checksum"]
+    assert payload["method"] == "mobius"
 
 
 def test_det_json(capsys):
@@ -150,3 +146,64 @@ def test_verify_rejects_k_outside_window(capsys, k):
     code, out, err = run_cli(capsys, "verify", "--k", k)
     assert code == 1 and out == ""
     assert "parameter error" in err and "from 1 to 3" in err
+
+
+# sha256 of stdout, recorded before the per-family branches were replaced by
+# one family spec; the CLI output must not change
+PINNED_STDOUT = {
+    ("enumerate", "partition"): "27de5779c7290d485369c530e3c424bf98b1ffa6ec4392a756668453fdd2fcb3",
+    ("enumerate", "z2"): "0bb3205c05b6c150de8b880213e189abcc570c7082d2e197803fbccf687d1fc1",
+    ("enumerate", "signed"): "6600fd2f4de7a00c2220645ef20af4dc49c52fefc9e209bb1c587e04264637f1",
+    ("gram", "partition"): "5990bd3d3d24f71714076192fc9f21a78398517282b34fc29181c8319b3ab87b",
+    ("gram", "z2"): "ac9f91c776bc145bff03dc5b9a691c95c88fd964b84501d643bd1591f35c2e14",
+    ("gram", "signed"): "8e1c0e9e682cd8c9d720d244c11473d3058df01d20c774f6b39b825cb994d146",
+    ("reduce", "partition"): "b10167cfeab204753bc027e6297685115a267185df68a9aaf48a3086caf8e467",
+    ("reduce", "z2"): "c784650b7416c6db74d92f4d0fa30d513a4f081271572723eb960e575188a975",
+    ("reduce", "signed"): "8f5ca860edc8c7651977dae26b3e5ee20060b59ae423791e8a75295cd9494b6f",
+    ("det", "partition"): "45da02113397fb68edc15b2fd2ac3062f28dea47f6abe475c5ad124cb43f592b",
+    ("det", "z2"): "9c7c4e31cc5fd2004c843dcaf73c4d1f2ea2b3d4104b6e6f0603f671eb827f4c",
+    ("det", "signed"): "6ea5161ca4e83a5c952894a94b6fd1ee3f3f4a2630a7c4338779450a3df5aec6",
+}
+
+PINNED_PROFILES = {
+    "partition": ("--k", "3", "--s", "1"),
+    "z2": ("--k", "2", "--s1", "1", "--s2", "0"),
+    "signed": ("--k", "3", "--s1", "1", "--s2", "0"),
+}
+
+
+@pytest.mark.parametrize("command, algebra", sorted(PINNED_STDOUT), ids="-".join)
+def test_stdout_is_pinned(capsys, command, algebra):
+    code, out, _ = run_cli(capsys, command, "--algebra", algebra, *PINNED_PROFILES[algebra])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, algebra]
+
+
+def test_unwritable_output_exits_with_message(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(
+        capsys, "gram", "--algebra", "partition", "--k", "2", "--s", "1",
+        "--output", str(target),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--s1", "-1", "--s2", "0", "--r1", "1", "--r2", "0", "--p1", "0", "--p2", "0"),
+    ("--s1", "1", "--s2", "0", "--r1", "1", "--r2", "0", "--p1", "0", "--p2", "-1"),
+    ("--s1", "0", "--s2", "-2", "--table"),
+    ("--algebra", "partition", "--s", "1", "--r", "-1", "--p", "0"),
+], ids=str)
+def test_stirling_rejects_negative_parameters(capsys, argv):
+    code, out, err = run_cli(capsys, "stirling", *argv)
+    assert code == 1 and out == ""
+    assert "parameter error" in err and "nonnegative" in err
+
+
+def test_stirling_keeps_zero_outside_the_count_window(capsys):
+    # p above r is a valid query whose count is 0
+    code, out, _ = run_cli(
+        capsys, "stirling", "--algebra", "partition", "--s", "1", "--r", "1", "--p", "3"
+    )
+    assert code == 0 and json.loads(out)["value"] == "0"

@@ -15,7 +15,7 @@ from diagram_gram.gram import (
 )
 from diagram_gram.partitions import SetPartition
 from diagram_gram.polynomials import Poly
-from diagram_gram.verify import profiles_for
+from diagram_gram.semisimplicity import admissible_profiles
 from diagram_gram.z2diagrams import Z2Diagram, top_index
 
 
@@ -63,7 +63,7 @@ def test_published_cell_structure():
 
 def test_signed_subset_of_ambient():
     for k in (1, 2, 3):
-        for s1, s2 in profiles_for("signed", k):
+        for s1, s2 in admissible_profiles("signed", k):
             ambient = {d for _, d in enumerate_diagrams("z2", k, s1, s2)}
             for _, d in enumerate_diagrams("signed", k, s1, s2):
                 assert d in ambient
@@ -72,7 +72,7 @@ def test_signed_subset_of_ambient():
 def test_keys_are_sorted_and_cell_ordinals_start_at_one():
     for algebra in ("partition", "z2", "signed"):
         for k in (1, 2, 3):
-            for s1, s2 in profiles_for(algebra, k):
+            for s1, s2 in admissible_profiles(algebra, k):
                 keys = [key for key, _ in enumerate_diagrams(algebra, k, s1, s2)]
                 assert keys == sorted(keys, key=lambda key: key.sort_key())
                 seen = Counter()
@@ -84,7 +84,7 @@ def test_keys_are_sorted_and_cell_ordinals_start_at_one():
 def test_no_duplicate_diagrams():
     for algebra in ("partition", "z2", "signed"):
         for k in (1, 2, 3):
-            for s1, s2 in profiles_for(algebra, k):
+            for s1, s2 in admissible_profiles(algebra, k):
                 diagrams = [d for _, d in enumerate_diagrams(algebra, k, s1, s2)]
                 assert len(set(diagrams)) == len(diagrams)
 
@@ -92,7 +92,7 @@ def test_no_duplicate_diagrams():
 def test_projected_dimension_matches_enumeration():
     for algebra in ("partition", "z2", "signed"):
         for k in (1, 2, 3):
-            for s1, s2 in profiles_for(algebra, k):
+            for s1, s2 in admissible_profiles(algebra, k):
                 assert projected_dimension(algebra, k, s1, s2) == len(
                     enumerate_diagrams(algebra, k, s1, s2)
                 )
@@ -102,7 +102,7 @@ def test_projected_dimension_matches_enumeration():
 def test_standard_diagram_roundtrip():
     for algebra in ("z2", "partition"):
         for k in (1, 2, 3):
-            for s1, s2 in profiles_for("z2" if algebra == "z2" else "partition", k):
+            for s1, s2 in admissible_profiles("z2" if algebra == "z2" else "partition", k):
                 for key, _ in enumerate_diagrams(algebra, k, s1, s2):
                     d = standard_diagram(key.alpha, k, algebra=algebra)
                     assert underlying_partition(d) == key.alpha

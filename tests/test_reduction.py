@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagram_gram.gram import build_gram, enumerate_diagrams
+from diagram_gram.gram import ResourceGuardError, build_gram, enumerate_diagrams
 from diagram_gram.polynomials import Poly, phi_partition, phi_z2
 from diagram_gram.reduction import (
     _congruence,
@@ -18,14 +18,14 @@ from diagram_gram.reduction import (
     swap_pair_parameters,
 )
 from diagram_gram.stirling import count_coarser_bruteforce
-from diagram_gram.verify import profiles_for
+from diagram_gram.semisimplicity import admissible_profiles
 
 PROFILES = (
     [
         (algebra, k, s1, s2)
         for algebra in ("partition", "z2", "signed")
         for k in (1, 2, 3)
-        for s1, s2 in profiles_for(algebra, k)
+        for s1, s2 in admissible_profiles(algebra, k)
     ]
     + [("partition", 4, s, 0) for s in range(5)]
     # the k=4 profiles of test_k4_extension.py
@@ -99,7 +99,7 @@ def test_congruence_rejects_non_monomial_entries(entry):
 def test_poset_is_a_partial_order():
     for algebra in ("partition", "z2", "signed"):
         for k in (1, 2, 3):
-            for s1, s2 in profiles_for(algebra, k):
+            for s1, s2 in admissible_profiles(algebra, k):
                 poset = coarsening_poset(algebra, k, s1, s2)
                 n = len(poset.keys)
                 leq = poset.leq
@@ -119,7 +119,7 @@ def test_poset_counts_agree_with_bruteforce_oracle():
     # merge-pattern count (three independent implementations agree)
     for algebra in ("partition", "z2"):
         for k in (1, 2, 3):
-            for s1, s2 in profiles_for(algebra, k):
+            for s1, s2 in admissible_profiles(algebra, k):
                 poset = coarsening_poset(algebra, k, s1, s2)
                 basis = enumerate_diagrams(algebra, k, s1, s2)
                 n = len(basis)
@@ -146,6 +146,18 @@ def test_rho_detection():
     assert all((key.r1, key.r2) != (0, 2) for key in signed.keys)
 
 
+def sequential_transform(poset):
+    """Literal column operations in basis order, col v -= reduced col u:
+    the reference for the closed-form Moebius inverse `_zeta_inverse`."""
+    n = len(poset.keys)
+    cols = [[1 if u == v else 0 for u in range(n)] for v in range(n)]
+    for v in range(n):
+        for u in poset.strictly_below(v):
+            for w in range(n):
+                cols[v][w] -= cols[u][w]
+    return tuple(tuple(cols[v][u] for v in range(n)) for u in range(n))
+
+
 def test_transform_is_unitriangular_and_methods_agree():
     for algebra, k, s1, s2 in (
         ("signed", 3, 1, 0),
@@ -154,10 +166,10 @@ def test_transform_is_unitriangular_and_methods_agree():
         ("partition", 4, 2, 0),
     ):
         gram = build_gram(algebra, k, s1, s2)
-        mobius = reduce_gram(gram, method="mobius")
-        sequential = reduce_gram(gram, method="sequential")
-        assert mobius.transform == sequential.transform
-        assert mobius.reduced == sequential.reduced
+        mobius = reduce_gram(gram)
+        sequential = sequential_transform(coarsening_poset(algebra, k, s1, s2))
+        assert mobius.transform == sequential
+        assert mobius.reduced == congruence_oracle(sequential, gram.entries)
         n = gram.dimension()
         for u in range(n):
             assert mobius.transform[u][u] == 1
@@ -165,11 +177,6 @@ def test_transform_is_unitriangular_and_methods_agree():
                 assert isinstance(mobius.transform[u][v], int)
                 if u != v and mobius.transform[u][v] != 0:
                     assert gram.keys[u].sort_key() < gram.keys[v].sort_key()
-
-
-def test_reduce_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        reduce_gram(build_gram("partition", 2, 1), method="gauss")
 
 
 def test_published_reduction_blocks():
@@ -209,7 +216,7 @@ def test_all_small_reductions_are_clean():
     for algebra in ("partition", "z2", "signed"):
         k_top = 4 if algebra == "partition" else 3
         for k in range(1, k_top + 1):
-            for s1, s2 in profiles_for(algebra, k):
+            for s1, s2 in admissible_profiles(algebra, k):
                 dec = reduced_decomposition(algebra, k, s1, s2)
                 assert not dec.offblock_violations, (algebra, k, s1, s2)
                 assert not dec.hard_diffs(), (algebra, k, s1, s2)
@@ -230,7 +237,7 @@ def test_swap_pair_parameters():
 def test_join_in_family():
     for algebra in ("partition", "z2"):
         for k in (1, 2, 3):
-            for s1, s2 in profiles_for(algebra, k):
+            for s1, s2 in admissible_profiles(algebra, k):
                 basis = enumerate_diagrams(algebra, k, s1, s2)
                 diagrams = [d for _, d in basis]
                 n = len(diagrams)
@@ -259,3 +266,23 @@ def test_partition_blocks_match_falling_products():
         r = label[1]
         for a in range(len(members)):
             assert block[a][a] == phi_partition(1, r)
+
+
+def test_one_profile_is_enumerated_once():
+    # build_gram and coarsening_poset share one enumerate_diagrams cache entry
+    for cached in (enumerate_diagrams, build_gram, coarsening_poset, reduced_decomposition):
+        cached.cache_clear()
+    reduced_decomposition("z2", 3, 1, 0)
+    assert enumerate_diagrams.cache_info().misses == 1
+    assert coarsening_poset.cache_info().misses == 1
+
+
+def test_poset_honours_the_guard():
+    n = len(enumerate_diagrams("z2", 2, 1, 0))
+    assert len(coarsening_poset("z2", 2, 1, 0, n).keys) == n
+    with pytest.raises(ResourceGuardError):
+        coarsening_poset("z2", 2, 1, 0, n - 1)
+    with pytest.raises(ResourceGuardError):
+        coarsening_poset("partition", 2, 1, 0, guard=1)
+    with pytest.raises(ResourceGuardError):
+        reduced_decomposition("z2", 2, 1, 0, 1)

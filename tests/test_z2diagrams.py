@@ -15,14 +15,15 @@ def all_z2_diagrams(k):
     a diagram on two rows of k fibers is the same thing as a flip-stable
     partition of one row of 2k fibers.
     """
-    from diagram_gram.gram import _assemble_z2, _iter_z2_configs  # test-only access
+    from diagram_gram.families import FAMILIES
 
+    z2 = FAMILIES["z2"]
     out = []
     seen = set()
-    for units, flags in _iter_z2_configs(2 * k):
+    for units in z2.configs(2 * k):
         # reinterpret a single row of 2k fibers as top row (1..k) and bottom
-        # row (k+1..2k); "through" flags are meaningless here, so skip dupes
-        diagram_part = _assemble_z2(2 * k, units, flags).part
+        # row (k+1..2k); through roles are meaningless here, so skip dupes
+        diagram_part = z2.assemble(2 * k, units).part
         top_half = diagram_part.restrict(range(4 * k))
         if top_half in seen:
             continue
