@@ -22,7 +22,7 @@ from .gram import (
     underlying_partition,
 )
 from .partitions import SetPartition
-from .polynomials import Poly, phi_partition, phi_z2
+from .polynomials import Poly, phi_z2
 from .reduction import (
     BlockDecomposition,
     CoarseningPoset,
@@ -35,7 +35,6 @@ from .reduction import (
 from .semisimplicity import Verdict, global_poly, verdict
 from .stirling import (
     count_coarser_bruteforce,
-    gen_stirling_partition,
     gen_stirling_z2,
     stirling2,
 )
@@ -66,11 +65,9 @@ __all__ = [
     "det_direct",
     "diagram_coarser_or_equal",
     "enumerate_diagrams",
-    "gen_stirling_partition",
     "gen_stirling_z2",
     "global_poly",
     "minimal_common_coarsening",
-    "phi_partition",
     "phi_z2",
     "projected_dimension",
     "reduce_gram",

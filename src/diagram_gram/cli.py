@@ -23,11 +23,10 @@ from .gram import (
     WindowError,
     build_gram,
     enumerate_diagrams,
-    projected_dimension,
 )
 from .reduction import reduce_gram
 from .semisimplicity import verdict
-from .stirling import gen_stirling_partition, gen_stirling_z2
+from .stirling import gen_stirling_z2
 from .verify import run_all_checks
 
 EXIT_OK = 0
@@ -195,10 +194,13 @@ def cmd_stirling(args) -> int:
         value = getattr(args, name)
         if value is not None and value < 0:
             raise WindowError(f"--{name} must be nonnegative, got {value}")
+    if args.format != "json" and not args.table:
+        raise WindowError(f"--format {args.format} applies only to --table")
     if args.algebra == "partition":
         if None in (args.s, args.r, args.p):
             raise WindowError("partition variant requires --s, --r, --p")
-        value = gen_stirling_partition(args.s, args.r, args.p)
+        # a plain count is the doubled count at the flip-fixed slice
+        value = gen_stirling_z2(0, args.s, 0, args.r, 0, args.p)
         _emit(args, json.dumps({"s": args.s, "r": args.r, "p": args.p, "value": str(value)}) + "\n")
         return EXIT_OK
     if args.s1 is None or args.s2 is None:
@@ -285,24 +287,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_algebra=True):
-        if need_algebra:
+    def common(p, formats=(), profile=True, guard=True):
+        """--output, plus a profile, --guard, and --format when the
+        subcommand renders more than JSON."""
+        if profile:
             p.add_argument("--algebra", choices=("partition", "z2", "signed"), required=True)
             p.add_argument("--k", type=int, required=True)
             p.add_argument("--s", type=int, default=None, help="through count (partition)")
             p.add_argument("--s1", type=int, default=None)
             p.add_argument("--s2", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+        if formats:
+            p.add_argument("--format", choices=("json", *formats), default="json")
         p.add_argument("--output", default=None)
-        p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                       help="maximum matrix dimension (default 2000)")
+        if guard:
+            p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+                           help="maximum matrix dimension (default 2000)")
 
     p = sub.add_parser("enumerate", help="ordered diagram basis for a profile")
-    common(p)
+    common(p, formats=("pretty",))
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("gram", help="Gram matrix for a profile")
-    common(p)
+    common(p, formats=("csv", "pretty"))
     p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("reduce", help="block-diagonal reduction and closed-form diff")
@@ -325,27 +331,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=int, default=None)
     p.add_argument("--p2", type=int, default=None)
     p.add_argument("--table", action="store_true", help="print the full 8x8 grid")
-    common(p, need_algebra=False)
+    common(p, formats=("pretty",), profile=False, guard=False)
     p.set_defaults(fn=cmd_stirling)
 
     p = sub.add_parser("semisimple", help="semisimplicity verdict at exact rational q")
     p.add_argument("--algebra", choices=("partition", "z2", "signed"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", default=None, help='rational like "2" or "5/3"; omit for symbolic')
-    common(p, need_algebra=False)
+    common(p, profile=False)
     p.set_defaults(fn=cmd_semisimple)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--k", type=int, default=3)
-    common(p, need_algebra=False)
+    common(p, profile=False)
     p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 is kept for a verification diff
+        return EXIT_VALIDATION if exc.code == 2 else exc.code
     try:
         return args.fn(args)
     except WindowError as exc:

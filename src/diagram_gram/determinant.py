@@ -36,9 +36,6 @@ class DetResult:
 
     @cached_property
     def poly(self) -> Poly:
-        return self.factored_product()
-
-    def factored_product(self) -> Poly:
         out = Poly.one()
         for factor, mult in self.factored:
             for _ in range(mult):

@@ -9,9 +9,9 @@ Plain partition diagrams are the flip-fixed slice of the doubled diagrams:
 a plain block is a flip-fixed block, so the plain profile (s, r) is the
 doubled profile (0, s, 0, r). Plain diagrams store s in s1 and r in r1 (with
 s2 == r2 == 0), and `to_doubled` carries those stored coordinates to the
-doubled ones. Every closed form is then the doubled one:
-phi_partition(s, r) == phi_z2(0, s, 0, r) and gen_stirling_partition(s, r, p)
-== gen_stirling_z2(0, s, 0, r, 0, p), the through count is 2 s1 + s2 and
+doubled ones. Every closed form is then the doubled one: the falling
+product (x-s)...(x-s-r+1) is phi_z2(0, s, 0, r), the plain coarser count
+is gen_stirling_z2(0, s, 0, r, 0, p), the through count is 2 s1 + s2 and
 the diagonal degree 2 r1 + r2, all in doubled coordinates. The map is
 linear, so it also carries a role swap (t1, t2) over.
 

@@ -136,9 +136,6 @@ class SetPartition:
             pieces.setdefault(self.block_index[v], []).append(pos[v])
         return SetPartition(len(points), pieces.values())
 
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     # -- dunder --------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -2,7 +2,8 @@
 
 Coefficients are Python ints wherever possible and `fractions.Fraction`
 otherwise; arithmetic never rounds. The named product families used for the
-reduced Gram-matrix diagonals live here as `phi_z2` and `phi_partition`.
+reduced Gram-matrix diagonals live here as `phi_z2`; the plain partition
+family's falling products (x-s)...(x-s-r+1) are its slice phi_z2(0, s, 0, r).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["Poly", "phi_z2", "phi_partition", "quadratic_factor", "linear_factor"]
+__all__ = ["Poly", "phi_z2", "quadratic_factor", "linear_factor"]
 
 
 def _normalize_scalar(c: Scalar) -> Scalar:
@@ -219,14 +220,4 @@ def phi_z2(s1: int, s2: int, r1: int, r2: int) -> Poly:
         out = out * quadratic_factor(s1 + j)
     for l in range(r2):
         out = out * linear_factor(s2 + l)
-    return out
-
-
-def phi_partition(s: int, r: int) -> Poly:
-    """Falling product (x-s)(x-s-1)...(x-s-r+1); zero polynomial if r < 0."""
-    if r < 0:
-        return Poly.zero()
-    out = Poly.one()
-    for l in range(r):
-        out = out * linear_factor(s + l)
     return out

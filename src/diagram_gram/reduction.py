@@ -15,17 +15,30 @@ collecting the diagrams whose classes are all singletons covering every
 fiber (their natural coarsenings leave the signed family, so their entries
 keep extra terms).
 
-The poset and the role-swap pairs are read off each diagram's `RowView` (row
-partition, through blocks, flip-fixed flags). u lies below v iff P_u is
-coarser than P_v and the through blocks of v land one-to-one on the through
-blocks of u. The flip-type conditions need no test of their own: row
-partitions are flip-stable, so a block containing a flip-fixed block is
-flip-fixed, and a flip-fixed block containing one block of a conjugate
-through pair also contains the other, which breaks one-to-one landing. A
-role swap is a pair with one row partition and two different through sets;
-(t1, t2) count the through blocks only u has. `diagram_coarser_or_equal`
-and `swap_pair_parameters` decide the same on whole diagrams; they are kept
-as the oracles the tests and `verify` compare against.
+The poset is read off the Gram matrix (poset duality): u lies below v iff
+G[u][v] == G[u][u], that is, iff the product u.v keeps every through block
+and has as many loops as u has with itself. A nonzero entry G[u][v] is
+x**(#join - target), with join the join of the row partitions P_u and P_v
+(see `gram`), and #join <= #P_u; so the equality forces join == P_u, which
+makes P_u coarser than P_v, and the equal through images of the kept
+product make the through blocks of v land one-to-one on those of u. The
+flip-type conditions need no test of their own: row partitions are
+flip-stable, so a block containing a flip-fixed block is flip-fixed, and a
+flip-fixed block containing one block of a conjugate through pair also
+contains the other, which breaks one-to-one landing. The same argument
+shows that u strictly below v has fewer row blocks than v, hence a smaller
+diagonal degree 2 r1 + r2; `DiagramKey.sort_key` orders by that degree
+first, so the basis order is a linear extension of the poset and the zeta
+matrix is upper triangular. Moebius inversion needs nothing more (Stanley,
+Enumerative Combinatorics I, 3.6): `_zeta_inverse` solves each column by
+back substitution in basis order.
+
+The role-swap pairs are read off each diagram's `RowView` (row partition,
+through blocks, flip-fixed flags). A role swap is a pair with one row
+partition and two different through sets; (t1, t2) count the through
+blocks only u has. `diagram_coarser_or_equal` and `swap_pair_parameters`
+decide the coarsening and the swaps on whole diagrams; they are kept as
+the oracles the tests and `verify` compare against.
 
 The congruence `_congruence` runs on Python ints by Kronecker substitution
 (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4). Every raw Gram
@@ -48,6 +61,7 @@ tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -153,47 +167,21 @@ class CoarseningPoset:
         return [u for u in range(len(self.keys)) if u != v and self.leq[u][v]]
 
 
-def _landing(coarse: tuple[int, ...], fine: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Position in `coarse` of the block holding each block of `fine`, or
-    None when `coarse` is not coarser than `fine`."""
-    out = []
-    for b in fine:
-        for i, a in enumerate(coarse):
-            if a & b:
-                break
-        if b & ~a:
-            return None
-        out.append(i)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def coarsening_poset(
     algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD
 ) -> CoarseningPoset:
-    """Coarsening order of the basis, one row-partition pair at a time."""
-    basis = enumerate_diagrams(algebra, k, s1, s2, guard)
-    views = [d.row_view() for _, d in basis]
-    n = len(views)
-    leq = [[False] * n for _ in range(n)]
-    groups = row_partition_groups(views)
-    for pa, us in groups:
-        by_through: dict[tuple[int, ...], list[int]] = {}
-        for u in us:
-            by_through.setdefault(views[u].through, []).append(u)
-        for pb, vs in groups:
-            if len(pa) > len(pb):
-                continue  # a coarser partition has no more blocks
-            landing = _landing(pa, pb)
-            if landing is None:
-                continue
-            for v in vs:
-                # a repeated landing block matches no u, whose through
-                # positions are distinct
-                image = tuple(sorted(landing[j] for j in views[v].through))
-                for u in by_through.get(image, ()):
-                    leq[u][v] = True
-    return CoarseningPoset(tuple(key for key, _ in basis), tuple(tuple(row) for row in leq))
+    """Coarsening order of the basis: u below v iff G[u][v] == G[u][u].
+
+    Entries are compared by value; see the module docstring for why the
+    equality is the coarsening order.
+    """
+    gram = build_gram(algebra, k, s1, s2, guard)
+    leq = []
+    for u, row in enumerate(gram.entries):
+        diagonal = row[u].coeffs
+        leq.append(tuple(entry.coeffs == diagonal for entry in row))
+    return CoarseningPoset(gram.keys, tuple(leq))
 
 
 def minimal_common_coarsening(
@@ -235,24 +223,22 @@ def minimal_common_coarsening(
 
 
 def _zeta_inverse(poset: CoarseningPoset) -> tuple[tuple[int, ...], ...]:
-    """Columns of Z^-1 by back substitution; unitriangular with integer entries."""
+    """Z^-1 by back substitution; unitriangular with integer entries.
+
+    The basis order is a linear extension of the poset, so Z is upper
+    triangular and each column is solved upward in descending index.
+    """
     n = len(poset.keys)
     leq = poset.leq
-    cols: list[list[int]] = [[0] * n for _ in range(n)]
+    cols = []
     for v in range(n):
-        col = cols[v]
+        col = [0] * n
         col[v] = 1
-        below = [u for u in range(n) if u != v and leq[u][v]]
-        # solve upward along the order itself: everything strictly above u
-        # (within the interval) has strictly fewer elements above it
-        above_count = {u: sum(1 for w in below if w != u and leq[u][w]) for u in below}
-        for u in sorted(below, key=lambda u: above_count[u]):
-            acc = col[v]
-            for w in below:
-                if w != u and leq[u][w]:
-                    acc += col[w]
-            col[u] = -acc
-    return tuple(tuple(cols[v][u] for v in range(n)) for u in range(n))
+        for u in reversed(range(v)):
+            if leq[u][v]:
+                col[u] = -sum(itertools.compress(col[u + 1 : v + 1], leq[u][u + 1 : v + 1]))
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 def _congruence(transform, entries):
@@ -425,9 +411,6 @@ class BlockDecomposition:
         return tuple(
             tuple(self.reduced[u][v] for v in members) for u in members
         )
-
-    def predicted_block(self, label) -> tuple[tuple[Poly, ...], ...]:
-        return self.predicted[label]
 
     def hard_diffs(self) -> tuple[DiffEntry, ...]:
         return tuple(d for d in self.diffs if not d.informative)

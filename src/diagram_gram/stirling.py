@@ -1,8 +1,9 @@
 """Classical and generalized Stirling numbers, with a counting oracle.
 
-`gen_stirling_z2` and `gen_stirling_partition` count, by closed formula, the
-diagrams with prescribed reduced edge counts lying above a given symmetric
-diagram in the coarsening order. `count_coarser_bruteforce` computes the same
+`gen_stirling_z2` counts, by closed formula, the diagrams with prescribed
+reduced edge counts lying above a given symmetric diagram in the coarsening
+order; the plain partition family's count is its flip-fixed slice
+gen_stirling_z2(0, s, 0, r, 0, p). `count_coarser_bruteforce` computes the same
 quantity by exhaustively enumerating merge patterns of the diagram's row
 blocks; the two are tied together in the acceptance suite and the formula is
 never trusted where the enumeration disagrees.
@@ -20,7 +21,6 @@ __all__ = [
     "stirling2",
     "binomial",
     "gen_stirling_z2",
-    "gen_stirling_partition",
     "count_coarser_bruteforce",
 ]
 
@@ -72,15 +72,6 @@ def gen_stirling_z2(s1: int, s2: int, r1: int, r2: int, p1: int, p2: int) -> int
             inner += binomial(r1 - i, j) * (2 * s1 + s2) ** (r1 - i - j) * acc
         total += outer * inner
     return total
-
-
-def gen_stirling_partition(s: int, r: int, p: int) -> int:
-    """Coarser-diagram count for the plain partition-diagram family."""
-    if p < 0 or p > r:
-        return 0
-    return sum(
-        binomial(r, i) * s ** (r - i) * stirling2(i, p) for i in range(p, r + 1)
-    )
 
 
 # -- brute-force oracle ------------------------------------------------------

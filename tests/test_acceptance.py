@@ -15,7 +15,7 @@ from diagram_gram.gram import build_gram, enumerate_diagrams, standard_diagram
 from diagram_gram.polynomials import Poly, phi_z2
 from diagram_gram.reduction import reduce_gram, reduced_decomposition
 from diagram_gram.semisimplicity import global_poly, verdict
-from diagram_gram.stirling import count_coarser_bruteforce, gen_stirling_partition, gen_stirling_z2
+from diagram_gram.stirling import count_coarser_bruteforce, gen_stirling_z2
 from diagram_gram.verify import (
     check_block_closed_forms,
     check_gram_invariants,

@@ -207,3 +207,35 @@ def test_stirling_keeps_zero_outside_the_count_window(capsys):
         capsys, "stirling", "--algebra", "partition", "--s", "1", "--r", "1", "--p", "3"
     )
     assert code == 0 and json.loads(out)["value"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("det", "--algebra", "z2", "--k", "x"),
+    ("det", "--algebra", "nope", "--k", "2"),
+    ("semisimple", "--k", "2"),
+], ids=" ".join)
+def test_argument_errors_exit_1(capsys, argv):
+    # argparse itself exits 2, the code kept for a verification diff
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "det", "--help")
+    assert code == 0 and "--guard" in out and "--format" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--algebra", "z2", "--k", "2", "--s1", "1", "--s2", "0", "--format", "json"),
+    ("det", "--algebra", "partition", "--k", "2", "--s", "0", "--format", "csv"),
+    ("semisimple", "--algebra", "z2", "--k", "2", "--format", "pretty"),
+    ("verify", "--k", "1", "--format", "json"),
+    ("enumerate", "--algebra", "partition", "--k", "2", "--s", "1", "--format", "csv"),
+    ("stirling", "--s1", "1", "--s2", "0", "--table", "--format", "csv"),
+    ("stirling", "--algebra", "partition", "--s", "2", "--r", "2", "--p", "1", "--format", "pretty"),
+    ("stirling", "--algebra", "partition", "--s", "2", "--r", "2", "--p", "1", "--guard", "5"),
+], ids=" ".join)
+def test_options_no_subcommand_reads_are_rejected(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and out == ""

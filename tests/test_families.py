@@ -1,6 +1,6 @@
 """The per-family spec: profile windows, dimensions, phi and its atoms, and
-the identities that make the plain partition family the flip-fixed slice of
-the doubled formulas."""
+the map that makes the plain partition family the flip-fixed slice of the
+doubled formulas."""
 
 import dataclasses
 import math
@@ -16,17 +16,14 @@ from diagram_gram.gram import (
     enumerate_diagrams,
     projected_dimension,
 )
-from diagram_gram.polynomials import Poly, phi_partition, phi_z2
+from diagram_gram.polynomials import Poly
 from diagram_gram.semisimplicity import admissible_profiles
-from diagram_gram.stirling import gen_stirling_partition, gen_stirling_z2
 
 CASES = [
     (algebra, k)
     for algebra in FAMILIES
     for k in range(1, (4 if algebra == "partition" else 3) + 1)
 ]
-
-GRID = range(-2, 9)
 
 
 def accepted_profiles(algebra, k):
@@ -65,19 +62,6 @@ def test_phi_is_the_product_of_its_atoms(algebra, k):
             phi = gram.phi(key)
             assert phi == math.prod(_phi_atoms(*gram.doubled(key)), start=Poly.one())
             assert phi.degree() == gram.diagonal_degree(key)
-
-
-def test_plain_phi_is_the_flip_fixed_slice():
-    for s in GRID:
-        for r in GRID:
-            assert phi_partition(s, r) == phi_z2(0, s, 0, r)
-
-
-def test_plain_stirling_is_the_flip_fixed_slice():
-    for s in GRID:
-        for r in GRID:
-            for p in GRID:
-                assert gen_stirling_partition(s, r, p) == gen_stirling_z2(0, s, 0, r, 0, p)
 
 
 def test_plain_spec_reads_the_doubled_formulas_at_the_slice():

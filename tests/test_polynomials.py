@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagram_gram.polynomials import Poly, linear_factor, phi_partition, phi_z2, quadratic_factor
+from diagram_gram.polynomials import Poly, linear_factor, phi_z2, quadratic_factor
 from diagram_gram.stirling import binomial
 
 coeff = st.integers(-9, 9)
@@ -62,10 +62,11 @@ def test_phi_z2_examples():
 
 
 def test_phi_partition_examples():
-    assert phi_partition(4, 0) == Poly.one()
-    assert phi_partition(0, 2) == Poly([0, -1, 1])  # x^2 - x
-    assert phi_partition(2, 2) == Poly([6, -5, 1])  # (x-2)(x-3)
-    assert phi_partition(1, -1) == Poly.zero()
+    # the plain falling product is the flip-fixed slice phi_z2(0, s, 0, r)
+    assert phi_z2(0, 4, 0, 0) == Poly.one()
+    assert phi_z2(0, 0, 0, 2) == Poly([0, -1, 1])  # x^2 - x
+    assert phi_z2(0, 2, 0, 2) == Poly([6, -5, 1])  # (x-2)(x-3)
+    assert phi_z2(0, 1, 0, -1) == Poly.zero()
 
 
 def test_phi_factors_are_monic_of_expected_degree():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagram_gram.gram import ResourceGuardError, build_gram, enumerate_diagrams
-from diagram_gram.polynomials import Poly, phi_partition, phi_z2
+from diagram_gram.polynomials import Poly, phi_z2
 from diagram_gram.reduction import (
     _congruence,
     _zeta_inverse,
@@ -265,15 +265,16 @@ def test_partition_blocks_match_falling_products():
         block = dec.block(label)
         r = label[1]
         for a in range(len(members)):
-            assert block[a][a] == phi_partition(1, r)
+            assert block[a][a] == phi_z2(0, 1, 0, r)  # (x-1)...(x-r)
 
 
 def test_one_profile_is_enumerated_once():
-    # build_gram and coarsening_poset share one enumerate_diagrams cache entry
+    # coarsening_poset reads the Gram matrix reduced_decomposition built
     for cached in (enumerate_diagrams, build_gram, coarsening_poset, reduced_decomposition):
         cached.cache_clear()
     reduced_decomposition("z2", 3, 1, 0)
     assert enumerate_diagrams.cache_info().misses == 1
+    assert build_gram.cache_info().misses == 1
     assert coarsening_poset.cache_info().misses == 1
 
 

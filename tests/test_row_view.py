@@ -1,8 +1,9 @@
 """Row-partition fast paths pinned against the diagram-level oracles.
 
-`build_gram`, `coarsening_poset` and `role_swaps` read everything off each
-basis diagram's row view. Here they are compared entrywise with
-`multiply`, `diagram_coarser_or_equal` and `swap_pair_parameters`.
+`build_gram` and `role_swaps` read everything off each basis diagram's row
+view, and `coarsening_poset` reads the order off the Gram matrix. Here they
+are compared entrywise with `multiply`, `diagram_coarser_or_equal` and
+`swap_pair_parameters`.
 """
 
 import pytest
@@ -34,6 +35,12 @@ PROFILES = (
     + [("signed", 4, 1, 0), ("z2", 4, 2, 0), ("z2", 4, 0, 2), ("z2", 4, 1, 1)]
 )
 
+K4_PROFILES = [
+    (algebra, 4, s1, s2)
+    for algebra in ("z2", "signed")
+    for s1, s2 in admissible_profiles(algebra, 4)
+]
+
 
 def product_entry(du, dv, target: int) -> Poly:
     prod, loops = du.multiply(dv)
@@ -57,6 +64,13 @@ def test_poset_matches_coarsening_oracle(profile):
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_basis_order_extends_the_poset(profile):
+    # _zeta_inverse solves in basis order, which needs leq upper triangular
+    leq = coarsening_poset(*profile).leq
+    assert all(u <= v for u, row in enumerate(leq) for v, below in enumerate(row) if below)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
 def test_role_swaps_match_oracle(profile):
     # role_swaps answers in doubled coordinates; the oracle counts a plain
     # swap of t blocks as (t, 0), which the family maps to (0, t)
@@ -74,9 +88,7 @@ def test_role_swaps_match_oracle(profile):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([("z2", 4, s1, s2) for s1, s2 in admissible_profiles("z2", 4)]
-                       + [("signed", 4, s1, s2) for s1, s2 in admissible_profiles("signed", 4)]),
-       st.data())
+@given(st.sampled_from(K4_PROFILES), st.data())
 def test_random_k4_entries_match_products(profile, data):
     gram = build_gram(*profile)
     n = gram.dimension()
@@ -84,6 +96,16 @@ def test_random_k4_entries_match_products(profile, data):
     v = data.draw(st.integers(0, n - 1))
     target = gram.through_count()
     assert gram.entries[u][v] == product_entry(gram.diagrams[u], gram.diagrams[v], target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(K4_PROFILES), st.data())
+def test_random_k4_poset_matches_coarsening_oracle(profile, data):
+    poset = coarsening_poset(*profile)
+    diagrams = build_gram(*profile).diagrams
+    u = data.draw(st.integers(0, len(diagrams) - 1))
+    v = data.draw(st.integers(0, len(diagrams) - 1))
+    assert poset.leq[u][v] == diagram_coarser_or_equal(diagrams[u], diagrams[v])
 
 
 def test_row_view_of_plain_diagram():

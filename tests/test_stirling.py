@@ -3,7 +3,6 @@ import pytest
 from diagram_gram.gram import enumerate_diagrams, standard_diagram
 from diagram_gram.stirling import (
     count_coarser_bruteforce,
-    gen_stirling_partition,
     gen_stirling_z2,
     stirling2,
 )
@@ -40,13 +39,14 @@ def test_gen_stirling_diagonal_and_zero():
 
 
 def test_gen_stirling_partition_examples():
+    # the plain count is the flip-fixed slice gen_stirling_z2(0, s, 0, r, 0, p)
     for s in range(4):
         for r in range(5):
-            assert gen_stirling_partition(s, r, r) == 1
-        assert gen_stirling_partition(s, 1, 0) == s
-    assert gen_stirling_partition(2, 2, 1) == 5
-    assert gen_stirling_partition(1, 2, 1) == 3
-    assert gen_stirling_partition(0, 3, 1) == stirling2(3, 1)
+            assert gen_stirling_z2(0, s, 0, r, 0, r) == 1
+        assert gen_stirling_z2(0, s, 0, 1, 0, 0) == s
+    assert gen_stirling_z2(0, 2, 0, 2, 0, 1) == 5
+    assert gen_stirling_z2(0, 1, 0, 2, 0, 1) == 3
+    assert gen_stirling_z2(0, 0, 0, 3, 0, 1) == stirling2(3, 1)
 
 
 def test_bruteforce_rejects_bad_input():
@@ -71,7 +71,7 @@ def test_bruteforce_matches_hand_count():
     # absorbing one into the through class gives three coarsenings at p == 1
     d = standard_diagram(((1,), (1, 1)), 3, algebra="partition")
     assert count_coarser_bruteforce(d, 1) == 3
-    assert gen_stirling_partition(1, 2, 1) == 3
+    assert gen_stirling_z2(0, 1, 0, 2, 0, 1) == 3
 
 
 def test_oracle_equivalence_small():
