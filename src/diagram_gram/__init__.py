@@ -19,7 +19,6 @@ from .gram import (
     enumerate_diagrams,
     projected_dimension,
     standard_diagram,
-    underlying_partition,
 )
 from .partitions import SetPartition
 from .polynomials import Poly, phi_z2
@@ -74,6 +73,5 @@ __all__ = [
     "reduced_decomposition",
     "standard_diagram",
     "stirling2",
-    "underlying_partition",
     "verdict",
 ]

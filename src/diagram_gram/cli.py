@@ -124,9 +124,13 @@ def cmd_reduce(args) -> int:
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
     decomposition = reduce_gram(gram, args.guard)
-    checksum = hashlib.sha256(
-        json.dumps(decomposition.transform).encode()
-    ).hexdigest()
+    # the checksum hashes T as dense rows, the form it has always pinned
+    n = gram.dimension()
+    rows = [[0] * n for _ in range(n)]
+    for v, col in enumerate(decomposition.transform):
+        for u, c in col:
+            rows[u][v] = c
+    checksum = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     payload = {
         "algebra": gram.algebra,
         "k": gram.k,

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .gram import GramMatrix, exponent_grid
+from .gram import GramMatrix
 from .polynomials import Poly
 
 __all__ = [
@@ -89,7 +89,7 @@ def match_published_gram(gram: GramMatrix, fixture: dict | None = None) -> Golde
     ]
     asym = {(i, j) for i, j, _, _ in fixture.get("asymmetric_positions", [])}
     asym |= {(j, i) for i, j in asym}
-    ours = exponent_grid(gram.entries)
+    ours = gram.exponents
     n = len(ours)
     our_cells = _cells_in_order(gram)
     printed_cells = []

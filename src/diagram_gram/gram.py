@@ -16,6 +16,12 @@ holding none, #join - target of them. `build_gram` therefore computes one
 join per pair of distinct row partitions. `PartitionDiagram.multiply` is
 not used here; the tests and `verify` compare these entries against it.
 
+A `GramMatrix` stores its entries in this form: `exponents[u][v]` is the
+loop count e of the entry x**e, or None for a zero entry. The coarsening
+poset and the congruence in `reduction` read that grid directly. The
+`Poly` view `GramMatrix.entries` is rendered only when read, by the CLI
+output, `det_direct` and the oracles.
+
 The algebra tag ("partition", "z2" or "signed") names a `Family` in
 `families.FAMILIES`, which holds the profile window, the row
 configurations and the map of plain profiles into doubled coordinates.
@@ -24,15 +30,12 @@ configurations and the map of plain profiles into doubled coordinates.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .diagrams import PartitionDiagram
 from .families import FAMILIES, Family, profile_of
 from .polynomials import Poly, phi_z2
 from .stirling import binomial
-from .z2diagrams import Z2Diagram
 
 __all__ = [
     "ALGEBRAS",
@@ -42,9 +45,7 @@ __all__ = [
     "GramMatrix",
     "enumerate_diagrams",
     "standard_diagram",
-    "underlying_partition",
     "build_gram",
-    "exponent_grid",
     "count_row_configs",
     "projected_dimension",
 ]
@@ -95,8 +96,9 @@ def alpha_sort_key(alpha) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Square polynomial matrix over an ordered diagram basis.
+    """Square monomial matrix over an ordered diagram basis.
 
+    `exponents[u][v]` is e for the entry x**e, or None for a zero entry.
     For the plain partition algebra the profile is stored as s1 == s,
     s2 == 0.
     """
@@ -107,10 +109,23 @@ class GramMatrix:
     s2: int
     keys: tuple[DiagramKey, ...]
     diagrams: tuple
-    entries: tuple[tuple[Poly, ...], ...]
+    exponents: tuple[tuple[int | None, ...], ...]
 
     def dimension(self) -> int:
         return len(self.keys)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Poly, ...], ...]:
+        """The entries as `Poly`s, one shared instance per exponent.
+
+        Built on first read, for output and for the oracles; the reduction
+        reads `exponents` only.
+        """
+        polys = {
+            e: Poly.zero() if e is None else Poly.monomial(e)
+            for e in set().union(*self.exponents)
+        }
+        return tuple(tuple(map(polys.__getitem__, row)) for row in self.exponents)
 
     @property
     def family(self) -> Family:
@@ -216,7 +231,7 @@ def projected_dimension(algebra: str, k: int, s1: int, s2: int = 0) -> int:
     )
 
 
-# -- standard diagrams and shape extraction ---------------------------------------
+# -- standard diagrams ------------------------------------------------------------
 
 
 def standard_diagram(alpha, k: int, algebra: str = "z2"):
@@ -239,37 +254,6 @@ def standard_diagram(alpha, k: int, algebra: str = "z2"):
             units.append((role, tuple(range(nxt, nxt + size)), (0,) * size))
             nxt += size
     return family.assemble(k, units)
-
-
-def underlying_partition(diagram):
-    """Shape tuple of a mirror-symmetric diagram: sorted class sizes by role."""
-    if isinstance(diagram, PartitionDiagram):
-        k = diagram.k
-        top = diagram.part.restrict(range(k))
-        if top != diagram.part.restrict(range(k, 2 * k)):
-            raise ValueError("diagram is not mirror-symmetric")
-        through, horiz = [], []
-        for block in top.blocks:
-            full = diagram.part.block_of(block[0])
-            (through if full[-1] >= k else horiz).append(len(block))
-        return (tuple(sorted(through, reverse=True)), tuple(sorted(horiz, reverse=True)))
-    if not isinstance(diagram, Z2Diagram):
-        raise TypeError(f"unsupported diagram type {type(diagram).__name__}")
-    if not diagram.is_mirror_symmetric():
-        raise ValueError("diagram is not mirror-symmetric")
-    half = 2 * diagram.k
-    top, _ = diagram.halves()
-    sizes = {"s1": [], "s2": [], "r1": [], "r2": []}
-    for bi, block in enumerate(top.blocks):
-        conj = top.block_index[block[0] ^ 1]
-        if conj < bi:
-            continue  # one count per conjugate pair
-        is_through = diagram.part.block_of(block[0])[-1] >= half
-        if conj == bi:
-            sizes["s2" if is_through else "r2"].append(len(block) // 2)
-        else:
-            sizes["s1" if is_through else "r1"].append(len(block))
-    return tuple(tuple(sorted(sizes[r], reverse=True)) for r in ("s1", "s2", "r1", "r2"))
 
 
 # -- Gram matrices ----------------------------------------------------------------
@@ -319,7 +303,8 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
     """Gram matrix over the ordered basis for the given profile.
 
     Entries come from one join per pair of distinct row partitions; see the
-    module docstring. Equal entries share one `Poly` instance.
+    module docstring. Each is stored as its loop count, the exponent of
+    x**loops, and a zero entry as None.
     """
     basis = enumerate_diagrams(algebra, k, s1, s2, guard)
     keys = tuple(key for key, _ in basis)
@@ -328,8 +313,7 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
     views = [diagram.row_view() for diagram in diagrams]
     groups = row_partition_groups(views)
     n = len(diagrams)
-    rows = [[Poly.zero()] * n for _ in range(n)]
-    monomials: dict[int, Poly] = {}
+    rows = [[None] * n for _ in range(n)]
     for a, (pa, us) in enumerate(groups):
         for pb, vs in groups[a:]:
             joined = _join(pa, pb)
@@ -343,38 +327,8 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
                     by_image.setdefault(image, []).append(v)
             if not by_image:
                 continue
-            if loops not in monomials:
-                monomials[loops] = Poly.monomial(loops)
-            entry = monomials[loops]
             for u in us:
                 for v in by_image.get(_through_image(views[u], joined), ()):
-                    rows[u][v] = rows[v][u] = entry
-    entries = tuple(tuple(row) for row in rows)
-    return GramMatrix(algebra, k, s1, s2, keys, diagrams, entries)
-
-
-_coeffs = operator.attrgetter("coeffs")
-
-
-class _Exponents(dict):
-    """Coefficient tuple -> monomial exponent (None for zero), filled on miss."""
-
-    def __missing__(self, coeffs: tuple) -> int | None:
-        if not coeffs:
-            exponent = None
-        elif coeffs[-1] == 1 and not any(coeffs[:-1]):
-            exponent = len(coeffs) - 1
-        else:
-            raise ValueError(f"entry {Poly(coeffs)} is not a monomial")
-        self[coeffs] = exponent
-        return exponent
-
-
-def exponent_grid(entries) -> list[list[int | None]]:
-    """Exponent e of every entry x**e, or None for a zero entry.
-
-    Raw Gram entries are monomials or zero; any other entry raises
-    ValueError. Each distinct coefficient tuple is classified once.
-    """
-    exponent = _Exponents()
-    return [list(map(exponent.__getitem__, map(_coeffs, row))) for row in entries]
+                    rows[u][v] = rows[v][u] = loops
+    exponents = tuple(tuple(row) for row in rows)
+    return GramMatrix(algebra, k, s1, s2, keys, diagrams, exponents)

@@ -31,7 +31,10 @@ diagonal degree 2 r1 + r2; `DiagramKey.sort_key` orders by that degree
 first, so the basis order is a linear extension of the poset and the zeta
 matrix is upper triangular. Moebius inversion needs nothing more (Stanley,
 Enumerative Combinatorics I, 3.6): `_zeta_inverse` solves each column by
-back substitution in basis order.
+back substitution in basis order, summing over the entries of the column
+found so far. It returns T as those sparse columns, ((u, T[u][v]), ...)
+over the nonzero entries, and `_congruence` and `BlockDecomposition` keep
+that form; only the `reduce` command densifies it, to checksum it.
 
 The role-swap pairs are read off each diagram's `RowView` (row partition,
 through blocks, flip-fixed flags). A role swap is a pair with one row
@@ -41,8 +44,9 @@ decide the coarsening and the swaps on whole diagrams; they are kept as
 the oracles the tests and `verify` compare against.
 
 The congruence `_congruence` runs on Python ints by Kronecker substitution
-(von zur Gathen & Gerhard, Modern Computer Algebra, 8.4). Every raw Gram
-entry is x**e or 0; it becomes the integer 2**(width*e) or 0. A coefficient
+(von zur Gathen & Gerhard, Modern Computer Algebra, 8.4). It reads G as its
+exponent grid (`GramMatrix.exponents`): every raw Gram entry is x**e or 0,
+stored as e or None, and becomes the integer 2**(width*e) or 0. A coefficient
 of an entry (T'GT)[u][j] is a sum of products T[w][u] T[i][j], so its
 absolute value is at most L1(T_u) L1(T_j) <= L**2, with L the largest column
 L1 norm of T. With width = 2 bitlen(L) + 1, L**2 < 2**(width-1), so the
@@ -56,12 +60,14 @@ sum of multiples of packed rows of G over a sparse column of T, a column of
 T'GT a sum of multiples of packed columns of T'G, and the transpose in
 between is a strided copy of bytes, once every slot is biased to be
 nonnegative. The entrywise `Poly` computation of T'GT is the oracle in the
-tests.
+tests. The reduced matrix is the first `Poly` stage and stays dense rows:
+its entries are no longer monomials, and `reduce_gram`'s off-block scan,
+`compare_blocks`, `BlockDecomposition.block` and `det_direct` index it by
+(row, column).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -73,7 +79,6 @@ from .gram import (
     GramMatrix,
     build_gram,
     enumerate_diagrams,
-    exponent_grid,
     row_partition_groups,
 )
 from .polynomials import Poly, phi_z2
@@ -163,9 +168,6 @@ class CoarseningPoset:
     keys: tuple[DiagramKey, ...]
     leq: tuple[tuple[bool, ...], ...]  # leq[u][v]: diagram u coarser-or-equal v
 
-    def strictly_below(self, v: int) -> list[int]:
-        return [u for u in range(len(self.keys)) if u != v and self.leq[u][v]]
-
 
 @lru_cache(maxsize=None)
 def coarsening_poset(
@@ -173,15 +175,14 @@ def coarsening_poset(
 ) -> CoarseningPoset:
     """Coarsening order of the basis: u below v iff G[u][v] == G[u][u].
 
-    Entries are compared by value; see the module docstring for why the
-    equality is the coarsening order.
+    The exponents are compared; the diagonal is never zero. See the module
+    docstring for why the equality is the coarsening order.
     """
     gram = build_gram(algebra, k, s1, s2, guard)
-    leq = []
-    for u, row in enumerate(gram.entries):
-        diagonal = row[u].coeffs
-        leq.append(tuple(entry.coeffs == diagonal for entry in row))
-    return CoarseningPoset(gram.keys, tuple(leq))
+    leq = tuple(
+        tuple(e == row[u] for e in row) for u, row in enumerate(gram.exponents)
+    )
+    return CoarseningPoset(gram.keys, leq)
 
 
 def minimal_common_coarsening(
@@ -222,37 +223,42 @@ def minimal_common_coarsening(
 # -- transform -------------------------------------------------------------------
 
 
-def _zeta_inverse(poset: CoarseningPoset) -> tuple[tuple[int, ...], ...]:
-    """Z^-1 by back substitution; unitriangular with integer entries.
+def _zeta_inverse(poset: CoarseningPoset) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Z^-1 as sparse columns: column v is ((u, T[u][v]), ...) over the
+    nonzero entries, in ascending u. T is unitriangular with integer entries.
 
     The basis order is a linear extension of the poset, so Z is upper
-    triangular and each column is solved upward in descending index.
+    triangular and each column is solved upward in descending index by back
+    substitution, T[u][v] = -sum(T[w][v] for u < w <= v with u <= w), a sum
+    over the entries of the column found so far.
     """
-    n = len(poset.keys)
     leq = poset.leq
     cols = []
-    for v in range(n):
-        col = [0] * n
-        col[v] = 1
+    for v in range(len(leq)):
+        col = [(v, 1)]
         for u in reversed(range(v)):
-            if leq[u][v]:
-                col[u] = -sum(itertools.compress(col[u + 1 : v + 1], leq[u][u + 1 : v + 1]))
-        cols.append(col)
-    return tuple(zip(*cols))
+            above = leq[u]
+            if above[v]:
+                c = -sum(c for w, c in col if above[w])
+                if c:
+                    col.append((u, c))
+        col.reverse()
+        cols.append(tuple(col))
+    return tuple(cols)
 
 
-def _congruence(transform, entries):
-    """T' G T for an integer matrix T (given as rows) and a monomial G.
+def _congruence(transform, grid):
+    """T' G T for T given as the sparse columns of `_zeta_inverse` and G as
+    its exponent grid (x**e as e, zero as None).
 
     Runs on packed Python ints, as the module docstring describes: an entry
     x**e is the integer 2**(width*e), and a row or column of n entries is
-    one integer of n slots. Equal results share one `Poly`.
+    one integer of n slots. The result is dense rows of `Poly`; equal
+    results share one `Poly`.
     """
-    n = len(entries)
-    cols = [[(u, c) for u, c in enumerate(col) if c] for col in zip(*transform)]
-    norm = max((sum(abs(c) for _, c in col) for col in cols), default=0)
+    n = len(grid)
+    norm = max((sum(abs(c) for _, c in col) for col in transform), default=0)
     width = 2 * norm.bit_length() + 1
-    grid = exponent_grid(entries)
     top = max(set().union(*grid) - {None}, default=0)
     size = width * (top + 1) // 8 + 1  # bytes per slot, sign bit included
     slot = {None: bytes(size)}
@@ -261,15 +267,14 @@ def _congruence(transform, entries):
     gram_rows = [int.from_bytes(b"".join(map(slot.__getitem__, row)), "little") for row in grid]
     # each stage's n packed ints are dropped once the next stage has them,
     # which keeps the peak memory near one stage's worth
-    del grid
-    left_rows = [sum(c * gram_rows[w] for w, c in col) for col in cols]  # T' G
+    left_rows = [sum(c * gram_rows[w] for w, c in col) for col in transform]  # T' G
     del gram_rows
     bits = 8 * size
     half = 1 << bits - 1
     bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
     left_cols = _transpose(left_rows, n, size, bias)
     del left_rows
-    reduced_cols = [sum(c * left_cols[i] for i, c in col) for col in cols]  # T' G T
+    reduced_cols = [sum(c * left_cols[i] for i, c in col) for col in transform]  # T' G T
     del left_cols
     mask = (1 << bits) - 1
     polys: dict[int, Poly] = {}
@@ -399,7 +404,7 @@ class DiffEntry:
 @dataclass(frozen=True)
 class BlockDecomposition:
     gram: GramMatrix
-    transform: tuple[tuple[int, ...], ...]
+    transform: tuple[tuple[tuple[int, int], ...], ...]  # sparse columns of T
     reduced: tuple[tuple[Poly, ...], ...]
     cells: tuple[tuple[tuple, tuple[int, ...]], ...]  # (label, member indices)
     offblock_violations: tuple[tuple[int, int], ...]
@@ -433,7 +438,7 @@ def reduce_gram(gram: GramMatrix, guard: int = DEFAULT_GUARD) -> BlockDecomposit
     """Congruence-reduce a Gram matrix and compare against the closed forms."""
     poset = coarsening_poset(gram.algebra, gram.k, gram.s1, gram.s2, guard)
     transform = _zeta_inverse(poset)
-    reduced = _congruence(transform, gram.entries)
+    reduced = _congruence(transform, gram.exponents)
     cells = _cells_of(gram)
     cell_of = {}
     for label, members in cells:
@@ -534,7 +539,7 @@ def _predict_rho_entry(gram: GramMatrix, u: int, v: int, swap) -> Poly:
     if u == v:
         return gram.phi(ku) + correction
     # a nonzero Gram entry means the product keeps the full through count
-    if not gram.entries[u][v].is_zero():
+    if gram.exponents[u][v] is not None:
         return correction.scalar_mul((-1) ** (ku.r1 + kv.r1))
     if swap is not None:
         # literal statement value: role-swap term plus the correction product

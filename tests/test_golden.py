@@ -7,7 +7,6 @@ from diagram_gram.golden import (
     match_published_gram,
 )
 from diagram_gram.gram import build_gram
-from diagram_gram.polynomials import Poly
 from diagram_gram.reduction import reduced_decomposition
 
 
@@ -68,12 +67,12 @@ def test_reduced_blocks_match_published():
 def test_matcher_reports_planted_defect():
     """A corrupted matrix is flagged with a hard mismatch, not absorbed."""
     gram = build_gram("signed", 3, 1, 0)
-    entries = [list(row) for row in gram.entries]
-    entries[0][5] = Poly.monomial(2)  # plant an off-cell defect
-    entries[5][0] = Poly.monomial(2)
+    exponents = [list(row) for row in gram.exponents]
+    exponents[0][5] = 2  # plant an off-cell defect, x**2
+    exponents[5][0] = 2
     corrupted = type(gram)(
         gram.algebra, gram.k, gram.s1, gram.s2, gram.keys, gram.diagrams,
-        tuple(tuple(row) for row in entries),
+        tuple(tuple(row) for row in exponents),
     )
     report = match_published_gram(corrupted)
     assert report.permutation is None or report.hard_mismatches

@@ -3,20 +3,51 @@ from collections import Counter
 
 import pytest
 
+from diagram_gram.diagrams import PartitionDiagram
 from diagram_gram.gram import (
     ResourceGuardError,
     WindowError,
     build_gram,
     enumerate_diagrams,
-    exponent_grid,
     projected_dimension,
     standard_diagram,
-    underlying_partition,
 )
 from diagram_gram.partitions import SetPartition
 from diagram_gram.polynomials import Poly
 from diagram_gram.semisimplicity import admissible_profiles
 from diagram_gram.z2diagrams import Z2Diagram, top_index
+
+
+def underlying_partition(diagram):
+    """Shape tuple of a mirror-symmetric diagram: sorted class sizes by role;
+    the inverse of `standard_diagram` on shapes."""
+    if isinstance(diagram, PartitionDiagram):
+        k = diagram.k
+        top = diagram.part.restrict(range(k))
+        if top != diagram.part.restrict(range(k, 2 * k)):
+            raise ValueError("diagram is not mirror-symmetric")
+        through, horiz = [], []
+        for block in top.blocks:
+            full = diagram.part.block_of(block[0])
+            (through if full[-1] >= k else horiz).append(len(block))
+        return (tuple(sorted(through, reverse=True)), tuple(sorted(horiz, reverse=True)))
+    if not isinstance(diagram, Z2Diagram):
+        raise TypeError(f"unsupported diagram type {type(diagram).__name__}")
+    if not diagram.is_mirror_symmetric():
+        raise ValueError("diagram is not mirror-symmetric")
+    half = 2 * diagram.k
+    top, _ = diagram.halves()
+    sizes = {"s1": [], "s2": [], "r1": [], "r2": []}
+    for bi, block in enumerate(top.blocks):
+        conj = top.block_index[block[0] ^ 1]
+        if conj < bi:
+            continue  # one count per conjugate pair
+        is_through = diagram.part.block_of(block[0])[-1] >= half
+        if conj == bi:
+            sizes["s2" if is_through else "r2"].append(len(block) // 2)
+        else:
+            sizes["s1" if is_through else "r1"].append(len(block))
+    return tuple(tuple(sorted(sizes[r], reverse=True)) for r in ("s1", "s2", "r1", "r2"))
 
 
 def test_window_validation():
@@ -179,19 +210,3 @@ def test_gram_entry_zero_iff_through_count_drops():
                 assert g.entries[u][v] == Poly.monomial(loops)
             else:
                 assert g.entries[u][v].is_zero()
-
-
-def test_exponent_grid_reads_monomials_and_zeros():
-    entries = ((Poly.one(), Poly.zero()), (Poly.monomial(3), Poly.x()))
-    assert exponent_grid(entries) == [[0, None], [3, 1]]
-    gram = build_gram("signed", 3, 1, 0)
-    grid = exponent_grid(gram.entries)
-    for row, exps in zip(gram.entries, grid):
-        for p, e in zip(row, exps):
-            assert p == (Poly.zero() if e is None else Poly.monomial(e))
-
-
-@pytest.mark.parametrize("entry", [Poly([0, 2]), Poly([1, 1]), Poly([0, -1]), Poly([3])], ids=str)
-def test_exponent_grid_rejects_other_entries(entry):
-    with pytest.raises(ValueError, match="not a monomial"):
-        exponent_grid(((Poly.x(), entry),))

@@ -5,7 +5,7 @@ import pytest
 
 from diagram_gram import semisimplicity
 from diagram_gram.determinant import DetResult, det_blocks
-from diagram_gram.gram import DEFAULT_GUARD
+from diagram_gram.gram import DEFAULT_GUARD, build_gram
 from diagram_gram.polynomials import Poly
 from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import admissible_profiles, global_poly, verdict
@@ -112,6 +112,19 @@ def test_rational_verdict_leaves_the_product_unbuilt():
     for algebra, k in cases:
         verdict(algebra, k, Fraction(5, 2))
         assert "poly" not in vars(global_poly(algebra, k, DEFAULT_GUARD)[0]), (algebra, k)
+
+
+def test_verdict_never_renders_the_gram_entries():
+    # the pipeline reads the exponent grid; the Poly view is for output
+    for cached in (build_gram, reduced_decomposition, global_poly):
+        cached.cache_clear()
+    for algebra in ("z2", "signed"):
+        verdict(algebra, 3, 2)
+        built = build_gram.cache_info().misses
+        for s1, s2 in admissible_profiles(algebra, 3):
+            gram = build_gram(algebra, 3, s1, s2, DEFAULT_GUARD)
+            assert "entries" not in vars(gram), (algebra, s1, s2)
+        assert build_gram.cache_info().misses == built  # the matrices verdict built
 
 
 def test_symbolic_verdict_matches_the_product():

@@ -1,14 +1,21 @@
 """The aggregated suite and its CLI frontend."""
 
-import json
+import pytest
 
+from diagram_gram import cli
 from diagram_gram.cli import main
+from diagram_gram.gram import DEFAULT_GUARD
 from diagram_gram.verify import run_all_checks
 
 
-def test_run_all_checks_pass():
-    checks = run_all_checks(3)
-    names = [c.name for c in checks]
+@pytest.fixture(scope="module")
+def checks_k3():
+    # the suite at k=3 takes seconds; both tests below read this one run
+    return run_all_checks(3)
+
+
+def test_run_all_checks_pass(checks_k3):
+    names = [c.name for c in checks_k3]
     assert names == [
         "gram-invariants",
         "block-closed-forms",
@@ -19,13 +26,22 @@ def test_run_all_checks_pass():
         "monomial-expansion",
         "zero-profile-blocks",
     ]
-    for check in checks:
+    for check in checks_k3:
         assert check.ok, f"{check.name}: {check.details}"
 
 
-def test_verify_cli_exit_zero(capsys):
+def test_verify_cli_exit_zero(checks_k3, monkeypatch, capsys):
+    calls = []
+
+    def shared_run(k, guard):
+        calls.append((k, guard))
+        return checks_k3
+
+    # the CLI's own work, the two golden comparisons, still runs
+    monkeypatch.setattr(cli, "run_all_checks", shared_run)
     code = main(["verify", "--k", "3"])
     out = capsys.readouterr().out
+    assert calls == [(3, DEFAULT_GUARD)]
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10  # eight checks plus the two golden comparisons
