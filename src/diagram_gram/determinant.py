@@ -1,18 +1,26 @@
 """Exact determinants of polynomial matrices by evaluation-interpolation.
 
-Polynomial matrices here have integer coefficients; the determinant is
-recovered from integer determinants (fraction-free Bareiss elimination) at
-enough consecutive integer points, followed by exact Lagrange interpolation
-over the rationals. This path is independent of the block reduction and is
-used to cross-validate it.
+Polynomial matrices here have integer coefficients; `det_direct` recovers
+the determinant from integer determinants (fraction-free Bareiss
+elimination) at enough consecutive integer points, followed by exact
+Lagrange interpolation over the rationals. Applied to a whole Gram matrix
+it is independent of the block reduction and cross-validates it; it is also
+the production path for every coupled component of a reduced matrix.
+
+`det_blocks` reads the reduced matrix's nonzero pattern
+(`BlockDecomposition.nonzero`): with rows and columns permuted alike so
+that each connected component of the pattern is contiguous, the matrix is
+block diagonal, so its determinant is the product of the components'.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .partitions import UnionFind
 from .polynomials import Poly, linear_factor, quadratic_factor
 
 __all__ = ["DetResult", "det_direct", "det_blocks"]
@@ -122,25 +130,14 @@ def det_direct(matrix) -> Poly:
     return _interpolate(xs, [det_at(x) for x in xs])
 
 
-def _components(block) -> list[list[int]]:
-    """Connected components of the nonzero off-diagonal coupling graph."""
-    n = len(block)
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not block[i][j].is_zero() or not block[j][i].is_zero():
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+def _components(nonzero) -> list[list[int]]:
+    """Connected components of the graph joining u and v for every nonzero
+    entry (u, v), as ascending index lists sorted by their first index."""
+    uf = UnionFind(len(nonzero))
+    for u, row in enumerate(nonzero):
+        for v in row:
+            uf.union(u, v)
+    return uf.blocks()
 
 
 def _phi_atoms(s1: int, s2: int, r1: int, r2: int) -> list[Poly]:
@@ -151,32 +148,23 @@ def _phi_atoms(s1: int, s2: int, r1: int, r2: int) -> list[Poly]:
 
 
 def det_blocks(decomposition) -> DetResult:
-    """Determinant assembled from the reduced blocks.
+    """Determinant of the reduced matrix, as a product over the connected
+    components of its nonzero pattern.
 
-    Each block splits into connected components of its coupling graph.
-    Isolated diagonal entries that equal the named product polynomial keep
-    their factors symbolic; every other component contributes its directly
-    computed determinant.
+    An isolated diagonal entry equal to the named product polynomial keeps
+    its atoms symbolic; any other isolated entry is a factor as it stands,
+    and a larger component contributes its `det_direct` determinant.
     """
-    gram = decomposition.gram
-    factors: dict[Poly, int] = {}
-
-    def add(poly: Poly, mult: int = 1):
-        factors[poly] = factors.get(poly, 0) + mult
-
-    for label, members in decomposition.cells:
-        block = decomposition.block(label)
-        for comp in _components(block):
-            if len(comp) == 1:
-                idx = comp[0]
-                key = gram.keys[members[idx]]
-                entry = block[idx][idx]
-                if label[0] != "rho" and entry == gram.phi(key):
-                    for atom in _phi_atoms(*gram.doubled(key)):
-                        add(atom)
-                    continue
-                add(entry)
-                continue
-            sub = tuple(tuple(block[i][j] for j in comp) for i in comp)
-            add(det_direct(sub))
+    gram, reduced = decomposition.gram, decomposition.reduced
+    factors: Counter[Poly] = Counter()
+    for comp in _components(decomposition.nonzero):
+        if len(comp) > 1:
+            factors[det_direct(tuple(tuple(reduced[i][j] for j in comp) for i in comp))] += 1
+            continue
+        (u,) = comp
+        entry, key = reduced[u][u], gram.keys[u]
+        if entry == gram.phi(key):
+            factors.update(_phi_atoms(*gram.doubled(key)))
+        else:
+            factors[entry] += 1
     return DetResult.from_counts(factors)

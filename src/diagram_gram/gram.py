@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 
 from .families import FAMILIES, Family, profile_of
 from .polynomials import Poly, phi_z2
-from .stirling import binomial
+from .stirling import binomial, stirling2
 
 __all__ = [
     "ALGEBRAS",
@@ -198,22 +198,20 @@ def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = 
 def count_row_configs(k: int, s1: int, s2: int, r1: int, r2: int) -> int:
     """Number of doubled-row configurations with the given unit profile.
 
-    Recursive over the unit containing the smallest unplaced fiber; a
-    conjugate-pair unit of size m carries 2**(m-1) sign choices.
+    A configuration splits the k fibers into a = s1 + r1 conjugate-pair
+    units, which cover j fibers, and b = s2 + r2 flip-fixed units; a
+    conjugate-pair unit of size m carries 2**(m-1) sign choices, 2**(j-a)
+    over all of them. Choosing which of the units are through ones gives
+    C(a, s1) C(b, s2) sum_j C(k, j) 2**(j-a) S(j, a) S(k-j, b).
     """
     if min(s1, s2, r1, r2) < 0:
         return 0
-    if k == 0:
-        return 1 if (s1, s2, r1, r2) == (0, 0, 0, 0) else 0
-    total = 0
-    for m in range(1, k + 1):
-        ways = binomial(k - 1, m - 1)
-        epair = ways * 2 ** (m - 1)
-        total += epair * count_row_configs(k - m, s1 - 1, s2, r1, r2)
-        total += epair * count_row_configs(k - m, s1, s2, r1 - 1, r2)
-        total += ways * count_row_configs(k - m, s1, s2 - 1, r1, r2)
-        total += ways * count_row_configs(k - m, s1, s2, r1, r2 - 1)
-    return total
+    a, b = s1 + r1, s2 + r2
+    total = sum(
+        binomial(k, j) * 2 ** (j - a) * stirling2(j, a) * stirling2(k - j, b)
+        for j in range(a, k - b + 1)
+    )
+    return binomial(a, s1) * binomial(b, s2) * total
 
 
 def projected_dimension(algebra: str, k: int, s1: int, s2: int = 0) -> int:

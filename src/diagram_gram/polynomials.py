@@ -56,10 +56,6 @@ class Poly:
             raise ValueError("exponent must be nonnegative")
         return cls([0] * exponent + [coeff])
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
-        return cls([c])
-
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -61,9 +61,13 @@ T'GT a sum of multiples of packed columns of T'G, and the transpose in
 between is a strided copy of bytes, once every slot is biased to be
 nonnegative. The entrywise `Poly` computation of T'GT is the oracle in the
 tests. The reduced matrix is the first `Poly` stage and stays dense rows:
-its entries are no longer monomials, and `reduce_gram`'s off-block scan,
-`compare_blocks`, `BlockDecomposition.block` and `det_direct` index it by
-(row, column).
+its entries are no longer monomials, and `compare_blocks`,
+`BlockDecomposition.block` and `det_direct` index it by (row, column).
+`reduce_gram` reads its nonzero pattern once, in one pass over those rows,
+as the ascending nonzero columns of each row (`BlockDecomposition.nonzero`).
+The off-block violations are the pattern's entries that join two cells, and
+`det_blocks` splits the determinant along the pattern's connected
+components.
 """
 
 from __future__ import annotations
@@ -71,6 +75,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import attrgetter
 
 from .families import FAMILIES
 from .gram import (
@@ -406,6 +412,7 @@ class BlockDecomposition:
     gram: GramMatrix
     transform: tuple[tuple[tuple[int, int], ...], ...]  # sparse columns of T
     reduced: tuple[tuple[Poly, ...], ...]
+    nonzero: tuple[tuple[int, ...], ...]  # ascending nonzero columns of each row
     cells: tuple[tuple[tuple, tuple[int, ...]], ...]  # (label, member indices)
     offblock_violations: tuple[tuple[int, int], ...]
     predicted: dict
@@ -439,22 +446,22 @@ def reduce_gram(gram: GramMatrix, guard: int = DEFAULT_GUARD) -> BlockDecomposit
     poset = coarsening_poset(gram.algebra, gram.k, gram.s1, gram.s2, guard)
     transform = _zeta_inverse(poset)
     reduced = _congruence(transform, gram.exponents)
+    # a Poly is zero iff its coefficient tuple is empty
+    columns = range(len(reduced))
+    coeffs = attrgetter("coeffs")
+    nonzero = tuple(tuple(compress(columns, map(coeffs, row))) for row in reduced)
     cells = _cells_of(gram)
-    cell_of = {}
+    cell_of = [None] * len(reduced)
     for label, members in cells:
         for m in members:
             cell_of[m] = label
-    n = gram.dimension()
     violations = tuple(
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if cell_of[u] != cell_of[v] and not reduced[u][v].is_zero()
+        (u, v) for u, row in enumerate(nonzero) for v in row if cell_of[u] != cell_of[v]
     )
     predicted = predicted_blocks(gram, cells)
     diffs = compare_blocks(gram, reduced, cells, predicted)
     return BlockDecomposition(
-        gram, transform, reduced, cells, violations, predicted, diffs
+        gram, transform, reduced, nonzero, cells, violations, predicted, diffs
     )
 
 

@@ -11,6 +11,7 @@ unconditional.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -92,13 +93,13 @@ def global_poly(algebra: str, k: int, guard: int = DEFAULT_GUARD):
     """
     check_window(algebra, k, 0, 0)
     records: list[FactorRecord] = []
-    factors: dict[Poly, int] = {}
+    factors: Counter[Poly] = Counter()
     for s1, s2 in admissible_profiles(algebra, k):
         decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
         if decomposition.gram.dimension() == 0:
             continue
         for factor, mult in det_blocks(decomposition).factored:
-            factors[factor] = factors.get(factor, 0) + mult
+            factors[factor] += mult
             if factor.degree() > 0:
                 records.append(FactorRecord(s1, s2, factor, mult))
     return DetResult.from_counts(factors), tuple(records)

@@ -11,6 +11,7 @@ never trusted where the enumeration disagrees.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .diagrams import PartitionDiagram
@@ -27,14 +28,17 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k)."""
-    if n < 0 or k < 0:
+    """Stirling number of the second kind S(n, k); zero for negative
+    arguments and for k > n.
+
+    By the alternating sum k! S(n, k) = sum_i (-1)**(k-i) C(k, i) i**n
+    (inclusion-exclusion over surjections onto k labelled blocks), so no
+    recursion depth grows with n.
+    """
+    if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    total = sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
+    return total // math.factorial(k)
 
 
 @lru_cache(maxsize=None)

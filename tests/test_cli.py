@@ -117,6 +117,15 @@ def test_guard_exit_code(capsys):
     assert "resource guard" in err
 
 
+def test_guard_exits_before_a_huge_enumeration(capsys):
+    # the projected dimension has 141 digits; it is counted in closed form
+    code, out, err = run_cli(
+        capsys, "enumerate", "--algebra", "z2", "--k", "100", "--s1", "0", "--s2", "0"
+    )
+    assert code == 3 and out == ""
+    assert "resource guard" in err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(
@@ -239,3 +248,11 @@ def test_help_exits_0(capsys):
 def test_options_no_subcommand_reads_are_rejected(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1 and out == ""
+
+
+def test_stirling_counts_deep_parameters(capsys):
+    code, out, _ = run_cli(
+        capsys, "stirling", "--s1", "0", "--s2", "0", "--r1", "1100", "--r2", "0",
+        "--p1", "1100", "--p2", "0",
+    )
+    assert code == 0 and json.loads(out)["value"] == "1"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from diagram_gram.determinant import det_blocks, det_direct
@@ -66,3 +68,23 @@ def test_det_blocks_keeps_diagonal_atoms_symbolic():
     assert result.poly == det_direct(dec.gram.entries)
     assert all(mult >= 1 for _, mult in result.factored)
 
+
+
+def test_det_blocks_follows_a_planted_coupling():
+    # det_blocks multiplies the components of the whole pattern, so an
+    # entry joining two cells is not dropped
+    dec = reduced_decomposition("z2", 3, 1, 0)
+    (_, first), (_, second) = dec.cells[:2]
+    u, v = first[0], second[0]
+    rows = [list(row) for row in dec.reduced]
+    rows[u][v] = rows[v][u] = Poly.one()
+    nonzero = [set(row) for row in dec.nonzero]
+    nonzero[u].add(v)
+    nonzero[v].add(u)
+    planted = replace(
+        dec,
+        reduced=tuple(map(tuple, rows)),
+        nonzero=tuple(tuple(sorted(row)) for row in nonzero),
+    )
+    assert det_blocks(planted).poly == det_direct(planted.reduced)
+    assert det_blocks(planted).poly != det_blocks(dec).poly

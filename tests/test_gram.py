@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -8,6 +9,7 @@ from diagram_gram.gram import (
     ResourceGuardError,
     WindowError,
     build_gram,
+    count_row_configs,
     enumerate_diagrams,
     projected_dimension,
     standard_diagram,
@@ -15,6 +17,7 @@ from diagram_gram.gram import (
 from diagram_gram.partitions import SetPartition
 from diagram_gram.polynomials import Poly
 from diagram_gram.semisimplicity import admissible_profiles
+from diagram_gram.stirling import binomial
 from diagram_gram.z2diagrams import Z2Diagram, top_index
 
 
@@ -128,6 +131,32 @@ def test_projected_dimension_matches_enumeration():
                     enumerate_diagrams(algebra, k, s1, s2)
                 )
     assert projected_dimension("z2", 4, 0, 0) == 164
+
+
+@lru_cache(maxsize=None)
+def count_row_configs_recursive(k, s1, s2, r1, r2):
+    """Row configurations counted by recursion over the unit containing
+    the smallest unplaced fiber; a conjugate-pair unit of size m carries
+    2**(m-1) sign choices."""
+    if min(s1, s2, r1, r2) < 0:
+        return 0
+    if k == 0:
+        return 1 if (s1, s2, r1, r2) == (0, 0, 0, 0) else 0
+    total = 0
+    for m in range(1, k + 1):
+        ways = binomial(k - 1, m - 1)
+        epair = ways * 2 ** (m - 1)
+        total += epair * count_row_configs_recursive(k - m, s1 - 1, s2, r1, r2)
+        total += epair * count_row_configs_recursive(k - m, s1, s2, r1 - 1, r2)
+        total += ways * count_row_configs_recursive(k - m, s1, s2 - 1, r1, r2)
+        total += ways * count_row_configs_recursive(k - m, s1, s2, r1, r2 - 1)
+    return total
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_row_config_closed_form_matches_the_recursion(k):
+    for args in itertools.product(range(-1, k + 2), repeat=4):
+        assert count_row_configs(k, *args) == count_row_configs_recursive(k, *args), args
 
 
 def test_standard_diagram_roundtrip():

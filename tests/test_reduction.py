@@ -307,3 +307,19 @@ def test_poset_honours_the_guard():
         coarsening_poset("partition", 2, 1, 0, guard=1)
     with pytest.raises(ResourceGuardError):
         reduced_decomposition("z2", 2, 1, 0, 1)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_nonzero_pattern_matches_a_dense_scan(profile):
+    dec = reduced_decomposition(*profile)
+    n = len(dec.reduced)
+    assert dec.nonzero == tuple(
+        tuple(v for v in range(n) if not dec.reduced[u][v].is_zero()) for u in range(n)
+    )
+    cell_of = {m: label for label, members in dec.cells for m in members}
+    assert dec.offblock_violations == tuple(
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if cell_of[u] != cell_of[v] and not dec.reduced[u][v].is_zero()
+    )

@@ -2,6 +2,7 @@ import pytest
 
 from diagram_gram.gram import enumerate_diagrams, standard_diagram
 from diagram_gram.stirling import (
+    binomial,
     count_coarser_bruteforce,
     gen_stirling_z2,
     stirling2,
@@ -14,6 +15,14 @@ def test_stirling2_examples():
     assert stirling2(4, 2) == 7
     assert all(stirling2(n, n) == 1 for n in range(6))
     assert stirling2(5, 2) == 15
+
+
+def test_stirling2_satisfies_its_recurrence():
+    for n in range(1, 60):
+        for k in range(1, n + 1):
+            assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    assert stirling2(3, 4) == stirling2(-1, 0) == stirling2(2, -1) == 0
+    assert stirling2(2000, 1999) == binomial(2000, 2)
 
 
 def test_gen_stirling_z2_spot_values():
