@@ -123,7 +123,7 @@ def cmd_gram(args) -> int:
 def cmd_reduce(args) -> int:
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
-    decomposition = reduce_gram(gram, args.guard)
+    decomposition = reduce_gram(gram)
     # the checksum hashes T as dense rows, the form it has always pinned
     n = gram.dimension()
     rows = [[0] * n for _ in range(n)]
@@ -172,7 +172,7 @@ def cmd_det(args) -> int:
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
     direct = det_direct(gram.entries)
-    decomposition = reduce_gram(gram, args.guard)
+    decomposition = reduce_gram(gram)
     blocks = det_blocks(decomposition)
     payload = {
         "algebra": gram.algebra,
@@ -270,7 +270,7 @@ def cmd_verify(args) -> int:
     )
     for line in report.describe():
         lines.append(f"        {line}")
-    reduced = published_reduced_report(reduce_gram(gram, args.guard))
+    reduced = published_reduced_report(reduce_gram(gram), report)
     blocks_ok = all(
         b["size_ok"] and b["diag_ok"] and b["structure_ok"] for b in reduced["scalar_blocks"]
     )

@@ -94,13 +94,14 @@ def alpha_sort_key(alpha) -> tuple[int, ...]:
     return tuple(-p for part in alpha for p in part)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Square monomial matrix over an ordered diagram basis.
 
     `exponents[u][v]` is e for the entry x**e, or None for a zero entry.
     For the plain partition algebra the profile is stored as s1 == s,
-    s2 == 0.
+    s2 == 0. A matrix hashes and compares by identity, so the stages that
+    read it (`reduction.coarsening_poset`) can be cached per matrix.
     """
 
     algebra: str

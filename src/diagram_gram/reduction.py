@@ -15,7 +15,9 @@ collecting the diagrams whose classes are all singletons covering every
 fiber (their natural coarsenings leave the signed family, so their entries
 keep extra terms).
 
-The poset is read off the Gram matrix (poset duality): u lies below v iff
+The poset is read off the Gram matrix handed in (poset duality), and cached
+per matrix: no stage below `build_gram` looks a matrix up by its profile,
+so the guard applies only where a basis is enumerated. u lies below v iff
 G[u][v] == G[u][u], that is, iff the product u.v keeps every through block
 and has as many loops as u has with itself. A nonzero entry G[u][v] is
 x**(#join - target), with join the join of the row partitions P_u and P_v
@@ -78,13 +80,11 @@ from functools import lru_cache
 from itertools import compress
 from operator import attrgetter
 
-from .families import FAMILIES
 from .gram import (
     DEFAULT_GUARD,
     DiagramKey,
     GramMatrix,
     build_gram,
-    enumerate_diagrams,
     row_partition_groups,
 )
 from .polynomials import Poly, phi_z2
@@ -176,37 +176,29 @@ class CoarseningPoset:
 
 
 @lru_cache(maxsize=None)
-def coarsening_poset(
-    algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD
-) -> CoarseningPoset:
-    """Coarsening order of the basis: u below v iff G[u][v] == G[u][u].
+def coarsening_poset(gram: GramMatrix) -> CoarseningPoset:
+    """Coarsening order of `gram`'s basis: u below v iff G[u][v] == G[u][u].
 
-    The exponents are compared; the diagonal is never zero. See the module
-    docstring for why the equality is the coarsening order.
+    Read off the exponents of the matrix handed in, and cached per matrix
+    (`GramMatrix` hashes by identity). The diagonal is never zero. See the
+    module docstring for why the equality is the coarsening order.
     """
-    gram = build_gram(algebra, k, s1, s2, guard)
     leq = tuple(
         tuple(e == row[u] for e in row) for u, row in enumerate(gram.exponents)
     )
     return CoarseningPoset(gram.keys, leq)
 
 
-def minimal_common_coarsening(
-    algebra: str, k: int, s1: int, s2: int, u: int, v: int, guard: int = DEFAULT_GUARD
-):
-    """Index of the finest diagram coarser than both basis elements, or None.
+def minimal_common_coarsening(gram: GramMatrix, u: int, v: int):
+    """Index of the finest diagram of `gram`'s basis coarser than both basis
+    elements u and v, or None.
 
     Applies when the product of the two diagrams keeps the full through
-    count. Both u, v and the returned index refer to the unrestricted
-    family's basis (the search runs there even when called for the signed
-    algebra). Raises if the minimum is not unique.
+    count. Raises if the minimum is not unique.
     """
-    family = FAMILIES[algebra]
-    basis = enumerate_diagrams(family.ambient, k, s1, s2, guard)
-    diagrams = [d for _, d in basis]
-    target = family.through_count(s1, s2)
+    diagrams = gram.diagrams
     prod, _ = diagrams[u].multiply(diagrams[v])
-    if prod.propagating_number() != target:
+    if prod.propagating_number() != gram.through_count():
         return None
     candidates = [
         w
@@ -441,9 +433,9 @@ def _cells_of(gram: GramMatrix):
     return tuple((label, tuple(members)) for label, members in ordered)
 
 
-def reduce_gram(gram: GramMatrix, guard: int = DEFAULT_GUARD) -> BlockDecomposition:
+def reduce_gram(gram: GramMatrix) -> BlockDecomposition:
     """Congruence-reduce a Gram matrix and compare against the closed forms."""
-    poset = coarsening_poset(gram.algebra, gram.k, gram.s1, gram.s2, guard)
+    poset = coarsening_poset(gram)
     transform = _zeta_inverse(poset)
     reduced = _congruence(transform, gram.exponents)
     # a Poly is zero iff its coefficient tuple is empty
@@ -469,7 +461,7 @@ def reduce_gram(gram: GramMatrix, guard: int = DEFAULT_GUARD) -> BlockDecomposit
 def reduced_decomposition(
     algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD
 ) -> BlockDecomposition:
-    return reduce_gram(build_gram(algebra, k, s1, s2, guard), guard)
+    return reduce_gram(build_gram(algebra, k, s1, s2, guard))
 
 
 def predicted_blocks(gram: GramMatrix, cells=None) -> dict:

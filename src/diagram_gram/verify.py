@@ -52,12 +52,12 @@ def _timed(fn):
 # -- individual checks -----------------------------------------------------------
 
 
-def check_gram_invariants(k_max: int = 3, k_max_partition: int = 4, guard: int = DEFAULT_GUARD):
+def check_gram_invariants(k_max: int = 3, guard: int = DEFAULT_GUARD):
     """Symmetry, monic integral determinant, degree dominance, det agreement."""
 
     def run():
         failures = []
-        for algebra, top in (("partition", k_max_partition), ("z2", k_max), ("signed", k_max)):
+        for algebra, top in (("partition", k_max + 1), ("z2", k_max), ("signed", k_max)):
             for k in range(1, top + 1):
                 for s1, s2 in FAMILIES[algebra].profiles(k):
                     # the guard goes in positionally, as reduced_decomposition
@@ -98,12 +98,12 @@ def check_gram_invariants(k_max: int = 3, k_max_partition: int = 4, guard: int =
     return CheckResult("gram-invariants", *_timed(run))
 
 
-def check_block_closed_forms(k_max: int = 3, k_max_partition: int = 4, guard: int = DEFAULT_GUARD):
+def check_block_closed_forms(k_max: int = 3, guard: int = DEFAULT_GUARD):
     """Reduced blocks match the closed forms; only known informative diffs."""
 
     def run():
         failures = []
-        for algebra, top in (("partition", k_max_partition), ("z2", k_max), ("signed", k_max)):
+        for algebra, top in (("partition", k_max + 1), ("z2", k_max), ("signed", k_max)):
             for k in range(1, top + 1):
                 for s1, s2 in FAMILIES[algebra].profiles(k):
                     decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
@@ -132,7 +132,7 @@ def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
                     gram = build_gram(algebra, k, s1, s2, guard)
                     diagrams, keys = gram.diagrams, gram.keys
                     target = gram.through_count()
-                    poset = coarsening_poset(algebra, k, s1, s2, guard)
+                    poset = coarsening_poset(gram)
                     n = len(diagrams)
                     for u in range(n):
                         degu = gram.diagonal_degree(keys[u])
@@ -152,11 +152,11 @@ def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
                                     "row-partition view differs from the oracle"
                                 )
                     if family.ambient != algebra:
-                        continue  # the join search indexes the ambient basis
+                        continue  # a join can lie outside the signed basis
                     for u in range(n):
                         for v in range(u, n):
                             try:
-                                w = minimal_common_coarsening(algebra, k, s1, s2, u, v, guard)
+                                w = minimal_common_coarsening(gram, u, v)
                             except RuntimeError as exc:
                                 failures.append(f"{algebra} k={k} ({s1},{s2}): {exc}")
                                 continue
@@ -176,7 +176,7 @@ def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
     return CheckResult("poset-duality", *_timed(run))
 
 
-def check_oracle_equivalence(k_max: int = 3, k_max_partition: int = 4, guard: int = DEFAULT_GUARD):
+def check_oracle_equivalence(k_max: int = 3, guard: int = DEFAULT_GUARD):
     """Closed-formula coarser counts equal the brute-force enumeration."""
 
     def run():
@@ -194,7 +194,7 @@ def check_oracle_equivalence(k_max: int = 3, k_max_partition: int = 4, guard: in
                                         f"{algebra} k={k} ({s1},{s2}) r=({key.r1},{key.r2}) "
                                         f"p=({p1},{p2}): oracle {got} vs formula {want}"
                                     )
-        for k in range(1, k_max_partition + 1):
+        for k in range(1, k_max + 2):
             for s in range(k + 1):
                 for key, diagram in enumerate_diagrams("partition", k, s, 0, guard):
                     for p in range(key.r1 + 1):
@@ -250,6 +250,31 @@ def check_stirling_recurrences():
     return CheckResult("stirling-recurrences", *_timed(run))
 
 
+def _shift_holds(t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
+    """The shift identity with a = r1 - t1, b = r2 - t2:
+
+    phi(s1+t1, s2+t2, a, b) = phi(s1-t1, s2-t2, a, b)
+        - sum over (m, m') != (0, 0) of c(t1, a, m) 2**m c(t2, b, m')
+          phi(s1+t1, s2+t2, a-m, b-m'),
+
+    with c(t, r, m) = C(2t, m) C(r, m) m!. At t2 = 0 (t1 = 0) the m' (m)
+    sum and the cross terms are empty, leaving the first- (second-) family
+    identity.
+    """
+
+    def coeff(t, r, m):
+        return binomial(2 * t, m) * binomial(r, m) * math.factorial(m)
+
+    a, b = r1 - t1, r2 - t2
+    rhs = phi_z2(s1 - t1, s2 - t2, a, b)
+    for m in range(2 * t1 + 1):
+        for mp in range(2 * t2 + 1):
+            if m or mp:
+                c = coeff(t1, a, m) * 2**m * coeff(t2, b, mp)
+                rhs = rhs - phi_z2(s1 + t1, s2 + t2, a - m, b - mp).scalar_mul(c)
+    return phi_z2(s1 + t1, s2 + t2, a, b) == rhs
+
+
 def check_phi_identities():
     """Shift identities between the named polynomial families.
 
@@ -264,24 +289,14 @@ def check_phi_identities():
                 for s2 in range(3):
                     for r1 in range(5):
                         for r2 in range(4):
-                            lhs = phi_z2(s1 + t, s2, r1 - t, r2)
-                            rhs = phi_z2(s1 - t, s2, r1 - t, r2)
-                            for m in range(1, 2 * t + 1):
-                                c = binomial(2 * t, m) * binomial(r1 - t, m) * 2**m * math.factorial(m)
-                                rhs = rhs - phi_z2(s1 + t, s2, r1 - t - m, r2).scalar_mul(c)
-                            if lhs != rhs:
+                            if not _shift_holds(t, 0, s1, s2, r1, r2):
                                 failures.append(f"first-family shift {t},{s1},{s2},{r1},{r2}")
         for t in range(3):
             for s2 in range(t, 5):
                 for s1 in range(3):
                     for r2 in range(5):
                         for r1 in range(4):
-                            lhs = phi_z2(s1, s2 + t, r1, r2 - t)
-                            rhs = phi_z2(s1, s2 - t, r1, r2 - t)
-                            for m in range(1, 2 * t + 1):
-                                c = binomial(2 * t, m) * binomial(r2 - t, m) * math.factorial(m)
-                                rhs = rhs - phi_z2(s1, s2 + t, r1, r2 - t - m).scalar_mul(c)
-                            if lhs != rhs:
+                            if not _shift_holds(0, t, s1, s2, r1, r2):
                                 failures.append(f"second-family shift {t},{s1},{s2},{r1},{r2}")
         for t1 in range(2):
             for t2 in range(2):
@@ -289,23 +304,10 @@ def check_phi_identities():
                     for s2 in range(t2, 4):
                         for r1 in range(4):
                             for r2 in range(4):
-                                lhs = phi_z2(s1 + t1, s2 + t2, r1 - t1, r2 - t2)
-                                rhs = phi_z2(s1 - t1, s2 - t2, r1 - t1, r2 - t2)
-                                for m in range(1, 2 * t1 + 1):
-                                    c = binomial(2 * t1, m) * binomial(r1 - t1, m) * 2**m * math.factorial(m)
-                                    rhs = rhs - phi_z2(s1 + t1, s2 + t2, r1 - t1 - m, r2 - t2).scalar_mul(c)
-                                for m in range(1, 2 * t2 + 1):
-                                    c = binomial(2 * t2, m) * binomial(r2 - t2, m) * math.factorial(m)
-                                    rhs = rhs - phi_z2(s1 + t1, s2 + t2, r1 - t1, r2 - t2 - m).scalar_mul(c)
-                                for m in range(1, 2 * t1 + 1):
-                                    for mp in range(1, 2 * t2 + 1):
-                                        c = (
-                                            binomial(2 * t1, m) * binomial(r1 - t1, m) * 2**m * math.factorial(m)
-                                            * binomial(2 * t2, mp) * binomial(r2 - t2, mp) * math.factorial(mp)
-                                        )
-                                        rhs = rhs - phi_z2(s1 + t1, s2 + t2, r1 - t1 - m, r2 - t2 - mp).scalar_mul(c)
-                                if lhs != rhs:
-                                    failures.append(f"combined shift {t1},{t2},{s1},{s2},{r1},{r2}")
+                                if not _shift_holds(t1, t2, s1, s2, r1, r2):
+                                    failures.append(
+                                        f"combined shift {t1},{t2},{s1},{s2},{r1},{r2}"
+                                    )
         return not failures, "; ".join(failures[:5]) or "all shift identities hold"
 
     return CheckResult("phi-identities", *_timed(run))
@@ -369,10 +371,10 @@ def run_all_checks(k_max: int = 3, guard: int = DEFAULT_GUARD):
     if not 1 <= k_max <= 3:
         raise WindowError(f"verify runs at k from 1 to 3, got {k_max}")
     checks = [
-        check_gram_invariants(k_max, k_max + 1, guard),
-        check_block_closed_forms(k_max, k_max + 1, guard),
+        check_gram_invariants(k_max, guard),
+        check_block_closed_forms(k_max, guard),
         check_poset_duality(k_max, guard),
-        check_oracle_equivalence(k_max, k_max + 1, guard),
+        check_oracle_equivalence(k_max, guard),
         check_stirling_recurrences(),
         check_phi_identities(),
         check_monomial_expansion(),

@@ -13,21 +13,16 @@ from diagram_gram.determinant import det_blocks, det_direct
 from diagram_gram.golden import published_gram_report, published_reduced_report, load_fixture
 from diagram_gram.gram import build_gram, enumerate_diagrams, standard_diagram
 from diagram_gram.polynomials import Poly, phi_z2
-from diagram_gram.reduction import reduce_gram, reduced_decomposition
+from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import global_poly, verdict
 from diagram_gram.stirling import count_coarser_bruteforce, gen_stirling_z2
-from diagram_gram.verify import (
-    check_block_closed_forms,
-    check_gram_invariants,
-    check_monomial_expansion,
-    check_oracle_equivalence,
-    check_phi_identities,
-    check_poset_duality,
-    check_stirling_recurrences,
-    check_zero_profile_blocks,
-)
 
 PUBLISHED_PARAMS = ("signed", 3, 1, 0)
+
+
+def _check(checks, name):
+    """The named result of the shared `run_all_checks(3)` run (conftest)."""
+    return next(check for check in checks if check.name == name)
 
 
 def _report(number: int, label: str, ok: bool = True, extra: str = ""):
@@ -77,7 +72,7 @@ def test_criterion_02_published_gram_matrix():
 def test_criterion_03_published_reduction():
     t0 = time.monotonic()
     decomposition = reduced_decomposition(*PUBLISHED_PARAMS)
-    out = published_reduced_report(decomposition)
+    out = published_reduced_report(decomposition, published_gram_report(decomposition.gram))
     elapsed = time.monotonic() - t0
     scalar_ok = all(
         b["size_ok"] and b["diag_ok"] and b["structure_ok"] for b in out["scalar_blocks"]
@@ -98,7 +93,7 @@ def test_criterion_03_published_reduction():
             f"{elapsed:.2f}s")
 
 
-def test_criterion_04_stirling_table_and_recurrences():
+def test_criterion_04_stirling_table_and_recurrences(checks_k3):
     t0 = time.monotonic()
     fixture = load_fixture("stirling_table.json")
     mismatched = []
@@ -132,8 +127,8 @@ def test_criterion_04_stirling_table_and_recurrences():
                 f"formula; oracle at ({s1},{s2}) counts {oracle}, formula {formula} "
                 "(printed value is a suspected typo)"
             )
-    recurrences = check_stirling_recurrences()
-    elapsed = time.monotonic() - t0
+    recurrences = _check(checks_k3, "stirling-recurrences")
+    elapsed = time.monotonic() - t0 + recurrences.seconds
     ok = (
         mismatched == [((1, 2), (1, 1))]
         and arbitration_ok
@@ -144,32 +139,31 @@ def test_criterion_04_stirling_table_and_recurrences():
                "and recurrences", ok, f"{elapsed:.2f}s")
 
 
-def test_criterion_05_oracle_equivalence():
-    result = check_oracle_equivalence(3, 4)
+def test_criterion_05_oracle_equivalence(checks_k3):
+    result = _check(checks_k3, "stirling-oracle")
     ok = result.ok and result.seconds < 60.0
     _report(5, "formula == brute-force oracle on every basis diagram", ok,
             f"{result.seconds:.2f}s ({result.details})")
 
 
-def test_criterion_06_structural_invariants():
-    t0 = time.monotonic()
-    gram_res = check_gram_invariants(3, 4)
-    blocks_res = check_block_closed_forms(3, 4)
-    elapsed = time.monotonic() - t0
+def test_criterion_06_structural_invariants(checks_k3):
+    gram_res = _check(checks_k3, "gram-invariants")
+    blocks_res = _check(checks_k3, "block-closed-forms")
+    elapsed = gram_res.seconds + blocks_res.seconds
     ok = gram_res.ok and blocks_res.ok and elapsed < 120.0
     _report(6, "symmetry, monic integral determinants, degree dominance, "
                "det(G) == det(reduced) == block product, off-block zeros", ok,
             f"{elapsed:.2f}s")
 
 
-def test_criterion_07_poset_duality():
-    result = check_poset_duality(3)
+def test_criterion_07_poset_duality(checks_k3):
+    result = _check(checks_k3, "poset-duality")
     _report(7, "coarsening == loop-count criterion; unique minimal joins",
             result.ok, f"{result.seconds:.2f}s")
 
 
-def test_criterion_08_polynomial_identities():
-    result = check_phi_identities()
+def test_criterion_08_polynomial_identities(checks_k3):
+    result = _check(checks_k3, "phi-identities")
     _report(8, "shift identities between the diagonal product families",
             result.ok, f"{result.seconds:.2f}s")
 
@@ -196,13 +190,13 @@ def test_criterion_09_semisimplicity():
             headline and agree and symbolic, f"{elapsed:.2f}s")
 
 
-def test_criterion_10_zero_profile_blocks():
-    result = check_zero_profile_blocks(3)
+def test_criterion_10_zero_profile_blocks(checks_k3):
+    result = _check(checks_k3, "zero-profile-blocks")
     _report(10, "empty-profile block diagonals equal the bare products",
             result.ok, f"{result.seconds:.2f}s")
 
 
-def test_supplementary_monomial_expansion():
-    result = check_monomial_expansion()
+def test_supplementary_monomial_expansion(checks_k3):
+    result = _check(checks_k3, "monomial-expansion")
     print(f"[acceptance] supplement monomial expansion: {'PASS' if result.ok else 'FAIL'}")
     assert result.ok, result.details

@@ -56,7 +56,7 @@ def test_permutation_respects_cells():
 
 def test_reduced_blocks_match_published():
     dec = reduced_decomposition("signed", 3, 1, 0)
-    out = published_reduced_report(dec)
+    out = published_reduced_report(dec, published_gram_report(dec.gram))
     for block in out["scalar_blocks"]:
         assert block["size_ok"] and block["diag_ok"] and block["structure_ok"]
     rho = out["rho"]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -89,7 +90,7 @@ def test_entries_render_the_exponent_grid():
 @pytest.mark.parametrize("profile", PROFILES, ids=str)
 def test_packed_congruence_matches_oracle(profile):
     gram = build_gram(*profile)
-    columns = _zeta_inverse(coarsening_poset(*profile))
+    columns = _zeta_inverse(coarsening_poset(gram))
     assert _congruence(columns, gram.exponents) == congruence_oracle(dense(columns), gram.entries)
 
 
@@ -118,7 +119,7 @@ def test_poset_is_a_partial_order():
     for algebra in ("partition", "z2", "signed"):
         for k in (1, 2, 3):
             for s1, s2 in admissible_profiles(algebra, k):
-                poset = coarsening_poset(algebra, k, s1, s2)
+                poset = coarsening_poset(build_gram(algebra, k, s1, s2))
                 n = len(poset.keys)
                 leq = poset.leq
                 for u in range(n):
@@ -138,7 +139,7 @@ def test_poset_counts_agree_with_bruteforce_oracle():
     for algebra in ("partition", "z2"):
         for k in (1, 2, 3):
             for s1, s2 in admissible_profiles(algebra, k):
-                poset = coarsening_poset(algebra, k, s1, s2)
+                poset = coarsening_poset(build_gram(algebra, k, s1, s2))
                 basis = enumerate_diagrams(algebra, k, s1, s2)
                 n = len(basis)
                 for v in range(n):
@@ -160,7 +161,7 @@ def test_rho_detection():
     assert len(rho) == 9
     assert {(key.r1, key.r2) for key in rho} == {(1, 1), (2, 0)}
     # excluded coarsenings are genuinely absent from the signed family
-    signed = coarsening_poset("signed", 3, 1, 0)
+    signed = coarsening_poset(build_gram("signed", 3, 1, 0))
     assert all((key.r1, key.r2) != (0, 2) for key in signed.keys)
 
 
@@ -187,7 +188,7 @@ def test_transform_is_unitriangular_and_methods_agree():
         # the sparse columns hold exactly the nonzero entries
         assert all(c for col in mobius.transform for _, c in col)
         transform = dense(mobius.transform)
-        sequential = sequential_transform(coarsening_poset(algebra, k, s1, s2))
+        sequential = sequential_transform(coarsening_poset(gram))
         assert transform == sequential
         assert mobius.reduced == congruence_oracle(sequential, gram.entries)
         n = gram.dimension()
@@ -258,14 +259,14 @@ def test_join_in_family():
     for algebra in ("partition", "z2"):
         for k in (1, 2, 3):
             for s1, s2 in admissible_profiles(algebra, k):
-                basis = enumerate_diagrams(algebra, k, s1, s2)
-                diagrams = [d for _, d in basis]
+                gram = build_gram(algebra, k, s1, s2)
+                diagrams = gram.diagrams
                 n = len(diagrams)
                 target = s1 if algebra == "partition" else 2 * s1 + s2
                 for u in range(n):
-                    assert minimal_common_coarsening(algebra, k, s1, s2, u, u) == u
+                    assert minimal_common_coarsening(gram, u, u) == u
                 for u, v in itertools.combinations(range(n), 2):
-                    w = minimal_common_coarsening(algebra, k, s1, s2, u, v)
+                    w = minimal_common_coarsening(gram, u, v)
                     prod, _ = diagrams[u].multiply(diagrams[v])
                     if prod.propagating_number() != target:
                         assert w is None
@@ -299,14 +300,45 @@ def test_one_profile_is_enumerated_once():
 
 
 def test_poset_honours_the_guard():
+    # the guard applies where a basis is enumerated; an existing matrix
+    # reduces without one
     n = len(enumerate_diagrams("z2", 2, 1, 0))
-    assert len(coarsening_poset("z2", 2, 1, 0, n).keys) == n
     with pytest.raises(ResourceGuardError):
-        coarsening_poset("z2", 2, 1, 0, n - 1)
+        build_gram("z2", 2, 1, 0, n - 1)
     with pytest.raises(ResourceGuardError):
-        coarsening_poset("partition", 2, 1, 0, guard=1)
+        reduced_decomposition("z2", 2, 1, 0, n - 1)
     with pytest.raises(ResourceGuardError):
-        reduced_decomposition("z2", 2, 1, 0, 1)
+        reduced_decomposition("partition", 2, 1, 0, 1)
+    gram = build_gram("z2", 2, 1, 0, n)
+    assert len(coarsening_poset(gram).keys) == n
+    assert len(reduce_gram(gram).transform) == n
+
+
+def test_reduce_gram_builds_no_second_matrix():
+    for cached in (enumerate_diagrams, build_gram, coarsening_poset, reduced_decomposition):
+        cached.cache_clear()
+    reduce_gram(build_gram("z2", 3, 1, 0, 5000))
+    assert build_gram.cache_info().misses == 1
+
+
+def test_reduce_gram_reads_the_grid_it_is_handed():
+    # plant a relation u <= v with u below v in the basis order, so the
+    # planted grid still has an upper triangular order
+    gram = build_gram("z2", 3, 1, 0)
+    grid = gram.exponents
+    u, v = next(
+        (u, v)
+        for v in range(len(grid))
+        for u in range(v)
+        if grid[u][u] < grid[v][v] and grid[u][v] != grid[u][u]
+    )
+    rows = [list(row) for row in grid]
+    rows[u][v] = rows[v][u] = grid[u][u]
+    planted = dataclasses.replace(gram, exponents=tuple(map(tuple, rows)))
+    assert coarsening_poset(planted).leq[u][v]
+    transform = reduce_gram(planted).transform
+    assert transform == _zeta_inverse(coarsening_poset(planted))
+    assert transform != reduce_gram(gram).transform
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=str)

@@ -57,8 +57,9 @@ def test_gram_entries_match_products(profile):
 
 @pytest.mark.parametrize("profile", PROFILES, ids=str)
 def test_poset_matches_coarsening_oracle(profile):
-    poset = coarsening_poset(*profile)
-    diagrams = build_gram(*profile).diagrams
+    gram = build_gram(*profile)
+    poset = coarsening_poset(gram)
+    diagrams = gram.diagrams
     for du, row in zip(diagrams, poset.leq):
         assert row == tuple(diagram_coarser_or_equal(du, dv) for dv in diagrams)
 
@@ -66,7 +67,7 @@ def test_poset_matches_coarsening_oracle(profile):
 @pytest.mark.parametrize("profile", PROFILES, ids=str)
 def test_basis_order_extends_the_poset(profile):
     # _zeta_inverse solves in basis order, which needs leq upper triangular
-    leq = coarsening_poset(*profile).leq
+    leq = coarsening_poset(build_gram(*profile)).leq
     assert all(u <= v for u, row in enumerate(leq) for v, below in enumerate(row) if below)
 
 
@@ -101,8 +102,9 @@ def test_random_k4_entries_match_products(profile, data):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(K4_PROFILES), st.data())
 def test_random_k4_poset_matches_coarsening_oracle(profile, data):
-    poset = coarsening_poset(*profile)
-    diagrams = build_gram(*profile).diagrams
+    gram = build_gram(*profile)
+    poset = coarsening_poset(gram)
+    diagrams = gram.diagrams
     u = data.draw(st.integers(0, len(diagrams) - 1))
     v = data.draw(st.integers(0, len(diagrams) - 1))
     assert poset.leq[u][v] == diagram_coarser_or_equal(diagrams[u], diagrams[v])

@@ -1,17 +1,8 @@
 """The aggregated suite and its CLI frontend."""
 
-import pytest
-
 from diagram_gram import cli
 from diagram_gram.cli import main
 from diagram_gram.gram import DEFAULT_GUARD
-from diagram_gram.verify import run_all_checks
-
-
-@pytest.fixture(scope="module")
-def checks_k3():
-    # the suite at k=3 takes seconds; both tests below read this one run
-    return run_all_checks(3)
 
 
 def test_run_all_checks_pass(checks_k3):
