@@ -1,11 +1,25 @@
 """Exact determinants of polynomial matrices by evaluation-interpolation.
 
-Polynomial matrices here have integer coefficients; `det_direct` recovers
-the determinant from integer determinants (fraction-free Bareiss
-elimination) at enough consecutive integer points, followed by exact
-Lagrange interpolation over the rationals. Applied to a whole Gram matrix
-it is independent of the block reduction and cross-validates it; it is also
-the production path for every coupled component of a reduced matrix.
+Polynomial matrices here have integer coefficients. `det_direct` reads
+only the matrix it is given: applied to a whole Gram matrix it is
+independent of the block reduction and cross-validates it; it is also the
+production path for every coupled component of a reduced matrix.
+
+Row shift. Let v_i and h_i be the lowest and the highest power of x in
+row i. Every term of the Leibniz expansion takes one entry from each row,
+so it is divisible by x^(Σv_i) and has degree at most Σh_i. Hence
+det = x^(Σv_i)·Q, where Q is the determinant of the matrix with row i
+divided by x^(v_i), and deg Q <= D = Σ(h_i - v_i).
+
+Window. Q is evaluated at the D+1 consecutive integers -⌊D/2⌋..⌈D/2⌉,
+which keeps |x|, and with it the integers of the elimination, small. Each
+integer determinant comes from fraction-free Bareiss elimination, whose
+divisions are exact.
+
+Interpolation. Q has integer coefficients, so D!·Q, written in Newton's
+forward form on the window, has integer coefficients too, and dividing
+them by D! leaves no remainder. A remainder can only come from values that
+no integer polynomial of degree <= D takes, and it raises ValueError.
 
 `det_blocks` reads the reduced matrix's nonzero pattern
 (`BlockDecomposition.nonzero`): with rows and columns permuted alike so
@@ -17,8 +31,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import factorial
+from operator import mul
 
 from .partitions import UnionFind
 from .polynomials import Poly, linear_factor, quadratic_factor
@@ -52,82 +67,121 @@ class DetResult:
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
+    """Fraction-free determinant of an integer matrix (Bareiss).
+
+    Each step replaces the active block by the next, one row smaller and one
+    column narrower, with one list comprehension per row. Every entry of a
+    block is a minor of the input (Sylvester's identity), so the division by
+    the previous pivot is exact. A row whose pivot-column entry is 0 is only
+    rescaled by piv / prev.
+    """
+    block = rows
     sign = 1
     prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
+    while len(block) > 1:
+        if block[0][0] == 0:
+            p = next((r for r, row in enumerate(block) if row[0] != 0), None)
+            if p is None:
                 return 0
-        piv = m[i][i]
-        for r in range(i + 1, n):
-            mr = m[r]
-            mi = m[i]
-            factor = mr[i]
-            for c in range(i + 1, n):
-                mr[c] = (piv * mr[c] - factor * mi[c]) // prev
-            mr[i] = 0
+            block = [block[p], *block[1:p], block[0], *block[p + 1 :]]
+            sign = -sign
+        piv, head = block[0][0], block[0][1:]
+        nxt = []
+        for row in block[1:]:
+            f = row[0]
+            if f:
+                nxt.append([(piv * a - f * b) // prev for a, b in zip(row[1:], head)])
+            else:
+                nxt.append([piv * a // prev for a in row[1:]])
+        block = nxt
         prev = piv
-    return sign * m[n - 1][n - 1]
+    return sign * block[0][0] if block else 1
 
 
 def _interpolate(xs: list[int], ys: list[int]) -> Poly:
-    """Exact Newton interpolation through (xs[i], ys[i])."""
-    n = len(xs)
-    coeffs = [Fraction(y) for y in ys]  # divided differences, built in place
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly.zero()
-    basis = Poly.one()
-    for i in range(n):
-        poly = poly + basis.scalar_mul(coeffs[i])
-        basis = basis * linear_factor(xs[i])
-    return poly
+    """The polynomial of degree at most D = len(xs) - 1 through
+    (xs[i], ys[i]), for consecutive integers xs and integers ys.
+
+    Newton's forward formula scaled by D! has integer coefficients:
+    D!·p(x) = Σ_j (Δ^j y_0 · D!/j!) · (x - xs[0])···(x - xs[j-1]), with
+    Δ^j y_0 the forward differences of ys. A Horner pass expands it in
+    integers, and each coefficient is then divided by D!. A nonzero
+    remainder means p has a non-integer coefficient and raises ValueError.
+    """
+    if any(b - a != 1 for a, b in zip(xs, xs[1:])):
+        raise ValueError("_interpolate expects consecutive integer points")
+    diffs = []
+    level = list(ys)
+    while level:
+        diffs.append(level[0])
+        level = [b - a for a, b in zip(level, level[1:])]
+    d = len(xs) - 1
+    acc = [diffs[d]]  # ascending coefficients; weight is D!/j! at step j
+    weight = 1
+    for j in range(d - 1, -1, -1):
+        c = xs[j]
+        weight *= j + 1
+        acc = [a - c * b for a, b in zip([0, *acc], [*acc, 0])]
+        acc[0] += diffs[j] * weight
+    scale = factorial(d)
+    coeffs = []
+    for a in acc:
+        q, r = divmod(a, scale)
+        if r:
+            raise ValueError("interpolated values have a non-integer coefficient")
+        coeffs.append(q)
+    return Poly(coeffs)
 
 
 def det_direct(matrix) -> Poly:
-    """Determinant of a square polynomial matrix, exactly.
+    """Determinant of a square polynomial matrix with integer coefficients,
+    exactly.
 
-    Degree bound: sum over rows of the maximal entry degree. The matrix is
-    evaluated at the integers 0..bound; each integer determinant is computed
-    by fraction-free elimination and the results are interpolated.
+    Row i is divided by x^(v_i), its lowest power of x, which leaves
+    det = x^(Σv_i)·Q with deg Q <= D = Σ(h_i - v_i), h_i the row's highest
+    power (see the module docstring). Q is evaluated at the D+1 integers
+    -⌊D/2⌋..⌈D/2⌉, each entry from one table of powers of x per point,
+    and interpolated; since Q has integer coefficients, the
+    interpolation's division by D! is exact. An entry with a non-integer
+    coefficient raises ValueError before any evaluation.
     """
     n = len(matrix)
     if n == 0:
         return Poly.one()
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    bound = 0
+    lowest: dict[Poly, int] = {}
     for row in matrix:
-        degrees = [p.degree() for p in row if not p.is_zero()]
-        if not degrees:
+        for p in row:
+            if p and p not in lowest:
+                if not p.is_integral():
+                    raise ValueError("det_direct expects integer-coefficient entries")
+                lowest[p] = next(e for e, c in enumerate(p.coeffs) if c)
+    # each row as indices into the distinct shifted entries' coefficient
+    # tuples, numbered in order of appearance; the zero entry is () at 0
+    index: dict[tuple[int, ...], int] = {(): 0}
+    rows = []
+    valuation = bound = 0
+    for row in matrix:
+        nonzero = [p for p in row if p]
+        if not nonzero:
             return Poly.zero()
-        bound += max(degrees)
-    xs = list(range(bound + 1))
+        v = min(lowest[p] for p in nonzero)
+        valuation += v
+        bound += max(p.degree() for p in nonzero) - v
+        rows.append([index.setdefault(p.coeffs[v:], len(index)) for p in row])
+    table = list(index)
+    width = max(map(len, table))
 
     def det_at(x: int) -> int:
-        rows = []
-        for row in matrix:
-            vals = []
-            for p in row:
-                val = p.eval_at(x)
-                if not isinstance(val, int):
-                    raise ValueError("det_direct expects integer-coefficient entries")
-                vals.append(val)
-            rows.append(vals)
-        return _bareiss_int(rows)
+        powers = [1]
+        for _ in range(width - 1):
+            powers.append(powers[-1] * x)
+        values = [sum(map(mul, coeffs, powers)) for coeffs in table]
+        return _bareiss_int([list(map(values.__getitem__, keys)) for keys in rows])
 
-    return _interpolate(xs, [det_at(x) for x in xs])
+    xs = list(range(-(bound // 2), bound - bound // 2 + 1))
+    return Poly((0,) * valuation + _interpolate(xs, [det_at(x) for x in xs]).coeffs)
 
 
 def _components(nonzero) -> list[list[int]]:

@@ -5,14 +5,11 @@ test prints one PASS line on success (pytest shows it with -s, or on
 failure); the CLI `verify` subcommand runs the same underlying checks.
 """
 
-import math
 import time
 from fractions import Fraction
 
-from diagram_gram.determinant import det_blocks, det_direct
 from diagram_gram.golden import published_gram_report, published_reduced_report, load_fixture
 from diagram_gram.gram import build_gram, enumerate_diagrams, standard_diagram
-from diagram_gram.polynomials import Poly, phi_z2
 from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import global_poly, verdict
 from diagram_gram.stirling import count_coarser_bruteforce, gen_stirling_z2

@@ -1,11 +1,71 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diagram_gram.determinant import det_blocks, det_direct
+from diagram_gram.determinant import _components, _interpolate, det_blocks, det_direct
 from diagram_gram.gram import build_gram
-from diagram_gram.polynomials import Poly, phi_z2
+from diagram_gram.polynomials import Poly, linear_factor, phi_z2
 from diagram_gram.reduction import reduced_decomposition
+from test_reduction import PROFILES
+
+
+def _bareiss_reference(rows):
+    """Fraction-free determinant of an integer matrix, row by row."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            for r in range(i + 1, n):
+                if m[r][i] != 0:
+                    m[i], m[r] = m[r], m[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = m[i][i]
+        for r in range(i + 1, n):
+            mr, mi, factor = m[r], m[i], m[r][i]
+            for c in range(i + 1, n):
+                mr[c] = (piv * mr[c] - factor * mi[c]) // prev
+            mr[i] = 0
+        prev = piv
+    return sign * m[n - 1][n - 1]
+
+
+def newton_reference(xs, ys):
+    """Newton interpolation through (xs[i], ys[i]) over the rationals."""
+    n = len(xs)
+    coeffs = [Fraction(y) for y in ys]  # divided differences, built in place
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    poly = Poly.zero()
+    basis = Poly.one()
+    for i in range(n):
+        poly = poly + basis.scalar_mul(coeffs[i])
+        basis = basis * linear_factor(xs[i])
+    return poly
+
+
+def det_direct_reference(matrix):
+    """The determinant from the full matrix at the points 0..Σh_i, h_i the
+    highest power of x in row i: the oracle for `det_direct`."""
+    bound = 0
+    for row in matrix:
+        degrees = [p.degree() for p in row if not p.is_zero()]
+        if not degrees:
+            return Poly.zero()
+        bound += max(degrees)
+    xs = list(range(bound + 1))
+    ys = [_bareiss_reference([[p.eval_at(x) for p in row] for row in matrix]) for x in xs]
+    return newton_reference(xs, ys)
 
 
 def test_identity_and_diagonal():
@@ -88,3 +148,86 @@ def test_det_blocks_follows_a_planted_coupling():
     )
     assert det_blocks(planted).poly == det_direct(planted.reduced)
     assert det_blocks(planted).poly != det_blocks(dec).poly
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_det_direct_matches_the_reference_on_every_profile(profile):
+    decomposition = reduced_decomposition(*profile)
+    gram, reduced = decomposition.gram, decomposition.reduced
+    if gram.dimension() <= 50:
+        matrices = [gram.entries, reduced]
+    else:
+        # the whole matrices of the z2 and signed k=4 profiles (n = 73..244)
+        # take from seconds to many minutes each; check the coupled
+        # components that det_blocks hands to det_direct instead
+        matrices = [
+            tuple(tuple(reduced[i][j] for j in comp) for i in comp)
+            for comp in _components(decomposition.nonzero)
+            if len(comp) > 1
+        ]
+    for matrix in matrices:
+        assert det_direct(matrix) == det_direct_reference(matrix)
+
+
+@st.composite
+def row_shifted_matrices(draw):
+    """An integer polynomial matrix with a planted factor x^a_i in row i,
+    negative coefficients and zero entries; it may have a zero leading
+    entry and a duplicated row."""
+    n = draw(st.integers(1, 5))
+    entry = st.lists(st.integers(-4, 4), max_size=4).map(Poly)
+    rows = []
+    for _ in range(n):
+        shift = draw(st.integers(0, 3))
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+        rows.append([Poly((0,) * shift + p.coeffs) if p else p for p in row])
+    if draw(st.booleans()):
+        rows[0][0] = Poly.zero()
+    duplicated = n > 1 and draw(st.booleans())
+    if duplicated:
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    return tuple(map(tuple, rows)), duplicated
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_shifted_matrices())
+def test_det_direct_matches_the_reference_on_random_matrices(case):
+    matrix, duplicated = case
+    det = det_direct(matrix)
+    assert det == det_direct_reference(matrix)
+    if duplicated:
+        assert det.is_zero()
+
+
+@pytest.mark.parametrize("start", [-6, -1, 0, 3])
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-30, 30), max_size=7), st.integers(0, 3))
+def test_interpolate_matches_the_newton_oracle(start, coeffs, extra):
+    poly = Poly(coeffs)
+    xs = list(range(start, start + max(poly.degree(), 0) + extra + 1))
+    ys = [poly.eval_at(x) for x in xs]
+    assert _interpolate(xs, ys) == newton_reference(xs, ys) == poly
+
+
+def test_interpolate_through_one_point():
+    assert _interpolate([-2], [7]) == Poly([7])
+    assert _interpolate([5], [0]) == Poly.zero()
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([0, 1, 2], [0, 0, 1]),  # x(x-1)/2
+        ([-3, -2, -1, 0], [-10, -4, -1, 0]),  # x(x-1)(x-2)/6
+        ([0, 2], [1, 1]),  # not consecutive
+    ],
+)
+def test_interpolate_rejects_non_integer_coefficients(xs, ys):
+    with pytest.raises(ValueError):
+        _interpolate(xs, ys)
+
+
+def test_fraction_coefficient_rejected():
+    half = Poly([Fraction(1, 2), 1])
+    with pytest.raises(ValueError):
+        det_direct(((Poly.x(), Poly.one()), (Poly.one(), half)))

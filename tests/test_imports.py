@@ -1,7 +1,9 @@
-"""Every name a module of `diagram_gram` imports is used in that module.
+"""Every name a module of `diagram_gram` or a test file imports is used in
+that file.
 
-No linter is part of the toolchain, so this check parses each module with
-`ast`. `__init__.py` is left out: its imports are the package's exports.
+No linter is part of the toolchain, so this check parses each file with
+`ast`. The package's `__init__.py` is left out: its imports are the
+package's exports.
 """
 
 import ast
@@ -9,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "diagram_gram"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "diagram_gram"
+FILES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path", FILES, ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}"
 )
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -139,3 +139,11 @@ def test_symbolic_verdict_fails_on_a_zero_factor(monkeypatch):
     zero = DetResult(((Poly.x(), 1), (Poly.zero(), 1)))
     monkeypatch.setattr(semisimplicity, "global_poly", lambda *args: (zero, ()))
     assert not verdict("z2", 2, None).semisimple
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_partition_non_semisimple_integers_match_the_literature(k):
+    # P_k(q) is semisimple iff q is not in {0, ..., 2k-2} (Martin & Saleur
+    # 1994; Halverson & Ram, Eur. J. Combin. 26, 2005)
+    flagged = {q for q in range(-2, 2 * k + 3) if not verdict("partition", k, q).semisimple}
+    assert flagged == set(range(2 * k - 1))
