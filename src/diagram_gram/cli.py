@@ -18,6 +18,7 @@ from fractions import Fraction
 from .determinant import det_blocks, det_direct
 from .golden import published_gram_report, published_reduced_report
 from .gram import (
+    ALGEBRAS,
     DEFAULT_GUARD,
     ResourceGuardError,
     WindowError,
@@ -35,8 +36,17 @@ EXIT_DIFF = 2
 EXIT_GUARD = 3
 
 
+def _reject_unread(args, names, variant: str) -> None:
+    """A parameter error naming each of `names` that was given (not None)."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise WindowError(f"{variant} does not read {', '.join(given)}")
+
+
 def _profile_args(args) -> tuple[int, int]:
-    if args.algebra == "partition":
+    plain = args.algebra == "partition"
+    _reject_unread(args, ("s1", "s2") if plain else ("s",), f"the {args.algebra} algebra")
+    if plain:
         if args.s is None:
             raise WindowError("partition algebra requires --s")
         return args.s, 0
@@ -65,14 +75,12 @@ def _key_json(key) -> dict:
 def cmd_enumerate(args) -> int:
     s1, s2 = _profile_args(args)
     basis = enumerate_diagrams(args.algebra, args.k, s1, s2, args.guard)
+    # enumerate_diagrams numbers each contiguous (alpha, r1, r2) cell from 1
     cells: list[dict] = []
     for key, _ in basis:
-        cell = {"alpha": [list(p) for p in key.alpha], "r1": key.r1, "r2": key.r2}
-        if cells and cells[-1]["alpha"] == cell["alpha"] and (cells[-1]["r1"], cells[-1]["r2"]) == (key.r1, key.r2):
-            cells[-1]["size"] += 1
-        else:
-            cell["size"] = 1
-            cells.append(cell)
+        if key.i == 1:
+            cells.append({"alpha": [list(p) for p in key.alpha], "r1": key.r1, "r2": key.r2, "size": 0})
+        cells[-1]["size"] += 1
     if args.format == "pretty":
         lines = [f"{args.algebra} k={args.k} profile ({s1}, {s2}): {len(basis)} diagrams"]
         for key, diagram in basis:
@@ -201,15 +209,18 @@ def cmd_stirling(args) -> int:
     if args.format != "json" and not args.table:
         raise WindowError(f"--format {args.format} applies only to --table")
     if args.algebra == "partition":
+        _reject_unread(args, ("s1", "s2", "r1", "r2", "p1", "p2", "table"), "the partition variant")
         if None in (args.s, args.r, args.p):
             raise WindowError("partition variant requires --s, --r, --p")
         # a plain count is the doubled count at the flip-fixed slice
         value = gen_stirling_z2(0, args.s, 0, args.r, 0, args.p)
         _emit(args, json.dumps({"s": args.s, "r": args.r, "p": args.p, "value": str(value)}) + "\n")
         return EXIT_OK
+    _reject_unread(args, ("s", "r", "p"), "the doubled variant")
     if args.s1 is None or args.s2 is None:
         raise WindowError("doubled variant requires --s1 and --s2")
     if args.table:
+        _reject_unread(args, ("r1", "r2", "p1", "p2"), "--table")
         header = ["(r1,r2) \\ (p1,p2)"] + [f"2.{p1}+{p2}" for p1, p2 in TABLE_LABELS]
         rows = [header]
         for r1, r2 in TABLE_LABELS:
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         """--output, plus a profile, --guard, and --format when the
         subcommand renders more than JSON."""
         if profile:
-            p.add_argument("--algebra", choices=("partition", "z2", "signed"), required=True)
+            p.add_argument("--algebra", choices=ALGEBRAS, required=True)
             p.add_argument("--k", type=int, required=True)
             p.add_argument("--s", type=int, default=None, help="through count (partition)")
             p.add_argument("--s1", type=int, default=None)
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None)
         if guard:
             p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                           help="maximum matrix dimension (default 2000)")
+                           help="maximum matrix dimension (default %(default)s)")
 
     p = sub.add_parser("enumerate", help="ordered diagram basis for a profile")
     common(p, formats=("pretty",))
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_det)
 
     p = sub.add_parser("stirling", help="generalized coarser-diagram counts")
-    p.add_argument("--algebra", choices=("partition", "z2", "signed"), default="z2")
+    p.add_argument("--algebra", choices=ALGEBRAS, default="z2")
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
@@ -334,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=int, default=None)
     p.add_argument("--p1", type=int, default=None)
     p.add_argument("--p2", type=int, default=None)
-    p.add_argument("--table", action="store_true", help="print the full 8x8 grid")
+    p.add_argument("--table", action="store_true", default=None, help="print the full 8x8 grid")
     common(p, formats=("pretty",), profile=False, guard=False)
     p.set_defaults(fn=cmd_stirling)
 
     p = sub.add_parser("semisimple", help="semisimplicity verdict at exact rational q")
-    p.add_argument("--algebra", choices=("partition", "z2", "signed"), required=True)
+    p.add_argument("--algebra", choices=ALGEBRAS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", default=None, help='rational like "2" or "5/3"; omit for symbolic')
     common(p, profile=False)

@@ -36,7 +36,7 @@ from math import factorial
 from operator import mul
 
 from .partitions import UnionFind
-from .polynomials import Poly, linear_factor, quadratic_factor
+from .polynomials import Poly, phi_atoms
 
 __all__ = ["DetResult", "det_direct", "det_blocks"]
 
@@ -194,13 +194,6 @@ def _components(nonzero) -> list[list[int]]:
     return uf.blocks()
 
 
-def _phi_atoms(s1: int, s2: int, r1: int, r2: int) -> list[Poly]:
-    """Factors of phi_z2(s1, s2, r1, r2), in doubled coordinates."""
-    return [quadratic_factor(s1 + j) for j in range(r1)] + [
-        linear_factor(s2 + l) for l in range(r2)
-    ]
-
-
 def det_blocks(decomposition) -> DetResult:
     """Determinant of the reduced matrix, as a product over the connected
     components of its nonzero pattern.
@@ -218,7 +211,7 @@ def det_blocks(decomposition) -> DetResult:
         (u,) = comp
         entry, key = reduced[u][u], gram.keys[u]
         if entry == gram.phi(key):
-            factors.update(_phi_atoms(*gram.doubled(key)))
+            factors.update(phi_atoms(*gram.doubled(key)))
         else:
             factors[entry] += 1
     return DetResult.from_counts(factors)

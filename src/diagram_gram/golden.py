@@ -70,14 +70,13 @@ class GoldenReport:
 
 
 def _cells_in_order(gram: GramMatrix):
+    """Basis indices per (alpha, r1, r2) cell; each cell is numbered from i = 1."""
     cells = []
     for idx, key in enumerate(gram.keys):
-        cell_id = (key.alpha, key.r1, key.r2)
-        if cells and cells[-1][0] == cell_id:
-            cells[-1][1].append(idx)
-        else:
-            cells.append([cell_id, [idx]])
-    return [tuple(members) for _, members in cells]
+        if key.i == 1:
+            cells.append([])
+        cells[-1].append(idx)
+    return [tuple(members) for members in cells]
 
 
 def match_published_gram(gram: GramMatrix, fixture: dict | None = None) -> GoldenReport:

@@ -2,18 +2,25 @@
 
 Coefficients are Python ints wherever possible and `fractions.Fraction`
 otherwise; arithmetic never rounds. The named product families used for the
-reduced Gram-matrix diagonals live here as `phi_z2`; the plain partition
-family's falling products (x-s)...(x-s-r+1) are its slice phi_z2(0, s, 0, r).
+reduced Gram-matrix diagonals live here as `phi_z2`, the product of the atoms
+that `phi_atoms` lists; the plain partition family's falling products
+(x-s)...(x-s-r+1) are its slice phi_z2(0, s, 0, r).
+
+The atoms x-m and x^2-x-2m have integer roots only: x^2-x-2m has rational
+roots exactly when m = q(q-1)/2 for an integer q, and then factors as
+(x-q)(x-(1-q)). A witness names the one of lower level that vanishes at an
+integer q, the quadratic at equal m, for m < max(8, deg + 2).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["Poly", "phi_z2", "quadratic_factor", "linear_factor"]
+__all__ = ["Poly", "phi_atoms", "phi_z2", "quadratic_factor", "linear_factor"]
 
 
 def _normalize_scalar(c: Scalar) -> Scalar:
@@ -112,32 +119,6 @@ class Poly:
             return _ZERO
         return Poly([c * a for a in self.coeffs])
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact euclidean division over the rationals."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead = Fraction(other.coeffs[-1])
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return _ZERO, self
-        quo = [0] * (dq + 1)
-        for i in range(dq, -1, -1):
-            top = rem[i + len(other.coeffs) - 1]
-            if top == 0:
-                continue
-            q = _normalize_scalar(Fraction(top) / lead)
-            quo[i] = q
-            for j, c in enumerate(other.coeffs):
-                rem[i + j] -= q * c
-        return Poly(quo), Poly(rem)
-
-    def divides(self, other: "Poly") -> bool:
-        """True iff self divides other exactly."""
-        if self.is_zero():
-            return other.is_zero()
-        return other.divmod(self)[1].is_zero()
-
     def eval_at(self, q: Scalar) -> Scalar:
         acc: Scalar = 0
         for c in reversed(self.coeffs):
@@ -202,18 +183,20 @@ def linear_factor(m: int) -> Poly:
     return Poly([-m, 1])
 
 
+def phi_atoms(s1: int, s2: int, r1: int, r2: int) -> list[Poly]:
+    """The factors of phi_z2(s1, s2, r1, r2): r1 quadratics x^2-x-2(s1+j),
+    then r2 linear factors x-(s2+l); a negative count lists none."""
+    return [quadratic_factor(s1 + j) for j in range(r1)] + [
+        linear_factor(s2 + l) for l in range(r2)
+    ]
+
+
 def phi_z2(s1: int, s2: int, r1: int, r2: int) -> Poly:
     """Reduced diagonal polynomial for a cell with r1 paired and r2 fixed edges.
 
-    Product of r1 quadratics x^2-x-2(s1+j) and r2 linear factors x-(s2+l);
-    empty products are 1, and the convention for negative r1 or r2 is the
-    zero polynomial.
+    The product of `phi_atoms(s1, s2, r1, r2)`; empty products are 1, and the
+    convention for negative r1 or r2 is the zero polynomial.
     """
     if r1 < 0 or r2 < 0:
         return Poly.zero()
-    out = Poly.one()
-    for j in range(r1):
-        out = out * quadratic_factor(s1 + j)
-    for l in range(r2):
-        out = out * linear_factor(s2 + l)
-    return out
+    return math.prod(phi_atoms(s1, s2, r1, r2), start=Poly.one())

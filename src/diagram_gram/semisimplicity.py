@@ -7,6 +7,9 @@ f vanishes there. Only the profiles whose cell-module Gram matrices coincide
 with the combinatorial ones are assembled, so a "semisimple" answer is
 relative to the implemented factors; a "not semisimple" answer is
 unconditional.
+
+A witness cites the vanishing factor, or the atom of phi that vanishes at q
+and divides it (`_vanishing_atom`): only an integer q is a root of an atom.
 """
 
 from __future__ import annotations
@@ -32,22 +35,31 @@ class FactorRecord:
     s1: int
     s2: int
     poly: Poly
-    multiplicity: int
 
     def describe_at(self, q) -> str:
         """Human-readable witness; cites a named atom when one divides."""
-        atom = _vanishing_atom(self.poly, q)
-        if atom is not None:
-            return str(atom)
-        return str(self.poly)
+        return str(_vanishing_atom(self.poly, q) or self.poly)
 
 
 def _vanishing_atom(poly: Poly, q) -> Poly | None:
+    """The first atom, by ascending level m < max(8, deg + 2) and the
+    quadratic before the linear one at equal m, that vanishes at q and
+    divides poly.
+
+    Atoms have integer roots only: x-q at level q, and x^2-x-2m =
+    (x-q)(x-(1-q)) at level m = q(q-1)/2. Both are monic with simple roots,
+    so one divides poly exactly when poly vanishes at its roots.
+    """
+    q = Fraction(q)
+    if q.denominator != 1:
+        return None
+    q = q.numerator
+    level = q * (q - 1) // 2
+    atoms = [(level, quadratic_factor(level), (q, 1 - q)), (q, linear_factor(q), (q,))]
     bound = max(8, poly.degree() + 2)
-    for m in range(bound):
-        for atom in (quadratic_factor(m), linear_factor(m)):
-            if atom.eval_at(q) == 0 and atom.divides(poly):
-                return atom
+    for m, atom, roots in sorted(atoms, key=lambda a: a[0]):  # stable: quadratic first
+        if 0 <= m < bound and all(poly.eval_at(r) == 0 for r in roots):
+            return atom
     return None
 
 
@@ -96,12 +108,10 @@ def global_poly(algebra: str, k: int, guard: int = DEFAULT_GUARD):
     factors: Counter[Poly] = Counter()
     for s1, s2 in admissible_profiles(algebra, k):
         decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
-        if decomposition.gram.dimension() == 0:
-            continue
         for factor, mult in det_blocks(decomposition).factored:
             factors[factor] += mult
             if factor.degree() > 0:
-                records.append(FactorRecord(s1, s2, factor, mult))
+                records.append(FactorRecord(s1, s2, factor))
     return DetResult.from_counts(factors), tuple(records)
 
 

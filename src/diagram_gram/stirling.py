@@ -43,12 +43,8 @@ def stirling2(n: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(min(k, n - k)):
-        out = out * (n - i) // (i + 1)
-    return out
+    """C(n, k); zero unless 0 <= k <= n, so also for negative n."""
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def gen_stirling_z2(s1: int, s2: int, r1: int, r2: int, p1: int, p2: int) -> int:

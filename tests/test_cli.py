@@ -244,10 +244,19 @@ def test_help_exits_0(capsys):
     ("stirling", "--s1", "1", "--s2", "0", "--table", "--format", "csv"),
     ("stirling", "--algebra", "partition", "--s", "2", "--r", "2", "--p", "1", "--format", "pretty"),
     ("stirling", "--algebra", "partition", "--s", "2", "--r", "2", "--p", "1", "--guard", "5"),
+    ("stirling", "--algebra", "partition", "--s", "1", "--r", "2", "--p", "1", "--table",
+     "--format", "pretty"),
+    ("stirling", "--s1", "0", "--s2", "0", "--r1", "1", "--r2", "0", "--p1", "0", "--p2", "0",
+     "--s", "5", "--r", "3"),
+    ("stirling", "--s1", "0", "--s2", "0", "--table", "--r1", "3"),
+    ("enumerate", "--algebra", "z2", "--k", "2", "--s1", "1", "--s2", "0", "--s", "3"),
+    ("det", "--algebra", "partition", "--k", "2", "--s", "1", "--s1", "4"),
 ], ids=" ".join)
 def test_options_no_subcommand_reads_are_rejected(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
+    # argparse rejects an unregistered option or format, the variant one it does not read
+    assert "error: " in err
 
 
 def test_stirling_counts_deep_parameters(capsys):

@@ -7,7 +7,6 @@ import math
 
 import pytest
 
-from diagram_gram.determinant import _phi_atoms
 from diagram_gram.families import FAMILIES
 from diagram_gram.gram import (
     WindowError,
@@ -16,7 +15,7 @@ from diagram_gram.gram import (
     enumerate_diagrams,
     projected_dimension,
 )
-from diagram_gram.polynomials import Poly
+from diagram_gram.polynomials import Poly, phi_atoms
 from diagram_gram.semisimplicity import admissible_profiles
 
 CASES = [
@@ -60,7 +59,7 @@ def test_phi_is_the_product_of_its_atoms(algebra, k):
         gram = build_gram(algebra, k, s1, s2)
         for key in gram.keys:
             phi = gram.phi(key)
-            assert phi == math.prod(_phi_atoms(*gram.doubled(key)), start=Poly.one())
+            assert phi == math.prod(phi_atoms(*gram.doubled(key)), start=Poly.one())
             assert phi.degree() == gram.diagonal_degree(key)
 
 

@@ -42,16 +42,6 @@ def test_eval_is_ring_homomorphism(p, q, a):
     assert (p + q).eval_at(a) == p.eval_at(a) + q.eval_at(a)
 
 
-@given(polys, polys)
-@settings(max_examples=200, deadline=None)
-def test_divmod_identity(p, q):
-    if q.is_zero():
-        return
-    quo, rem = p.divmod(q)
-    assert quo * q + rem == p
-    assert rem.is_zero() or rem.degree() < q.degree()
-
-
 def test_phi_z2_examples():
     assert phi_z2(3, 1, 0, 0) == Poly.one()
     assert phi_z2(1, 0, 1, 0) == Poly([-2, -1, 1])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 from diagram_gram import semisimplicity
 from diagram_gram.determinant import DetResult, det_blocks
 from diagram_gram.gram import DEFAULT_GUARD, build_gram
-from diagram_gram.polynomials import Poly
+from diagram_gram.polynomials import Poly, linear_factor, quadratic_factor
 from diagram_gram.reduction import reduced_decomposition
-from diagram_gram.semisimplicity import admissible_profiles, global_poly, verdict
+from diagram_gram.semisimplicity import FactorRecord, admissible_profiles, global_poly, verdict
 
 
 def test_partition_k1_global_poly():
@@ -147,3 +148,90 @@ def test_partition_non_semisimple_integers_match_the_literature(k):
     # 1994; Halverson & Ram, Eur. J. Combin. 26, 2005)
     flagged = {q for q in range(-2, 2 * k + 3) if not verdict("partition", k, q).semisimple}
     assert flagged == set(range(2 * k - 1))
+
+
+# -- witness naming -----------------------------------------------------------
+
+
+def remainder_by_monic(poly, atom):
+    """Remainder of poly modulo a monic atom, by long division."""
+    rem = list(poly.coeffs)
+    d = atom.degree()
+    for top in range(len(rem) - 1, d - 1, -1):
+        lead = rem[top]
+        for j, c in enumerate(atom.coeffs):
+            rem[top - d + j] -= lead * c
+    return Poly(rem[:d])
+
+
+def reference_atom(poly, q):
+    """The division scan: the first atom x^2-x-2m, then x-m, for m = 0, 1, ...
+    below max(8, deg + 2), that vanishes at q and divides poly exactly."""
+    square = q * q - q  # x^2-x-2m vanishes at q iff this is 2m
+    for m in range(max(8, poly.degree() + 2)):
+        for make, vanishes in ((quadratic_factor, square == 2 * m), (linear_factor, q == m)):
+            if vanishes and remainder_by_monic(poly, make(m)).is_zero():
+                return make(m)
+    return None
+
+
+def reference_witness(poly, q):
+    atom = reference_atom(poly, q)
+    return str(poly if atom is None else atom)
+
+
+WITNESS_CASES = (
+    [("z2", k) for k in range(1, 5)]
+    + [("signed", k) for k in range(2, 5)]
+    + [("partition", k) for k in range(1, 7)]
+)
+WITNESS_QS = [Fraction(q) for q in range(-12, 40)] + [
+    Fraction(a, b) for b in (2, 3, 5) for a in range(-7, 15)
+]
+
+
+def test_witness_atoms_match_the_division_scan():
+    pairs = differences = 0
+    for algebra, k in WITNESS_CASES:
+        for rec in global_poly(algebra, k)[1]:
+            for q in WITNESS_QS:
+                pairs += 1
+                differences += rec.describe_at(q) != reference_witness(rec.poly, q)
+    assert (pairs, differences) == (22184, 0)
+
+
+def roots(*rs):
+    return math.prod(map(linear_factor, rs), start=Poly.one())
+
+
+ATOM_CASES = [
+    # q = 0..3: both atoms vanish; the quadratic's level is lower or equal
+    (roots(0, 1), 0, "x^2-x"),
+    (roots(0, 5), 0, "x"),
+    (roots(1, 0), 1, "x^2-x"),
+    (roots(1, 5), 1, "x-1"),
+    (roots(2, -1), 2, "x^2-x-2"),
+    (roots(2, 5), 2, "x-2"),
+    (roots(3, -2), 3, "x^2-x-6"),
+    (roots(3, 7), 3, "x-3"),
+    # a negative q names only a quadratic
+    (roots(-2, 3), -2, "x^2-x-6"),
+    (roots(-2, 4), -2, "x^2-2*x-8"),
+    # the level cap max(8, deg + 2): x^2-x-20 has level 10
+    (roots(-4, 5, *[0] * 6), -4, "x^8-x^7-20*x^6"),
+    (roots(-4, 5, *[0] * 7), -4, "x^2-x-20"),
+    (roots(7, 20), 7, "x-7"),
+    (roots(7, 20), 20, "x^2-27*x+140"),
+    # the zero polynomial is divisible by every atom
+    (Poly.zero(), 2, "x^2-x-2"),
+    (Poly.zero(), -1, "x^2-x-2"),
+    (Poly.zero(), 4, "x-4"),
+    (Poly.zero(), 9, "0"),
+    (Poly.zero(), Fraction(1, 2), "0"),
+]
+
+
+@pytest.mark.parametrize("poly, q, want", ATOM_CASES, ids=str)
+def test_witness_names_the_lowest_dividing_atom(poly, q, want):
+    assert FactorRecord(0, 0, poly).describe_at(q) == want
+    assert reference_witness(poly, Fraction(q)) == want
