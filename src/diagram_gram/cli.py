@@ -256,8 +256,20 @@ def cmd_stirling(args) -> int:
     return EXIT_OK
 
 
+def _parse_q(text):
+    """None for the symbolic verdict (no --q, or x), else the exact rational."""
+    if text in (None, "x"):
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise WindowError(
+            f"--q takes x, an integer, or a/b with b != 0, not {text!r}"
+        ) from None
+
+
 def cmd_semisimple(args) -> int:
-    q = None if args.q in (None, "x") else Fraction(args.q)
+    q = _parse_q(args.q)
     result = verdict(args.algebra, args.k, q, args.guard)
     _emit(args, json.dumps(result.to_json(), indent=1) + "\n")
     return EXIT_OK

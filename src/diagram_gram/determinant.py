@@ -12,9 +12,19 @@ det = x^(Σv_i)·Q, where Q is the determinant of the matrix with row i
 divided by x^(v_i), and deg Q <= D = Σ(h_i - v_i).
 
 Window. Q is evaluated at the D+1 consecutive integers -⌊D/2⌋..⌈D/2⌉,
-which keeps |x|, and with it the integers of the elimination, small. Each
-integer determinant comes from fraction-free Bareiss elimination, whose
-divisions are exact.
+which keeps |x|, and with it the integers of the elimination, small.
+
+Elimination. Each integer determinant comes from fraction-free Bareiss
+elimination (Bareiss, Math. Comp. 22, 1968). With P[0] = 1 and P[j] the
+pivot of step j, step j turns a row r into (P[j]·r - f·pivot_row) / P[j-1],
+f its entry in the pivot column. For f = 0 that is r·P[j]/P[j-1], so a row
+that steps a+1..k skip has the level-k values r·P[k]/P[a]: the factors
+telescope. Such a row is left as it is and carries its level a; the pivot
+row is brought to the current level once, and a row with f != 0 is
+rewritten with the divisor P[a] of its own last rewrite. Every level-k value
+is a k+1 by k+1 minor of the input (Sylvester's identity), so each division
+is exact. A Gram matrix is sparse (z2 k=4 (2,0): 12.7% nonzeros), and most
+rows have f = 0 at most steps.
 
 Interpolation. Q has integer coefficients, so D!·Q, written in Newton's
 forward form on the window, has integer coefficients too, and dividing
@@ -67,35 +77,44 @@ class DetResult:
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss).
+    """Fraction-free determinant of an integer matrix (Bareiss), rewriting
+    only the rows that a step changes.
 
-    Each step replaces the active block by the next, one row smaller and one
-    column narrower, with one list comprehension per row. Every entry of a
-    block is a minor of the input (Sylvester's identity), so the division by
-    the previous pivot is exact. A row whose pivot-column entry is 0 is only
-    rescaled by piv / prev.
+    P[0] = 1 and P[j] is the pivot of step j. A row last rewritten at step a
+    is kept as its entries in columns a.. at level a; its level-k values are
+    r·P[k]/P[a], since the factors piv/prev of the steps that skipped it
+    telescope. Step k+1 takes the first pending row with a nonzero entry in
+    column k as its pivot row and brings it to level k with r·P[k] // P[a].
+    A row with a nonzero entry f in column k becomes
+    (piv·r - f·pivot_row) // P[a], its level-(k+1) values; a row with f = 0
+    is left as it is. Both divisions are exact, since every level-k value is
+    a minor of the input (Sylvester's identity). The pivot row trades places
+    with the first pending row, as in row-by-row elimination, and each such
+    swap flips the sign; the determinant is the signed last pivot.
     """
-    block = rows
+    pending = [(0, row) for row in rows]  # (level, entries from that column)
+    pivots = [1]
     sign = 1
-    prev = 1
-    while len(block) > 1:
-        if block[0][0] == 0:
-            p = next((r for r, row in enumerate(block) if row[0] != 0), None)
-            if p is None:
-                return 0
-            block = [block[p], *block[1:p], block[0], *block[p + 1 :]]
+    for k in range(len(rows)):
+        for p, (a, row) in enumerate(pending):
+            if row[k - a]:
+                break
+        else:
+            return 0
+        if p:
+            pending[0], pending[p] = pending[p], pending[0]
             sign = -sign
-        piv, head = block[0][0], block[0][1:]
-        nxt = []
-        for row in block[1:]:
-            f = row[0]
+        a, head = pending.pop(0)
+        if a < k:
+            head = [v * pivots[k] // pivots[a] for v in head[k - a :]]
+        piv, head = head[0], head[1:]
+        for i, (a, row) in enumerate(pending):
+            f = row[k - a]
             if f:
-                nxt.append([(piv * a - f * b) // prev for a, b in zip(row[1:], head)])
-            else:
-                nxt.append([piv * a // prev for a in row[1:]])
-        block = nxt
-        prev = piv
-    return sign * block[0][0] if block else 1
+                prev, rest = pivots[a], row[k - a + 1 :]
+                pending[i] = (k + 1, [(piv * u - f * v) // prev for u, v in zip(rest, head)])
+        pivots.append(piv)
+    return sign * pivots[-1]
 
 
 def _interpolate(xs: list[int], ys: list[int]) -> Poly:

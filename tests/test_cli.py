@@ -230,6 +230,15 @@ def test_argument_errors_exit_1(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("q", ["1/0", "-3/0", "abc", "", "1/", "x/2"])
+def test_semisimple_rejects_an_unreadable_q(capsys, q):
+    # the --q=VALUE form, since argparse reads "-3/0" after a space as an option
+    code, out, err = run_cli(capsys, "semisimple", "--algebra", "z2", "--k", "2", f"--q={q}")
+    assert code == 1 and out == ""
+    assert "--q" in err and "a/b with b != 0" in err
+    assert "Traceback" not in err
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, "det", "--help")
     assert code == 0 and "--guard" in out and "--format" not in out

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagram_gram.determinant import _components, _interpolate, det_blocks, det_direct
+from diagram_gram.determinant import (
+    _bareiss_int,
+    _components,
+    _interpolate,
+    det_blocks,
+    det_direct,
+)
 from diagram_gram.gram import build_gram
 from diagram_gram.polynomials import Poly, linear_factor, phi_z2
 from diagram_gram.reduction import reduced_decomposition
@@ -197,6 +203,78 @@ def test_det_direct_matches_the_reference_on_random_matrices(case):
     assert det == det_direct_reference(matrix)
     if duplicated:
         assert det.is_zero()
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """An integer matrix with n <= 12, entries in -9..9 and at least 60%
+    zeros. Where the zeros leave room it has a planted permuted diagonal,
+    so it is mostly nonsingular. It may have a zero leading block (its
+    first pivots come from lower rows), an all-zero column and a duplicated
+    row."""
+    n = draw(st.integers(1, 12))
+    duplicated = n > 1 and draw(st.booleans())
+    # nonzero entries allowed; a duplicated row may add up to n more
+    budget = 2 * n * n // 5 - (n if duplicated else 0)
+    nonzero = st.integers(-9, 9).filter(bool)
+    planted = n if n <= budget else 0
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entries = draw(st.dictionaries(cell, nonzero, max_size=max(budget - planted, 0)))
+    rows = [[entries.get((i, j), 0) for j in range(n)] for i in range(n)]
+    lead = draw(st.integers(0, n // 2))
+    for i in range(lead):
+        rows[i][:lead] = [0] * lead
+    if planted:
+        # a permutation that sends the rows of the zero block to the
+        # columns past it
+        cols = draw(st.permutations(range(n)))
+        for i in range(lead):
+            if cols[i] < lead:
+                j = next(j for j in range(lead, n) if cols[j] >= lead)
+                cols[i], cols[j] = cols[j], cols[i]
+        for i, j in enumerate(cols):
+            rows[i][j] = draw(nonzero)
+    zero_column = draw(st.booleans())
+    if zero_column:
+        column = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[column] = 0
+    if duplicated:
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    return rows, zero_column or duplicated
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_integer_matrices())
+def test_bareiss_int_matches_the_row_by_row_reference(case):
+    rows, singular = case
+    before = [list(row) for row in rows]
+    det = _bareiss_int(rows)
+    assert rows == before  # the input is read, not rewritten
+    assert det == _bareiss_reference(rows)
+    if singular:
+        assert det == 0
+
+
+def _row_shifted_values(matrix, x):
+    """The integer matrix that `det_direct` eliminates at x: row i divided
+    by x^(v_i), its lowest power of x, and evaluated at x."""
+    rows = []
+    for row in matrix:
+        v = min(next(e for e, c in enumerate(p.coeffs) if c) for p in row if p)
+        rows.append([Poly(p.coeffs[v:]).eval_at(x) if p else 0 for p in row])
+    return rows
+
+
+@pytest.fixture(scope="module")
+def z2_k4_gram():
+    return build_gram("z2", 4, 2, 0).entries
+
+
+@pytest.mark.parametrize("x", [0, 1, -1, 63, -63])
+def test_bareiss_int_matches_the_reference_on_the_z2_k4_gram_matrix(z2_k4_gram, x):
+    rows = _row_shifted_values(z2_k4_gram, x)
+    assert _bareiss_int(rows) == _bareiss_reference(rows)
 
 
 @pytest.mark.parametrize("start", [-6, -1, 0, 3])
