@@ -14,8 +14,9 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
-from .determinant import det_blocks, det_direct
+from .determinant import det_blocks, det_isotypic
 from .golden import published_gram_report, published_reduced_report
 from .gram import (
     ALGEBRAS,
@@ -24,6 +25,7 @@ from .gram import (
     WindowError,
     build_gram,
     enumerate_diagrams,
+    fibre_permutation,
 )
 from .reduction import reduce_gram
 from .semisimplicity import verdict
@@ -179,7 +181,7 @@ def cmd_reduce(args) -> int:
 def cmd_det(args) -> int:
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
-    direct = det_direct(gram.entries)
+    direct = det_isotypic(gram.entries, gram.k, partial(fibre_permutation, gram))
     decomposition = reduce_gram(gram)
     blocks = det_blocks(decomposition)
     payload = {
@@ -364,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("semisimple", help="semisimplicity verdict at exact rational q")
     p.add_argument("--algebra", choices=ALGEBRAS, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", default=None, help='rational like "2" or "5/3"; omit for symbolic')
+    p.add_argument("--q", default=None,
+                   help='rational like "2", "5/3" or "-1/3"; omit for symbolic')
     common(p, profile=False)
     p.set_defaults(fn=cmd_semisimple)
 
@@ -376,9 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_q(argv: list[str]) -> list[str]:
+    """argv with "--q VALUE" written as "--q=VALUE" where VALUE is "-"
+    followed by a digit: argparse takes only integers and decimals for
+    negative numbers, and would read "-1/3" as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--q" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--q={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_negative_q(argv))
     except SystemExit as exc:
         # argparse exits 2 on a usage error; 2 is kept for a verification diff
         return EXIT_VALIDATION if exc.code == 2 else exc.code

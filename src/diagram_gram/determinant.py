@@ -1,9 +1,12 @@
 """Exact determinants of polynomial matrices by evaluation-interpolation.
 
 Polynomial matrices here have integer coefficients. `det_direct` reads
-only the matrix it is given: applied to a whole Gram matrix it is
-independent of the block reduction and cross-validates it; it is also the
-production path for every coupled component of a reduced matrix.
+only the matrix it is given: it is the production path for every coupled
+component of a reduced matrix outside the rho cell, and it takes every
+determinant that `det_isotypic` splits off. `det_isotypic` splits a matrix
+that the fibre permutations leave invariant into one small block per
+partition of k; applied to a whole Gram matrix by the `det` command it is
+independent of the block reduction and cross-validates it.
 
 Row shift. Let v_i and h_i be the lowest and the highest power of x in
 row i. Every term of the Leibniz expansion takes one entry from each row,
@@ -31,24 +34,60 @@ forward form on the window, has integer coefficients too, and dividing
 them by D! leaves no remainder. A remainder can only come from values that
 no integer polynomial of degree <= D takes, and it raises ValueError.
 
+Isotypic blocks. Let π be a permutation action of S_k on the indices of
+B with B[π(g)u][π(g)v] = B[u][v], for instance the fibre
+permutations (`gram.fibre_permutation`) on a Gram matrix or on a rho
+component of its reduction. Then the permutation matrices P_g of π are
+orthogonal and commute with B. For each partition λ of k, fill one
+tableau T row by row, with row group R_T and column group C_T, and let
+e_T = Σ_{r∈R_T} Σ_{c∈C_T} sgn(c)·rc, its Young symmetrizer (Fulton &
+Harris, Representation Theory, §4.1). The irreducibles of S_k are defined
+over Q, so the λ-isotypic part of Q^n is W_λ ⊗ M_λ, with S_k acting on
+W_λ (of dimension d_λ, from the hook length formula) and, by Schur's
+lemma, B acting as I ⊗ B_λ on M_λ (of dimension m_λ, so Σ m_λ d_λ = n).
+The invariant inner product is ⟨,⟩_W ⊗ ⟨,⟩_M, since the invariant forms
+on W_λ are the multiples of one. The image of P(e_T) is w_T ⊗ M_λ, so
+its columns Y, m_λ of them, independent, chosen by fraction-free integer
+elimination, are w_T ⊗ y_j for a basis y_j of M_λ. Then
+Y'BY = |w_T|²·G_y·[B_λ] and Y'Y = |w_T|²·G_y, G_y the Gram matrix of the
+y_j, and det(Y'BY) / det(Y'Y) = det B_λ. Summing over λ,
+
+    det B = Π_λ det(Y'BY)^{d_λ} / Π_λ det(Y'Y)^{d_λ}.
+
+Y is an integer matrix, so Y'BY is an integer polynomial matrix and Y'Y an
+integer matrix, and `det_direct` takes both. det B has integer
+coefficients and the denominator is a nonzero integer (Y'Y is positive
+definite), so the one division at the end is exact; a remainder raises
+ValueError. Invariance is checked exactly, entry by entry, under the
+generators (0 1) and (0 1 ... k-1). If it fails, if the action moves an
+index out of the matrix, if k = 1, or if Σ m_λ d_λ differs from n, the
+determinant is `det_direct(B)`.
+
 `det_blocks` reads the reduced matrix's nonzero pattern
 (`BlockDecomposition.nonzero`): with rows and columns permuted alike so
 that each connected component of the pattern is contiguous, the matrix is
 block diagonal, so its determinant is the product of the components'.
+The fibre permutations leave the reduced matrix invariant (the coarsening
+poset, hence T, is invariant with G), and they map the rho cell onto
+itself; a component inside the rho cell goes to `det_isotypic` under the
+fibre permutations restricted to it, and any other to `det_direct`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 from operator import mul
 
+from .gram import fibre_permutation
 from .partitions import UnionFind
 from .polynomials import Poly, phi_atoms
 
-__all__ = ["DetResult", "det_direct", "det_blocks"]
+__all__ = ["DetResult", "det_direct", "det_isotypic", "det_blocks"]
 
 
 @dataclass(frozen=True)
@@ -203,6 +242,193 @@ def det_direct(matrix) -> Poly:
     return Poly((0,) * valuation + _interpolate(xs, [det_at(x) for x in xs]).coeffs)
 
 
+def _partitions(k: int, largest: int | None = None):
+    """The partitions of k as weakly decreasing tuples, largest first."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
+
+
+def _stabilizer(k: int, groups) -> list[tuple[tuple[int, ...], int]]:
+    """(sigma, sign) for each permutation of 0..k-1 mapping every one of the
+    disjoint ascending `groups` onto itself."""
+    out = []
+    for images in itertools.product(*map(itertools.permutations, groups)):
+        sigma = list(range(k))
+        sign = 1
+        for group, image in zip(groups, images):
+            for a, b in zip(group, image):
+                sigma[a] = b
+            sign *= (-1) ** sum(x > y for x, y in itertools.combinations(image, 2))
+        out.append((tuple(sigma), sign))
+    return out
+
+
+def _young_terms(shape) -> dict[tuple[int, ...], int]:
+    """e_T = Σ_{r∈R_T} Σ_{c∈C_T} sgn(c)·rc for the tableau T of `shape`
+    filled row by row, as {rc: sgn(c)}; rc applies c first. R_T and C_T
+    meet only in the identity, so every pair gives its own permutation."""
+    k = sum(shape)
+    starts = list(itertools.accumulate(shape, initial=0))
+    rows = [tuple(range(a, a + part)) for a, part in zip(starts, shape)]
+    columns = [tuple(row[j] for row in rows if len(row) > j) for j in range(shape[0])]
+    return {
+        tuple(r[i] for i in c): sign
+        for r, _ in _stabilizer(k, rows)
+        for c, sign in _stabilizer(k, columns)
+    }
+
+
+def _hook_dimension(shape) -> int:
+    """d_λ, the dimension of S_k's irreducible of shape λ (hook length formula)."""
+    conjugate = [sum(part > j for part in shape) for j in range(shape[0])]
+    hooks = math.prod(
+        part - j + conjugate[j] - i - 1 for i, part in enumerate(shape) for j in range(part)
+    )
+    return factorial(sum(shape)) // hooks
+
+
+def _group(k: int, generators) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every sigma in S_k with its index permutation, composed breadth first
+    from the generators' (sigma, index permutation) pairs; π(g∘sigma) is
+    π(g)∘π(sigma), π being an action."""
+    identity = tuple(range(k))
+    group = {identity: tuple(range(len(generators[0][1])))}
+    frontier = [identity]
+    while frontier:
+        reached = []
+        for sigma in frontier:
+            perm = group[sigma]
+            for g, pg in generators:
+                tau = tuple(g[i] for i in sigma)
+                if tau not in group:
+                    group[tau] = tuple(pg[i] for i in perm)
+                    reached.append(tau)
+        frontier = reached
+    return group
+
+
+def _independent(columns) -> list[dict[int, int]]:
+    """The columns (sparse, {index: integer}) that are independent of the
+    ones before them, by fraction-free elimination: each kept column is
+    reduced against the echelon rows so far, without division, and its
+    residue, divided by its content, joins them."""
+    echelon: list[tuple[int, dict[int, int]]] = []
+    kept = []
+    for column in columns:
+        v = column
+        for p, row in echelon:
+            f = v.get(p)
+            if f:
+                pivot = row[p]
+                w = {i: pivot * c for i, c in v.items()}
+                for i, c in row.items():
+                    w[i] = w.get(i, 0) - f * c
+                v = {i: c for i, c in w.items() if c}
+        if v:
+            content = math.gcd(*v.values())
+            echelon.append((min(v), {i: c // content for i, c in v.items()}))
+            kept.append(column)
+    return kept
+
+
+def _isotypic_bases(matrix, k: int, action):
+    """(Y, d_λ) for each partition λ of k with m_λ > 0, Y being m_λ
+    independent columns of π(e_T), as sparse {index: integer} dicts; None
+    where `det_isotypic` falls back to `det_direct`."""
+    n = len(matrix)
+    if k == 1 or not n:
+        return None
+    generators = []
+    for sigma in ((1, 0, *range(2, k)), (*range(1, k), 0)):
+        perm = action(sigma)
+        if perm is None or any(
+            tuple(map(matrix[perm[u]].__getitem__, perm)) != tuple(matrix[u]) for u in range(n)
+        ):
+            return None
+        generators.append((sigma, perm))
+    group = _group(k, generators)
+    bases = []
+    for shape in _partitions(k):
+        terms = [(group[sigma], sign) for sigma, sign in _young_terms(shape).items()]
+        columns = []
+        for u in range(n):
+            column: Counter[int] = Counter()
+            for perm, sign in terms:
+                column[perm[u]] += sign
+            columns.append({i: c for i, c in column.items() if c})
+        ys = _independent(columns)
+        if ys:
+            bases.append((ys, _hook_dimension(shape)))
+    return bases if sum(len(ys) * d for ys, d in bases) == n else None
+
+
+def det_isotypic(matrix, k: int, action) -> Poly:
+    """Determinant of a square integer-polynomial matrix B that is invariant
+    under an action of S_k on its indices, block by isotypic block.
+
+    `action(sigma)` gives π(sigma), the index permutation of sigma in S_k
+    (entry u is the index that u goes to), or None when sigma moves some
+    index out of the matrix; π must be an action, π(sigma∘tau) =
+    π(sigma)∘π(tau).
+    B[π(sigma)[u]][π(sigma)[v]] must equal B[u][v]: that is checked
+    exactly for (0 1) and the k-cycle, which generate S_k. If the check
+    fails, if `action` gives None, if k = 1, or if the blocks do not add up
+    to n, the result is `det_direct(B)`. The module docstring gives the
+    formula and why it is exact.
+    """
+    bases = _isotypic_bases(matrix, k, action)
+    if bases is None:
+        return det_direct(matrix)
+    # Y'BY by Kronecker substitution: an entry p is packed as p(2**width);
+    # a coefficient of an entry of Y'BY is at most L1(Y_i)·L1(Y_j)·top in
+    # absolute value, below 2**(width-1)
+    entries = {p for row in matrix for p in row if p}
+    if not all(p.is_integral() for p in entries):
+        raise ValueError("det_isotypic expects integer-coefficient entries")
+    norm = max(sum(map(abs, y.values())) for ys, _ in bases for y in ys)
+    top = max((abs(c) for p in entries for c in p.coeffs), default=0)
+    width = (norm * norm * top).bit_length() + 1
+    packed = {p: sum(c << width * e for e, c in enumerate(p.coeffs)) for p in entries}
+    rows = [[(v, packed[p]) for v, p in enumerate(row) if p] for row in matrix]
+    numerator, denominator = Poly.one(), 1
+    for ys, d in bases:
+        m = len(ys)
+        y_rows = [[] for _ in matrix]  # the nonzeros of Y, row by row
+        for j, y in enumerate(ys):
+            for u, c in y.items():
+                y_rows[u].append((j, c))
+        yby = [[0] * m for _ in range(m)]  # packed
+        yy = [[0] * m for _ in range(m)]
+        for u, left in enumerate(y_rows):
+            if not left:
+                continue
+            by = [0] * m  # row u of BY
+            for v, p in rows[u]:
+                for j, c in y_rows[v]:
+                    by[j] += c * p
+            for i, c in left:
+                out = yby[i]
+                for j in range(m):
+                    out[j] += c * by[j]
+                for j, c2 in left:
+                    yy[i][j] += c * c2
+        block = det_direct(tuple(tuple(Poly.from_packed(e, width) for e in row) for row in yby))
+        scale = det_direct(tuple(tuple(Poly((c,)) for c in row) for row in yy)).coeffs[0]
+        for _ in range(d):
+            numerator = numerator * block
+        denominator *= scale**d
+    coeffs = []
+    for c in numerator.coeffs:
+        q, r = divmod(c, denominator)
+        if r:
+            raise ValueError("the isotypic blocks do not divide out exactly")
+        coeffs.append(q)
+    return Poly(coeffs)
+
+
 def _components(nonzero) -> list[list[int]]:
     """Connected components of the graph joining u and v for every nonzero
     entry (u, v), as ascending index lists sorted by their first index."""
@@ -213,19 +439,39 @@ def _components(nonzero) -> list[list[int]]:
     return uf.blocks()
 
 
+def _restricted(gram, comp):
+    """The fibre permutations on the indices of `comp`, or None for a
+    permutation that moves some member out of it."""
+    position = {u: i for i, u in enumerate(comp)}
+
+    def action(sigma):
+        image = fibre_permutation(gram, sigma)
+        perm = tuple(position.get(image[u]) for u in comp)
+        return None if None in perm else perm
+
+    return action
+
+
 def det_blocks(decomposition) -> DetResult:
     """Determinant of the reduced matrix, as a product over the connected
     components of its nonzero pattern.
 
     An isolated diagonal entry equal to the named product polynomial keeps
-    its atoms symbolic; any other isolated entry is a factor as it stands,
-    and a larger component contributes its `det_direct` determinant.
+    its atoms symbolic; any other isolated entry is a factor as it stands.
+    A larger component contributes its determinant: from `det_isotypic`
+    under the fibre permutations restricted to it when it lies in the rho
+    cell, from `det_direct` otherwise.
     """
     gram, reduced = decomposition.gram, decomposition.reduced
+    rho = set(dict(decomposition.cells).get(("rho",), ()))
     factors: Counter[Poly] = Counter()
     for comp in _components(decomposition.nonzero):
         if len(comp) > 1:
-            factors[det_direct(tuple(tuple(reduced[i][j] for j in comp) for i in comp))] += 1
+            block = tuple(tuple(reduced[i][j] for j in comp) for i in comp)
+            if rho.issuperset(comp):
+                factors[det_isotypic(block, gram.k, _restricted(gram, comp))] += 1
+            else:
+                factors[det_direct(block)] += 1
             continue
         (u,) = comp
         entry, key = reduced[u][u], gram.keys[u]

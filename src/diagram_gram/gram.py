@@ -20,7 +20,7 @@ A `GramMatrix` stores its entries in this form: `exponents[u][v]` is the
 loop count e of the entry x**e, or None for a zero entry. The coarsening
 poset and the congruence in `reduction` read that grid directly. The
 `Poly` view `GramMatrix.entries` is rendered only when read, by the CLI
-output, `det_direct` and the oracles.
+output, the determinants and the oracles.
 
 The algebra tag ("partition", "z2" or "signed") names a `Family` in
 `families.FAMILIES`, which holds the profile window, the row
@@ -48,6 +48,7 @@ __all__ = [
     "build_gram",
     "count_row_configs",
     "projected_dimension",
+    "fibre_permutation",
 ]
 
 ALGEBRAS = tuple(FAMILIES)
@@ -331,3 +332,44 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
                     rows[u][v] = rows[v][u] = loops
     exponents = tuple(tuple(row) for row in rows)
     return GramMatrix(algebra, k, s1, s2, keys, diagrams, exponents)
+
+
+# -- the fibre permutations ---------------------------------------------------------
+
+
+def _view_key(blocks, through) -> tuple[frozenset, frozenset]:
+    """A diagram as its row blocks and its through blocks, both as bitmasks."""
+    return frozenset(blocks), frozenset(through)
+
+
+def fibre_permutation(gram: GramMatrix, sigma) -> tuple[int, ...]:
+    """The index permutation of the basis under the fibre permutation sigma.
+
+    sigma is a permutation of 0..k-1, fibre i going to sigma[i]. It moves
+    the points of each basis diagram's row partition: point i of a plain row
+    goes to sigma[i], point 2i+b of a doubled row to 2 sigma[i] + b, so e
+    and g points stay apart; through blocks stay through. Entry u of the
+    result is the index of the image of diagram u. Each family's basis is a
+    union of orbits, since a profile and a signed row's counts do not see
+    the order of the fibres; an image outside the basis raises KeyError.
+    """
+    views = [diagram.row_view() for diagram in gram.diagrams]
+    index = {
+        _view_key(view.blocks, (view.blocks[i] for i in view.through)): u
+        for u, view in enumerate(views)
+    }
+    per = gram.diagrams[0].part.n // (2 * gram.k)  # points per fibre in one row
+    point = [per * sigma[p // per] + p % per for p in range(per * gram.k)]
+
+    def move(mask: int) -> int:
+        image = 0
+        while mask:
+            low = mask & -mask
+            image |= 1 << point[low.bit_length() - 1]
+            mask ^= low
+        return image
+
+    return tuple(
+        index[_view_key(map(move, view.blocks), (move(view.blocks[i]) for i in view.through))]
+        for view in views
+    )

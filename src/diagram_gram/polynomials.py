@@ -156,6 +156,23 @@ class Poly:
     def from_json(cls, coeffs: Sequence[str]) -> "Poly":
         return cls(Fraction(c) for c in coeffs)
 
+    @classmethod
+    def from_packed(cls, value: int, width: int) -> "Poly":
+        """The polynomial whose coefficients are the balanced base-2**width
+        digits of `value`: the inverse of p -> p(2**width) on integer
+        polynomials whose coefficients are below 2**(width-1) in absolute
+        value (Kronecker substitution)."""
+        base = 1 << width
+        half = base >> 1
+        coeffs = []
+        while value:
+            digit = value & (base - 1)
+            if digit >= half:
+                digit -= base
+            coeffs.append(digit)
+            value = (value - digit) >> width
+        return cls(coeffs)
+
     # -- dunder --------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

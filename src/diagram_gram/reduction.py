@@ -286,7 +286,7 @@ def _congruence(transform, grid):
             low = bits * u
             entry = (value >> low & mask) - half
             if entry not in polys:
-                polys[entry] = _unpack(entry, width)
+                polys[entry] = Poly.from_packed(entry, width)
             col[u] = polys[entry]
             nonzero &= (1 << low) - 1
         out.append(col)
@@ -308,21 +308,6 @@ def _transpose(rows: list[int], n: int, size: int, bias: int) -> list[int]:
             col[b::size] = data[j * size + b :: stride]
         cols.append(int.from_bytes(col, "little") - bias)
     return cols
-
-
-def _unpack(value: int, width: int) -> Poly:
-    """The polynomial whose coefficients are the balanced base-2**width
-    digits of `value`."""
-    base = 1 << width
-    half = base >> 1
-    coeffs = []
-    while value:
-        digit = value & (base - 1)
-        if digit >= half:
-            digit -= base
-        coeffs.append(digit)
-        value = (value - digit) >> width
-    return Poly(coeffs)
 
 
 # -- blocks and predictions --------------------------------------------------------

@@ -232,11 +232,24 @@ def test_argument_errors_exit_1(capsys, argv):
 
 @pytest.mark.parametrize("q", ["1/0", "-3/0", "abc", "", "1/", "x/2"])
 def test_semisimple_rejects_an_unreadable_q(capsys, q):
-    # the --q=VALUE form, since argparse reads "-3/0" after a space as an option
+    # the --q=VALUE form, which also passes the empty value
     code, out, err = run_cli(capsys, "semisimple", "--algebra", "z2", "--k", "2", f"--q={q}")
     assert code == 1 and out == ""
     assert "--q" in err and "a/b with b != 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, q, semisimple", [
+    (("--q", "-1/3"), "-1/3", True),
+    (("--q", "-1"), "-1", False),
+    (("--q=-1/3",), "-1/3", True),
+], ids=["space -1/3", "space -1", "equals -1/3"])
+def test_semisimple_reads_a_negative_q(capsys, argv, q, semisimple):
+    # z2 k=2 is not semisimple exactly at the integers -1..2
+    code, out, err = run_cli(capsys, "semisimple", "--algebra", "z2", "--k", "2", *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["q"] == q and payload["semisimple"] is semisimple
 
 
 def test_help_exits_0(capsys):

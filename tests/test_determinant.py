@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,16 @@ from diagram_gram.determinant import (
     _bareiss_int,
     _components,
     _interpolate,
+    _isotypic_bases,
+    _restricted,
     det_blocks,
     det_direct,
+    det_isotypic,
 )
-from diagram_gram.gram import build_gram
+from diagram_gram.gram import build_gram, fibre_permutation, projected_dimension
 from diagram_gram.polynomials import Poly, linear_factor, phi_z2
 from diagram_gram.reduction import reduced_decomposition
+from diagram_gram.semisimplicity import admissible_profiles
 from test_reduction import PROFILES
 
 
@@ -163,9 +168,10 @@ def test_det_direct_matches_the_reference_on_every_profile(profile):
     if gram.dimension() <= 50:
         matrices = [gram.entries, reduced]
     else:
-        # the whole matrices of the z2 and signed k=4 profiles (n = 73..244)
-        # take from seconds to many minutes each; check the coupled
-        # components that det_blocks hands to det_direct instead
+        # det_direct takes from seconds to many minutes on the whole
+        # matrices of the z2 and signed k=4 profiles (n = 73..244); check
+        # the coupled components of the reduced matrix instead, and the
+        # whole matrices against det_isotypic below
         matrices = [
             tuple(tuple(reduced[i][j] for j in comp) for i in comp)
             for comp in _components(decomposition.nonzero)
@@ -173,6 +179,88 @@ def test_det_direct_matches_the_reference_on_every_profile(profile):
         ]
     for matrix in matrices:
         assert det_direct(matrix) == det_direct_reference(matrix)
+
+
+def _isotypic_checked(matrix, k, action):
+    """`det_isotypic`, after checking that it splits the matrix: the
+    isotypic blocks exist and add up to its size."""
+    assert _isotypic_bases(matrix, k, action) is not None
+    return det_isotypic(matrix, k, action)
+
+
+@pytest.mark.parametrize(
+    "profile", [p for p in PROFILES if projected_dimension(*p) <= 118], ids=str
+)
+def test_det_isotypic_matches_det_direct_on_gram_matrices(profile):
+    gram = build_gram(*profile)
+    action = partial(fibre_permutation, gram)
+    if gram.k == 1:
+        assert _isotypic_bases(gram.entries, gram.k, action) is None
+        assert det_isotypic(gram.entries, gram.k, action) == det_direct(gram.entries)
+    else:
+        assert _isotypic_checked(gram.entries, gram.k, action) == det_direct(gram.entries)
+
+
+@pytest.mark.parametrize(
+    "profile", [p for p in PROFILES if p[1] == 4 and p[0] != "partition"], ids=str
+)
+def test_det_isotypic_matches_det_blocks_on_the_k4_gram_matrices(profile):
+    decomposition = reduced_decomposition(*profile)
+    gram = decomposition.gram
+    action = partial(fibre_permutation, gram)
+    assert _isotypic_checked(gram.entries, 4, action) == det_blocks(decomposition).poly
+
+
+def _rho_components(decomposition):
+    """The coupled components of the reduced matrix inside its rho cell."""
+    rho = set(dict(decomposition.cells).get(("rho",), ()))
+    return [c for c in _components(decomposition.nonzero) if len(c) > 1 and rho.issuperset(c)]
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [("signed", k, s1, s2) for k in (2, 3, 4) for s1, s2 in admissible_profiles("signed", k)],
+    ids=str,
+)
+def test_det_isotypic_matches_det_direct_on_signed_rho_components(profile):
+    decomposition = reduced_decomposition(*profile)
+    reduced, k = decomposition.reduced, decomposition.gram.k
+    for comp in _rho_components(decomposition):
+        block = tuple(tuple(reduced[i][j] for j in comp) for i in comp)
+        action = _restricted(decomposition.gram, comp)
+        assert _isotypic_checked(block, k, action) == det_direct(block)
+
+
+def test_signed_k4_has_coupled_rho_components():
+    sizes = sorted(
+        len(comp)
+        for s1, s2 in admissible_profiles("signed", 4)
+        for comp in _rho_components(reduced_decomposition("signed", 4, s1, s2))
+    )
+    assert sizes == [4, 4, 12, 12, 15, 18, 18, 28, 28, 36]
+
+
+def test_isotypic_blocks_of_the_z2_k4_gram_matrix():
+    # λ = (4), (3,1), (2,2), (2,1,1); (1,1,1,1) has no copy
+    gram = build_gram("z2", 4, 2, 0)
+    bases = _isotypic_bases(gram.entries, 4, partial(fibre_permutation, gram))
+    assert [(len(ys), d) for ys, d in bases] == [(15, 1), (19, 3), (14, 2), (6, 3)]
+
+
+def test_det_isotypic_falls_back_where_it_cannot_split():
+    gram = build_gram("z2", 3, 1, 0)
+    action = partial(fibre_permutation, gram)
+    # a diagonal entry at a diagram that (0 1) moves breaks the invariance
+    u = next(u for u, v in enumerate(action((1, 0, 2))) if u != v)
+    rows = [list(row) for row in gram.entries]
+    rows[u][u] = rows[u][u] + Poly.one()
+    planted = tuple(map(tuple, rows))
+    assert _isotypic_bases(planted, 3, action) is None
+    det = det_isotypic(planted, 3, action)
+    assert det == det_direct(planted) != det_direct(gram.entries)
+    # an action that moves an index out of the matrix
+    assert _isotypic_bases(gram.entries, 3, lambda sigma: None) is None
+    assert det_isotypic(gram.entries, 3, lambda sigma: None) == det_direct(gram.entries)
 
 
 @st.composite

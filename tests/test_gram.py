@@ -11,14 +11,17 @@ from diagram_gram.gram import (
     build_gram,
     count_row_configs,
     enumerate_diagrams,
+    fibre_permutation,
     projected_dimension,
     standard_diagram,
 )
 from diagram_gram.partitions import SetPartition
 from diagram_gram.polynomials import Poly
+from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import admissible_profiles
 from diagram_gram.stirling import binomial
 from diagram_gram.z2diagrams import Z2Diagram, top_index
+from test_reduction import PROFILES
 
 
 def underlying_partition(diagram):
@@ -239,3 +242,57 @@ def test_gram_entry_zero_iff_through_count_drops():
                 assert g.entries[u][v] == Poly.monomial(loops)
             else:
                 assert g.entries[u][v].is_zero()
+
+
+def fibre_generators(k):
+    """(0 1) and the k-cycle i -> i+1 mod k, which generate S_k."""
+    return [(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else [(0,)]
+
+
+def permuted_diagram(diagram, sigma):
+    """The diagram with every vertex of fibre i moved to fibre sigma[i],
+    on both rows, keeping e and g apart: the oracle for
+    `fibre_permutation`, read off the whole partition, not its row view."""
+    k, n = diagram.k, diagram.part.n
+    per = n // (2 * k)  # points per fibre in one row
+    row = per * k
+
+    def image(v):
+        point = v % row
+        return v - point + per * sigma[point // per] + point % per
+
+    blocks = [[image(v) for v in block] for block in diagram.part.blocks]
+    return type(diagram)(k, SetPartition(n, blocks))
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_fibre_permutations_act_on_the_basis(profile):
+    gram = build_gram(*profile)
+    k, n = gram.k, gram.dimension()
+    perms = {sigma: fibre_permutation(gram, sigma) for sigma in itertools.permutations(range(k))}
+    for perm in perms.values():
+        assert sorted(perm) == list(range(n))
+    assert perms[tuple(range(k))] == tuple(range(n))
+    # pi(sigma tau) = pi(sigma) pi(tau), tau applied first
+    for sigma, perm in perms.items():
+        for tau in fibre_generators(k):
+            composed = tuple(sigma[i] for i in tau)
+            assert perms[composed] == tuple(perm[i] for i in perms[tau])
+    index = {diagram: u for u, diagram in enumerate(gram.diagrams)}
+    for sigma in fibre_generators(k):
+        expected = tuple(index[permuted_diagram(d, sigma)] for d in gram.diagrams)
+        assert perms[sigma] == expected
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_gram_and_reduced_matrices_are_fibre_invariant(profile):
+    decomposition = reduced_decomposition(*profile)
+    gram, reduced = decomposition.gram, decomposition.reduced
+    grid = gram.exponents
+    rho = set(dict(decomposition.cells).get(("rho",), ()))
+    for sigma in fibre_generators(gram.k):
+        perm = fibre_permutation(gram, sigma)
+        for u, v in itertools.product(range(gram.dimension()), repeat=2):
+            assert grid[perm[u]][perm[v]] == grid[u][v]
+            assert reduced[perm[u]][perm[v]] == reduced[u][v]
+        assert {perm[u] for u in rho} == rho
