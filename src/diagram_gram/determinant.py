@@ -55,7 +55,10 @@ y_j, and det(Y'BY) / det(Y'Y) = det B_λ. Summing over λ,
     det B = Π_λ det(Y'BY)^{d_λ} / Π_λ det(Y'Y)^{d_λ}.
 
 Y is an integer matrix, so Y'BY is an integer polynomial matrix and Y'Y an
-integer matrix, and `det_direct` takes both. det B has integer
+integer matrix, and `det_direct` takes both. Every Y'BY comes from one call
+of `polynomials.congruence`, the kernel of the reduction's T'GT, with all
+the Y stacked as the columns of one C: Y'BY is a diagonal block of C'BC.
+Y'Y is a sparse dot product of Y's columns. det B has integer
 coefficients and the denominator is a nonzero integer (Y'Y is positive
 definite), so the one division at the end is exact; a remainder raises
 ValueError. Invariance is checked exactly, entry by entry, under the
@@ -85,7 +88,7 @@ from operator import mul
 
 from .gram import fibre_permutation
 from .partitions import UnionFind
-from .polynomials import Poly, phi_atoms
+from .polynomials import Poly, congruence, phi_atoms
 
 __all__ = ["DetResult", "det_direct", "det_isotypic", "det_blocks"]
 
@@ -382,44 +385,22 @@ def det_isotypic(matrix, k: int, action) -> Poly:
     bases = _isotypic_bases(matrix, k, action)
     if bases is None:
         return det_direct(matrix)
-    # Y'BY by Kronecker substitution: an entry p is packed as p(2**width);
-    # a coefficient of an entry of Y'BY is at most L1(Y_i)·L1(Y_j)·top in
-    # absolute value, below 2**(width-1)
-    entries = {p for row in matrix for p in row if p}
-    if not all(p.is_integral() for p in entries):
+    # one C of every λ's columns, so that B is packed once
+    entries = {p: p.coeffs for row in matrix for p in row}
+    if not all(map(Poly.is_integral, entries)):
         raise ValueError("det_isotypic expects integer-coefficient entries")
-    norm = max(sum(map(abs, y.values())) for ys, _ in bases for y in ys)
-    top = max((abs(c) for p in entries for c in p.coeffs), default=0)
-    width = (norm * norm * top).bit_length() + 1
-    packed = {p: sum(c << width * e for e, c in enumerate(p.coeffs)) for p in entries}
-    rows = [[(v, packed[p]) for v, p in enumerate(row) if p] for row in matrix]
+    product = congruence([tuple(y.items()) for ys, _ in bases for y in ys], matrix, entries)
     numerator, denominator = Poly.one(), 1
+    start = 0
     for ys, d in bases:
-        m = len(ys)
-        y_rows = [[] for _ in matrix]  # the nonzeros of Y, row by row
-        for j, y in enumerate(ys):
-            for u, c in y.items():
-                y_rows[u].append((j, c))
-        yby = [[0] * m for _ in range(m)]  # packed
-        yy = [[0] * m for _ in range(m)]
-        for u, left in enumerate(y_rows):
-            if not left:
-                continue
-            by = [0] * m  # row u of BY
-            for v, p in rows[u]:
-                for j, c in y_rows[v]:
-                    by[j] += c * p
-            for i, c in left:
-                out = yby[i]
-                for j in range(m):
-                    out[j] += c * by[j]
-                for j, c2 in left:
-                    yy[i][j] += c * c2
-        block = det_direct(tuple(tuple(Poly.from_packed(e, width) for e in row) for row in yby))
+        stop = start + len(ys)
+        block = det_direct(tuple(row[start:stop] for row in product[start:stop]))
+        yy = [[sum(c * z.get(u, 0) for u, c in y.items()) for z in ys] for y in ys]
         scale = det_direct(tuple(tuple(Poly((c,)) for c in row) for row in yy)).coeffs[0]
         for _ in range(d):
             numerator = numerator * block
         denominator *= scale**d
+        start = stop
     coeffs = []
     for c in numerator.coeffs:
         q, r = divmod(c, denominator)

@@ -65,14 +65,30 @@ class Family:
         lambda s1, s2, r1, r2: (s1, s2, r1, r2)
     )
 
-    def configs(self, k: int):
-        """Every row configuration of k fibers, as a tuple of units."""
-        for grouping in set_partitions(range(1, k + 1)):
-            choices = [
-                [(role, fibers, section) for role, section in self.unit_choices(len(fibers))]
-                for fibers in map(tuple, grouping)
-            ]
-            yield from itertools.product(*choices)
+    def configs(self, k: int, s1: int, s2: int):
+        """Every row configuration of k fibers with s1 units of role 0 and
+        s2 of role 1, as a tuple of units.
+
+        Only groupings of at least s1 + s2 groups are walked; s1 of the
+        groups take role 0, s2 of the others role 1, and the rest a
+        horizontal role, so the work follows the profile's own size.
+        """
+        for grouping in set_partitions(range(1, k + 1), s1 + s2):
+            groups = list(map(tuple, grouping))
+            for pairs in itertools.combinations(range(len(groups)), s1):
+                rest = [g for g in range(len(groups)) if g not in pairs]
+                for fixed in itertools.combinations(rest, s2):
+                    # 2 stands for both horizontal roles, 2 and 3
+                    wanted = dict.fromkeys(pairs, 0) | dict.fromkeys(fixed, 1)
+                    choices = [
+                        [
+                            (role, fibers, section)
+                            for role, section in self.unit_choices(len(fibers))
+                            if min(role, 2) == wanted.get(g, 2)
+                        ]
+                        for g, fibers in enumerate(groups)
+                    ]
+                    yield from itertools.product(*choices)
 
     def alpha(self, units) -> tuple[tuple[int, ...], ...]:
         """Class sizes per role of `alpha_roles`, each weakly decreasing."""

@@ -182,9 +182,9 @@ def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = 
             f"for {algebra} k={k} profile ({s1}, {s2})"
         )
     rows = []
-    for units in family.configs(k):
-        c1, c2, r1, r2 = profile_of(units)
-        if (c1, c2) == (s1, s2) and family.row_ok(k, s1, s2, r1, r2):
+    for units in family.configs(k, s1, s2):
+        _, _, r1, r2 = profile_of(units)
+        if family.row_ok(k, s1, s2, r1, r2):
             rows.append((DiagramKey(0, family.alpha(units), r1, r2), family.assemble(k, units)))
     rows.sort(key=lambda row: (row[0].sort_key(), row[1].part.blocks))
     out = []

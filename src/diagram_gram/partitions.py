@@ -155,17 +155,26 @@ class SetPartition:
         return f"SetPartition({self.n}, {list(map(list, self.blocks))})"
 
 
-def set_partitions(items: Sequence) -> Iterator[list[list]]:
-    """All set partitions of `items`, by restricted growth strings."""
+def set_partitions(items: Sequence, min_blocks: int = 0) -> Iterator[list[list]]:
+    """All set partitions of `items` into at least `min_blocks` blocks, by
+    restricted growth strings.
+
+    A prefix that already uses b blocks can still reach b plus the number
+    of items left, so the recursion stops below a prefix that cannot reach
+    `min_blocks`, and every branch it enters yields a partition.
+    """
     items = list(items)
     n = len(items)
     if n == 0:
-        yield []
+        if min_blocks <= 0:
+            yield []
         return
     # rgs[i] = index of the block containing items[i]; rgs[i] <= max(rgs[:i]) + 1
     rgs = [0] * n
 
     def rec(i: int, maxused: int):
+        if maxused + 1 + n - i < min_blocks:
+            return
         if i == n:
             blocks: list[list] = [[] for _ in range(maxused + 1)]
             for j, b in enumerate(rgs):

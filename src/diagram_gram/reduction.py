@@ -45,26 +45,15 @@ blocks only u has. `diagram_coarser_or_equal` and `swap_pair_parameters`
 decide the coarsening and the swaps on whole diagrams; they are kept as
 the oracles the tests and `verify` compare against.
 
-The congruence `_congruence` runs on Python ints by Kronecker substitution
-(von zur Gathen & Gerhard, Modern Computer Algebra, 8.4). It reads G as its
-exponent grid (`GramMatrix.exponents`): every raw Gram entry is x**e or 0,
-stored as e or None, and becomes the integer 2**(width*e) or 0. A coefficient
-of an entry (T'GT)[u][j] is a sum of products T[w][u] T[i][j], so its
-absolute value is at most L1(T_u) L1(T_j) <= L**2, with L the largest column
-L1 norm of T. With width = 2 bitlen(L) + 1, L**2 < 2**(width-1), so the
-balanced base-2**width digits of a packed result are its coefficients, read
-back uniquely. A second level packs a whole row of G or of T'G, or a column
-of T'GT, into one integer of n slots. The digits of an entry of T'G or T'GT
-sum to at most L**2 < 2**(width-1) in absolute value, so the entry is below
-2**(width*(top+1)), top being the largest exponent in G, and a slot of
-width*(top+1)//8 + 1 bytes holds it with its sign. A row of T'G is then a
-sum of multiples of packed rows of G over a sparse column of T, a column of
-T'GT a sum of multiples of packed columns of T'G, and the transpose in
-between is a strided copy of bytes, once every slot is biased to be
-nonnegative. The entrywise `Poly` computation of T'GT is the oracle in the
-tests. The reduced matrix is the first `Poly` stage and stays dense rows:
-its entries are no longer monomials, and `compare_blocks`,
-`BlockDecomposition.block` and `det_direct` index it by (row, column).
+The congruence T'GT is `polynomials.congruence`, the packed-integer kernel
+that also gives `determinant` its isotypic blocks Y'BY and whose docstring
+derives the digit width; `_congruence` hands it G's exponent grid. T is
+unitriangular, so its largest column L1 norm L is at least 1, and the
+coefficients of T'GT are at most L**2 in absolute value. The result is the
+first `Poly` stage and stays dense rows: its entries are no longer
+monomials, and `compare_blocks`, `BlockDecomposition.block` and
+`det_direct` index it by (row, column). The entrywise `Poly` T'GT is the
+oracle in the tests.
 `reduce_gram` reads its nonzero pattern once, in one pass over those rows,
 as the ascending nonzero columns of each row (`BlockDecomposition.nonzero`).
 The off-block violations are the pattern's entries that join two cells, and
@@ -87,7 +76,7 @@ from .gram import (
     build_gram,
     row_partition_groups,
 )
-from .polynomials import Poly, phi_z2
+from .polynomials import Poly, congruence, phi_z2
 from .z2diagrams import Z2Diagram
 
 __all__ = [
@@ -247,67 +236,11 @@ def _zeta_inverse(poset: CoarseningPoset) -> tuple[tuple[tuple[int, int], ...], 
 
 def _congruence(transform, grid):
     """T' G T for T given as the sparse columns of `_zeta_inverse` and G as
-    its exponent grid (x**e as e, zero as None).
-
-    Runs on packed Python ints, as the module docstring describes: an entry
-    x**e is the integer 2**(width*e), and a row or column of n entries is
-    one integer of n slots. The result is dense rows of `Poly`; equal
-    results share one `Poly`.
-    """
-    n = len(grid)
-    norm = max((sum(abs(c) for _, c in col) for col in transform), default=0)
-    width = 2 * norm.bit_length() + 1
-    top = max(set().union(*grid) - {None}, default=0)
-    size = width * (top + 1) // 8 + 1  # bytes per slot, sign bit included
-    slot = {None: bytes(size)}
-    for e in range(top + 1):
-        slot[e] = (1 << width * e).to_bytes(size, "little")
-    gram_rows = [int.from_bytes(b"".join(map(slot.__getitem__, row)), "little") for row in grid]
-    # each stage's n packed ints are dropped once the next stage has them,
-    # which keeps the peak memory near one stage's worth
-    left_rows = [sum(c * gram_rows[w] for w, c in col) for col in transform]  # T' G
-    del gram_rows
-    bits = 8 * size
-    half = 1 << bits - 1
-    bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
-    left_cols = _transpose(left_rows, n, size, bias)
-    del left_rows
-    reduced_cols = [sum(c * left_cols[i] for i, c in col) for col in transform]  # T' G T
-    del left_cols
-    mask = (1 << bits) - 1
-    polys: dict[int, Poly] = {}
-    out = []
-    for value in reduced_cols:
-        value += bias
-        col = [Poly.zero()] * n
-        nonzero = value ^ bias  # nonzero exactly in the slots of nonzero entries
-        while nonzero:
-            u = (nonzero.bit_length() - 1) // bits
-            low = bits * u
-            entry = (value >> low & mask) - half
-            if entry not in polys:
-                polys[entry] = Poly.from_packed(entry, width)
-            col[u] = polys[entry]
-            nonzero &= (1 << low) - 1
-        out.append(col)
-    return tuple(zip(*out))
-
-
-def _transpose(rows: list[int], n: int, size: int, bias: int) -> list[int]:
-    """Packed columns of the n x n matrix with packed rows `rows`.
-
-    With `bias` added every slot of `size` bytes is nonnegative, so the
-    slots are plain bytes and a column is gathered by strided slices.
-    """
-    stride = n * size
-    data = b"".join((row + bias).to_bytes(stride, "little") for row in rows)
-    cols = []
-    for j in range(n):
-        col = bytearray(stride)
-        for b in range(size):
-            col[b::size] = data[j * size + b :: stride]
-        cols.append(int.from_bytes(col, "little") - bias)
-    return cols
+    its exponent grid (x**e as e, zero as None), by `polynomials.congruence`.
+    The result is dense rows of `Poly`; equal results share one `Poly`."""
+    exponents = set().union(*grid) - {None}
+    coeffs = {None: (), **{e: (0,) * e + (1,) for e in exponents}}
+    return congruence(transform, grid, coeffs)
 
 
 # -- blocks and predictions --------------------------------------------------------

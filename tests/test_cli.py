@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +187,33 @@ def test_stdout_is_pinned(capsys, command, algebra):
     code, out, _ = run_cli(capsys, command, "--algebra", algebra, *PINNED_PROFILES[algebra])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, algebra]
+
+
+def test_k4_determinant_equals_the_benchmark_reference(capsys):
+    # the whole-matrix determinant goes through det_isotypic's congruence
+    reference = Path(__file__).resolve().parents[1] / "perfbench/reference/det-z2-k4-s20.out"
+    code, out, _ = run_cli(capsys, "det", "--algebra", "z2", "--k", "4", "--s1", "2", "--s2", "0")
+    assert code == 0 and out == reference.read_text()
+
+
+def test_k4_reduction_is_pinned(capsys):
+    # sha256 of stdout, recorded before T'GT and Y'BY shared one kernel
+    code, out, _ = run_cli(
+        capsys, "reduce", "--algebra", "signed", "--k", "4", "--s1", "1", "--s2", "0"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0fe6db0a3e5b17c2c6a375e41825f6aa9352a0beb4ebbc5e8141f6b9797df2bf"
+    )
+
+
+def test_enumeration_visits_only_the_requested_profile(capsys):
+    # a one-diagram basis of 12 fibres, under a guard of 10
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--algebra", "z2", "--k", "12", "--s1", "12", "--s2", "0",
+        "--guard", "10",
+    )
+    assert code == 0 and json.loads(out)["count"] == 1
 
 
 def test_unwritable_output_exits_with_message(tmp_path, capsys):

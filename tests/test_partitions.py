@@ -105,3 +105,12 @@ def test_set_partitions_counts_are_bell_numbers():
     bell = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
     for n, value in bell.items():
         assert sum(1 for _ in set_partitions(range(n))) == value
+
+
+def test_set_partitions_with_at_least_min_blocks():
+    for n in range(7):
+        every = list(set_partitions(range(n)))
+        for least in range(-1, n + 2):
+            assert list(set_partitions(range(n), least)) == [
+                blocks for blocks in every if len(blocks) >= least
+            ]

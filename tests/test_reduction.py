@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagram_gram.gram import ResourceGuardError, build_gram, enumerate_diagrams
-from diagram_gram.polynomials import Poly, phi_z2
+from diagram_gram.polynomials import Poly, congruence, phi_z2
 from diagram_gram.reduction import (
     _congruence,
     _zeta_inverse,
@@ -51,27 +51,27 @@ def render(grid):
     )
 
 
-def congruence_oracle(transform, entries):
-    """T' G T entry by entry in `Poly` arithmetic: the reference for the
-    packed-integer `_congruence`."""
-    n = len(entries)
-    cols = [[(u, transform[u][v]) for u in range(n) if transform[u][v]] for v in range(n)]
-    gt = [[None] * n for _ in range(n)]
+def congruence_oracle(columns, entries):
+    """C' B C entry by entry in `Poly` arithmetic, for C given as m sparse
+    columns ((u, c), ...) over the n indices of B, so that C may be
+    rectangular: the reference for the packed-integer `congruence`."""
+    n, m = len(entries), len(columns)
+    bc = [[None] * m for _ in range(n)]
     for i in range(n):
         row = entries[i]
-        for v in range(n):
+        for v, col in enumerate(columns):
             acc = Poly.zero()
-            for u, c in cols[v]:
+            for u, c in col:
                 p = row[u]
                 if p.coeffs:
                     acc = acc + p.scalar_mul(c)
-            gt[i][v] = acc
-    out = [[None] * n for _ in range(n)]
-    for u in range(n):
-        for j in range(n):
+            bc[i][v] = acc
+    out = [[None] * m for _ in range(m)]
+    for u, col in enumerate(columns):
+        for j in range(m):
             acc = Poly.zero()
-            for w, c in cols[u]:
-                p = gt[w][j]
+            for w, c in col:
+                p = bc[w][j]
                 if p.coeffs:
                     acc = acc + p.scalar_mul(c)
             out[u][j] = acc
@@ -91,7 +91,7 @@ def test_entries_render_the_exponent_grid():
 def test_packed_congruence_matches_oracle(profile):
     gram = build_gram(*profile)
     columns = _zeta_inverse(coarsening_poset(gram))
-    assert _congruence(columns, gram.exponents) == congruence_oracle(dense(columns), gram.entries)
+    assert _congruence(columns, gram.exponents) == congruence_oracle(columns, gram.entries)
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,7 +112,26 @@ def test_packed_congruence_matches_oracle_on_random_input(data):
     grid = tuple(
         tuple(data.draw(st.lists(exponent, min_size=n, max_size=n))) for _ in range(n)
     )
-    assert _congruence(columns, grid) == congruence_oracle(transform, render(grid))
+    assert _congruence(columns, grid) == congruence_oracle(columns, render(grid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_congruence_kernel_matches_oracle_on_random_input(data):
+    # C rectangular with large entries of either sign, B with entries of
+    # every degree up to 5 and large coefficients of either sign
+    n = data.draw(st.integers(0, 10))
+    m = data.draw(st.integers(0, n))
+    entry = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+    columns = tuple(
+        tuple((u, c) for u in range(n) if (c := data.draw(entry))) for _ in range(m)
+    )
+    poly = st.builds(Poly, st.lists(entry, max_size=6))
+    rows = tuple(tuple(data.draw(st.lists(poly, min_size=n, max_size=n))) for _ in range(n))
+    got = congruence(columns, rows, {p: p.coeffs for row in rows for p in row})
+    assert got == congruence_oracle(columns, rows)
+    # equal results share one Poly
+    assert len({id(p) for row in got for p in row}) == len({p for row in got for p in row})
 
 
 def test_poset_is_a_partial_order():
@@ -190,7 +209,7 @@ def test_transform_is_unitriangular_and_methods_agree():
         transform = dense(mobius.transform)
         sequential = sequential_transform(coarsening_poset(gram))
         assert transform == sequential
-        assert mobius.reduced == congruence_oracle(sequential, gram.entries)
+        assert mobius.reduced == congruence_oracle(mobius.transform, gram.entries)
         n = gram.dimension()
         for u in range(n):
             assert transform[u][u] == 1

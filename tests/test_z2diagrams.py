@@ -20,15 +20,17 @@ def all_z2_diagrams(k):
     z2 = FAMILIES["z2"]
     out = []
     seen = set()
-    for units in z2.configs(2 * k):
-        # reinterpret a single row of 2k fibers as top row (1..k) and bottom
-        # row (k+1..2k); through roles are meaningless here, so skip dupes
-        diagram_part = z2.assemble(2 * k, units).part
-        top_half = diagram_part.restrict(range(4 * k))
-        if top_half in seen:
-            continue
-        seen.add(top_half)
-        out.append(Z2Diagram(k, top_half))
+    for s1, s2 in z2.profiles(2 * k):
+        for units in z2.configs(2 * k, s1, s2):
+            # reinterpret a single row of 2k fibers as top row (1..k) and
+            # bottom row (k+1..2k); through roles are meaningless here, so
+            # skip dupes
+            diagram_part = z2.assemble(2 * k, units).part
+            top_half = diagram_part.restrict(range(4 * k))
+            if top_half in seen:
+                continue
+            seen.add(top_half)
+            out.append(Z2Diagram(k, top_half))
     return out
 
 
