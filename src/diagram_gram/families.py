@@ -41,8 +41,9 @@ __all__ = ["Family", "FAMILIES", "profile_of"]
 class Family:
     """What the pipeline needs to know about one algebra family.
 
-    `profiles(k)` lists the admissible (s1, s2) in the order the verdict
-    visits them; `window` describes that set for error messages.
+    The admissible profiles at k are the (s1, s2) with s1 + s2 <= k - spare,
+    and s2 == 0 for a `plain` family; `window` describes that set for error
+    messages. A plain family's rows also have r2 == 0.
     `unit_choices(m)` gives the (role, section) choices of a group of m
     fibers, `alpha_roles` the roles whose class sizes make up a key's
     shape, `assemble(k, units)` the basis diagram of a configuration and
@@ -54,16 +55,28 @@ class Family:
     """
 
     window: str
-    profiles: Callable[[int], tuple[tuple[int, int], ...]]
     unit_choices: Callable[[int], tuple[tuple[int, tuple[int, ...] | None], ...]]
     alpha_roles: tuple[int, ...]
     assemble: Callable
     ambient: str
     row_ok: Callable[[int, int, int, int, int], bool] = lambda k, s1, s2, r1, r2: True
+    spare: int = 0
+    plain: bool = False
     has_rho: bool = False
     to_doubled: Callable[[int, int, int, int], tuple[int, int, int, int]] = (
         lambda s1, s2, r1, r2: (s1, s2, r1, r2)
     )
+
+    def profiles(self, k: int) -> tuple[tuple[int, int], ...]:
+        """The admissible (s1, s2) at k, in the order the verdict visits them."""
+        top = k - self.spare
+        return tuple(
+            (s1, s2) for s1 in range(top + 1) for s2 in range(1 if self.plain else top - s1 + 1)
+        )
+
+    def has_profile(self, k: int, s1: int, s2: int) -> bool:
+        """(s1, s2) in `profiles(k)`, by arithmetic: O(1) at any k."""
+        return min(s1, s2) >= 0 and s1 + s2 <= k - self.spare and not (self.plain and s2)
 
     def configs(self, k: int, s1: int, s2: int):
         """Every row configuration of k fibers with s1 units of role 0 and
@@ -112,10 +125,6 @@ def profile_of(units) -> tuple[int, int, int, int]:
 
 
 # -- the three records -----------------------------------------------------------
-
-
-def _doubled_profiles(k: int):
-    return tuple((s1, s2) for s1 in range(k + 1) for s2 in range(k - s1 + 1))
 
 
 @lru_cache(maxsize=None)
@@ -167,17 +176,15 @@ def _signed_row(k: int, s1: int, s2: int, r1: int, r2: int) -> bool:
 FAMILIES = {
     "partition": Family(
         window="s <= k",
-        profiles=lambda k: tuple((s, 0) for s in range(k + 1)),
         unit_choices=lambda size: ((0, None), (2, None)),
         alpha_roles=(0, 2),
         assemble=_assemble_plain,
         ambient="partition",
-        row_ok=lambda k, s1, s2, r1, r2: r2 == 0,
+        plain=True,
         to_doubled=lambda s1, s2, r1, r2: (0, s1, 0, r1),
     ),
     "z2": Family(
         window="s1+s2 <= k",
-        profiles=_doubled_profiles,
         unit_choices=_doubled_units,
         alpha_roles=(0, 1, 2, 3),
         assemble=_assemble_doubled,
@@ -185,12 +192,12 @@ FAMILIES = {
     ),
     "signed": Family(
         window="s1+s2 <= k-1",
-        profiles=lambda k: _doubled_profiles(k - 1),
         unit_choices=_doubled_units,
         alpha_roles=(0, 1, 2, 3),
         assemble=_assemble_doubled,
         ambient="z2",
         row_ok=_signed_row,
+        spare=1,
         has_rho=True,
     ),
 }

@@ -108,12 +108,16 @@ def match_published_gram(gram: GramMatrix, fixture: dict | None = None) -> Golde
     assign: dict[int, int] = {}
     used: set[int] = set()
 
-    def mismatch_cost(u: int, slot: int) -> int:
-        """Hard mismatches added by placing ours-u at printed-slot."""
+    def mismatch_cost(u: int, slot: int, limit: int) -> int:
+        """Hard mismatches added by placing ours-u at printed-slot; counting
+        stops once the count exceeds `limit`, as the placement is then
+        rejected whatever the rest would add."""
         cost = 0
         if (slot, slot) not in asym and printed[slot][slot] != ours[u][u]:
             cost += 1
         for w, ws in assign.items():
+            if cost > limit:
+                break
             for a, b, x, y in ((slot, ws, u, w), (ws, slot, w, u)):
                 if (a, b) in asym:
                     continue
@@ -134,7 +138,7 @@ def match_published_gram(gram: GramMatrix, fixture: dict | None = None) -> Golde
         for slot in slot_pool[pos]:
             if slot in used:
                 continue
-            added = mismatch_cost(u, slot)
+            added = mismatch_cost(u, slot, budget - cost)
             if cost + added > budget:
                 continue
             assign[u] = slot

@@ -161,7 +161,7 @@ def check_window(algebra: str, k: int, s1: int, s2: int = 0) -> Family:
         raise WindowError(f"unknown algebra {algebra!r}, expected one of {ALGEBRAS}")
     if k < 1:
         raise WindowError(f"k must be at least 1, got {k}")
-    if (s1, s2) not in family.profiles(k):
+    if not family.has_profile(k, s1, s2):
         raise WindowError(
             f"profile ({s1}, {s2}) is outside the {algebra} window {family.window} at k={k}"
         )
@@ -175,10 +175,10 @@ def check_window(algebra: str, k: int, s1: int, s2: int = 0) -> Family:
 def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD):
     """Ordered basis: tuple of (DiagramKey, diagram) for the given profile."""
     family = check_window(algebra, k, s1, s2)
-    dim = projected_dimension(algebra, k, s1, s2)
+    dim = projected_dimension(algebra, k, s1, s2, cap=guard)
     if dim > guard:
         raise ResourceGuardError(
-            f"projected dimension {dim} exceeds guard {guard} "
+            f"projected dimension at least {dim} exceeds guard {guard} "
             f"for {algebra} k={k} profile ({s1}, {s2})"
         )
     rows = []
@@ -216,19 +216,25 @@ def count_row_configs(k: int, s1: int, s2: int, r1: int, r2: int) -> int:
     return binomial(a, s1) * binomial(b, s2) * total
 
 
-def projected_dimension(algebra: str, k: int, s1: int, s2: int = 0) -> int:
+def projected_dimension(algebra: str, k: int, s1: int, s2: int = 0, cap: int | None = None) -> int:
     """Matrix dimension, computed without enumerating diagrams.
 
-    Plain rows are counted as the flip-fixed doubled rows they equal.
+    Plain rows are counted as the flip-fixed doubled rows they equal. The
+    cells are summed with the most units first, because those are the cheap
+    ones at any k: a cell of u units sums k - u + 1 terms, each with
+    Stirling numbers S(j, a) where j - a <= k - u. With `cap`, the sum stops
+    at the first partial sum above it and returns that partial sum, so a
+    profile over a guard is known to be over it without the full count.
     """
     family = check_window(algebra, k, s1, s2)
-    free = k - s1 - s2
-    return sum(
-        count_row_configs(k, *family.to_doubled(s1, s2, r1, r2))
-        for r1 in range(free + 1)
-        for r2 in range(free - r1 + 1)
-        if family.row_ok(k, s1, s2, r1, r2)
-    )
+    total = 0
+    for units in range(k - s1 - s2, -1, -1):
+        for r2 in range(1 if family.plain else units + 1):
+            if family.row_ok(k, s1, s2, units - r2, r2):
+                total += count_row_configs(k, *family.to_doubled(s1, s2, units - r2, r2))
+                if cap is not None and total > cap:
+                    return total
+    return total
 
 
 # -- standard diagrams ------------------------------------------------------------

@@ -183,23 +183,18 @@ def minimal_common_coarsening(gram: GramMatrix, u: int, v: int):
     elements u and v, or None.
 
     Applies when the product of the two diagrams keeps the full through
-    count. Raises if the minimum is not unique.
+    count. The candidates and the finest among them are read from
+    `coarsening_poset(gram).leq`, the relation `verify` compares with
+    `diagram_coarser_or_equal` on every pair. Raises if the minimum is not
+    unique.
     """
     diagrams = gram.diagrams
     prod, _ = diagrams[u].multiply(diagrams[v])
     if prod.propagating_number() != gram.through_count():
         return None
-    candidates = [
-        w
-        for w in range(len(diagrams))
-        if diagram_coarser_or_equal(diagrams[w], diagrams[u])
-        and diagram_coarser_or_equal(diagrams[w], diagrams[v])
-    ]
-    finest = [
-        w
-        for w in candidates
-        if all(diagram_coarser_or_equal(diagrams[o], diagrams[w]) for o in candidates)
-    ]
+    leq = coarsening_poset(gram).leq
+    candidates = [w for w, above in enumerate(leq) if above[u] and above[v]]
+    finest = [w for w in candidates if all(leq[o][w] for o in candidates)]
     if len(finest) != 1:
         raise RuntimeError(
             f"common coarsening of {u} and {v} is not unique: {finest}"

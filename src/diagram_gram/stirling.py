@@ -5,13 +5,17 @@ reduced edge counts lying above a given symmetric diagram in the coarsening
 order; the plain partition family's count is its flip-fixed slice
 gen_stirling_z2(0, s, 0, r, 0, p). `count_coarser_bruteforce` computes the same
 quantity by exhaustively enumerating merge patterns of the diagram's row
-blocks; the two are tied together in the acceptance suite and the formula is
-never trusted where the enumeration disagrees.
+blocks, read from `coarser_profile_counts`, whose one walk per diagram sorts
+every admissible grouping by the profile it lands on and so gives the counts
+at all targets. The acceptance suite compares each diagram's counts with the
+formula on a target grid and at every profile the walk reaches; the formula
+is never trusted where the enumeration disagrees.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 from .diagrams import PartitionDiagram
@@ -22,6 +26,7 @@ __all__ = [
     "stirling2",
     "binomial",
     "gen_stirling_z2",
+    "coarser_profile_counts",
     "count_coarser_bruteforce",
 ]
 
@@ -33,10 +38,14 @@ def stirling2(n: int, k: int) -> int:
 
     By the alternating sum k! S(n, k) = sum_i (-1)**(k-i) C(k, i) i**n
     (inclusion-exclusion over surjections onto k labelled blocks), so no
-    recursion depth grows with n.
+    recursion depth grows with n. The sum has k + 1 terms of up to n log2 k
+    bits, so S(n, n) = 1 and S(n, n - 1) = C(n, 2), which a dimension count
+    reaches first (`gram.projected_dimension`), are read directly.
     """
     if n < 0 or k < 0 or k > n:
         return 0
+    if k >= n - 1:
+        return 1 if k == n else math.comb(n, 2)
     total = sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
     return total // math.factorial(k)
 
@@ -80,8 +89,8 @@ def gen_stirling_z2(s1: int, s2: int, r1: int, r2: int, p1: int, p2: int) -> int
 def _z2_row_units(diagram: Z2Diagram):
     """Top-row blocks of a symmetric diagram with flip and through metadata.
 
-    Returns (blocks, conj, through, fixed) where conj[i] is the index of the
-    flip-conjugate of block i and fixed[i] marks flip-fixed blocks.
+    Returns (blocks, conj, through) where conj[i] is the index of the
+    flip-conjugate of block i, which is i for a flip-fixed block.
     """
     half = 2 * diagram.k
     top, _ = diagram.halves()
@@ -92,36 +101,34 @@ def _z2_row_units(diagram: Z2Diagram):
         through.append(full[-1] >= half)
     index = top.block_index
     conj = [index[b[0] ^ 1] for b in blocks]
-    fixed = [conj[i] == i for i in range(len(blocks))]
-    return blocks, conj, through, fixed
+    return blocks, conj, through
 
 
-def count_coarser_bruteforce(diagram, p1: int, p2: int | None = None) -> int:
-    """Count coarser diagrams with the given horizontal-edge profile.
+def coarser_profile_counts(diagram) -> Counter:
+    """Every coarser diagram's horizontal-edge profile, with its count.
 
-    For a doubled diagram, (p1, p2) is the target profile; for a plain
-    partition diagram, p1 is the target horizontal-edge count and p2 must be
-    omitted. The count is over the unrestricted symmetric family: every
-    type-respecting blockwise merge of the diagram's row structure.
+    One walk over the set partitions of the diagram's row blocks gives all
+    targets at once, as `{(q1, q2): n}` for a doubled diagram and `{q: n}`
+    for a plain one, whose blocks walk as flip-fixed blocks. The count is
+    over the unrestricted symmetric family: every type-respecting blockwise
+    merge of the diagram's row structure.
     """
     if isinstance(diagram, Z2Diagram):
-        if p2 is None:
-            raise ValueError("doubled diagrams need a (p1, p2) target")
-        return _count_coarser_z2(diagram, p1, p2)
-    if isinstance(diagram, PartitionDiagram):
-        if p2 is not None:
-            raise ValueError("plain diagrams take a single target count")
-        return _count_coarser_partition(diagram, p1)
-    raise TypeError(f"unsupported diagram type {type(diagram).__name__}")
-
-
-def _count_coarser_z2(diagram: Z2Diagram, p1: int, p2: int) -> int:
-    if not diagram.is_mirror_symmetric():
-        raise ValueError("oracle requires a mirror-symmetric diagram")
-    blocks, conj, through, fixed = _z2_row_units(diagram)
-    n = len(blocks)
-    count = 0
-    for grouping in set_partitions(range(n)):
+        if not diagram.is_mirror_symmetric():
+            raise ValueError("oracle requires a mirror-symmetric diagram")
+        blocks, conj, through = _z2_row_units(diagram)
+    elif isinstance(diagram, PartitionDiagram):
+        k = diagram.k
+        top = diagram.part.restrict(range(k))
+        if top != diagram.part.restrict(range(k, 2 * k)):
+            raise ValueError("oracle requires a mirror-symmetric diagram")
+        blocks = top.blocks
+        conj = range(len(blocks))
+        through = [diagram.part.block_of(block[0])[-1] >= k for block in blocks]
+    else:
+        raise TypeError(f"unsupported diagram type {type(diagram).__name__}")
+    counts = Counter()
+    for grouping in set_partitions(range(len(blocks))):
         group_of = {}
         for gi, group in enumerate(grouping):
             for b in group:
@@ -129,12 +136,7 @@ def _count_coarser_z2(diagram: Z2Diagram, p1: int, p2: int) -> int:
         # distinct through blocks may never share a group: merging them would
         # either collapse two through classes or turn a conjugate pair into a
         # flip-fixed class, both of which change the through profile
-        ok = True
-        for group in grouping:
-            if sum(1 for b in group if through[b]) > 1:
-                ok = False
-                break
-        if not ok:
+        if any(sum(1 for b in group if through[b]) > 1 for group in grouping):
             continue
         # the merged partition must still be flip-stable: flipping every
         # block must permute the groups
@@ -153,33 +155,19 @@ def _count_coarser_z2(diagram: Z2Diagram, p1: int, p2: int) -> int:
                 q2 += 1
             elif image > gi:
                 q1 += 1
-        if (q1, q2) == (p1, p2):
-            count += 1
-    return count
+        counts[(q1, q2) if isinstance(diagram, Z2Diagram) else q2] += 1
+    return counts
 
 
-def _count_coarser_partition(diagram: PartitionDiagram, p: int) -> int:
-    k = diagram.k
-    top = diagram.part.restrict(range(k))
-    bottom = diagram.part.restrict(range(k, 2 * k))
-    if top != bottom:
-        raise ValueError("oracle requires a mirror-symmetric diagram")
-    blocks = list(top.blocks)
-    through = []
-    for block in blocks:
-        full = diagram.part.block_of(block[0])
-        through.append(full[-1] >= k)
-    count = 0
-    for grouping in set_partitions(range(len(blocks))):
-        horizontal = 0
-        ok = True
-        for group in grouping:
-            t = sum(1 for b in group if through[b])
-            if t > 1:
-                ok = False
-                break
-            if t == 0:
-                horizontal += 1
-        if ok and horizontal == p:
-            count += 1
-    return count
+def count_coarser_bruteforce(diagram, p1: int, p2: int | None = None) -> int:
+    """Count coarser diagrams with the given horizontal-edge profile.
+
+    For a doubled diagram, (p1, p2) is the target profile; for a plain
+    partition diagram, p1 is the target horizontal-edge count and p2 must be
+    omitted. Read from `coarser_profile_counts`.
+    """
+    if isinstance(diagram, Z2Diagram) and p2 is None:
+        raise ValueError("doubled diagrams need a (p1, p2) target")
+    if isinstance(diagram, PartitionDiagram) and p2 is not None:
+        raise ValueError("plain diagrams take a single target count")
+    return coarser_profile_counts(diagram)[p1 if p2 is None else (p1, p2)]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 from .determinant import det_blocks, det_direct
 from .families import FAMILIES
@@ -26,11 +28,7 @@ from .reduction import (
     minimal_common_coarsening,
     reduced_decomposition,
 )
-from .stirling import (
-    binomial,
-    count_coarser_bruteforce,
-    gen_stirling_z2,
-)
+from .stirling import binomial, coarser_profile_counts, gen_stirling_z2
 
 __all__ = ["CheckResult", "run_all_checks"]
 
@@ -71,12 +69,13 @@ def check_gram_invariants(k_max: int = 3, guard: int = DEFAULT_GUARD):
                         for v in range(n):
                             if grid[u][v] != grid[v][u]:
                                 failures.append(f"{algebra} k={k} ({s1},{s2}) asymmetric at {u},{v}")
+                    sort_keys = [key.sort_key() for key in gram.keys]
                     for u, key in enumerate(gram.keys):
                         want = gram.diagonal_degree(key)
                         if grid[u][u] != want:
                             failures.append(f"{algebra} k={k} ({s1},{s2}) bad diagonal at {u}")
                         for v in range(n):
-                            if gram.keys[v].sort_key() < key.sort_key():
+                            if sort_keys[v] < sort_keys[u]:
                                 if grid[u][v] is not None and grid[u][v] >= want:
                                     failures.append(
                                         f"{algebra} k={k} ({s1},{s2}) degree dominance at {u},{v}"
@@ -120,8 +119,11 @@ def check_block_closed_forms(k_max: int = 3, guard: int = DEFAULT_GUARD):
 def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
     """Coarsening equals the loop-count criterion; joins are unique.
 
-    On the same pairs, the row-partition Gram entries and poset must equal
-    their product-based oracles.
+    The poset read off the Gram matrix must equal `diagram_coarser_or_equal`
+    on every pair, so the joins read from it are joins of the oracle's
+    relation. On the pairs with deg u < deg v, coarsening must also equal
+    the loop-count criterion, and the row-partition Gram entries their
+    product-based oracle.
     """
 
     def run():
@@ -134,25 +136,26 @@ def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
                     target = gram.through_count()
                     poset = coarsening_poset(gram)
                     n = len(diagrams)
+                    degrees = [gram.diagonal_degree(key) for key in keys]
                     for u in range(n):
-                        degu = gram.diagonal_degree(keys[u])
+                        degu = degrees[u]
                         for v in range(n):
-                            if degu >= gram.diagonal_degree(keys[v]):
-                                continue
                             coarser = diagram_coarser_or_equal(diagrams[u], diagrams[v])
-                            prod, loops = diagrams[u].multiply(diagrams[v])
-                            kept = prod.propagating_number() == target
-                            dual = loops == degu and kept
-                            exponent = loops if kept else None
-                            if coarser != dual:
-                                failures.append(f"{algebra} k={k} ({s1},{s2}) pair {u},{v}")
-                            if poset.leq[u][v] != coarser or gram.exponents[u][v] != exponent:
+                            agrees = poset.leq[u][v] == coarser
+                            if degu < degrees[v]:
+                                prod, loops = diagrams[u].multiply(diagrams[v])
+                                kept = prod.propagating_number() == target
+                                if coarser != (loops == degu and kept):
+                                    failures.append(f"{algebra} k={k} ({s1},{s2}) pair {u},{v}")
+                                agrees = agrees and gram.exponents[u][v] == (loops if kept else None)
+                            if not agrees:
                                 failures.append(
                                     f"{algebra} k={k} ({s1},{s2}) pair {u},{v}: "
                                     "row-partition view differs from the oracle"
                                 )
                     if family.ambient != algebra:
                         continue  # a join can lie outside the signed basis
+                    loops_at = {}  # (w, x) -> loops of the product d_w . d_x
                     for u in range(n):
                         for v in range(u, n):
                             try:
@@ -163,11 +166,10 @@ def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
                             if u == v and w != u:
                                 failures.append(f"{algebra} k={k} ({s1},{s2}) join({u},{u}) != {u}")
                             if w is not None:
-                                dw = diagrams[w]
-                                _, l_ww = dw.multiply(dw)
-                                _, l_wu = dw.multiply(diagrams[u])
-                                _, l_wv = dw.multiply(diagrams[v])
-                                if not (l_ww == l_wu == l_wv):
+                                for x in (w, u, v):
+                                    if (w, x) not in loops_at:
+                                        loops_at[w, x] = diagrams[w].multiply(diagrams[x])[1]
+                                if not (loops_at[w, w] == loops_at[w, u] == loops_at[w, v]):
                                     failures.append(
                                         f"{algebra} k={k} ({s1},{s2}) loop identity at join({u},{v})"
                                     )
@@ -177,7 +179,12 @@ def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
 
 
 def check_oracle_equivalence(k_max: int = 3, guard: int = DEFAULT_GUARD):
-    """Closed-formula coarser counts equal the brute-force enumeration."""
+    """Closed-formula coarser counts equal the brute-force enumeration.
+
+    One walk per basis diagram gives its counts at every target; they must
+    equal the formula on the target grid and at every profile the walk
+    reaches.
+    """
 
     def run():
         failures = []
@@ -185,20 +192,22 @@ def check_oracle_equivalence(k_max: int = 3, guard: int = DEFAULT_GUARD):
             for k in range(1, k_max + 1):
                 for s1, s2 in FAMILIES[algebra].profiles(k):
                     for key, diagram in enumerate_diagrams(algebra, k, s1, s2, guard):
-                        for p1 in range(key.r1 + 1):
-                            for p2 in range(key.r1 + key.r2 + 2):
-                                got = count_coarser_bruteforce(diagram, p1, p2)
-                                want = gen_stirling_z2(s1, s2, key.r1, key.r2, p1, p2)
-                                if got != want:
-                                    failures.append(
-                                        f"{algebra} k={k} ({s1},{s2}) r=({key.r1},{key.r2}) "
-                                        f"p=({p1},{p2}): oracle {got} vs formula {want}"
-                                    )
+                        counts = coarser_profile_counts(diagram)
+                        grid = product(range(key.r1 + 1), range(key.r1 + key.r2 + 2))
+                        for p1, p2 in sorted(counts.keys() | set(grid)):
+                            got = counts[p1, p2]
+                            want = gen_stirling_z2(s1, s2, key.r1, key.r2, p1, p2)
+                            if got != want:
+                                failures.append(
+                                    f"{algebra} k={k} ({s1},{s2}) r=({key.r1},{key.r2}) "
+                                    f"p=({p1},{p2}): oracle {got} vs formula {want}"
+                                )
         for k in range(1, k_max + 2):
             for s in range(k + 1):
                 for key, diagram in enumerate_diagrams("partition", k, s, 0, guard):
-                    for p in range(key.r1 + 1):
-                        got = count_coarser_bruteforce(diagram, p)
+                    counts = coarser_profile_counts(diagram)
+                    for p in sorted(counts.keys() | set(range(key.r1 + 1))):
+                        got = counts[p]
                         want = gen_stirling_z2(0, s, 0, key.r1, 0, p)  # flip-fixed slice
                         if got != want:
                             failures.append(f"partition k={k} s={s} r={key.r1} p={p}")
@@ -250,7 +259,7 @@ def check_stirling_recurrences():
     return CheckResult("stirling-recurrences", *_timed(run))
 
 
-def _shift_holds(t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
+def _shift_holds(phi, t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
     """The shift identity with a = r1 - t1, b = r2 - t2:
 
     phi(s1+t1, s2+t2, a, b) = phi(s1-t1, s2-t2, a, b)
@@ -259,20 +268,20 @@ def _shift_holds(t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
 
     with c(t, r, m) = C(2t, m) C(r, m) m!. At t2 = 0 (t1 = 0) the m' (m)
     sum and the cross terms are empty, leaving the first- (second-) family
-    identity.
+    identity. `phi` is `phi_z2`, memoised by the caller.
     """
 
     def coeff(t, r, m):
         return binomial(2 * t, m) * binomial(r, m) * math.factorial(m)
 
     a, b = r1 - t1, r2 - t2
-    rhs = phi_z2(s1 - t1, s2 - t2, a, b)
+    rhs = phi(s1 - t1, s2 - t2, a, b)
     for m in range(2 * t1 + 1):
         for mp in range(2 * t2 + 1):
             if m or mp:
                 c = coeff(t1, a, m) * 2**m * coeff(t2, b, mp)
-                rhs = rhs - phi_z2(s1 + t1, s2 + t2, a - m, b - mp).scalar_mul(c)
-    return phi_z2(s1 + t1, s2 + t2, a, b) == rhs
+                rhs = rhs - phi(s1 + t1, s2 + t2, a - m, b - mp).scalar_mul(c)
+    return phi(s1 + t1, s2 + t2, a, b) == rhs
 
 
 def check_phi_identities():
@@ -283,20 +292,21 @@ def check_phi_identities():
     """
 
     def run():
+        phi = lru_cache(maxsize=None)(phi_z2)  # local to this run
         failures = []
         for t in range(3):
             for s1 in range(t, 5):
                 for s2 in range(3):
                     for r1 in range(5):
                         for r2 in range(4):
-                            if not _shift_holds(t, 0, s1, s2, r1, r2):
+                            if not _shift_holds(phi, t, 0, s1, s2, r1, r2):
                                 failures.append(f"first-family shift {t},{s1},{s2},{r1},{r2}")
         for t in range(3):
             for s2 in range(t, 5):
                 for s1 in range(3):
                     for r2 in range(5):
                         for r1 in range(4):
-                            if not _shift_holds(0, t, s1, s2, r1, r2):
+                            if not _shift_holds(phi, 0, t, s1, s2, r1, r2):
                                 failures.append(f"second-family shift {t},{s1},{s2},{r1},{r2}")
         for t1 in range(2):
             for t2 in range(2):
@@ -304,7 +314,7 @@ def check_phi_identities():
                     for s2 in range(t2, 4):
                         for r1 in range(4):
                             for r2 in range(4):
-                                if not _shift_holds(t1, t2, s1, s2, r1, r2):
+                                if not _shift_holds(phi, t1, t2, s1, s2, r1, r2):
                                     failures.append(
                                         f"combined shift {t1},{t2},{s1},{s2},{r1},{r2}"
                                     )
@@ -321,6 +331,7 @@ def check_monomial_expansion():
     """
 
     def run():
+        phi = lru_cache(maxsize=None)(phi_z2)  # local to this run
         failures = []
         for s1 in range(3):
             for s2 in range(4):
@@ -329,7 +340,7 @@ def check_monomial_expansion():
                         acc = Poly.zero()
                         for p1 in range(r1 + 1):
                             for p2 in range(r1 + r2 - p1 + 1):
-                                acc = acc + phi_z2(s1, s2, p1, p2).scalar_mul(
+                                acc = acc + phi(s1, s2, p1, p2).scalar_mul(
                                     gen_stirling_z2(s1, s2, r1, r2, p1, p2)
                                 )
                         if acc != Poly.monomial(2 * r1 + r2):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,19 @@ def test_guard_exits_before_a_huge_enumeration(capsys):
     code, out, err = run_cli(
         capsys, "enumerate", "--algebra", "z2", "--k", "100", "--s1", "0", "--s2", "0"
     )
+    assert code == 3 and out == ""
+    assert "resource guard" in err
+
+
+@pytest.mark.parametrize("algebra", ["z2", "signed", "partition"])
+@pytest.mark.parametrize("k", ["300", "5000", "99999999999999999999"])
+def test_guard_exits_at_once_for_a_large_k(capsys, algebra, k):
+    # the window is tested by arithmetic and the count stops at the first
+    # partial sum above the guard, so neither grows with k
+    profile = ["--s", "0"] if algebra == "partition" else ["--s1", "0", "--s2", "0"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--algebra", algebra, "--k", k, *profile)
+    assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
     assert "resource guard" in err
 

@@ -76,3 +76,34 @@ def test_matcher_reports_planted_defect():
     )
     report = match_published_gram(corrupted)
     assert report.permutation is None or report.hard_mismatches
+
+
+def _planted(gram, cells):
+    exponents = [list(row) for row in gram.exponents]
+    for (i, j), e in cells.items():
+        exponents[i][j] = e
+    return type(gram)(
+        gram.algebra, gram.k, gram.s1, gram.s2, gram.keys, gram.diagrams,
+        tuple(tuple(row) for row in exponents),
+    )
+
+
+def test_matcher_with_planted_mismatches_keeps_its_alignment():
+    """With hard mismatches the search runs at budget > 0, where a placement's
+    cost stops being counted past the remaining budget. The alignment and
+    the mismatch lists are those recorded with the full count."""
+    gram = build_gram("signed", 3, 1, 0)
+    aligned = published_gram_report(gram).permutation
+    assert aligned == (
+        0, 1, 2, 3, 6, 7, 4, 5, 8, 9, 12, 10, 11, 15, 16, 13, 14, 17, 18,
+        23, 24, 19, 20, 21, 22, 29, 26, 30, 25, 28, 27, 33, 31, 32,
+    )
+    cases = [
+        ({(3, 3): gram.exponents[3][3] + 1}, [(3, 3, 1, 0)]),  # budget 1
+        ({(0, 5): 2, (5, 0): 2}, [(0, 7, 2, None), (7, 0, 2, None)]),  # budget 2
+    ]
+    for cells, hard in cases:
+        report = match_published_gram(_planted(gram, cells))
+        assert report.permutation == aligned
+        assert report.hard_mismatches == hard
+        assert len(report.slips) == 4

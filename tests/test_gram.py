@@ -296,3 +296,14 @@ def test_gram_and_reduced_matrices_are_fibre_invariant(profile):
             assert grid[perm[u]][perm[v]] == grid[u][v]
             assert reduced[perm[u]][perm[v]] == reduced[u][v]
         assert {perm[u] for u in rho} == rho
+
+
+def test_projected_dimension_stops_above_its_cap():
+    for algebra, k, s1, s2 in PROFILES:
+        dim = projected_dimension(algebra, k, s1, s2)
+        for cap in range(dim + 2):
+            partial = projected_dimension(algebra, k, s1, s2, cap=cap)
+            if cap >= dim:
+                assert partial == dim
+            else:
+                assert cap < partial <= dim

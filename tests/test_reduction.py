@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagram_gram.families import FAMILIES
 from diagram_gram.gram import ResourceGuardError, build_gram, enumerate_diagrams
 from diagram_gram.polynomials import Poly, congruence, phi_z2
 from diagram_gram.reduction import (
@@ -297,6 +298,51 @@ def test_join_in_family():
                     _, l_wu = dw.multiply(diagrams[u])
                     _, l_wv = dw.multiply(diagrams[v])
                     assert l_ww == l_wu == l_wv
+
+
+def join_reference(gram, u, v):
+    """The join search on whole diagrams, by `diagram_coarser_or_equal`:
+    the finest basis element coarser than both u and v, None when the
+    product u.v drops a through block, RuntimeError when not unique."""
+    diagrams = gram.diagrams
+    prod, _ = diagrams[u].multiply(diagrams[v])
+    if prod.propagating_number() != gram.through_count():
+        return None
+    candidates = [
+        w
+        for w in range(len(diagrams))
+        if diagram_coarser_or_equal(diagrams[w], diagrams[u])
+        and diagram_coarser_or_equal(diagrams[w], diagrams[v])
+    ]
+    finest = [
+        w
+        for w in candidates
+        if all(diagram_coarser_or_equal(diagrams[o], diagrams[w]) for o in candidates)
+    ]
+    if len(finest) != 1:
+        raise RuntimeError(f"common coarsening of {u} and {v} is not unique: {finest}")
+    return finest[0]
+
+
+def join_outcome(join, gram, u, v):
+    try:
+        return join(gram, u, v)
+    except RuntimeError as exc:
+        return ("raised", str(exc))
+
+
+@pytest.mark.parametrize(
+    "algebra, k, s1, s2",
+    [p for p in PROFILES if p[1] <= 3 and FAMILIES[p[0]].ambient == p[0]],
+    ids=str,
+)
+def test_join_from_the_poset_equals_the_diagram_search(algebra, k, s1, s2):
+    gram = build_gram(algebra, k, s1, s2)
+    n = gram.dimension()
+    for u, v in itertools.product(range(n), repeat=2):
+        assert join_outcome(minimal_common_coarsening, gram, u, v) == join_outcome(
+            join_reference, gram, u, v
+        ), (u, v)
 
 
 def test_partition_blocks_match_falling_products():

@@ -1,12 +1,17 @@
 import pytest
 
+from diagram_gram.families import FAMILIES
 from diagram_gram.gram import enumerate_diagrams, standard_diagram
+from diagram_gram.partitions import set_partitions
 from diagram_gram.stirling import (
+    _z2_row_units,
     binomial,
+    coarser_profile_counts,
     count_coarser_bruteforce,
     gen_stirling_z2,
     stirling2,
 )
+from diagram_gram.z2diagrams import Z2Diagram
 
 
 def test_stirling2_examples():
@@ -23,6 +28,8 @@ def test_stirling2_satisfies_its_recurrence():
             assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
     assert stirling2(3, 4) == stirling2(-1, 0) == stirling2(2, -1) == 0
     assert stirling2(2000, 1999) == binomial(2000, 2)
+    # S(n, n-2) = C(n, 3) + 3 C(n, 4), from the alternating sum at large n
+    assert stirling2(2000, 1998) == binomial(2000, 3) + 3 * binomial(2000, 4)
 
 
 def test_gen_stirling_z2_spot_values():
@@ -100,3 +107,100 @@ def test_oracle_counts_coarser_with_paired_edge_fused():
     d = standard_diagram(((), (), (3,), ()), 3)
     assert count_coarser_bruteforce(d, 0, 1) == 1
     assert gen_stirling_z2(0, 0, 1, 0, 0, 1) == 1
+
+
+# -- the per-target walks, kept as the reference for coarser_profile_counts --
+
+
+def reference_count(diagram, target=None) -> int:
+    """Admissible groupings of the diagram's row blocks whose coarser diagram
+    has the horizontal-edge profile `target`, (p1, p2) for a doubled diagram
+    and p for a plain one, or every admissible grouping when `target` is
+    None: one walk per target, as the oracle made before it counted every
+    target in one walk."""
+    if isinstance(diagram, Z2Diagram):
+        return _reference_z2(diagram, target)
+    return _reference_partition(diagram, target)
+
+
+def _reference_z2(diagram, target):
+    blocks, conj, through = _z2_row_units(diagram)
+    count = 0
+    for grouping in set_partitions(range(len(blocks))):
+        group_of = {}
+        for gi, group in enumerate(grouping):
+            for b in group:
+                group_of[b] = gi
+        ok = True
+        for group in grouping:
+            if sum(1 for b in group if through[b]) > 1:
+                ok = False
+                break
+        if not ok:
+            continue
+        if any(
+            group_of[conj[group[0]]] != group_of[conj[b]]
+            for group in grouping
+            for b in group[1:]
+        ):
+            continue
+        q1 = q2 = 0
+        for gi, group in enumerate(grouping):
+            if any(through[b] for b in group):
+                continue
+            image = group_of[conj[group[0]]]
+            if image == gi:
+                q2 += 1
+            elif image > gi:
+                q1 += 1
+        if target is None or (q1, q2) == target:
+            count += 1
+    return count
+
+
+def _reference_partition(diagram, target):
+    k = diagram.k
+    blocks = list(diagram.part.restrict(range(k)).blocks)
+    through = []
+    for block in blocks:
+        full = diagram.part.block_of(block[0])
+        through.append(full[-1] >= k)
+    count = 0
+    for grouping in set_partitions(range(len(blocks))):
+        horizontal = 0
+        ok = True
+        for group in grouping:
+            t = sum(1 for b in group if through[b])
+            if t > 1:
+                ok = False
+                break
+            if t == 0:
+                horizontal += 1
+        if ok and (target is None or horizontal == target):
+            count += 1
+    return count
+
+
+ORACLE_PROFILES = [
+    (algebra, k, s1, s2)
+    for algebra, top in (("z2", 3), ("signed", 3), ("partition", 4))
+    for k in range(1, top + 1)
+    for s1, s2 in FAMILIES[algebra].profiles(k)
+]
+
+
+@pytest.mark.parametrize("algebra, k, s1, s2", ORACLE_PROFILES, ids=str)
+def test_profile_counts_equal_the_per_target_walk(algebra, k, s1, s2):
+    for key, diagram in enumerate_diagrams(algebra, k, s1, s2):
+        counts = coarser_profile_counts(diagram)
+        if algebra == "partition":
+            targets = list(range(key.r1 + 2))
+        else:
+            targets = [
+                (p1, p2) for p1 in range(key.r1 + 2) for p2 in range(key.r1 + key.r2 + 2)
+            ]
+        for target in targets:
+            assert counts.get(target, 0) == reference_count(diagram, target), target
+        assert set(counts) <= set(targets)
+        assert all(n > 0 for n in counts.values())
+        assert sum(counts.values()) == reference_count(diagram)
