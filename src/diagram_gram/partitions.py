@@ -157,32 +157,39 @@ class SetPartition:
 
 def set_partitions(items: Sequence, min_blocks: int = 0) -> Iterator[list[list]]:
     """All set partitions of `items` into at least `min_blocks` blocks, by
-    restricted growth strings.
+    restricted growth strings in lexicographic order.
 
-    A prefix that already uses b blocks can still reach b plus the number
-    of items left, so the recursion stops below a prefix that cannot reach
-    `min_blocks`, and every branch it enters yields a partition.
+    rgs[i] is the block of items[i], at most one more than any block before
+    it. A prefix that already uses b blocks can still reach b plus the
+    number of items left, so each tail is filled with the least values that
+    reach `min_blocks`, and every string visited is yielded. The walk is a
+    loop, so its depth does not grow with len(items).
     """
     items = list(items)
     n = len(items)
-    if n == 0:
-        if min_blocks <= 0:
-            yield []
+    if min_blocks > n:
         return
-    # rgs[i] = index of the block containing items[i]; rgs[i] <= max(rgs[:i]) + 1
+    if n == 0:
+        yield []
+        return
     rgs = [0] * n
-
-    def rec(i: int, maxused: int):
-        if maxused + 1 + n - i < min_blocks:
+    high = [0] * (n + 1)  # high[i] = max(rgs[:i]), for i >= 1
+    start = 1
+    while True:
+        for i in range(start, n):
+            # a value up to high[i] leaves high[i] + 1 blocks and n - i - 1 items
+            rgs[i] = 0 if high[i] + n - i >= min_blocks else high[i] + 1
+            high[i + 1] = max(high[i], rgs[i])
+        blocks: list[list] = [[] for _ in range(high[n] + 1)]
+        for item, b in zip(items, rgs):
+            blocks[b].append(item)
+        yield blocks
+        # the successor raises the last entry that can grow, then refills
+        start = n - 1
+        while start > 0 and rgs[start] > high[start]:
+            start -= 1
+        if start == 0:
             return
-        if i == n:
-            blocks: list[list] = [[] for _ in range(maxused + 1)]
-            for j, b in enumerate(rgs):
-                blocks[b].append(items[j])
-            yield blocks
-            return
-        for b in range(maxused + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxused, b))
-
-    yield from rec(1, 0)
+        rgs[start] += 1
+        high[start + 1] = max(high[start], rgs[start])
+        start += 1

@@ -377,7 +377,7 @@ def reduced_decomposition(
     return reduce_gram(build_gram(algebra, k, s1, s2, guard))
 
 
-def predicted_blocks(gram: GramMatrix, cells=None) -> dict:
+def predicted_blocks(gram: GramMatrix, cells) -> dict:
     """Closed-form block predictions, keyed like the extracted blocks.
 
     Within an ordinary block the diagonal is the named product polynomial and
@@ -387,8 +387,6 @@ def predicted_blocks(gram: GramMatrix, cells=None) -> dict:
     statement disagrees with the reduction output the comparison downgrades
     to informative rather than patching either side.
     """
-    if cells is None:
-        cells = _cells_of(gram)
     out = {}
     for label, members in cells:
         size = len(members)

@@ -52,16 +52,10 @@ def test_criterion_02_published_gram_matrix():
     elapsed = time.monotonic() - t0
     for line in report.describe():
         print("   ", line)
-    # residual mismatches at self-consistent printed positions must be <= 2;
-    # positions where the published table contradicts its own symmetry can
-    # never match any symmetric matrix and are documented separately
-    ok = (
-        report.permutation is not None
-        and len(report.hard_mismatches) <= 2
-        and len(report.hard_mismatches) == 0
-        and len(report.slips) == 4
-        and elapsed < 5.0
-    )
+    # no mismatch at a self-consistent printed position; positions where the
+    # published table contradicts its own symmetry can never match any
+    # symmetric matrix and are documented separately
+    ok = report.ok and len(report.slips) == 4 and elapsed < 5.0
     _report(2, "published 34x34 Gram matrix (exact up to in-cell order; "
                "4 printed self-contradictions documented)", ok, f"{elapsed:.2f}s")
 
@@ -71,21 +65,9 @@ def test_criterion_03_published_reduction():
     decomposition = reduced_decomposition(*PUBLISHED_PARAMS)
     out = published_reduced_report(decomposition, published_gram_report(decomposition.gram))
     elapsed = time.monotonic() - t0
-    scalar_ok = all(
-        b["size_ok"] and b["diag_ok"] and b["structure_ok"] for b in out["scalar_blocks"]
-    )
-    rho = out["rho"]
-    for diff in rho["diffs"]:
+    for diff in out["rho"]["diffs"]:
         print("    rho diff:", diff)
-    ok = (
-        scalar_ok
-        and rho["size_ok"]
-        and rho["diag_ok"]
-        and rho["cross_ok"]
-        and rho["diffs"] == []
-        and not decomposition.offblock_violations
-        and elapsed < 10.0
-    )
+    ok = out["ok"] and not decomposition.offblock_violations and elapsed < 10.0
     _report(3, "published reduction (scalar blocks + 9x9 tail block entrywise)", ok,
             f"{elapsed:.2f}s")
 

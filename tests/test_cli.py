@@ -222,12 +222,15 @@ def test_k4_reduction_is_pinned(capsys):
 
 
 def test_enumeration_visits_only_the_requested_profile(capsys):
-    # a one-diagram basis of 12 fibres, under a guard of 10
-    code, out, _ = run_cli(
-        capsys, "enumerate", "--algebra", "z2", "--k", "12", "--s1", "12", "--s2", "0",
-        "--guard", "10",
-    )
-    assert code == 0 and json.loads(out)["count"] == 1
+    # a one-diagram basis of 12 and of 1000 fibres, under a guard of 10; the
+    # walk's depth must not grow with k
+    for k in ("12", "1000"):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--algebra", "z2", "--k", k, "--s1", k, "--s2", "0",
+            "--guard", "10",
+        )
+        assert code == 0 and json.loads(out)["count"] == 1
+        assert "Traceback" not in err
 
 
 def test_unwritable_output_exits_with_message(tmp_path, capsys):

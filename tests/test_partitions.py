@@ -107,6 +107,40 @@ def test_set_partitions_counts_are_bell_numbers():
         assert sum(1 for _ in set_partitions(range(n))) == value
 
 
+def recursive_walk(items, min_blocks=0):
+    """The restricted-growth-string walk as a recursion, one level per item."""
+    items = list(items)
+    n = len(items)
+    if n == 0:
+        if min_blocks <= 0:
+            yield []
+        return
+    rgs = [0] * n
+
+    def rec(i, maxused):
+        if maxused + 1 + n - i < min_blocks:
+            return
+        if i == n:
+            blocks = [[] for _ in range(maxused + 1)]
+            for j, b in enumerate(rgs):
+                blocks[b].append(items[j])
+            yield blocks
+            return
+        for b in range(maxused + 2):
+            rgs[i] = b
+            yield from rec(i + 1, max(maxused, b))
+
+    yield from rec(1, 0)
+
+
+def test_set_partitions_order_equals_the_recursive_walk():
+    for n in range(7):
+        for least in range(-1, n + 2):
+            assert list(set_partitions("abcdef"[:n], least)) == list(
+                recursive_walk("abcdef"[:n], least)
+            )
+
+
 def test_set_partitions_with_at_least_min_blocks():
     for n in range(7):
         every = list(set_partitions(range(n)))
