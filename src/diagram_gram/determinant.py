@@ -54,6 +54,17 @@ y_j, and det(Y'BY) / det(Y'Y) = det B_λ. Summing over λ,
 
     det B = Π_λ det(Y'BY)^{d_λ} / Π_λ det(Y'Y)^{d_λ}.
 
+Symmetrizers as transposition passes. S_k is never listed. Over m
+points, the cosets of S_{j-1} in S_j give Σ_σ σ = Π_{j=2..m} (1 + J_j)
+and Σ_σ sgn(σ)·σ = Π_{j=2..m} (1 - J_j), J_j = Σ_{i<j} (i j). So the
+column π(e_T)·e_u comes from e_u by one sparse pass per factor, the column
+groups' first (e_T = (Σ_R r)(Σ_C sgn(c)·c)): O(k²) transpositions, not
+the k! terms of e_T for λ = (k). Each transposition's index permutation is
+composed from π((0 1)) and π(c), c = (0 1 ... k-1), whose invariance is
+checked: (i i+1) = c·(i-1 i)·c⁻¹ and (i j) = (i i+1)(i+1 j)(i i+1). The
+shapes stop once Σ m_λ d_λ reaches n, as every later one has m_λ = 0, so
+a one-diagram basis stops at λ = (k) and the guard on n bounds the work.
+
 Y is an integer matrix, so Y'BY is an integer polynomial matrix and Y'Y an
 integer matrix, and `det_direct` takes both. Every Y'BY comes from one call
 of `polynomials.congruence`, the kernel of the reduction's T'GT, with all
@@ -254,36 +265,6 @@ def _partitions(k: int, largest: int | None = None):
             yield (first, *rest)
 
 
-def _stabilizer(k: int, groups) -> list[tuple[tuple[int, ...], int]]:
-    """(sigma, sign) for each permutation of 0..k-1 mapping every one of the
-    disjoint ascending `groups` onto itself."""
-    out = []
-    for images in itertools.product(*map(itertools.permutations, groups)):
-        sigma = list(range(k))
-        sign = 1
-        for group, image in zip(groups, images):
-            for a, b in zip(group, image):
-                sigma[a] = b
-            sign *= (-1) ** sum(x > y for x, y in itertools.combinations(image, 2))
-        out.append((tuple(sigma), sign))
-    return out
-
-
-def _young_terms(shape) -> dict[tuple[int, ...], int]:
-    """e_T = Σ_{r∈R_T} Σ_{c∈C_T} sgn(c)·rc for the tableau T of `shape`
-    filled row by row, as {rc: sgn(c)}; rc applies c first. R_T and C_T
-    meet only in the identity, so every pair gives its own permutation."""
-    k = sum(shape)
-    starts = list(itertools.accumulate(shape, initial=0))
-    rows = [tuple(range(a, a + part)) for a, part in zip(starts, shape)]
-    columns = [tuple(row[j] for row in rows if len(row) > j) for j in range(shape[0])]
-    return {
-        tuple(r[i] for i in c): sign
-        for r, _ in _stabilizer(k, rows)
-        for c, sign in _stabilizer(k, columns)
-    }
-
-
 def _hook_dimension(shape) -> int:
     """d_λ, the dimension of S_k's irreducible of shape λ (hook length formula)."""
     conjugate = [sum(part > j for part in shape) for j in range(shape[0])]
@@ -291,26 +272,6 @@ def _hook_dimension(shape) -> int:
         part - j + conjugate[j] - i - 1 for i, part in enumerate(shape) for j in range(part)
     )
     return factorial(sum(shape)) // hooks
-
-
-def _group(k: int, generators) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Every sigma in S_k with its index permutation, composed breadth first
-    from the generators' (sigma, index permutation) pairs; π(g∘sigma) is
-    π(g)∘π(sigma), π being an action."""
-    identity = tuple(range(k))
-    group = {identity: tuple(range(len(generators[0][1])))}
-    frontier = [identity]
-    while frontier:
-        reached = []
-        for sigma in frontier:
-            perm = group[sigma]
-            for g, pg in generators:
-                tau = tuple(g[i] for i in sigma)
-                if tau not in group:
-                    group[tau] = tuple(pg[i] for i in perm)
-                    reached.append(tau)
-        frontier = reached
-    return group
 
 
 def _independent(columns) -> list[dict[int, int]]:
@@ -337,6 +298,36 @@ def _independent(columns) -> list[dict[int, int]]:
     return kept
 
 
+def _transpositions(k: int, swap, cycle) -> dict[tuple[int, int], tuple[int, ...]]:
+    """π((i j)) for every i < j, composed from swap = π((0 1)) and cycle =
+    π((0 1 ... k-1)) as the module docstring says."""
+    inverse = {v: u for u, v in enumerate(cycle)}
+    out = {(0, 1): swap}
+    for i in range(1, k - 1):
+        t = out[i - 1, i]
+        out[i, i + 1] = tuple(cycle[t[inverse[u]]] for u in range(len(t)))
+    for i in range(k - 3, -1, -1):
+        t = out[i, i + 1]
+        for j in range(i + 2, k):
+            q = out[i + 1, j]
+            out[i, j] = tuple(t[q[t[u]]] for u in range(len(t)))
+    return out
+
+
+def _group_sum(column: dict[int, int], groups, transpositions, sign: int) -> dict[int, int]:
+    """Σ sign^σ·π(σ)·column over the σ that map each of the disjoint
+    ascending `groups` onto itself, one pass per factor (1 + sign·J_j)."""
+    for group in groups:
+        for j in range(1, len(group)):
+            out = dict(column)
+            for i in range(j):
+                t = transpositions[group[i], group[j]]
+                for u, c in column.items():
+                    out[t[u]] = out.get(t[u], 0) + sign * c
+            column = {u: c for u, c in out.items() if c}
+    return column
+
+
 def _isotypic_bases(matrix, k: int, action):
     """(Y, d_λ) for each partition λ of k with m_λ > 0, Y being m_λ
     independent columns of π(e_T), as sparse {index: integer} dicts; None
@@ -351,21 +342,25 @@ def _isotypic_bases(matrix, k: int, action):
             tuple(map(matrix[perm[u]].__getitem__, perm)) != tuple(matrix[u]) for u in range(n)
         ):
             return None
-        generators.append((sigma, perm))
-    group = _group(k, generators)
-    bases = []
+        generators.append(perm)
+    transpositions = _transpositions(k, *generators)
+    bases, total = [], 0
     for shape in _partitions(k):
-        terms = [(group[sigma], sign) for sigma, sign in _young_terms(shape).items()]
-        columns = []
-        for u in range(n):
-            column: Counter[int] = Counter()
-            for perm, sign in terms:
-                column[perm[u]] += sign
-            columns.append({i: c for i, c in column.items() if c})
-        ys = _independent(columns)
+        starts = itertools.accumulate(shape, initial=0)
+        rows = [range(a, a + part) for a, part in zip(starts, shape)]
+        columns = [[row[j] for row in rows if len(row) > j] for j in range(shape[0])]
+        # e_T = (Σ_R r)(Σ_C sgn(c)·c): the column group acts first
+        ys = _independent(
+            _group_sum(_group_sum({u: 1}, columns, transpositions, -1), rows, transpositions, 1)
+            for u in range(n)
+        )
         if ys:
-            bases.append((ys, _hook_dimension(shape)))
-    return bases if sum(len(ys) * d for ys, d in bases) == n else None
+            d = _hook_dimension(shape)
+            bases.append((ys, d))
+            total += len(ys) * d
+            if total >= n:
+                break  # every later shape has m_λ = 0
+    return bases if total == n else None
 
 
 def det_isotypic(matrix, k: int, action) -> Poly:
@@ -377,10 +372,12 @@ def det_isotypic(matrix, k: int, action) -> Poly:
     index out of the matrix; π must be an action, π(sigma∘tau) =
     π(sigma)∘π(tau).
     B[π(sigma)[u]][π(sigma)[v]] must equal B[u][v]: that is checked
-    exactly for (0 1) and the k-cycle, which generate S_k. If the check
-    fails, if `action` gives None, if k = 1, or if the blocks do not add up
-    to n, the result is `det_direct(B)`. The module docstring gives the
-    formula and why it is exact.
+    exactly for (0 1) and the k-cycle, which generate S_k, and `action` is
+    called for those two only. Each Young symmetrizer acts on a column as
+    O(k²) sparse transposition passes, and the shapes stop once their
+    blocks fill n. If the check fails, if `action` gives None, if k = 1, or
+    if the blocks do not add up to n, the result is `det_direct(B)`. The
+    module docstring gives the formula and why it is exact.
     """
     bases = _isotypic_bases(matrix, k, action)
     if bases is None:

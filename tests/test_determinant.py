@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -9,9 +11,13 @@ from hypothesis import strategies as st
 from diagram_gram.determinant import (
     _bareiss_int,
     _components,
+    _hook_dimension,
+    _independent,
     _interpolate,
     _isotypic_bases,
+    _partitions,
     _restricted,
+    _transpositions,
     det_blocks,
     det_direct,
     det_isotypic,
@@ -245,6 +251,114 @@ def test_isotypic_blocks_of_the_z2_k4_gram_matrix():
     gram = build_gram("z2", 4, 2, 0)
     bases = _isotypic_bases(gram.entries, 4, partial(fibre_permutation, gram))
     assert [(len(ys), d) for ys, d in bases] == [(15, 1), (19, 3), (14, 2), (6, 3)]
+
+
+def _stabilizer(k, groups):
+    """(sigma, sign) for each permutation of 0..k-1 mapping every one of the
+    disjoint ascending `groups` onto itself."""
+    out = []
+    for images in itertools.product(*map(itertools.permutations, groups)):
+        sigma = list(range(k))
+        sign = 1
+        for group, image in zip(groups, images):
+            for a, b in zip(group, image):
+                sigma[a] = b
+            sign *= (-1) ** sum(x > y for x, y in itertools.combinations(image, 2))
+        out.append((tuple(sigma), sign))
+    return out
+
+
+def _young_terms(shape):
+    """e_T = Σ_{r∈R_T} Σ_{c∈C_T} sgn(c)·rc for the tableau T of `shape`
+    filled row by row, as {rc: sgn(c)}; rc applies c first. R_T and C_T
+    meet only in the identity, so every pair gives its own permutation."""
+    k = sum(shape)
+    starts = list(itertools.accumulate(shape, initial=0))
+    rows = [tuple(range(a, a + part)) for a, part in zip(starts, shape)]
+    columns = [tuple(row[j] for row in rows if len(row) > j) for j in range(shape[0])]
+    return {
+        tuple(r[i] for i in c): sign
+        for r, _ in _stabilizer(k, rows)
+        for c, sign in _stabilizer(k, columns)
+    }
+
+
+def _group(k, generators):
+    """Every sigma in S_k with its index permutation, composed breadth first
+    from the generators' (sigma, index permutation) pairs; π(g∘sigma) is
+    π(g)∘π(sigma), π being an action."""
+    identity = tuple(range(k))
+    group = {identity: tuple(range(len(generators[0][1])))}
+    frontier = [identity]
+    while frontier:
+        reached = []
+        for sigma in frontier:
+            perm = group[sigma]
+            for g, pg in generators:
+                tau = tuple(g[i] for i in sigma)
+                if tau not in group:
+                    group[tau] = tuple(pg[i] for i in perm)
+                    reached.append(tau)
+        frontier = reached
+    return group
+
+
+def young_columns_reference(matrix, k, action):
+    """`_isotypic_bases` by listing S_k: every Young symmetrizer expanded
+    term by term, each term's index permutation looked up in the whole
+    group, and every shape visited."""
+    n = len(matrix)
+    if k == 1 or not n:
+        return None
+    generators = []
+    for sigma in ((1, 0, *range(2, k)), (*range(1, k), 0)):
+        perm = action(sigma)
+        if perm is None or any(
+            tuple(map(matrix[perm[u]].__getitem__, perm)) != tuple(matrix[u]) for u in range(n)
+        ):
+            return None
+        generators.append((sigma, perm))
+    group = _group(k, generators)
+    bases = []
+    for shape in _partitions(k):
+        terms = [(group[sigma], sign) for sigma, sign in _young_terms(shape).items()]
+        columns = []
+        for u in range(n):
+            column = Counter()
+            for perm, sign in terms:
+                column[perm[u]] += sign
+            columns.append({i: c for i, c in column.items() if c})
+        ys = _independent(columns)
+        if ys:
+            bases.append((ys, _hook_dimension(shape)))
+    return bases if sum(len(ys) * d for ys, d in bases) == n else None
+
+
+def test_isotypic_bases_match_the_listed_group():
+    cases = []
+    for profile in PROFILES:
+        if projected_dimension(*profile) <= 300:
+            gram = build_gram(*profile)
+            action = partial(fibre_permutation, gram)
+            cases.append((gram.entries, gram.k, action))
+            # the composed transpositions are the fibre transpositions
+            if gram.k > 1:
+                swap, cycle = action((1, 0, *range(2, gram.k))), action((*range(1, gram.k), 0))
+                for (i, j), perm in _transpositions(gram.k, swap, cycle).items():
+                    sigma = list(range(gram.k))
+                    sigma[i], sigma[j] = j, i
+                    assert perm == fibre_permutation(gram, tuple(sigma)), (profile, i, j)
+    for k in (2, 3, 4):
+        for s1, s2 in admissible_profiles("signed", k):
+            decomposition = reduced_decomposition("signed", k, s1, s2)
+            for comp in _rho_components(decomposition):
+                block = tuple(tuple(decomposition.reduced[i][j] for j in comp) for i in comp)
+                cases.append((block, k, _restricted(decomposition.gram, comp)))
+    for matrix, k, action in cases:
+        calls = []
+        counted = lambda sigma: calls.append(sigma) or action(sigma)
+        assert _isotypic_bases(matrix, k, counted) == young_columns_reference(matrix, k, action)
+        assert len(calls) <= 2
 
 
 def test_det_isotypic_falls_back_where_it_cannot_split():
