@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .determinant import det_blocks, det_isotypic
 from .families import FAMILIES
@@ -26,7 +25,6 @@ from .gram import (
     WindowError,
     build_gram,
     enumerate_diagrams,
-    fibre_permutation,
 )
 from .reduction import reduce_gram, reduced_decomposition
 from .semisimplicity import verdict
@@ -182,7 +180,7 @@ def cmd_reduce(args) -> int:
 def cmd_det(args) -> int:
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
-    direct = det_isotypic(gram.entries, gram.k, partial(fibre_permutation, gram))
+    direct = det_isotypic(gram.entries, gram.k, gram.fibre_action)
     decomposition = reduce_gram(gram)
     blocks = det_blocks(decomposition)
     payload = {

@@ -35,11 +35,12 @@ them by D! leaves no remainder. A remainder can only come from values that
 no integer polynomial of degree <= D takes, and it raises ValueError.
 
 Isotypic blocks. Let π be a permutation action of S_k on the indices of
-B with B[π(g)u][π(g)v] = B[u][v], for instance the fibre
-permutations (`gram.fibre_permutation`) on a Gram matrix or on a rho
-component of its reduction. Then the permutation matrices P_g of π are
-orthogonal and commute with B. For each partition λ of k, fill one
-tableau T row by row, with row group R_T and column group C_T, and let
+B with B[π(g)u][π(g)v] = B[u][v], for instance the fibre permutations on
+a Gram matrix (`GramMatrix.fibre_action`, read off the matrix's
+`generators`) or on a rho component of its reduction. Then the
+permutation matrices P_g of π are orthogonal and commute with B. For each
+partition λ of k, fill one tableau T row by row, with row group R_T and
+column group C_T, and let
 e_T = Σ_{r∈R_T} Σ_{c∈C_T} sgn(c)·rc, its Young symmetrizer (Fulton &
 Harris, Representation Theory, §4.1). The irreducibles of S_k are defined
 over Q, so the λ-isotypic part of Q^n is W_λ ⊗ M_λ, with S_k acting on
@@ -63,19 +64,21 @@ the k! terms of e_T for λ = (k). Each transposition's index permutation is
 composed from π((0 1)) and π(c), c = (0 1 ... k-1), whose invariance is
 checked: (i i+1) = c·(i-1 i)·c⁻¹ and (i j) = (i i+1)(i+1 j)(i i+1). The
 shapes stop once Σ m_λ d_λ reaches n, as every later one has m_λ = 0, so
-a one-diagram basis stops at λ = (k) and the guard on n bounds the work.
+the guard on n bounds the work; a one-diagram basis is its own
+determinant and lists no transposition.
 
 Y is an integer matrix, so Y'BY is an integer polynomial matrix and Y'Y an
 integer matrix, and `det_direct` takes both. Every Y'BY comes from one call
 of `polynomials.congruence`, the kernel of the reduction's T'GT, with all
-the Y stacked as the columns of one C: Y'BY is a diagonal block of C'BC.
+the Y stacked as the columns of one C, passed as both of its sides: Y'BY
+is a diagonal block of C'BC.
 Y'Y is a sparse dot product of Y's columns. det B has integer
 coefficients and the denominator is a nonzero integer (Y'Y is positive
 definite), so the one division at the end is exact; a remainder raises
 ValueError. Invariance is checked exactly, entry by entry, under the
 generators (0 1) and (0 1 ... k-1). If it fails, if the action moves an
-index out of the matrix, if k = 1, or if Σ m_λ d_λ differs from n, the
-determinant is `det_direct(B)`.
+index out of the matrix, if k = 1 or n <= 1, or if Σ m_λ d_λ differs from
+n, the determinant is `det_direct(B)`.
 
 `det_blocks` reads the reduced matrix's nonzero pattern
 (`BlockDecomposition.nonzero`): with rows and columns permuted alike so
@@ -97,7 +100,7 @@ from functools import cached_property
 from math import factorial
 from operator import mul
 
-from .gram import fibre_permutation
+from .gram import fibre_generators, is_invariant
 from .partitions import UnionFind
 from .polynomials import Poly, congruence, phi_atoms
 
@@ -333,14 +336,12 @@ def _isotypic_bases(matrix, k: int, action):
     independent columns of π(e_T), as sparse {index: integer} dicts; None
     where `det_isotypic` falls back to `det_direct`."""
     n = len(matrix)
-    if k == 1 or not n:
+    if k == 1 or n <= 1:
         return None
     generators = []
-    for sigma in ((1, 0, *range(2, k)), (*range(1, k), 0)):
+    for sigma in fibre_generators(k):
         perm = action(sigma)
-        if perm is None or any(
-            tuple(map(matrix[perm[u]].__getitem__, perm)) != tuple(matrix[u]) for u in range(n)
-        ):
+        if perm is None or not is_invariant(matrix, perm):
             return None
         generators.append(perm)
     transpositions = _transpositions(k, *generators)
@@ -375,8 +376,9 @@ def det_isotypic(matrix, k: int, action) -> Poly:
     exactly for (0 1) and the k-cycle, which generate S_k, and `action` is
     called for those two only. Each Young symmetrizer acts on a column as
     O(k²) sparse transposition passes, and the shapes stop once their
-    blocks fill n. If the check fails, if `action` gives None, if k = 1, or
-    if the blocks do not add up to n, the result is `det_direct(B)`. The
+    blocks fill n. If the check fails, if `action` gives None, if k = 1 or
+    n <= 1, or if the blocks do not add up to n, the result is
+    `det_direct(B)`. The
     module docstring gives the formula and why it is exact.
     """
     bases = _isotypic_bases(matrix, k, action)
@@ -386,7 +388,8 @@ def det_isotypic(matrix, k: int, action) -> Poly:
     entries = {p: p.coeffs for row in matrix for p in row}
     if not all(map(Poly.is_integral, entries)):
         raise ValueError("det_isotypic expects integer-coefficient entries")
-    product = congruence([tuple(y.items()) for ys, _ in bases for y in ys], matrix, entries)
+    columns = [tuple(y.items()) for ys, _ in bases for y in ys]
+    product = congruence(columns, matrix, columns, entries)
     numerator, denominator = Poly.one(), 1
     start = 0
     for ys, d in bases:
@@ -418,12 +421,12 @@ def _components(nonzero) -> list[list[int]]:
 
 
 def _restricted(gram, comp):
-    """The fibre permutations on the indices of `comp`, or None for a
-    permutation that moves some member out of it."""
+    """The fibre permutations of `gram.fibre_action` on the indices of
+    `comp`, or None for a permutation that moves some member out of it."""
     position = {u: i for i, u in enumerate(comp)}
 
     def action(sigma):
-        image = fibre_permutation(gram, sigma)
+        image = gram.fibre_action(sigma)
         perm = tuple(position.get(image[u]) for u in comp)
         return None if None in perm else perm
 

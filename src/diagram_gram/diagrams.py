@@ -15,6 +15,7 @@ products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .partitions import SetPartition, UnionFind
 
@@ -70,6 +71,16 @@ class RowView:
         else:
             fixed = (True,) * len(blocks)
         return cls(blocks, tuple(i for i, m in enumerate(blocks) if m in through), fixed)
+
+    @cached_property
+    def through_blocks(self) -> frozenset[int]:
+        """The through blocks, as bitmasks."""
+        return frozenset(self.blocks[i] for i in self.through)
+
+    @cached_property
+    def through_mask(self) -> int:
+        """The union of the through blocks, as one bitmask."""
+        return sum(self.through_blocks)
 
 
 class PartitionDiagram:

@@ -12,9 +12,21 @@ basis diagram is a row partition P plus a set of through blocks (its
 the middle row becomes the join of P_u and P_v. The product keeps all
 `target` through blocks iff every join block holds as many through blocks
 of u as of v, and that number is 0 or 1; the loops are then the join blocks
-holding none, #join - target of them. `build_gram` therefore computes one
-join per pair of distinct row partitions. `PartitionDiagram.multiply` is
-not used here; the tests and `verify` compare these entries against it.
+holding none, #join - target of them. `PartitionDiagram.multiply` is not
+used here; the tests and `verify` compare these entries against it.
+
+G is invariant under the hyperoctahedral group B_k = Z_2^k ⋊ S_k, which
+permutes the fibres and swaps the e and g points of a fibre (S_k alone for
+the plain family): a group element maps a row partition, its through blocks
+and a product's loops to those of the images. `basis_generators` gives the
+index permutations of three generators, π((0 1)), π((0 1 ... k-1)) and the
+e/g swap at fibre 0. `orbit_tree` walks them breadth first, which yields one
+representative per orbit of basis diagrams and a spanning tree of each
+orbit. `build_gram` computes only the representatives' rows, with one join
+per pair of a representative's row partition and any row partition, and
+copies every other row from its parent in the tree by an index permutation,
+since G[g(u)][w] = G[u][g⁻¹(w)] (`unfold_rows`). The dense loop over all
+pairs of row partitions is the oracle in the tests.
 
 A `GramMatrix` stores its entries in this form: `exponents[u][v]` is the
 loop count e of the entry x**e, or None for a zero entry. The coarsening
@@ -32,6 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .families import FAMILIES, Family, profile_of
 from .polynomials import Poly, phi_z2
@@ -103,6 +116,14 @@ class GramMatrix:
     For the plain partition algebra the profile is stored as s1 == s,
     s2 == 0. A matrix hashes and compares by identity, so the stages that
     read it (`reduction.coarsening_poset`) can be cached per matrix.
+
+    `generators` are index permutations of the basis, entry u being the
+    index of the image of diagram u: π((0 1)) and π((0 1 ... k-1)) of the
+    fibre permutations (`fibre_generators`), then, for the doubled
+    families, the e/g swap at fibre 0 (`basis_generators`). They generate
+    S_k, or B_k = Z_2^k ⋊ S_k on doubled diagrams, and G is invariant
+    under each: G[g[u]][g[v]] == G[u][v]. A matrix built by hand may leave
+    them out, which claims no symmetry.
     """
 
     algebra: str
@@ -112,6 +133,7 @@ class GramMatrix:
     keys: tuple[DiagramKey, ...]
     diagrams: tuple
     exponents: tuple[tuple[int | None, ...], ...]
+    generators: tuple[tuple[int, ...], ...] = ()
 
     def dimension(self) -> int:
         return len(self.keys)
@@ -149,6 +171,12 @@ class GramMatrix:
     def phi(self, key: DiagramKey) -> Poly:
         """Named product polynomial on the reduced diagonal at `key`."""
         return phi_z2(*self.doubled(key))
+
+    def fibre_action(self, sigma) -> tuple[int, ...]:
+        """π(sigma) for sigma one of `fibre_generators(k)`, read off
+        `generators`: the two permutations `determinant.det_isotypic` asks
+        for."""
+        return self.generators[fibre_generators(self.k).index(sigma)]
 
 
 # -- validity windows ----------------------------------------------------------
@@ -262,11 +290,137 @@ def standard_diagram(alpha, k: int, algebra: str = "z2"):
     return family.assemble(k, units)
 
 
+# -- the symmetries of the basis ----------------------------------------------------
+
+
+def fibre_generators(k: int) -> tuple[tuple[int, ...], ...]:
+    """(0 1) and (0 1 ... k-1) as permutations of 0..k-1, fibre i going to
+    sigma[i]: they generate S_k. There are none at k = 1."""
+    return ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ()
+
+
+def _point_permutations(diagrams, point_maps) -> tuple[tuple[int, ...], ...]:
+    """The index permutation of the basis `diagrams` under each map of the
+    points of one row: a map moves the points of every row block, and
+    through blocks stay through. Entry u of a permutation is the index of
+    the image of diagram u; an image outside the basis raises KeyError."""
+    views = [diagram.row_view() for diagram in diagrams]
+    # a diagram is its row blocks and the union of its through blocks
+    index = {(frozenset(view.blocks), view.through_mask): u for u, view in enumerate(views)}
+    masks = set().union(*(view.blocks for view in views))
+    perms = []
+    for point in point_maps:
+        image = {mask: _moved(mask, point) for mask in masks}.__getitem__
+        perms.append(tuple(
+            index[frozenset(map(image, view.blocks)), sum(map(image, view.through_blocks))]
+            for view in views
+        ))
+    return tuple(perms)
+
+
+def _moved(mask: int, point) -> int:
+    """The bitmask `mask` with each point p moved to point[p]."""
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= 1 << point[low.bit_length() - 1]
+        mask ^= low
+    return image
+
+
+def _fibre_map(diagrams, k: int, sigma) -> list[int]:
+    """The map of one row's points under the fibre permutation sigma: point
+    i of a plain row goes to sigma[i], point 2i+b of a doubled row to
+    2 sigma[i] + b, so e and g points stay apart."""
+    per = diagrams[0].part.n // (2 * k)  # points per fibre in one row
+    return [per * sigma[p // per] + p % per for p in range(per * k)]
+
+
+def fibre_permutation(gram: GramMatrix, sigma) -> tuple[int, ...]:
+    """The index permutation of the basis under the fibre permutation sigma.
+
+    sigma is a permutation of 0..k-1, fibre i going to sigma[i] (see
+    `_fibre_map`). Entry u of the result is the index of the image of
+    diagram u. Each family's basis is a union of orbits, since a profile
+    and a signed row's counts do not see the order of the fibres; an image
+    outside the basis raises KeyError.
+    """
+    (perm,) = _point_permutations(gram.diagrams, [_fibre_map(gram.diagrams, gram.k, sigma)])
+    return perm
+
+
+def basis_generators(diagrams, k: int) -> tuple[tuple[int, ...], ...]:
+    """The index permutations of `GramMatrix.generators` for the basis
+    `diagrams`: those of `fibre_generators(k)`, then, on doubled rows, the
+    e/g swap at fibre 0, which exchanges the points 0 and 1."""
+    if not diagrams:
+        return ()
+    maps = [_fibre_map(diagrams, k, sigma) for sigma in fibre_generators(k)]
+    if diagrams[0].part.n == 4 * k:  # doubled: two points per fibre in a row
+        maps.append([p ^ (p < 2) for p in range(2 * k)])
+    return _point_permutations(diagrams, maps)
+
+
+def is_invariant(rows, perm) -> bool:
+    """True iff the square matrix `rows` has M[perm[u]][perm[v]] == M[u][v]
+    for all u and v: row perm[u], read at perm, is row u."""
+    if len(perm) < 2:
+        return True  # the identity
+    read = itemgetter(*perm)
+    return all(read(rows[image]) == tuple(row) for image, row in zip(perm, rows))
+
+
+def orbit_tree(generators, n: int):
+    """The orbits of the group that the index permutations `generators`
+    generate on 0..n-1, as (representatives, tree).
+
+    The representatives are the least index of each orbit. The tree holds,
+    parents first, one (child, parent, read) triple for every other index: a
+    breadth-first walk over the generators reaches child = g[parent], and
+    read(row) is the row read at g⁻¹. A matrix M invariant under g has
+    M[g[u]][w] = M[u][g⁻¹[w]], so `unfold_rows` fills every child row from
+    its parent's.
+    """
+    reads = []
+    for perm in generators:
+        inverse = [0] * n
+        for u, image in enumerate(perm):
+            inverse[image] = u
+        reads.append(itemgetter(*inverse) if n > 1 else None)  # no edge for n < 2
+    seen = [False] * n
+    representatives, tree = [], []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        representatives.append(root)
+        queue = [root]
+        for parent in queue:  # the queue grows while it is walked
+            for perm, read in zip(generators, reads):
+                child = perm[parent]
+                if not seen[child]:
+                    seen[child] = True
+                    queue.append(child)
+                    tree.append((child, parent, read))
+    return representatives, tree
+
+
+def unfold_rows(rows: list, tree) -> tuple[tuple, ...]:
+    """The rows of an invariant matrix, given the representatives' rows in
+    `rows` (the others None), each child row copied from its parent's by the
+    index permutation of `orbit_tree`."""
+    for child, parent, read in tree:
+        rows[child] = read(rows[parent])
+    return tuple(rows)
+
+
 # -- Gram matrices ----------------------------------------------------------------
 
 
 def _join(pa: tuple[int, ...], pb: tuple[int, ...]) -> list[int]:
     """Blocks of the join of two partitions of one row, as bitmasks."""
+    if pa == pb:
+        return list(pa)
     joined = list(pa)
     for b in pb:
         merged, rest = b, []
@@ -282,25 +436,25 @@ def _join(pa: tuple[int, ...], pb: tuple[int, ...]) -> list[int]:
 
 def _through_image(view, joined: list[int]) -> int | None:
     """Union of the join blocks holding a through block of `view`, or None
-    when some join block holds two of them."""
+    when some join block holds two of them. A join block holds whole row
+    blocks of `view`, so its through points are one through block or more."""
     image = 0
-    for i in view.through:
-        block = view.blocks[i]
-        for c in joined:
-            if c & block:
-                break
-        if image & c:
-            return None
-        image |= c
+    for c in joined:
+        through = c & view.through_mask
+        if through:
+            if through not in view.through_blocks:
+                return None
+            image |= c
     return image
 
 
-def row_partition_groups(views) -> list[tuple[tuple[int, ...], list[int]]]:
-    """(row partition, basis indices) for each distinct row partition, in
-    order of first occurrence."""
+def row_partition_groups(views, indices=None) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(row partition, basis indices) for each distinct row partition of
+    the views at `indices` (all of them by default), in order of first
+    occurrence."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, view in enumerate(views):
-        groups.setdefault(view.blocks, []).append(idx)
+    for idx in range(len(views)) if indices is None else indices:
+        groups.setdefault(views[idx].blocks, []).append(idx)
     return list(groups.items())
 
 
@@ -308,20 +462,26 @@ def row_partition_groups(views) -> list[tuple[tuple[int, ...], list[int]]]:
 def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD) -> GramMatrix:
     """Gram matrix over the ordered basis for the given profile.
 
-    Entries come from one join per pair of distinct row partitions; see the
-    module docstring. Each is stored as its loop count, the exponent of
-    x**loops, and a zero entry as None.
+    Only the rows of orbit representatives under `basis_generators` are
+    computed, from one join per pair of a representative's row partition
+    and any row partition; every other row is copied by an index
+    permutation (`orbit_tree`). See the module docstring. Each entry is
+    stored as its loop count, the exponent of x**loops, and a zero entry as
+    None.
     """
     basis = enumerate_diagrams(algebra, k, s1, s2, guard)
     keys = tuple(key for key, _ in basis)
     diagrams = tuple(diagram for _, diagram in basis)
     target = FAMILIES[algebra].through_count(s1, s2)
     views = [diagram.row_view() for diagram in diagrams]
+    n = len(views)
+    generators = basis_generators(diagrams, k)
+    representatives, tree = orbit_tree(generators, n)
     groups = row_partition_groups(views)
-    n = len(diagrams)
-    rows = [[None] * n for _ in range(n)]
-    for a, (pa, us) in enumerate(groups):
-        for pb, vs in groups[a:]:
+    rows: list = [None] * n
+    for pa, us in row_partition_groups(views, representatives):
+        grown = {u: [None] * n for u in us}
+        for pb, vs in groups:
             joined = _join(pa, pb)
             loops = len(joined) - target
             if loops < 0:
@@ -333,49 +493,10 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
                     by_image.setdefault(image, []).append(v)
             if not by_image:
                 continue
-            for u in us:
+            for u, row in grown.items():
                 for v in by_image.get(_through_image(views[u], joined), ()):
-                    rows[u][v] = rows[v][u] = loops
-    exponents = tuple(tuple(row) for row in rows)
-    return GramMatrix(algebra, k, s1, s2, keys, diagrams, exponents)
-
-
-# -- the fibre permutations ---------------------------------------------------------
-
-
-def _view_key(blocks, through) -> tuple[frozenset, frozenset]:
-    """A diagram as its row blocks and its through blocks, both as bitmasks."""
-    return frozenset(blocks), frozenset(through)
-
-
-def fibre_permutation(gram: GramMatrix, sigma) -> tuple[int, ...]:
-    """The index permutation of the basis under the fibre permutation sigma.
-
-    sigma is a permutation of 0..k-1, fibre i going to sigma[i]. It moves
-    the points of each basis diagram's row partition: point i of a plain row
-    goes to sigma[i], point 2i+b of a doubled row to 2 sigma[i] + b, so e
-    and g points stay apart; through blocks stay through. Entry u of the
-    result is the index of the image of diagram u. Each family's basis is a
-    union of orbits, since a profile and a signed row's counts do not see
-    the order of the fibres; an image outside the basis raises KeyError.
-    """
-    views = [diagram.row_view() for diagram in gram.diagrams]
-    index = {
-        _view_key(view.blocks, (view.blocks[i] for i in view.through)): u
-        for u, view in enumerate(views)
-    }
-    per = gram.diagrams[0].part.n // (2 * gram.k)  # points per fibre in one row
-    point = [per * sigma[p // per] + p % per for p in range(per * gram.k)]
-
-    def move(mask: int) -> int:
-        image = 0
-        while mask:
-            low = mask & -mask
-            image |= 1 << point[low.bit_length() - 1]
-            mask ^= low
-        return image
-
-    return tuple(
-        index[_view_key(map(move, view.blocks), (move(view.blocks[i]) for i in view.through))]
-        for view in views
-    )
+                    row[v] = loops
+        for u, row in grown.items():
+            rows[u] = tuple(row)
+    exponents = unfold_rows(rows, tree)
+    return GramMatrix(algebra, k, s1, s2, keys, diagrams, exponents, generators)

@@ -190,34 +190,39 @@ _ONE = Poly([1])
 _X = Poly([0, 1])
 
 
-def congruence(columns, rows, coeffs) -> tuple[tuple[Poly, ...], ...]:
-    """C'BC as m dense rows of `Poly`, equal results sharing one `Poly`.
+def congruence(left, rows, right, coeffs) -> tuple[tuple[Poly, ...], ...]:
+    """L'BR as p dense rows of m `Poly`s, equal results sharing one `Poly`.
 
-    C is m sparse integer columns ((u, c), ...) over the n indices of B,
-    m <= n; B is n rows of hashable entries, an entry e standing for the
-    polynomial with ascending integer coefficients `coeffs[e]`.
+    L and R are p and m sparse integer columns ((u, c), ...) over the n
+    indices of B; B is n rows of hashable entries, an entry e standing for
+    the polynomial with ascending integer coefficients `coeffs[e]`. A
+    congruence C'BC passes C as both sides.
 
     Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
     Algebra, 8.4) turns a polynomial p into the integer p(2**width). A
-    coefficient of (C'BC)[u][j] is a sum of products C[w][u] B[w][i]_e
-    C[i][j], at most L1(C_u) L1(C_j) top <= L**2 top in absolute value, with
-    L the largest column L1 norm, taken as at least 1, and top the largest
-    absolute coefficient of B; those of C'B and B obey the same bound. With
-    width = bitlen(L**2 top) + 1 each is below 2**(width-1), so the balanced
-    base-2**width digits of a packed entry are its coefficients
-    (`Poly.from_packed`). An entry of at most d coefficients, d the longest
-    of B's, is then below 2**(width*d) in absolute value, and a slot of
-    width*d//8 + 1 bytes holds it with its sign. A row of B or of C'B, or a
-    column of C'BC, is one integer of such slots: a row of C'B is a sum of
-    multiples of packed rows of B over a column of C, a column of C'BC a sum
-    of multiples of packed columns of C'B, and the transpose in between is a
-    strided copy of bytes, every slot biased by half its range to be
-    nonnegative.
+    coefficient of (L'BR)[u][j] is a sum of products L[w][u] B[w][i]_e
+    R[i][j], at most L1(L_u) L1(R_j) top <= norm top in absolute value, with
+    norm the product of the largest column L1 norms of L and of R, each
+    taken as at least 1, and top the largest absolute coefficient of B;
+    those of L'B and B obey the same bound. With width = bitlen(norm top) +
+    1 each is below 2**(width-1), so the balanced base-2**width digits of a
+    packed entry are its coefficients (`Poly.from_packed`). An entry of at
+    most d coefficients, d the longest of B's, is then below 2**(width*d)
+    in absolute value, and a slot of width*d//8 + 1 bytes holds it with its
+    sign. A row of B or of L'B, or a column of L'BR, is one integer of such
+    slots: a row of L'B is a sum of multiples of packed rows of B over a
+    column of L, a column of L'BR a sum of multiples of packed columns of
+    L'B over a column of R, and the transpose in between is a strided copy
+    of bytes, every slot biased by half its range to be nonnegative.
     """
-    n, m = len(rows), len(columns)
-    norm = max([1, *(sum(abs(c) for _, c in col) for col in columns)])
+    n, p = len(rows), len(left)
+
+    def largest_norm(columns) -> int:
+        return max([1, *(sum(abs(c) for _, c in col) for col in columns)])
+
+    norm = largest_norm(left) * largest_norm(right)
     top = max((abs(c) for cs in coeffs.values() for c in cs), default=0)
-    width = (norm * norm * top).bit_length() + 1
+    width = (norm * top).bit_length() + 1
     size = width * max(map(len, coeffs.values()), default=0) // 8 + 1  # bytes per slot
     bits = 8 * size
     half = 1 << bits - 1
@@ -227,24 +232,25 @@ def congruence(columns, rows, coeffs) -> tuple[tuple[Poly, ...], ...]:
     }
     biased_zero = half.to_bytes(size, "little")
     row_bias = int.from_bytes(biased_zero * n, "little")
-    col_bias = int.from_bytes(biased_zero * m, "little")
-    packed = [
-        int.from_bytes(b"".join(map(slot.__getitem__, row)), "little") - row_bias for row in rows
-    ]
+    col_bias = int.from_bytes(biased_zero * p, "little")
+    packed = {  # the rows of B that L reads
+        w: int.from_bytes(b"".join(map(slot.__getitem__, rows[w])), "little") - row_bias
+        for w in {w for col in left for w, _ in col}
+    }
     # each stage's packed ints are dropped once the next stage has them,
     # which keeps the peak memory near one stage's worth
-    left_rows = [sum(c * packed[w] for w, c in col) for col in columns]  # C'B
+    left_rows = [sum(c * packed[w] for w, c in col) for col in left]  # L'B
     del packed
     left_cols = _transpose(left_rows, n, size, row_bias, col_bias)
     del left_rows
-    out_cols = [sum(c * left_cols[i] for i, c in col) for col in columns]  # C'BC
+    out_cols = [sum(c * left_cols[i] for i, c in col) for col in right]  # L'BR
     del left_cols
     mask = (1 << bits) - 1
     polys: dict[int, Poly] = {}
     out = []
     for value in out_cols:
         value += col_bias
-        col = [_ZERO] * m
+        col = [_ZERO] * p
         nonzero = value ^ col_bias  # nonzero exactly in the slots of nonzero entries
         while nonzero:
             u = (nonzero.bit_length() - 1) // bits
@@ -255,7 +261,7 @@ def congruence(columns, rows, coeffs) -> tuple[tuple[Poly, ...], ...]:
             col[u] = polys[entry]
             nonzero &= (1 << low) - 1
         out.append(col)
-    return tuple(zip(*out))
+    return tuple(zip(*out)) if out else ((),) * p
 
 
 def _transpose(rows: list[int], n: int, size: int, row_bias: int, col_bias: int) -> list[int]:

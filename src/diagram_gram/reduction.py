@@ -41,19 +41,29 @@ that form; only the `reduce` command densifies it, to checksum it.
 The role-swap pairs are read off each diagram's `RowView` (row partition,
 through blocks, flip-fixed flags). A role swap is a pair with one row
 partition and two different through sets; (t1, t2) count the through
-blocks only u has. `diagram_coarser_or_equal` and `swap_pair_parameters`
-decide the coarsening and the swaps on whole diagrams; they are kept as
-the oracles the tests and `verify` compare against.
+blocks only u has. `diagram_coarser_or_equal` decides the coarsening on
+whole diagrams; it is the oracle the tests and `verify` compare the poset
+against. The role-swap oracle on whole diagrams, `swap_pair_parameters`,
+lives in the tests.
 
 The congruence T'GT is `polynomials.congruence`, the packed-integer kernel
 that also gives `determinant` its isotypic blocks Y'BY and whose docstring
-derives the digit width; `_congruence` hands it G's exponent grid. T is
-unitriangular, so its largest column L1 norm L is at least 1, and the
-coefficients of T'GT are at most L**2 in absolute value. The result is the
-first `Poly` stage and stays dense rows: its entries are no longer
-monomials, and `compare_blocks`, `BlockDecomposition.block` and
-`det_direct` index it by (row, column). The entrywise `Poly` T'GT is the
-oracle in the tests.
+derives the digit width; it computes L'BR for sparse integer columns L and
+R. G is invariant under the index permutations `GramMatrix.generators`
+(see `gram`), and so are the poset read off it, its zeta matrix and T.
+Hence T'GT is invariant too: its row g(u) is its row u read at g⁻¹. So
+`_congruence` hands the kernel G's exponent grid, L = the columns of T at
+the orbit representatives of `gram.orbit_tree` and R = T, which gives the
+representatives' rows, and copies every other row from its parent in the
+tree (`gram.unfold_rows`). It first checks, entry by entry, that the grid
+and T it is handed are invariant under every generator; if not, it uses the
+trivial group, so that every row is a representative and the kernel
+computes all of T'GT. T is unitriangular, so its largest column L1 norm L
+is at least 1, and the coefficients of T'GT are at most L**2 in absolute
+value. The result is the first `Poly` stage and stays dense rows: its
+entries are no longer monomials, and `compare_blocks`,
+`BlockDecomposition.block` and `det_direct` index it by (row, column). The
+entrywise `Poly` T'GT is the oracle in the tests.
 `reduce_gram` reads its nonzero pattern once, in one pass over those rows,
 as the ascending nonzero columns of each row (`BlockDecomposition.nonzero`).
 The off-block violations are the pattern's entries that join two cells, and
@@ -74,7 +84,10 @@ from .gram import (
     DiagramKey,
     GramMatrix,
     build_gram,
+    is_invariant,
+    orbit_tree,
     row_partition_groups,
+    unfold_rows,
 )
 from .polynomials import Poly, congruence, phi_z2
 from .z2diagrams import Z2Diagram
@@ -90,7 +103,6 @@ __all__ = [
     "reduced_decomposition",
     "predicted_blocks",
     "compare_blocks",
-    "swap_pair_parameters",
     "role_swaps",
     "is_rho_key",
 ]
@@ -229,13 +241,36 @@ def _zeta_inverse(poset: CoarseningPoset) -> tuple[tuple[tuple[int, int], ...], 
     return tuple(cols)
 
 
-def _congruence(transform, grid):
+def _columns_invariant(columns, perm) -> bool:
+    """True iff the matrix of the sparse columns `columns` has
+    T[perm[u]][perm[v]] == T[u][v] for all u and v."""
+    return all(
+        {perm[u]: c for u, c in column} == dict(columns[image])
+        for image, column in zip(perm, columns)
+    )
+
+
+def _congruence(transform, grid, generators):
     """T' G T for T given as the sparse columns of `_zeta_inverse` and G as
     its exponent grid (x**e as e, zero as None), by `polynomials.congruence`.
-    The result is dense rows of `Poly`; equal results share one `Poly`."""
+    The result is dense rows of `Poly`; equal results share one `Poly`.
+
+    Only the rows of the orbit representatives under the index permutations
+    `generators` are computed, and every other row is copied from its
+    parent's (`gram.orbit_tree`), when G and T are invariant under every
+    generator; that is checked entry by entry, and if it fails the group is
+    trivial, so that every row is a representative.
+    """
+    if not all(is_invariant(grid, g) and _columns_invariant(transform, g) for g in generators):
+        generators = ()
+    representatives, tree = orbit_tree(generators, len(grid))
     exponents = set().union(*grid) - {None}
     coeffs = {None: (), **{e: (0,) * e + (1,) for e in exponents}}
-    return congruence(transform, grid, coeffs)
+    left = [transform[u] for u in representatives]
+    rows = [None] * len(grid)
+    for u, row in zip(representatives, congruence(left, grid, transform, coeffs)):
+        rows[u] = row
+    return unfold_rows(rows, tree)
 
 
 # -- blocks and predictions --------------------------------------------------------
@@ -245,53 +280,6 @@ def is_rho_key(key: DiagramKey, k: int, s1: int, s2: int) -> bool:
     """Signed-algebra keys whose classes are all singletons filling every fiber."""
     sizes = [p for part in key.alpha for p in part]
     return all(p == 1 for p in sizes) and len(sizes) == k and s1 + s2 + key.r1 + key.r2 == k
-
-
-def swap_pair_parameters(du, dv):
-    """Role-swap parameters (t1, t2) for two diagrams on the same row partition.
-
-    The pair qualifies when both diagrams restrict to the same top-row
-    partition and differ only in which classes are designated through; t1
-    counts exchanged conjugate pairs and t2 exchanged flip-fixed classes.
-    Returns None for non-qualifying pairs.
-    """
-    if isinstance(du, Z2Diagram):
-        half = 2 * du.k
-        top_u, _ = du.halves()
-        top_v, _ = dv.halves()
-        if top_u != top_v:
-            return None
-        thr_u = _through_block_set(du, half)
-        thr_v = _through_block_set(dv, half)
-    else:
-        k = du.k
-        top_u = du.part.restrict(range(k))
-        top_v = dv.part.restrict(range(k))
-        if top_u != top_v:
-            return None
-        thr_u = _through_block_set(du, k)
-        thr_v = _through_block_set(dv, k)
-    only_u = thr_u - thr_v
-    if not only_u:
-        return None
-    if isinstance(du, Z2Diagram):
-        t1 = t2 = 0
-        for block in only_u:
-            flipped = frozenset(v ^ 1 for v in block)
-            if flipped == block:
-                t2 += 1
-            else:
-                t1 += 1
-        return t1 // 2, t2
-    return len(only_u), 0
-
-
-def _through_block_set(diagram, half):
-    out = set()
-    for block in diagram.part.blocks:
-        if block[0] < half <= block[-1]:
-            out.add(frozenset(v for v in block if v < half))
-    return out
 
 
 @dataclass(frozen=True)
@@ -350,7 +338,7 @@ def reduce_gram(gram: GramMatrix) -> BlockDecomposition:
     """Congruence-reduce a Gram matrix and compare against the closed forms."""
     poset = coarsening_poset(gram)
     transform = _zeta_inverse(poset)
-    reduced = _congruence(transform, gram.exponents)
+    reduced = _congruence(transform, gram.exponents, gram.generators)
     # a Poly is zero iff its coefficient tuple is empty
     columns = range(len(reduced))
     coeffs = attrgetter("coeffs")
@@ -412,10 +400,10 @@ def role_swaps(gram: GramMatrix, members) -> dict[tuple[int, int], tuple[int, in
 
     A pair qualifies when both diagrams have one row partition and different
     through sets; t1 counts the conjugate pairs and t2 the flip-fixed blocks
-    among the through blocks only the first diagram has. This is what
-    `swap_pair_parameters` returns for the same pair, in doubled
-    coordinates: every plain block is flip-fixed, so a plain swap of t
-    blocks is (0, t).
+    among the through blocks only the first diagram has. This is what the
+    role-swap oracle of the tests, `swap_pair_parameters`, returns for the
+    same pair, in doubled coordinates: every plain block is flip-fixed, so a
+    plain swap of t blocks is (0, t).
     """
     views = [gram.diagrams[m].row_view() for m in members]
     out = {}

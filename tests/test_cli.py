@@ -236,14 +236,18 @@ def test_enumeration_visits_only_the_requested_profile(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        *(("--algebra", "z2", "--k", k, "--s1", k, "--s2", "0") for k in ("10", "30", "100")),
+        *(
+            ("--algebra", "z2", "--k", k, "--s1", k, "--s2", "0")
+            for k in ("10", "30", "100", "1000")
+        ),
         ("--algebra", "partition", "--k", "10", "--s", "10"),
     ],
     ids=" ".join,
 )
 def test_det_of_a_one_diagram_basis_does_not_list_the_group(capsys, argv):
     # the symmetrizers are applied as transposition passes, and the shapes
-    # stop once they fill the basis: S_100 has 190,569,292 shapes
+    # stop once they fill the basis: S_100 has 190,569,292 shapes; a
+    # one-diagram basis takes det_direct and lists no transposition
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "det", *argv, "--guard", "10")
     assert time.perf_counter() - start < 1.0

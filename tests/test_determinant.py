@@ -200,7 +200,7 @@ def _isotypic_checked(matrix, k, action):
 def test_det_isotypic_matches_det_direct_on_gram_matrices(profile):
     gram = build_gram(*profile)
     action = partial(fibre_permutation, gram)
-    if gram.k == 1:
+    if gram.k == 1 or gram.dimension() == 1:
         assert _isotypic_bases(gram.entries, gram.k, action) is None
         assert det_isotypic(gram.entries, gram.k, action) == det_direct(gram.entries)
     else:
@@ -357,7 +357,12 @@ def test_isotypic_bases_match_the_listed_group():
     for matrix, k, action in cases:
         calls = []
         counted = lambda sigma: calls.append(sigma) or action(sigma)
-        assert _isotypic_bases(matrix, k, counted) == young_columns_reference(matrix, k, action)
+        bases = _isotypic_bases(matrix, k, counted)
+        if len(matrix) == 1:
+            # one diagram goes to det_direct without asking for the action
+            assert bases is None and not calls
+            continue
+        assert bases == young_columns_reference(matrix, k, action)
         assert len(calls) <= 2
 
 

@@ -5,14 +5,18 @@ from functools import lru_cache
 import pytest
 
 from diagram_gram.diagrams import PartitionDiagram
+from diagram_gram.families import FAMILIES
 from diagram_gram.gram import (
     ResourceGuardError,
     WindowError,
+    _join,
+    _through_image,
     build_gram,
     count_row_configs,
     enumerate_diagrams,
     fibre_permutation,
     projected_dimension,
+    row_partition_groups,
     standard_diagram,
 )
 from diagram_gram.partitions import SetPartition
@@ -249,6 +253,64 @@ def fibre_generators(k):
     return [(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else [(0,)]
 
 
+def swapped_diagram(diagram):
+    """The doubled diagram with the e and g points of fibre 0 exchanged on
+    both rows, read off the whole partition: the oracle for the e/g swap of
+    `GramMatrix.generators`."""
+    row = 2 * diagram.k
+    blocks = [[v ^ 1 if v % row < 2 else v for v in block] for block in diagram.part.blocks]
+    return Z2Diagram(diagram.k, SetPartition(diagram.part.n, blocks))
+
+
+def dense_gram_exponents(algebra, k, s1, s2=0):
+    """The exponent grid of `build_gram` with one join per pair of distinct
+    row partitions and no use of the symmetries: the oracle for its
+    orbit-representative rows."""
+    diagrams = [diagram for _, diagram in enumerate_diagrams(algebra, k, s1, s2)]
+    target = FAMILIES[algebra].through_count(s1, s2)
+    views = [diagram.row_view() for diagram in diagrams]
+    groups = row_partition_groups(views)
+    n = len(diagrams)
+    rows = [[None] * n for _ in range(n)]
+    for a, (pa, us) in enumerate(groups):
+        for pb, vs in groups[a:]:
+            joined = _join(pa, pb)
+            loops = len(joined) - target
+            if loops < 0:
+                continue  # too few join blocks to keep every through block
+            by_image: dict[int, list[int]] = {}
+            for v in vs:
+                image = _through_image(views[v], joined)
+                if image is not None:
+                    by_image.setdefault(image, []).append(v)
+            for u in us:
+                for v in by_image.get(_through_image(views[u], joined), ()):
+                    rows[u][v] = rows[v][u] = loops
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    PROFILES
+    + [("z2", 4, s1, s2) for s1, s2 in admissible_profiles("z2", 4)]
+    + [("signed", 4, s1, s2) for s1, s2 in admissible_profiles("signed", 4)],
+    ids=str,
+)
+def test_gram_rows_match_the_dense_pair_loop(profile):
+    assert build_gram(*profile).exponents == dense_gram_exponents(*profile)
+
+
+def test_join_of_a_partition_with_itself_is_that_partition():
+    # the diagonal join is read off, not merged block by block
+    gram = build_gram("z2", 1000, 1000, 0, 10)
+    (view,) = [d.row_view() for d in gram.diagrams]
+    assert _join(view.blocks, view.blocks) == list(view.blocks)
+    assert gram.exponents == ((0,),)
+    for view in (d.row_view() for d in build_gram("z2", 3, 1, 0).diagrams):
+        joined = _join(view.blocks, view.blocks)
+        assert joined == list(view.blocks)
+
+
 def permuted_diagram(diagram, sigma):
     """The diagram with every vertex of fibre i moved to fibre sigma[i],
     on both rows, keeping e and g apart: the oracle for
@@ -290,8 +352,17 @@ def test_gram_and_reduced_matrices_are_fibre_invariant(profile):
     gram, reduced = decomposition.gram, decomposition.reduced
     grid = gram.exponents
     rho = set(dict(decomposition.cells).get(("rho",), ()))
-    for sigma in fibre_generators(gram.k):
-        perm = fibre_permutation(gram, sigma)
+    perms = [fibre_permutation(gram, sigma) for sigma in fibre_generators(gram.k)]
+    if gram.algebra != "partition":
+        # the e/g swap at fibre 0 maps each doubled basis onto itself
+        index = {diagram: u for u, diagram in enumerate(gram.diagrams)}
+        perms.append(tuple(index[swapped_diagram(d)] for d in gram.diagrams))
+    # the generators the pipeline copies rows by, in `GramMatrix.generators`
+    if gram.k > 1:
+        assert list(gram.generators) == perms
+    else:
+        assert list(gram.generators) == perms[1:]
+    for perm in perms:
         for u, v in itertools.product(range(gram.dimension()), repeat=2):
             assert grid[perm[u]][perm[v]] == grid[u][v]
             assert reduced[perm[u]][perm[v]] == reduced[u][v]

@@ -17,9 +17,9 @@ from diagram_gram.reduction import (
     minimal_common_coarsening,
     reduce_gram,
     reduced_decomposition,
-    swap_pair_parameters,
 )
 from diagram_gram.stirling import count_coarser_bruteforce
+from diagram_gram.z2diagrams import Z2Diagram
 from diagram_gram.semisimplicity import admissible_profiles
 
 PROFILES = (
@@ -52,22 +52,24 @@ def render(grid):
     )
 
 
-def congruence_oracle(columns, entries):
+def congruence_oracle(columns, entries, right=None):
     """C' B C entry by entry in `Poly` arithmetic, for C given as m sparse
     columns ((u, c), ...) over the n indices of B, so that C may be
-    rectangular: the reference for the packed-integer `congruence`."""
-    n, m = len(entries), len(columns)
+    rectangular: the reference for the packed-integer `congruence`. With
+    `right`, R given as sparse columns like C, it is C' B R."""
+    right = columns if right is None else right
+    n, m = len(entries), len(right)
     bc = [[None] * m for _ in range(n)]
     for i in range(n):
         row = entries[i]
-        for v, col in enumerate(columns):
+        for v, col in enumerate(right):
             acc = Poly.zero()
             for u, c in col:
                 p = row[u]
                 if p.coeffs:
                     acc = acc + p.scalar_mul(c)
             bc[i][v] = acc
-    out = [[None] * m for _ in range(m)]
+    out = [[None] * m for _ in range(len(columns))]
     for u, col in enumerate(columns):
         for j in range(m):
             acc = Poly.zero()
@@ -92,7 +94,8 @@ def test_entries_render_the_exponent_grid():
 def test_packed_congruence_matches_oracle(profile):
     gram = build_gram(*profile)
     columns = _zeta_inverse(coarsening_poset(gram))
-    assert _congruence(columns, gram.exponents) == congruence_oracle(columns, gram.entries)
+    got = _congruence(columns, gram.exponents, gram.generators)
+    assert got == congruence_oracle(columns, gram.entries)
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,7 +116,53 @@ def test_packed_congruence_matches_oracle_on_random_input(data):
     grid = tuple(
         tuple(data.draw(st.lists(exponent, min_size=n, max_size=n))) for _ in range(n)
     )
-    assert _congruence(columns, grid) == congruence_oracle(columns, render(grid))
+    assert _congruence(columns, grid, ()) == congruence_oracle(columns, render(grid))
+    # a random grid is rarely invariant, and then every row is computed
+    generators = data.draw(st.lists(st.permutations(range(n)), max_size=2))
+    assert _congruence(columns, grid, generators) == congruence_oracle(columns, render(grid))
+
+
+def invariant_under(perms, n, draw):
+    """An n x n matrix, as a dict {(u, v): entry}, whose entry is drawn once
+    per orbit of the index pairs under the permutations `perms`."""
+    out = {}
+    for start in itertools.product(range(n), repeat=2):
+        if start in out:
+            continue
+        value = draw()
+        orbit = [start]
+        out[start] = value
+        for u, v in orbit:
+            for perm in perms:
+                image = perm[u], perm[v]
+                if image not in out:
+                    out[image] = value
+                    orbit.append(image)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_congruence_copies_rows_of_an_invariant_input(data):
+    # G and T drawn constant on the orbits of index pairs: only the
+    # representative rows are computed, the others copied by permutation
+    n = data.draw(st.integers(0, 9))
+    perms = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    grid = invariant_under(perms, n, lambda: data.draw(st.one_of(st.none(), st.integers(0, 9))))
+    grid = tuple(tuple(grid[u, v] for v in range(n)) for u in range(n))
+    entries = invariant_under(perms, n, lambda: data.draw(st.integers(-(10**6), 10**6)))
+    columns = tuple(
+        tuple((u, entries[u, v]) for u in range(n) if entries[u, v]) for v in range(n)
+    )
+    got = _congruence(columns, grid, perms)
+    assert got == congruence_oracle(columns, render(grid))
+    assert len({id(p) for row in got for p in row}) == len({p for row in got for p in row})
+    # an invariant G with a T that is rarely invariant: every row is computed
+    coeff = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+    columns = tuple(
+        tuple((u, c) for u in range(n) if (c := data.draw(coeff))) for _ in range(n)
+    )
+    assert _congruence(columns, grid, perms) == congruence_oracle(columns, render(grid))
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,10 +178,17 @@ def test_congruence_kernel_matches_oracle_on_random_input(data):
     )
     poly = st.builds(Poly, st.lists(entry, max_size=6))
     rows = tuple(tuple(data.draw(st.lists(poly, min_size=n, max_size=n))) for _ in range(n))
-    got = congruence(columns, rows, {p: p.coeffs for row in rows for p in row})
+    coeffs = {p: p.coeffs for row in rows for p in row}
+    got = congruence(columns, rows, columns, coeffs)
     assert got == congruence_oracle(columns, rows)
     # equal results share one Poly
     assert len({id(p) for row in got for p in row}) == len({p for row in got for p in row})
+    # two different sides, each of any width
+    right = tuple(
+        tuple((u, c) for u in range(n) if (c := data.draw(entry)))
+        for _ in range(data.draw(st.integers(0, n)))
+    )
+    assert congruence(columns, rows, right, coeffs) == congruence_oracle(columns, rows, right)
 
 
 def test_poset_is_a_partial_order():
@@ -261,6 +317,54 @@ def test_all_small_reductions_are_clean():
                 dec = reduced_decomposition(algebra, k, s1, s2)
                 assert not dec.offblock_violations, (algebra, k, s1, s2)
                 assert not dec.hard_diffs(), (algebra, k, s1, s2)
+
+
+def swap_pair_parameters(du, dv):
+    """Role-swap parameters (t1, t2) for two diagrams on the same row partition.
+
+    The pair qualifies when both diagrams restrict to the same top-row
+    partition and differ only in which classes are designated through; t1
+    counts exchanged conjugate pairs and t2 exchanged flip-fixed classes.
+    Returns None for non-qualifying pairs. The role-swap oracle: it reads
+    whole diagrams, where `role_swaps` reads row views.
+    """
+    if isinstance(du, Z2Diagram):
+        half = 2 * du.k
+        top_u, _ = du.halves()
+        top_v, _ = dv.halves()
+        if top_u != top_v:
+            return None
+        thr_u = _through_block_set(du, half)
+        thr_v = _through_block_set(dv, half)
+    else:
+        k = du.k
+        top_u = du.part.restrict(range(k))
+        top_v = dv.part.restrict(range(k))
+        if top_u != top_v:
+            return None
+        thr_u = _through_block_set(du, k)
+        thr_v = _through_block_set(dv, k)
+    only_u = thr_u - thr_v
+    if not only_u:
+        return None
+    if isinstance(du, Z2Diagram):
+        t1 = t2 = 0
+        for block in only_u:
+            flipped = frozenset(v ^ 1 for v in block)
+            if flipped == block:
+                t2 += 1
+            else:
+                t1 += 1
+        return t1 // 2, t2
+    return len(only_u), 0
+
+
+def _through_block_set(diagram, half):
+    out = set()
+    for block in diagram.part.blocks:
+        if block[0] < half <= block[-1]:
+            out.add(frozenset(v for v in block if v < half))
+    return out
 
 
 def test_swap_pair_parameters():
@@ -401,9 +505,12 @@ def test_reduce_gram_reads_the_grid_it_is_handed():
     rows[u][v] = rows[v][u] = grid[u][u]
     planted = dataclasses.replace(gram, exponents=tuple(map(tuple, rows)))
     assert coarsening_poset(planted).leq[u][v]
-    transform = reduce_gram(planted).transform
+    decomposition = reduce_gram(planted)
+    transform = decomposition.transform
     assert transform == _zeta_inverse(coarsening_poset(planted))
     assert transform != reduce_gram(gram).transform
+    # the planted grid is not invariant, so every row of T'GT is computed
+    assert decomposition.reduced == congruence_oracle(transform, render(planted.exponents))
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=str)

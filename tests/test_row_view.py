@@ -3,7 +3,7 @@
 `build_gram` and `role_swaps` read everything off each basis diagram's row
 view, and `coarsening_poset` reads the order off the Gram matrix. Here they
 are compared entrywise with `multiply`, `diagram_coarser_or_equal` and
-`swap_pair_parameters`.
+`swap_pair_parameters`, the role-swap oracle kept in `test_reduction.py`.
 """
 
 import pytest
@@ -19,9 +19,9 @@ from diagram_gram.reduction import (
     diagram_coarser_or_equal,
     reduced_decomposition,
     role_swaps,
-    swap_pair_parameters,
 )
 from diagram_gram.semisimplicity import admissible_profiles
+from test_reduction import swap_pair_parameters
 
 PROFILES = (
     [
