@@ -26,7 +26,11 @@ orbit. `build_gram` computes only the representatives' rows, with one join
 per pair of a representative's row partition and any row partition, and
 copies every other row from its parent in the tree by an index permutation,
 since G[g(u)][w] = G[u][g⁻¹(w)] (`unfold_rows`). The dense loop over all
-pairs of row partitions is the oracle in the tests.
+pairs of row partitions is the oracle in the tests. The walk is made once
+per matrix and kept on it (`GramMatrix.symmetry`). `GramMatrix.orbits`
+hands it, once G is checked invariant entry by entry, to every stage of
+the reduction, which computes the representatives' rows or columns and
+copies the rest the same way (`unfold_rows`, `unfold_sparse`).
 
 A `GramMatrix` stores its entries in this form: `exponents[u][v]` is the
 loop count e of the entry x**e, or None for a zero entry. The coarsening
@@ -45,6 +49,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .families import FAMILIES, Family, profile_of
 from .polynomials import Poly, phi_z2
@@ -117,13 +122,14 @@ class GramMatrix:
     s2 == 0. A matrix hashes and compares by identity, so the stages that
     read it (`reduction.coarsening_poset`) can be cached per matrix.
 
-    `generators` are index permutations of the basis, entry u being the
-    index of the image of diagram u: π((0 1)) and π((0 1 ... k-1)) of the
-    fibre permutations (`fibre_generators`), then, for the doubled
-    families, the e/g swap at fibre 0 (`basis_generators`). They generate
-    S_k, or B_k = Z_2^k ⋊ S_k on doubled diagrams, and G is invariant
-    under each: G[g[u]][g[v]] == G[u][v]. A matrix built by hand may leave
-    them out, which claims no symmetry.
+    `symmetry` is the `orbit_tree` walk over index permutations of the
+    basis, its `generators`, entry u being the index of the image of
+    diagram u: π((0 1)) and π((0 1 ... k-1)) of the fibre permutations
+    (`fibre_generators`), then, for the doubled families, the e/g swap at
+    fibre 0 (`basis_generators`). They generate S_k, or B_k = Z_2^k ⋊ S_k
+    on doubled diagrams, and G is invariant under each: G[g[u]][g[v]] ==
+    G[u][v]. `build_gram` walks them once and passes the walk; a matrix
+    built by hand may leave it out, which claims no symmetry.
     """
 
     algebra: str
@@ -133,7 +139,19 @@ class GramMatrix:
     keys: tuple[DiagramKey, ...]
     diagrams: tuple
     exponents: tuple[tuple[int | None, ...], ...]
-    generators: tuple[tuple[int, ...], ...] = ()
+    symmetry: Orbits | None = None
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return self.symmetry.generators if self.symmetry else ()
+
+    @cached_property
+    def orbits(self) -> Orbits:
+        """The orbits every stage of the reduction reads: `symmetry` once
+        the grid is checked invariant under its generators, entry by entry,
+        else the trivial group's (`invariant_orbits`). The check runs once
+        per matrix, on first read."""
+        return invariant_orbits(self.exponents, self.symmetry or orbit_tree((), len(self.keys)))
 
     def dimension(self) -> int:
         return len(self.keys)
@@ -370,17 +388,28 @@ def is_invariant(rows, perm) -> bool:
     return all(read(rows[image]) == tuple(row) for image, row in zip(perm, rows))
 
 
-def orbit_tree(generators, n: int):
+class Orbits(NamedTuple):
     """The orbits of the group that the index permutations `generators`
-    generate on 0..n-1, as (representatives, tree).
+    generate on 0..n-1, from `orbit_tree`.
 
-    The representatives are the least index of each orbit. The tree holds,
-    parents first, one (child, parent, read) triple for every other index: a
-    breadth-first walk over the generators reaches child = g[parent], and
-    read(row) is the row read at g⁻¹. A matrix M invariant under g has
-    M[g[u]][w] = M[u][g⁻¹[w]], so `unfold_rows` fills every child row from
-    its parent's.
+    `representatives` holds the least index of each orbit, ascending.
+    `tree` holds, parents first, one (child, parent, perm, read) tuple for
+    every other index: a breadth-first walk over the generators reaches
+    child = perm[parent], and read(row) is the row read at perm⁻¹. A matrix
+    M invariant under perm has M[perm[u]][w] = M[u][perm⁻¹[w]], so
+    `unfold_rows` fills every child row from its parent's, and the sparse
+    parts of row perm[u] (its nonzero columns, its diffs) are those of row
+    u mapped by perm.
     """
+
+    generators: tuple[tuple[int, ...], ...]
+    representatives: list[int]
+    tree: list[tuple[int, int, tuple[int, ...], object]]
+
+
+def orbit_tree(generators, n: int) -> Orbits:
+    """The `Orbits` of the index permutations `generators` on 0..n-1; with
+    no generators every index is its own representative."""
     reads = []
     for perm in generators:
         inverse = [0] * n
@@ -401,17 +430,36 @@ def orbit_tree(generators, n: int):
                 if not seen[child]:
                     seen[child] = True
                     queue.append(child)
-                    tree.append((child, parent, read))
-    return representatives, tree
+                    tree.append((child, parent, perm, read))
+    return Orbits(tuple(generators), representatives, tree)
 
 
-def unfold_rows(rows: list, tree) -> tuple[tuple, ...]:
+def invariant_orbits(rows, orbits: Orbits) -> Orbits:
+    """`orbits` when the square matrix `rows` is invariant under each of
+    their generators, checked entry by entry (`is_invariant`), else those
+    of the trivial group, so that every index is a representative."""
+    if all(is_invariant(rows, perm) for perm in orbits.generators):
+        return orbits
+    return orbit_tree((), len(rows))
+
+
+def unfold_rows(rows: list, orbits: Orbits) -> tuple[tuple, ...]:
     """The rows of an invariant matrix, given the representatives' rows in
-    `rows` (the others None), each child row copied from its parent's by the
-    index permutation of `orbit_tree`."""
-    for child, parent, read in tree:
+    `rows` (the others None), each child row copied from its parent's by
+    the index permutation of the tree."""
+    for child, parent, _, read in orbits.tree:
         rows[child] = read(rows[parent])
     return tuple(rows)
+
+
+def unfold_sparse(parts: list, orbits: Orbits) -> tuple[tuple, ...]:
+    """The ascending index lists of every row of an invariant matrix (its
+    nonzero columns, say), given those of the representatives in `parts`
+    (the others None): the list of a child is its parent's, mapped by the
+    tree's permutation and sorted."""
+    for child, parent, perm, _ in orbits.tree:
+        parts[child] = tuple(sorted(map(perm.__getitem__, parts[parent])))
+    return tuple(parts)
 
 
 # -- Gram matrices ----------------------------------------------------------------
@@ -476,10 +524,10 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
     views = [diagram.row_view() for diagram in diagrams]
     n = len(views)
     generators = basis_generators(diagrams, k)
-    representatives, tree = orbit_tree(generators, n)
+    orbits = orbit_tree(generators, n)
     groups = row_partition_groups(views)
     rows: list = [None] * n
-    for pa, us in row_partition_groups(views, representatives):
+    for pa, us in row_partition_groups(views, orbits.representatives):
         grown = {u: [None] * n for u in us}
         for pb, vs in groups:
             joined = _join(pa, pb)
@@ -498,5 +546,5 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
                     row[v] = loops
         for u, row in grown.items():
             rows[u] = tuple(row)
-    exponents = unfold_rows(rows, tree)
-    return GramMatrix(algebra, k, s1, s2, keys, diagrams, exponents, generators)
+    exponents = unfold_rows(rows, orbits)
+    return GramMatrix(algebra, k, s1, s2, keys, diagrams, exponents, orbits)

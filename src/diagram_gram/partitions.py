@@ -82,47 +82,6 @@ class SetPartition:
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def singletons(cls, n: int) -> "SetPartition":
-        return cls(n, [[v] for v in range(n)])
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "SetPartition":
-        """Finest partition in which each listed pair lies in one block."""
-        uf = UnionFind(n)
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"pair ({i}, {j}) out of range for ground size {n}")
-            uf.union(i, j)
-        return cls(n, uf.blocks())
-
-    # -- lattice operations ------------------------------------------------
-
-    def join(self, other: "SetPartition") -> "SetPartition":
-        """Smallest partition coarser than both self and other."""
-        if self.n != other.n:
-            raise ValueError(f"ground size mismatch: {self.n} != {other.n}")
-        uf = UnionFind(self.n)
-        for part in (self, other):
-            for block in part.blocks:
-                first = block[0]
-                for v in block[1:]:
-                    uf.union(first, v)
-        return SetPartition(self.n, uf.blocks())
-
-    def is_coarser_than(self, other: "SetPartition") -> bool:
-        """True iff every block of other is contained in a block of self."""
-        if self.n != other.n:
-            raise ValueError(f"ground size mismatch: {self.n} != {other.n}")
-        index = self.block_index
-        for block in other.blocks:
-            bi = index[block[0]]
-            if any(index[v] != bi for v in block[1:]):
-                return False
-        return True
-
     # -- views ---------------------------------------------------------------
 
     def block_of(self, v: int) -> tuple[int, ...]:

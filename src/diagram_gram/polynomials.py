@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -298,11 +299,14 @@ def phi_atoms(s1: int, s2: int, r1: int, r2: int) -> list[Poly]:
     ]
 
 
+@lru_cache(maxsize=None)
 def phi_z2(s1: int, s2: int, r1: int, r2: int) -> Poly:
     """Reduced diagonal polynomial for a cell with r1 paired and r2 fixed edges.
 
     The product of `phi_atoms(s1, s2, r1, r2)`; empty products are 1, and the
-    convention for negative r1 or r2 is the zero polynomial.
+    convention for negative r1 or r2 is the zero polynomial. Memoised: a
+    `Poly` is immutable, and the arguments met at a given k are O(k**4)
+    small integers.
     """
     if r1 < 0 or r2 < 0:
         return Poly.zero()

@@ -15,9 +15,9 @@ collecting the diagrams whose classes are all singletons covering every
 fiber (their natural coarsenings leave the signed family, so their entries
 keep extra terms).
 
-The poset is read off the Gram matrix handed in (poset duality), and cached
-per matrix: no stage below `build_gram` looks a matrix up by its profile,
-so the guard applies only where a basis is enumerated. u lies below v iff
+The poset is read off the Gram matrix handed in (poset duality): no stage
+below `build_gram` looks a matrix up by its profile, so the guard applies
+only where a basis is enumerated. u lies below v iff
 G[u][v] == G[u][u], that is, iff the product u.v keeps every through block
 and has as many loops as u has with itself. A nonzero entry G[u][v] is
 x**(#join - target), with join the join of the row partitions P_u and P_v
@@ -32,11 +32,14 @@ shows that u strictly below v has fewer row blocks than v, hence a smaller
 diagonal degree 2 r1 + r2; `DiagramKey.sort_key` orders by that degree
 first, so the basis order is a linear extension of the poset and the zeta
 matrix is upper triangular. Moebius inversion needs nothing more (Stanley,
-Enumerative Combinatorics I, 3.6): `_zeta_inverse` solves each column by
-back substitution in basis order, summing over the entries of the column
-found so far. It returns T as those sparse columns, ((u, T[u][v]), ...)
-over the nonzero entries, and `_congruence` and `BlockDecomposition` keep
-that form; only the `reduce` command densifies it, to checksum it.
+Enumerative Combinatorics I, 3.6): `_zeta_inverse` solves a column by back
+substitution in basis order, summing over the entries of the column found
+so far, and reads each relation u <= w straight off the exponent grid. It
+returns T as those sparse columns, ((u, T[u][v]), ...) over the nonzero
+entries, and `_congruence` and `BlockDecomposition` keep that form; only
+the `reduce` command densifies it, to checksum it. The dense relation,
+`coarsening_poset`, is built only for `verify` and
+`minimal_common_coarsening`; the reduction never builds it.
 
 The role-swap pairs are read off each diagram's `RowView` (row partition,
 through blocks, flip-fixed flags). A role swap is a pair with one row
@@ -46,29 +49,38 @@ whole diagrams; it is the oracle the tests and `verify` compare the poset
 against. The role-swap oracle on whole diagrams, `swap_pair_parameters`,
 lives in the tests.
 
-The congruence T'GT is `polynomials.congruence`, the packed-integer kernel
-that also gives `determinant` its isotypic blocks Y'BY and whose docstring
-derives the digit width; it computes L'BR for sparse integer columns L and
-R. G is invariant under the index permutations `GramMatrix.generators`
-(see `gram`), and so are the poset read off it, its zeta matrix and T.
-Hence T'GT is invariant too: its row g(u) is its row u read at g⁻¹. So
-`_congruence` hands the kernel G's exponent grid, L = the columns of T at
-the orbit representatives of `gram.orbit_tree` and R = T, which gives the
-representatives' rows, and copies every other row from its parent in the
-tree (`gram.unfold_rows`). It first checks, entry by entry, that the grid
-and T it is handed are invariant under every generator; if not, it uses the
-trivial group, so that every row is a representative and the kernel
-computes all of T'GT. T is unitriangular, so its largest column L1 norm L
-is at least 1, and the coefficients of T'GT are at most L**2 in absolute
-value. The result is the first `Poly` stage and stays dense rows: its
-entries are no longer monomials, and `compare_blocks`,
+Orbit representatives. G is invariant under the index permutations
+`GramMatrix.generators` (see `gram`), and `GramMatrix.orbits` checks that
+entry by entry, once per matrix, falling back to the trivial group when it
+fails. Then the poset read off G is invariant, and so are its zeta matrix,
+T, T'GT, the nonzero pattern, the cells and the predictions: a generator
+maps a row partition, its through blocks and a key's cell to those of the
+image. So every stage of `reduce_gram` computes only what belongs to the
+orbit representatives of `GramMatrix.orbits`, and copies the rest along the
+orbit tree by an index permutation:
+- `_zeta_inverse` solves the representatives' columns; column g(v) is
+  column v with row u moved to g(u), since T[g(u)][g(v)] = T[u][v];
+- `_congruence` hands `polynomials.congruence`, the packed-integer kernel
+  that also gives `determinant` its isotypic blocks Y'BY and whose
+  docstring derives the digit width, G's exponent grid, L = the columns of
+  T at the representatives and R = T, which gives the representatives'
+  rows of T'GT; every other row is its parent's read at g⁻¹
+  (`gram.unfold_rows`). It checks, entry by entry, that the T it is handed
+  is invariant too, and computes every row when it is not;
+- the nonzero columns of the representatives' rows are read once, and
+  those of row g(u) are those of row u mapped by g (`gram.unfold_sparse`);
+- `compare_blocks` compares the representatives' rows of each cell with
+  their predictions, and maps their diff columns the same way.
+
+T is unitriangular, so its largest column L1 norm L is at least 1, and the
+coefficients of T'GT are at most L**2 in absolute value. T'GT is the first
+`Poly` stage and stays dense rows: its entries are no longer monomials, and
 `BlockDecomposition.block` and `det_direct` index it by (row, column). The
-entrywise `Poly` T'GT is the oracle in the tests.
-`reduce_gram` reads its nonzero pattern once, in one pass over those rows,
-as the ascending nonzero columns of each row (`BlockDecomposition.nonzero`).
-The off-block violations are the pattern's entries that join two cells, and
-`det_blocks` splits the determinant along the pattern's connected
-components.
+entrywise `Poly` T'GT, the dense back substitution over `coarsening_poset`
+and the dense block compare are the oracles in the tests.
+The off-block violations are the nonzero pattern's entries that join two
+cells, and `det_blocks` splits the determinant along the pattern's
+connected components.
 """
 
 from __future__ import annotations
@@ -83,11 +95,12 @@ from .gram import (
     DEFAULT_GUARD,
     DiagramKey,
     GramMatrix,
+    Orbits,
     build_gram,
-    is_invariant,
     orbit_tree,
     row_partition_groups,
     unfold_rows,
+    unfold_sparse,
 )
 from .polynomials import Poly, congruence, phi_z2
 from .z2diagrams import Z2Diagram
@@ -217,27 +230,33 @@ def minimal_common_coarsening(gram: GramMatrix, u: int, v: int):
 # -- transform -------------------------------------------------------------------
 
 
-def _zeta_inverse(poset: CoarseningPoset) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _zeta_inverse(grid, orbits: Orbits) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Z^-1 as sparse columns: column v is ((u, T[u][v]), ...) over the
     nonzero entries, in ascending u. T is unitriangular with integer entries.
 
-    The basis order is a linear extension of the poset, so Z is upper
+    u <= w is read off the exponent grid as grid[u][w] == grid[u][u]. The
+    basis order is a linear extension of the poset, so Z is upper
     triangular and each column is solved upward in descending index by back
     substitution, T[u][v] = -sum(T[w][v] for u < w <= v with u <= w), a sum
-    over the entries of the column found so far.
+    over the entries of the column found so far. Only the columns of
+    `orbits.representatives` are solved: the grid is invariant under the
+    group of `orbits` (`GramMatrix.orbits` checks that), so are the poset
+    and T, and column perm[v] is column v with each row u moved to perm[u].
     """
-    leq = poset.leq
-    cols = []
-    for v in range(len(leq)):
+    cols: list = [None] * len(grid)
+    for v in orbits.representatives:
         col = [(v, 1)]
         for u in reversed(range(v)):
-            above = leq[u]
-            if above[v]:
-                c = -sum(c for w, c in col if above[w])
+            row = grid[u]
+            top = row[u]
+            if row[v] == top:
+                c = -sum(c for w, c in col if row[w] == top)
                 if c:
                     col.append((u, c))
         col.reverse()
-        cols.append(tuple(col))
+        cols[v] = tuple(col)
+    for child, parent, perm, _ in orbits.tree:
+        cols[child] = tuple(sorted((perm[u], c) for u, c in cols[parent]))
     return tuple(cols)
 
 
@@ -250,27 +269,26 @@ def _columns_invariant(columns, perm) -> bool:
     )
 
 
-def _congruence(transform, grid, generators):
+def _congruence(transform, grid, orbits: Orbits):
     """T' G T for T given as the sparse columns of `_zeta_inverse` and G as
     its exponent grid (x**e as e, zero as None), by `polynomials.congruence`.
     The result is dense rows of `Poly`; equal results share one `Poly`.
 
-    Only the rows of the orbit representatives under the index permutations
-    `generators` are computed, and every other row is copied from its
-    parent's (`gram.orbit_tree`), when G and T are invariant under every
-    generator; that is checked entry by entry, and if it fails the group is
-    trivial, so that every row is a representative.
+    G must be invariant under the group of `orbits` (`GramMatrix.orbits`
+    checks that). Only the rows of the representatives are computed, and
+    every other row is copied from its parent's (`gram.unfold_rows`), when T
+    is invariant too; that is checked entry by entry, and if it fails the
+    group is trivial, so that every row is a representative.
     """
-    if not all(is_invariant(grid, g) and _columns_invariant(transform, g) for g in generators):
-        generators = ()
-    representatives, tree = orbit_tree(generators, len(grid))
+    if not all(_columns_invariant(transform, g) for g in orbits.generators):
+        orbits = orbit_tree((), len(grid))
     exponents = set().union(*grid) - {None}
     coeffs = {None: (), **{e: (0,) * e + (1,) for e in exponents}}
-    left = [transform[u] for u in representatives]
+    left = [transform[u] for u in orbits.representatives]
     rows = [None] * len(grid)
-    for u, row in zip(representatives, congruence(left, grid, transform, coeffs)):
+    for u, row in zip(orbits.representatives, congruence(left, grid, transform, coeffs)):
         rows[u] = row
-    return unfold_rows(rows, tree)
+    return unfold_rows(rows, orbits)
 
 
 # -- blocks and predictions --------------------------------------------------------
@@ -335,14 +353,21 @@ def _cells_of(gram: GramMatrix):
 
 
 def reduce_gram(gram: GramMatrix) -> BlockDecomposition:
-    """Congruence-reduce a Gram matrix and compare against the closed forms."""
-    poset = coarsening_poset(gram)
-    transform = _zeta_inverse(poset)
-    reduced = _congruence(transform, gram.exponents, gram.generators)
+    """Congruence-reduce a Gram matrix and compare against the closed forms.
+
+    Every stage reads the rows or columns of the orbit representatives of
+    `gram.orbits` and copies the rest by index permutation.
+    """
+    grid, orbits = gram.exponents, gram.orbits
+    transform = _zeta_inverse(grid, orbits)
+    reduced = _congruence(transform, grid, orbits)
     # a Poly is zero iff its coefficient tuple is empty
     columns = range(len(reduced))
     coeffs = attrgetter("coeffs")
-    nonzero = tuple(tuple(compress(columns, map(coeffs, row))) for row in reduced)
+    nonzero: list = [None] * len(reduced)
+    for u in orbits.representatives:
+        nonzero[u] = tuple(compress(columns, map(coeffs, reduced[u])))
+    nonzero = unfold_sparse(nonzero, orbits)
     cells = _cells_of(gram)
     cell_of = [None] * len(reduced)
     for label, members in cells:
@@ -446,17 +471,38 @@ def _predict_rho_entry(gram: GramMatrix, u: int, v: int, swap) -> Poly:
 
 
 def compare_blocks(gram: GramMatrix, reduced, cells, predicted) -> tuple[DiffEntry, ...]:
-    """Entrywise reduced-vs-predicted diff; rho off-diagonals are informative."""
+    """Entrywise reduced-vs-predicted diff; rho off-diagonals are informative.
+
+    The diffs come in cell order, then row-major within the cell. Only the
+    rows of the representatives of `gram.orbits` are compared: the reduced
+    matrix is invariant under its group, and so are the predictions, which
+    are read off the cells, the row views and the grid, all of which the
+    generators preserve. So the diff columns of row perm[u] are those of
+    row u mapped by perm.
+    """
+    orbits = gram.orbits
+    where: list = [None] * len(reduced)
+    for label, members in cells:
+        for a, u in enumerate(members):
+            where[u] = (label, members, a)
+    columns: list = [None] * len(reduced)
+    for u in orbits.representatives:
+        label, members, a = where[u]
+        got, want = tuple(map(reduced[u].__getitem__, members)), predicted[label][a]
+        # equal rows compare in one pass; most entries are the shared zero
+        columns[u] = () if got == want else tuple(
+            v for v, p, q in zip(members, got, want) if p != q
+        )
+    columns = unfold_sparse(columns, orbits)
     diffs = []
     for label, members in cells:
         pred = predicted[label]
+        position = {v: b for b, v in enumerate(members)}
         for a, u in enumerate(members):
-            for b, v in enumerate(members):
-                got = reduced[u][v]
-                want = pred[a][b]
-                if got != want:
-                    informative = label[0] == "rho" and u != v
-                    diffs.append(
-                        DiffEntry(label, gram.keys[u], gram.keys[v], got, want, informative)
-                    )
+            for v in columns[u]:
+                informative = label[0] == "rho" and u != v
+                diffs.append(DiffEntry(
+                    label, gram.keys[u], gram.keys[v], reduced[u][v], pred[a][position[v]],
+                    informative,
+                ))
     return tuple(diffs)

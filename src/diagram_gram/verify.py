@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .determinant import det_blocks, det_direct
@@ -259,29 +258,29 @@ def check_stirling_recurrences():
     return CheckResult("stirling-recurrences", *_timed(run))
 
 
-def _shift_holds(phi, t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
+def _shift_holds(t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
     """The shift identity with a = r1 - t1, b = r2 - t2:
 
-    phi(s1+t1, s2+t2, a, b) = phi(s1-t1, s2-t2, a, b)
+    phi_z2(s1+t1, s2+t2, a, b) = phi_z2(s1-t1, s2-t2, a, b)
         - sum over (m, m') != (0, 0) of c(t1, a, m) 2**m c(t2, b, m')
-          phi(s1+t1, s2+t2, a-m, b-m'),
+          phi_z2(s1+t1, s2+t2, a-m, b-m'),
 
     with c(t, r, m) = C(2t, m) C(r, m) m!. At t2 = 0 (t1 = 0) the m' (m)
     sum and the cross terms are empty, leaving the first- (second-) family
-    identity. `phi` is `phi_z2`, memoised by the caller.
+    identity.
     """
 
     def coeff(t, r, m):
         return binomial(2 * t, m) * binomial(r, m) * math.factorial(m)
 
     a, b = r1 - t1, r2 - t2
-    rhs = phi(s1 - t1, s2 - t2, a, b)
+    rhs = phi_z2(s1 - t1, s2 - t2, a, b)
     for m in range(2 * t1 + 1):
         for mp in range(2 * t2 + 1):
             if m or mp:
                 c = coeff(t1, a, m) * 2**m * coeff(t2, b, mp)
-                rhs = rhs - phi(s1 + t1, s2 + t2, a - m, b - mp).scalar_mul(c)
-    return phi(s1 + t1, s2 + t2, a, b) == rhs
+                rhs = rhs - phi_z2(s1 + t1, s2 + t2, a - m, b - mp).scalar_mul(c)
+    return phi_z2(s1 + t1, s2 + t2, a, b) == rhs
 
 
 def check_phi_identities():
@@ -292,21 +291,20 @@ def check_phi_identities():
     """
 
     def run():
-        phi = lru_cache(maxsize=None)(phi_z2)  # local to this run
         failures = []
         for t in range(3):
             for s1 in range(t, 5):
                 for s2 in range(3):
                     for r1 in range(5):
                         for r2 in range(4):
-                            if not _shift_holds(phi, t, 0, s1, s2, r1, r2):
+                            if not _shift_holds(t, 0, s1, s2, r1, r2):
                                 failures.append(f"first-family shift {t},{s1},{s2},{r1},{r2}")
         for t in range(3):
             for s2 in range(t, 5):
                 for s1 in range(3):
                     for r2 in range(5):
                         for r1 in range(4):
-                            if not _shift_holds(phi, 0, t, s1, s2, r1, r2):
+                            if not _shift_holds(0, t, s1, s2, r1, r2):
                                 failures.append(f"second-family shift {t},{s1},{s2},{r1},{r2}")
         for t1 in range(2):
             for t2 in range(2):
@@ -314,7 +312,7 @@ def check_phi_identities():
                     for s2 in range(t2, 4):
                         for r1 in range(4):
                             for r2 in range(4):
-                                if not _shift_holds(phi, t1, t2, s1, s2, r1, r2):
+                                if not _shift_holds(t1, t2, s1, s2, r1, r2):
                                     failures.append(
                                         f"combined shift {t1},{t2},{s1},{s2},{r1},{r2}"
                                     )
@@ -331,7 +329,6 @@ def check_monomial_expansion():
     """
 
     def run():
-        phi = lru_cache(maxsize=None)(phi_z2)  # local to this run
         failures = []
         for s1 in range(3):
             for s2 in range(4):
@@ -340,7 +337,7 @@ def check_monomial_expansion():
                         acc = Poly.zero()
                         for p1 in range(r1 + 1):
                             for p2 in range(r1 + r2 - p1 + 1):
-                                acc = acc + phi(s1, s2, p1, p2).scalar_mul(
+                                acc = acc + phi_z2(s1, s2, p1, p2).scalar_mul(
                                     gen_stirling_z2(s1, s2, r1, r2, p1, p2)
                                 )
                         if acc != Poly.monomial(2 * r1 + r2):

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagram_gram.determinant import (
+    DetResult,
     _bareiss_int,
+    _component_orbits,
     _components,
     _hook_dimension,
     _independent,
@@ -23,10 +25,10 @@ from diagram_gram.determinant import (
     det_isotypic,
 )
 from diagram_gram.gram import build_gram, fibre_permutation, projected_dimension
-from diagram_gram.polynomials import Poly, linear_factor, phi_z2
+from diagram_gram.polynomials import Poly, linear_factor, phi_atoms, phi_z2
 from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import admissible_profiles
-from test_reduction import PROFILES
+from test_reduction import K4_PROFILES, PROFILES
 
 
 def _bareiss_reference(rows):
@@ -165,6 +167,58 @@ def test_det_blocks_follows_a_planted_coupling():
     )
     assert det_blocks(planted).poly == det_direct(planted.reduced)
     assert det_blocks(planted).poly != det_blocks(dec).poly
+
+
+def det_blocks_reference(decomposition):
+    """`det_blocks` with one determinant per connected component, no
+    component read from another: the reference for the orbit-wise memo."""
+    gram, reduced = decomposition.gram, decomposition.reduced
+    rho = set(dict(decomposition.cells).get(("rho",), ()))
+    factors = Counter()
+    for comp in _components(decomposition.nonzero):
+        if len(comp) > 1:
+            block = tuple(tuple(reduced[i][j] for j in comp) for i in comp)
+            if rho.issuperset(comp):
+                factors[det_isotypic(block, gram.k, _restricted(gram, comp))] += 1
+            else:
+                factors[det_direct(block)] += 1
+            continue
+        (u,) = comp
+        entry, key = reduced[u][u], gram.keys[u]
+        if entry == gram.phi(key):
+            factors.update(phi_atoms(*gram.doubled(key)))
+        else:
+            factors[entry] += 1
+    return DetResult.from_counts(factors)
+
+
+@pytest.mark.parametrize("profile", PROFILES + K4_PROFILES, ids=str)
+def test_det_blocks_matches_the_per_component_reference(profile):
+    decomposition = reduced_decomposition(*profile)
+    assert det_blocks(decomposition).factored == det_blocks_reference(decomposition).factored
+
+
+def test_det_blocks_checks_each_component_it_reads_from_the_memo():
+    # an entry changed in one coupled component, pattern kept: its orbit
+    # mates no longer have its block, so it gets its own determinant
+    dec = reduced_decomposition("z2", 4, 1, 0)
+    u, v = next(c for c in _components(dec.nonzero) if len(c) == 2)
+    rows = [list(row) for row in dec.reduced]
+    rows[u][v] = rows[v][u] = rows[u][v] + Poly.one()
+    planted = replace(dec, reduced=tuple(map(tuple, rows)))
+    assert det_blocks(planted).factored == det_blocks_reference(planted).factored
+    assert det_blocks(planted).factored != det_blocks(dec).factored
+
+
+def test_det_blocks_takes_one_determinant_per_orbit_of_components():
+    decomposition = reduced_decomposition("z2", 4, 1, 0)
+    components = _components(decomposition.nonzero)
+    coupled = [i for i, c in enumerate(components) if len(c) > 1]
+    orbits = _component_orbits(decomposition.reduced, components, decomposition.gram.generators)
+    assert (len(coupled), len({orbits.find(i) for i in coupled})) == (81, 8)
+    # with no generators, every component is its own orbit
+    alone = _component_orbits(decomposition.reduced, components, ())
+    assert len({alone.find(i) for i in coupled}) == len(coupled)
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=str)

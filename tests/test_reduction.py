@@ -6,15 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagram_gram.families import FAMILIES
-from diagram_gram.gram import ResourceGuardError, build_gram, enumerate_diagrams
+from diagram_gram.gram import (
+    ResourceGuardError,
+    build_gram,
+    enumerate_diagrams,
+    invariant_orbits,
+    orbit_tree,
+)
 from diagram_gram.polynomials import Poly, congruence, phi_z2
 from diagram_gram.reduction import (
+    _cells_of,
     _congruence,
     _zeta_inverse,
     coarsening_poset,
     diagram_coarser_or_equal,
     is_rho_key,
     minimal_common_coarsening,
+    predicted_blocks,
     reduce_gram,
     reduced_decomposition,
 )
@@ -33,6 +41,15 @@ PROFILES = (
     # the k=4 profiles of test_k4_extension.py
     + [("signed", 4, 1, 0), ("z2", 4, 2, 0), ("z2", 4, 0, 2), ("z2", 4, 1, 1)]
 )
+
+# the other z2 and signed profiles at k=4 (n up to 248): the orbits there
+# are large, so the orbit-wise stages copy most of their rows
+K4_PROFILES = [
+    (algebra, 4, s1, s2)
+    for algebra in ("z2", "signed")
+    for s1, s2 in admissible_profiles(algebra, 4)
+    if (algebra, 4, s1, s2) not in PROFILES
+]
 
 
 def dense(columns):
@@ -90,11 +107,41 @@ def test_entries_render_the_exponent_grid():
         assert len(shared) == len(set().union(*gram.exponents))
 
 
+def zeta_inverse_reference(poset):
+    """Z^-1 of the dense poset `poset.leq` as sparse columns, every column
+    solved by back substitution in basis order: the reference for the
+    orbit-wise `_zeta_inverse`, which reads the grid and solves only the
+    representatives' columns."""
+    leq = poset.leq
+    cols = []
+    for v in range(len(leq)):
+        col = [(v, 1)]
+        for u in reversed(range(v)):
+            above = leq[u]
+            if above[v]:
+                c = -sum(c for w, c in col if above[w])
+                if c:
+                    col.append((u, c))
+        col.reverse()
+        cols.append(tuple(col))
+    return tuple(cols)
+
+
+@pytest.mark.parametrize("profile", PROFILES + K4_PROFILES, ids=str)
+def test_zeta_inverse_matches_the_dense_reference(profile):
+    gram = build_gram(*profile)
+    assert gram.orbits.generators == gram.generators  # the grid is invariant
+    reference = zeta_inverse_reference(coarsening_poset(gram))
+    assert _zeta_inverse(gram.exponents, gram.orbits) == reference
+    trivial = orbit_tree((), gram.dimension())
+    assert _zeta_inverse(gram.exponents, trivial) == reference
+
+
 @pytest.mark.parametrize("profile", PROFILES, ids=str)
 def test_packed_congruence_matches_oracle(profile):
     gram = build_gram(*profile)
-    columns = _zeta_inverse(coarsening_poset(gram))
-    got = _congruence(columns, gram.exponents, gram.generators)
+    columns = _zeta_inverse(gram.exponents, gram.orbits)
+    got = _congruence(columns, gram.exponents, gram.orbits)
     assert got == congruence_oracle(columns, gram.entries)
 
 
@@ -116,10 +163,12 @@ def test_packed_congruence_matches_oracle_on_random_input(data):
     grid = tuple(
         tuple(data.draw(st.lists(exponent, min_size=n, max_size=n))) for _ in range(n)
     )
-    assert _congruence(columns, grid, ()) == congruence_oracle(columns, render(grid))
+    trivial = orbit_tree((), n)
+    assert _congruence(columns, grid, trivial) == congruence_oracle(columns, render(grid))
     # a random grid is rarely invariant, and then every row is computed
     generators = data.draw(st.lists(st.permutations(range(n)), max_size=2))
-    assert _congruence(columns, grid, generators) == congruence_oracle(columns, render(grid))
+    orbits = invariant_orbits(grid, orbit_tree(generators, n))
+    assert _congruence(columns, grid, orbits) == congruence_oracle(columns, render(grid))
 
 
 def invariant_under(perms, n, draw):
@@ -154,7 +203,9 @@ def test_packed_congruence_copies_rows_of_an_invariant_input(data):
     columns = tuple(
         tuple((u, entries[u, v]) for u in range(n) if entries[u, v]) for v in range(n)
     )
-    got = _congruence(columns, grid, perms)
+    orbits = invariant_orbits(grid, orbit_tree(perms, n))
+    assert orbits.generators == tuple(perms)  # the check passes
+    got = _congruence(columns, grid, orbits)
     assert got == congruence_oracle(columns, render(grid))
     assert len({id(p) for row in got for p in row}) == len({p for row in got for p in row})
     # an invariant G with a T that is rarely invariant: every row is computed
@@ -162,7 +213,7 @@ def test_packed_congruence_copies_rows_of_an_invariant_input(data):
     columns = tuple(
         tuple((u, c) for u in range(n) if (c := data.draw(coeff))) for _ in range(n)
     )
-    assert _congruence(columns, grid, perms) == congruence_oracle(columns, render(grid))
+    assert _congruence(columns, grid, orbits) == congruence_oracle(columns, render(grid))
 
 
 @settings(max_examples=200, deadline=None)
@@ -459,13 +510,14 @@ def test_partition_blocks_match_falling_products():
 
 
 def test_one_profile_is_enumerated_once():
-    # coarsening_poset reads the Gram matrix reduced_decomposition built
+    # the reduction reads the grid of the Gram matrix reduced_decomposition
+    # built, and builds no dense poset
     for cached in (enumerate_diagrams, build_gram, coarsening_poset, reduced_decomposition):
         cached.cache_clear()
     reduced_decomposition("z2", 3, 1, 0)
     assert enumerate_diagrams.cache_info().misses == 1
     assert build_gram.cache_info().misses == 1
-    assert coarsening_poset.cache_info().misses == 1
+    assert coarsening_poset.cache_info().misses == 0
 
 
 def test_poset_honours_the_guard():
@@ -505,18 +557,38 @@ def test_reduce_gram_reads_the_grid_it_is_handed():
     rows[u][v] = rows[v][u] = grid[u][u]
     planted = dataclasses.replace(gram, exponents=tuple(map(tuple, rows)))
     assert coarsening_poset(planted).leq[u][v]
+    # the planted grid is not invariant, so the group is trivial: every
+    # column of T and every row of T'GT is computed
+    assert planted.generators == gram.generators
+    assert planted.orbits.generators == ()
+    assert planted.orbits.representatives == list(range(len(grid)))
     decomposition = reduce_gram(planted)
     transform = decomposition.transform
-    assert transform == _zeta_inverse(coarsening_poset(planted))
+    assert transform == zeta_inverse_reference(coarsening_poset(planted))
     assert transform != reduce_gram(gram).transform
-    # the planted grid is not invariant, so every row of T'GT is computed
     assert decomposition.reduced == congruence_oracle(transform, render(planted.exponents))
 
 
-@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def compare_reference(gram, reduced, cells, predicted):
+    """Every in-cell entry of the reduced matrix against its prediction, in
+    cell order and row-major within a cell: the reference for the
+    orbit-wise `compare_blocks`, as (label, row, column, got, predicted,
+    informative) tuples."""
+    diffs = []
+    for label, members in cells:
+        pred = predicted[label]
+        for a, u in enumerate(members):
+            for b, v in enumerate(members):
+                if reduced[u][v] != pred[a][b]:
+                    informative = label[0] == "rho" and u != v
+                    diffs.append((label, u, v, reduced[u][v], pred[a][b], informative))
+    return diffs
+
+
+@pytest.mark.parametrize("profile", PROFILES + K4_PROFILES, ids=str)
 def test_nonzero_pattern_matches_a_dense_scan(profile):
     dec = reduced_decomposition(*profile)
-    n = len(dec.reduced)
+    gram, n = dec.gram, len(dec.reduced)
     assert dec.nonzero == tuple(
         tuple(v for v in range(n) if not dec.reduced[u][v].is_zero()) for u in range(n)
     )
@@ -527,3 +599,12 @@ def test_nonzero_pattern_matches_a_dense_scan(profile):
         for v in range(n)
         if cell_of[u] != cell_of[v] and not dec.reduced[u][v].is_zero()
     )
+    assert dec.cells == _cells_of(gram)
+    assert dec.predicted == predicted_blocks(gram, dec.cells)
+    index = {key: u for u, key in enumerate(gram.keys)}
+    got = [
+        (d.block, index[d.row_key], index[d.col_key], d.got, d.predicted, d.informative)
+        for d in dec.diffs
+    ]
+    assert got == compare_reference(gram, dec.reduced, dec.cells, dec.predicted)
+
