@@ -284,8 +284,8 @@ def cmd_verify(args) -> int:
         status = "PASS" if check.ok else "FAIL"
         lines.append(f"{status}  {check.name:<24} {check.seconds:7.2f}s  {check.details}")
         failures += 0 if check.ok else 1
-    # the guard goes in positionally, as the checks pass it, so that this
-    # reads the decomposition they already built
+    # the profile caches hold the last profile the checks read, so this
+    # builds the signed (1, 0) decomposition again
     decomposition = reduced_decomposition("signed", 3, 1, 0, args.guard)
     report = published_gram_report(decomposition.gram)
     status = "PASS" if report.ok else "FAIL"

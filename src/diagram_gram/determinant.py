@@ -8,6 +8,16 @@ that the fibre permutations leave invariant into one small block per
 partition of k; applied to a whole Gram matrix by the `det` command it is
 independent of the block reduction and cross-validates it.
 
+Components. `det_direct` first splits its input along the connected
+components of its own nonzero pattern. With rows and columns permuted
+alike, which leaves the determinant as it is, each component is a
+contiguous diagonal block, so the determinant is the product of theirs
+(a reduced matrix handed in whole, as `verify` does, has up to 31 of them
+on the k=3 profiles). It finds them with its own union-find, not with
+`_components`, whose calls `perfbench` counts as the components of the
+reduced matrices `det_blocks` splits. Each block is eliminated as below
+(`_eliminate`).
+
 Row shift. Let v_i and h_i be the lowest and the highest power of x in
 row i. Every term of the Leibniz expansion takes one entry from each row,
 so it is divisible by x^(Σv_i) and has degree at most Σh_i. Hence
@@ -217,25 +227,52 @@ def det_direct(matrix) -> Poly:
     """Determinant of a square polynomial matrix with integer coefficients,
     exactly.
 
-    Row i is divided by x^(v_i), its lowest power of x, which leaves
-    det = x^(Σv_i)·Q with deg Q <= D = Σ(h_i - v_i), h_i the row's highest
-    power (see the module docstring). Q is evaluated at the D+1 integers
-    -⌊D/2⌋..⌈D/2⌉, each entry from one table of powers of x per point,
-    and interpolated; since Q has integer coefficients, the
-    interpolation's division by D! is exact. An entry with a non-integer
-    coefficient raises ValueError before any evaluation.
+    The matrix is split along the connected components of its own nonzero
+    pattern, the graph joining u and v for every nonzero entry (u, v): with
+    rows and columns permuted alike so that each component is contiguous,
+    the matrix is block diagonal, so its determinant is the product of the
+    components' determinants, each from `_eliminate`. An entry with a
+    non-integer coefficient raises ValueError before any evaluation.
     """
     n = len(matrix)
     if n == 0:
         return Poly.one()
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
+    integral: set[Poly] = set()
+    pattern = UnionFind(n)
+    for u, row in enumerate(matrix):
+        for v, p in enumerate(row):
+            if p:
+                pattern.union(u, v)
+                if p not in integral:
+                    if not p.is_integral():
+                        raise ValueError("det_direct expects integer-coefficient entries")
+                    integral.add(p)
+    det = Poly.one()
+    for comp in pattern.blocks():
+        det = det * _eliminate(tuple(tuple(matrix[a][b] for b in comp) for a in comp))
+        if not det:
+            break  # a zero row is a component of its own
+    return det
+
+
+def _eliminate(matrix) -> Poly:
+    """Determinant of a square matrix of integer polynomials by evaluation,
+    Bareiss elimination and interpolation, whatever its nonzero pattern.
+
+    Row i is divided by x^(v_i), its lowest power of x, which leaves
+    det = x^(Σv_i)·Q with deg Q <= D = Σ(h_i - v_i), h_i the row's highest
+    power (see the module docstring). Q is evaluated at the D+1 integers
+    -⌊D/2⌋..⌈D/2⌉, each entry from one table of powers of x per point,
+    and interpolated; since Q has integer coefficients, the
+    interpolation's division by D! is exact. `det_direct` checks that the
+    coefficients are integers.
+    """
     lowest: dict[Poly, int] = {}
     for row in matrix:
         for p in row:
             if p and p not in lowest:
-                if not p.is_integral():
-                    raise ValueError("det_direct expects integer-coefficient entries")
                 lowest[p] = next(e for e, c in enumerate(p.coeffs) if c)
     # each row as indices into the distinct shifted entries' coefficient
     # tuples, numbered in order of appearance; the zero entry is () at 0

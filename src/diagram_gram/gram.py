@@ -217,9 +217,11 @@ def check_window(algebra: str, k: int, s1: int, s2: int = 0) -> Family:
 # -- enumeration -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD):
-    """Ordered basis: tuple of (DiagramKey, diagram) for the given profile."""
+    """Ordered basis: tuple of (DiagramKey, diagram) for the given profile.
+
+    Cached for the last profile only, like `build_gram`, which reads it."""
     family = check_window(algebra, k, s1, s2)
     dim = projected_dimension(algebra, k, s1, s2, cap=guard)
     if dim > guard:
@@ -506,7 +508,7 @@ def row_partition_groups(views, indices=None) -> list[tuple[tuple[int, ...], lis
     return list(groups.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD) -> GramMatrix:
     """Gram matrix over the ordered basis for the given profile.
 
@@ -516,6 +518,12 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
     permutation (`orbit_tree`). See the module docstring. Each entry is
     stored as its loop count, the exponent of x**loops, and a zero entry as
     None.
+
+    The cache holds one profile, the last one built: a call for another
+    profile releases the last matrix, its basis and its grid, unless the
+    caller keeps them. The verdict visits each profile once, so it holds one
+    matrix at a time; a repeated call with the same arguments, guard in
+    the same position, returns the same matrix.
     """
     basis = enumerate_diagrams(algebra, k, s1, s2, guard)
     keys = tuple(key for key, _ in basis)

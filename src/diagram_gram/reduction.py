@@ -189,13 +189,15 @@ class CoarseningPoset:
     leq: tuple[tuple[bool, ...], ...]  # leq[u][v]: diagram u coarser-or-equal v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def coarsening_poset(gram: GramMatrix) -> CoarseningPoset:
     """Coarsening order of `gram`'s basis: u below v iff G[u][v] == G[u][u].
 
-    Read off the exponents of the matrix handed in, and cached per matrix
-    (`GramMatrix` hashes by identity). The diagonal is never zero. See the
-    module docstring for why the equality is the coarsening order.
+    Read off the exponents of the matrix handed in, and cached for the last
+    matrix only (`GramMatrix` hashes by identity), so `verify` and
+    `minimal_common_coarsening` share one poset while they read one
+    matrix. The diagonal is never zero. See the module docstring for why
+    the equality is the coarsening order.
     """
     leq = tuple(
         tuple(e == row[u] for e in row) for u, row in enumerate(gram.exponents)
@@ -383,10 +385,17 @@ def reduce_gram(gram: GramMatrix) -> BlockDecomposition:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def reduced_decomposition(
     algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD
 ) -> BlockDecomposition:
+    """`reduce_gram` of `build_gram` for the profile.
+
+    Cached for one profile, the last one reduced, like `build_gram`: a call
+    for another profile releases the last decomposition, with its
+    transform, its reduced rows and its predictions. `global_poly` visits
+    each profile once and keeps only the factors of `det_blocks`.
+    """
     return reduce_gram(build_gram(algebra, k, s1, s2, guard))
 
 
@@ -399,8 +408,21 @@ def predicted_blocks(gram: GramMatrix, cells) -> dict:
     its diagonal and literal statement terms elsewhere; where the literal
     statement disagrees with the reduction output the comparison downgrades
     to informative rather than patching either side.
+
+    A role-swap value depends only on the doubled cell profile and (t1,
+    t2), so each is built once per call and shared by every pair that has
+    it; the values go with the call, so none outlives the profile.
     """
     out = {}
+    swap_values: dict = {}
+
+    def swap_value(key: DiagramKey, swap) -> Poly:
+        args = (gram.doubled(key), swap)
+        value = swap_values.get(args)
+        if value is None:
+            value = swap_values[args] = _swap_pair_value(*args)
+        return value
+
     for label, members in cells:
         size = len(members)
         block = [[Poly.zero()] * size for _ in range(size)]
@@ -409,13 +431,13 @@ def predicted_blocks(gram: GramMatrix, cells) -> dict:
             for a in range(size):
                 for b in range(size):
                     block[a][b] = _predict_rho_entry(
-                        gram, members[a], members[b], swaps.get((a, b))
+                        gram, members[a], members[b], swaps.get((a, b)), swap_value
                     )
         else:
             for a in range(size):
                 block[a][a] = gram.phi(gram.keys[members[a]])
             for (a, b), swap in swaps.items():
-                block[a][b] = _swap_pair_value(gram, gram.keys[members[a]], swap)
+                block[a][b] = swap_value(gram.keys[members[a]], swap)
         out[label] = tuple(tuple(row) for row in block)
     return out
 
@@ -445,16 +467,17 @@ def role_swaps(gram: GramMatrix, members) -> dict[tuple[int, int], tuple[int, in
     return out
 
 
-def _swap_pair_value(gram: GramMatrix, key: DiagramKey, swap) -> Poly:
-    """Role-swap entry for a swap (t1, t2) in doubled coordinates."""
+def _swap_pair_value(doubled, swap) -> Poly:
+    """Role-swap entry for a swap (t1, t2) in a cell of the doubled profile
+    (s1, s2, r1, r2)."""
     t1, t2 = swap
-    s1, s2, r1, r2 = gram.doubled(key)
+    s1, s2, r1, r2 = doubled
     value = phi_z2(s1 + t1, s2 + t2, r1 - t1, r2 - t2)
     coeff = (-1) ** (t1 + t2) * 2**t1 * math.factorial(t1) * math.factorial(t2)
     return value.scalar_mul(coeff)
 
 
-def _predict_rho_entry(gram: GramMatrix, u: int, v: int, swap) -> Poly:
+def _predict_rho_entry(gram: GramMatrix, u: int, v: int, swap, swap_value) -> Poly:
     s1, s2, k = gram.s1, gram.s2, gram.k
     ku, kv = gram.keys[u], gram.keys[v]
     free = k - s1 - s2
@@ -466,7 +489,7 @@ def _predict_rho_entry(gram: GramMatrix, u: int, v: int, swap) -> Poly:
         return correction.scalar_mul((-1) ** (ku.r1 + kv.r1))
     if swap is not None:
         # literal statement value: role-swap term plus the correction product
-        return _swap_pair_value(gram, ku, swap) + correction
+        return swap_value(ku, swap) + correction
     return Poly.zero()
 
 

@@ -101,7 +101,9 @@ def global_poly(algebra: str, k: int, guard: int = DEFAULT_GUARD):
     """Obstruction polynomial with its factor records, over all profiles.
 
     The result keeps the merged factors of every profile; its `poly` is
-    multiplied out only when read.
+    multiplied out only when read. The profile caches below it hold one
+    profile, so each profile's basis, matrix and reduction are released
+    once `det_blocks` has taken its factors.
     """
     check_window(algebra, k, 0, 0)
     records: list[FactorRecord] = []

@@ -13,6 +13,7 @@ from diagram_gram.determinant import (
     _bareiss_int,
     _component_orbits,
     _components,
+    _eliminate,
     _hook_dimension,
     _independent,
     _interpolate,
@@ -463,6 +464,52 @@ def test_det_direct_matches_the_reference_on_random_matrices(case):
     det = det_direct(matrix)
     assert det == det_direct_reference(matrix)
     if duplicated:
+        assert det.is_zero()
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_det_direct_split_matches_the_unsplit_elimination(profile):
+    reduced = reduced_decomposition(*profile).reduced
+    det = det_direct(reduced)
+    if len(reduced) <= 120:
+        assert det == _eliminate(reduced)
+    else:
+        # the unsplit elimination of z2 k=4 (1,1) and signed k=4 (1,0)
+        # takes seconds to minutes over all its points; compare at a few
+        for x in (-3, -1, 2, 5, 11):
+            values = [[p.eval_at(x) for p in row] for row in reduced]
+            assert det.eval_at(x) == _bareiss_int(values)
+
+
+@st.composite
+def permuted_block_diagonal_matrices(draw):
+    """A block-diagonal integer polynomial matrix of up to four blocks of
+    size 1 to 3, its rows and columns permuted alike, and maybe one row
+    set to zero."""
+    entry = st.lists(st.integers(-4, 4), max_size=3).map(Poly)
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    rows = [[Poly.zero()] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            rows[i][start : start + size] = draw(st.lists(entry, min_size=size, max_size=size))
+        start += size
+    perm = draw(st.permutations(range(n)))
+    matrix = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    zero_row = draw(st.booleans())
+    if zero_row:
+        matrix[draw(st.integers(0, n - 1))] = [Poly.zero()] * n
+    return tuple(map(tuple, matrix)), zero_row
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_block_diagonal_matrices())
+def test_det_direct_split_matches_the_unsplit_elimination_on_random_blocks(case):
+    matrix, zero_row = case
+    det = det_direct(matrix)
+    assert det == _eliminate(matrix) == det_direct_reference(matrix)
+    if zero_row:
         assert det.is_zero()
 
 

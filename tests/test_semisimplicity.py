@@ -1,14 +1,16 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from diagram_gram import semisimplicity
 from diagram_gram.determinant import DetResult, det_blocks
-from diagram_gram.gram import DEFAULT_GUARD, build_gram
+from diagram_gram.gram import DEFAULT_GUARD, GramMatrix, build_gram, enumerate_diagrams
 from diagram_gram.polynomials import Poly, linear_factor, quadratic_factor
-from diagram_gram.reduction import reduced_decomposition
+from diagram_gram.reduction import coarsening_poset, reduced_decomposition
 from diagram_gram.semisimplicity import FactorRecord, admissible_profiles, global_poly, verdict
 
 
@@ -115,17 +117,51 @@ def test_rational_verdict_leaves_the_product_unbuilt():
         assert "poly" not in vars(global_poly(algebra, k, DEFAULT_GUARD)[0]), (algebra, k)
 
 
-def test_verdict_never_renders_the_gram_entries():
-    # the pipeline reads the exponent grid; the Poly view is for output
-    for cached in (build_gram, reduced_decomposition, global_poly):
-        cached.cache_clear()
+def test_verdict_never_renders_the_gram_entries(monkeypatch):
+    # the pipeline reads the exponent grid; the Poly view is for output.
+    # Every read of `entries` is recorded while the verdicts run, on
+    # whichever matrix it is, cached or not
+    rendered = []
+    render = GramMatrix.entries.func
+
+    def recorded(gram):
+        rendered.append((gram.algebra, gram.k, gram.s1, gram.s2))
+        return render(gram)
+
+    monkeypatch.setattr(GramMatrix, "entries", property(recorded))
     for algebra in ("z2", "signed"):
+        for cached in (enumerate_diagrams, build_gram, reduced_decomposition, global_poly):
+            cached.cache_clear()
         verdict(algebra, 3, 2)
-        built = build_gram.cache_info().misses
-        for s1, s2 in admissible_profiles(algebra, 3):
-            gram = build_gram(algebra, 3, s1, s2, DEFAULT_GUARD)
-            assert "entries" not in vars(gram), (algebra, s1, s2)
-        assert build_gram.cache_info().misses == built  # the matrices verdict built
+        # the verdict built every profile's matrix while it was watched
+        assert build_gram.cache_info().misses == len(admissible_profiles(algebra, 3))
+    assert rendered == []
+    build_gram("z2", 3, 1, 0).entries
+    assert rendered == [("z2", 3, 1, 0)]  # the recorder sees a read
+
+
+def test_global_poly_releases_each_profile(monkeypatch):
+    # the profile caches hold one profile: once det_blocks has taken a
+    # profile's factors, nothing keeps its matrix or its reduction alive
+    seen = []
+
+    def watched(*args):
+        decomposition = reduced_decomposition(*args)
+        seen.append((weakref.ref(decomposition.gram), weakref.ref(decomposition)))
+        return decomposition
+
+    caches = (enumerate_diagrams, build_gram, coarsening_poset, reduced_decomposition)
+    for cached in (*caches, global_poly):
+        cached.cache_clear()
+    monkeypatch.setattr(semisimplicity, "reduced_decomposition", watched)
+    global_poly("z2", 4, DEFAULT_GUARD)
+    gc.collect()
+    assert len(seen) == len(admissible_profiles("z2", 4)) > 1
+    first_gram, first_decomposition = seen[0]
+    assert first_gram() is None
+    assert first_decomposition() is None
+    for cached in caches:
+        assert cached.cache_info().currsize <= 1, cached
 
 
 def test_symbolic_verdict_matches_the_product():
