@@ -18,7 +18,6 @@ from .gram import (
     build_gram,
     enumerate_diagrams,
     projected_dimension,
-    standard_diagram,
 )
 from .partitions import SetPartition
 from .polynomials import Poly, phi_z2
@@ -37,14 +36,13 @@ from .stirling import (
     gen_stirling_z2,
     stirling2,
 )
-from .z2diagrams import BlockKind, Z2Diagram, Z2Stats
+from .z2diagrams import Z2Diagram
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALGEBRAS",
     "BlockDecomposition",
-    "BlockKind",
     "CoarseningPoset",
     "DetResult",
     "DiagramKey",
@@ -56,7 +54,6 @@ __all__ = [
     "Verdict",
     "WindowError",
     "Z2Diagram",
-    "Z2Stats",
     "build_gram",
     "coarsening_poset",
     "count_coarser_bruteforce",
@@ -71,7 +68,6 @@ __all__ = [
     "projected_dimension",
     "reduce_gram",
     "reduced_decomposition",
-    "standard_diagram",
     "stirling2",
     "verdict",
 ]

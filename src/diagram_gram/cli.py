@@ -180,7 +180,8 @@ def cmd_reduce(args) -> int:
 def cmd_det(args) -> int:
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
-    direct = det_isotypic(gram.entries, gram.k, gram.fibre_action)
+    # the first two generators are π((0 1)) and π((0 1 ... k-1)); k = 1 has none
+    direct = det_isotypic(gram.entries, gram.k, gram.generators[:2] if gram.k > 1 else None)
     decomposition = reduce_gram(gram)
     blocks = det_blocks(decomposition)
     payload = {

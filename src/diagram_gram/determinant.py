@@ -46,8 +46,8 @@ no integer polynomial of degree <= D takes, and it raises ValueError.
 
 Isotypic blocks. Let π be a permutation action of S_k on the indices of
 B with B[π(g)u][π(g)v] = B[u][v], for instance the fibre permutations on
-a Gram matrix (`GramMatrix.fibre_action`, read off the matrix's
-`generators`) or on a rho component of its reduction. Then the
+a Gram matrix (the first two of `GramMatrix.generators` are π((0 1)) and
+π((0 1 ... k-1))) or on a rho component of its reduction. Then the
 permutation matrices P_g of π are orthogonal and commute with B. For each
 partition λ of k, fill one tableau T row by row, with row group R_T and
 column group C_T, and let
@@ -86,9 +86,10 @@ Y'Y is a sparse dot product of Y's columns. det B has integer
 coefficients and the denominator is a nonzero integer (Y'Y is positive
 definite), so the one division at the end is exact; a remainder raises
 ValueError. Invariance is checked exactly, entry by entry, under the
-generators (0 1) and (0 1 ... k-1). If it fails, if the action moves an
-index out of the matrix, if k = 1 or n <= 1, or if Σ m_λ d_λ differs from
-n, the determinant is `det_direct(B)`.
+generators (0 1) and (0 1 ... k-1), whose index permutations the caller
+passes. If it fails, if there are none (k = 1, or one moves an index out
+of a rho component), if n <= 1, or if Σ m_λ d_λ differs from n, the
+determinant is `det_direct(B)`.
 
 `det_blocks` reads the reduced matrix's nonzero pattern
 (`BlockDecomposition.nonzero`): with rows and columns permuted alike so
@@ -115,7 +116,7 @@ from functools import cached_property
 from math import factorial
 from operator import itemgetter, mul
 
-from .gram import fibre_generators, is_invariant
+from .gram import is_invariant
 from .partitions import UnionFind
 from .polynomials import Poly, congruence, phi_atoms
 
@@ -373,19 +374,15 @@ def _group_sum(column: dict[int, int], groups, transpositions, sign: int) -> dic
     return column
 
 
-def _isotypic_bases(matrix, k: int, action):
+def _isotypic_bases(matrix, k: int, generators):
     """(Y, d_λ) for each partition λ of k with m_λ > 0, Y being m_λ
     independent columns of π(e_T), as sparse {index: integer} dicts; None
     where `det_isotypic` falls back to `det_direct`."""
     n = len(matrix)
-    if k == 1 or n <= 1:
+    if k == 1 or n <= 1 or generators is None:
         return None
-    generators = []
-    for sigma in fibre_generators(k):
-        perm = action(sigma)
-        if perm is None or not is_invariant(matrix, perm):
-            return None
-        generators.append(perm)
+    if not all(is_invariant(matrix, perm) for perm in generators):
+        return None
     transpositions = _transpositions(k, *generators)
     bases, total = [], 0
     for shape in _partitions(k):
@@ -406,24 +403,21 @@ def _isotypic_bases(matrix, k: int, action):
     return bases if total == n else None
 
 
-def det_isotypic(matrix, k: int, action) -> Poly:
+def det_isotypic(matrix, k: int, generators) -> Poly:
     """Determinant of a square integer-polynomial matrix B that is invariant
-    under an action of S_k on its indices, block by isotypic block.
+    under an action π of S_k on its indices, block by isotypic block.
 
-    `action(sigma)` gives π(sigma), the index permutation of sigma in S_k
-    (entry u is the index that u goes to), or None when sigma moves some
-    index out of the matrix; π must be an action, π(sigma∘tau) =
-    π(sigma)∘π(tau).
-    B[π(sigma)[u]][π(sigma)[v]] must equal B[u][v]: that is checked
-    exactly for (0 1) and the k-cycle, which generate S_k, and `action` is
-    called for those two only. Each Young symmetrizer acts on a column as
-    O(k²) sparse transposition passes, and the shapes stop once their
-    blocks fill n. If the check fails, if `action` gives None, if k = 1 or
-    n <= 1, or if the blocks do not add up to n, the result is
-    `det_direct(B)`. The
-    module docstring gives the formula and why it is exact.
+    `generators` is the pair π((0 1)), π((0 1 ... k-1)) of index
+    permutations (entry u is the index that u goes to), or None when there
+    is no such pair. These two generate S_k, and
+    B[π(sigma)[u]][π(sigma)[v]] == B[u][v] is checked exactly for them.
+    Each Young symmetrizer acts on a column as O(k²) sparse transposition
+    passes, and the shapes stop once their blocks fill n. If the check
+    fails, if `generators` is None, if k = 1 or n <= 1, or if the blocks do
+    not add up to n, the result is `det_direct(B)`. The module docstring
+    gives the formula and why it is exact.
     """
-    bases = _isotypic_bases(matrix, k, action)
+    bases = _isotypic_bases(matrix, k, generators)
     if bases is None:
         return det_direct(matrix)
     # one C of every λ's columns, so that B is packed once
@@ -463,16 +457,14 @@ def _components(nonzero) -> list[list[int]]:
 
 
 def _restricted(gram, comp):
-    """The fibre permutations of `gram.fibre_action` on the indices of
-    `comp`, or None for a permutation that moves some member out of it."""
+    """π((0 1)) and π((0 1 ... k-1)), the first two of `gram.generators`,
+    on the indices of `comp`; None at k = 1, where there are none, or when
+    one of them moves some member out of `comp`."""
+    if gram.k == 1:
+        return None
     position = {u: i for i, u in enumerate(comp)}
-
-    def action(sigma):
-        image = gram.fibre_action(sigma)
-        perm = tuple(position.get(image[u]) for u in comp)
-        return None if None in perm else perm
-
-    return action
+    pair = tuple(tuple(position.get(perm[u]) for u in comp) for perm in gram.generators[:2])
+    return None if any(None in perm for perm in pair) else pair
 
 
 def _component_orbits(reduced, components, generators) -> UnionFind:

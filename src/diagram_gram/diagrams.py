@@ -9,7 +9,10 @@ that count into a monomial coefficient.
 A mirror-symmetric diagram is also described by its `RowView`: the
 partition of one row plus the set of blocks that run through to the other
 row. The Gram, poset and role-swap stages work on that view instead of on
-products.
+products, and so does `stirling.coarser_profile_counts`. A plain diagram is
+the flip-fixed slice of a doubled one: its flip fixes every point, so every
+block counts as flip-fixed, in the view and in the whole-diagram oracle
+`reduction.diagram_coarser_or_equal` alike.
 """
 
 from __future__ import annotations
@@ -98,23 +101,6 @@ class PartitionDiagram:
 
     def __setattr__(self, name, value):
         raise AttributeError("PartitionDiagram is immutable")
-
-    @classmethod
-    def identity(cls, k: int) -> "PartitionDiagram":
-        return cls(k, SetPartition(2 * k, [[i, k + i] for i in range(k)]))
-
-    @classmethod
-    def from_signed_blocks(cls, k: int, blocks) -> "PartitionDiagram":
-        """Blocks of 1-based signed vertices: +i is top i, -i is bottom i'."""
-        conv = [[(v - 1) if v > 0 else (k - v - 1) for v in block] for block in blocks]
-        return cls(k, SetPartition(2 * k, conv))
-
-    def to_signed_blocks(self) -> list[list[int]]:
-        k = self.k
-        return [
-            [v + 1 if v < k else -(v - k + 1) for v in block]
-            for block in self.part.blocks
-        ]
 
     # -- structure -----------------------------------------------------------
 

@@ -62,11 +62,9 @@ __all__ = [
     "DiagramKey",
     "GramMatrix",
     "enumerate_diagrams",
-    "standard_diagram",
     "build_gram",
     "count_row_configs",
     "projected_dimension",
-    "fibre_permutation",
 ]
 
 ALGEBRAS = tuple(FAMILIES)
@@ -190,12 +188,6 @@ class GramMatrix:
         """Named product polynomial on the reduced diagonal at `key`."""
         return phi_z2(*self.doubled(key))
 
-    def fibre_action(self, sigma) -> tuple[int, ...]:
-        """π(sigma) for sigma one of `fibre_generators(k)`, read off
-        `generators`: the two permutations `determinant.det_isotypic` asks
-        for."""
-        return self.generators[fibre_generators(self.k).index(sigma)]
-
 
 # -- validity windows ----------------------------------------------------------
 
@@ -285,31 +277,6 @@ def projected_dimension(algebra: str, k: int, s1: int, s2: int = 0, cap: int | N
     return total
 
 
-# -- standard diagrams ------------------------------------------------------------
-
-
-def standard_diagram(alpha, k: int, algebra: str = "z2"):
-    """Contiguous-interval diagram realizing the shape `alpha`.
-
-    Fibers are consumed left to right in role order (paired through, fixed
-    through, paired horizontal, fixed horizontal), with conjugate-pair units
-    taking the all-e section.
-    """
-    family = FAMILIES[algebra]
-    if len(alpha) != len(family.alpha_roles) or sum(map(sum, alpha)) != k:
-        raise ValueError(f"shape {alpha} is not a {algebra} shape of weight {k}")
-    for part in alpha:
-        if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
-            raise ValueError(f"shape parts must be weakly decreasing, got {alpha}")
-    units = []
-    nxt = 1
-    for role, part in zip(family.alpha_roles, alpha):
-        for size in part:
-            units.append((role, tuple(range(nxt, nxt + size)), (0,) * size))
-            nxt += size
-    return family.assemble(k, units)
-
-
 # -- the symmetries of the basis ----------------------------------------------------
 
 
@@ -354,19 +321,6 @@ def _fibre_map(diagrams, k: int, sigma) -> list[int]:
     2 sigma[i] + b, so e and g points stay apart."""
     per = diagrams[0].part.n // (2 * k)  # points per fibre in one row
     return [per * sigma[p // per] + p % per for p in range(per * k)]
-
-
-def fibre_permutation(gram: GramMatrix, sigma) -> tuple[int, ...]:
-    """The index permutation of the basis under the fibre permutation sigma.
-
-    sigma is a permutation of 0..k-1, fibre i going to sigma[i] (see
-    `_fibre_map`). Entry u of the result is the index of the image of
-    diagram u. Each family's basis is a union of orbits, since a profile
-    and a signed row's counts do not see the order of the fibres; an image
-    outside the basis raises KeyError.
-    """
-    (perm,) = _point_permutations(gram.diagrams, [_fibre_map(gram.diagrams, gram.k, sigma)])
-    return perm
 
 
 def basis_generators(diagrams, k: int) -> tuple[tuple[int, ...], ...]:

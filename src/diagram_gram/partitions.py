@@ -82,19 +82,6 @@ class SetPartition:
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
 
-    # -- views ---------------------------------------------------------------
-
-    def block_of(self, v: int) -> tuple[int, ...]:
-        return self.blocks[self.block_index[v]]
-
-    def restrict(self, points: Sequence[int]) -> "SetPartition":
-        """Partition induced on `points`, relabelled by position in `points`."""
-        pos = {v: i for i, v in enumerate(points)}
-        pieces: dict[int, list[int]] = {}
-        for v in points:
-            pieces.setdefault(self.block_index[v], []).append(pos[v])
-        return SetPartition(len(points), pieces.values())
-
     # -- dunder --------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

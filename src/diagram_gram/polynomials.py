@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -55,10 +55,6 @@ class Poly:
         return _ONE
 
     @classmethod
-    def x(cls) -> "Poly":
-        return _X
-
-    @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "Poly":
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
@@ -72,9 +68,6 @@ class Poly:
     def degree(self) -> int:
         """Degree of a nonzero polynomial; the zero polynomial returns -1."""
         return len(self.coeffs) - 1
-
-    def leading_coeff(self) -> Scalar:
-        return self.coeffs[-1] if self.coeffs else 0
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -154,10 +147,6 @@ class Poly:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, coeffs: Sequence[str]) -> "Poly":
-        return cls(Fraction(c) for c in coeffs)
-
-    @classmethod
     def from_packed(cls, value: int, width: int) -> "Poly":
         """The polynomial whose coefficients are the balanced base-2**width
         digits of `value`: the inverse of p -> p(2**width) on integer
@@ -188,7 +177,6 @@ class Poly:
 
 _ZERO = Poly([])
 _ONE = Poly([1])
-_X = Poly([0, 1])
 
 
 def congruence(left, rows, right, coeffs) -> tuple[tuple[Poly, ...], ...]:

@@ -46,8 +46,9 @@ through blocks, flip-fixed flags). A role swap is a pair with one row
 partition and two different through sets; (t1, t2) count the through
 blocks only u has. `diagram_coarser_or_equal` decides the coarsening on
 whole diagrams; it is the oracle the tests and `verify` compare the poset
-against. The role-swap oracle on whole diagrams, `swap_pair_parameters`,
-lives in the tests.
+against. It is one walk over the blocks' through and flip types for every
+family, a plain diagram's blocks all being flip-fixed. The role-swap oracle
+on whole diagrams, `swap_pair_parameters`, lives in the tests.
 
 Orbit representatives. G is invariant under the index permutations
 `GramMatrix.generators` (see `gram`), and `GramMatrix.orbits` checks that
@@ -103,7 +104,6 @@ from .gram import (
     unfold_sparse,
 )
 from .polynomials import Poly, congruence, phi_z2
-from .z2diagrams import Z2Diagram
 
 __all__ = [
     "CoarseningPoset",
@@ -124,16 +124,18 @@ __all__ = [
 # -- the coarsening relation ---------------------------------------------------
 
 
-def _block_types(diagram):
-    """Per-block (is_through, is_flip_fixed) for doubled diagrams."""
-    half = 2 * diagram.k
-    index = diagram.part.block_index
-    out = []
-    for block in diagram.part.blocks:
-        through = block[0] < half <= block[-1]
-        fixed = index[block[0] ^ 1] == index[block[0]]
-        out.append((through, fixed))
-    return out
+def _block_types(diagram) -> list[tuple[bool, bool]]:
+    """(is_through, is_flip_fixed) of each block of a whole diagram.
+
+    The flip exchanges the points 2i and 2i+1 of a doubled row and fixes
+    every point of a plain row, which has one point per fibre: so every
+    plain block is flip-fixed.
+    """
+    part = diagram.part
+    row = part.n // 2
+    flip = part.n // (2 * diagram.k) - 1  # points per fibre in a row, less one
+    index = part.block_index
+    return [(b[0] < row <= b[-1], index[b[0] ^ flip] == index[b[0]]) for b in part.blocks]
 
 
 def diagram_coarser_or_equal(da, db) -> bool:
@@ -141,45 +143,28 @@ def diagram_coarser_or_equal(da, db) -> bool:
 
     Every class of db must be contained in a class of da; through classes
     must land one-to-one in through classes of the same flip type, and
-    flip-fixed horizontal edges only in flip-fixed targets. Plain partition
-    diagrams carry no flip typing. Without the one-to-one requirement the
-    relation would identify pairs whose product drops the through count,
-    and the block reduction degenerates.
+    flip-fixed horizontal edges only in flip-fixed targets. Every block of
+    a plain partition diagram is flip-fixed, so there the flip types always
+    agree. Without the one-to-one requirement the relation would identify
+    pairs whose product drops the through count, and the block reduction
+    degenerates.
     """
-    if isinstance(da, Z2Diagram) != isinstance(db, Z2Diagram):
+    if type(da) is not type(db):
         raise TypeError("cannot compare diagrams of different families")
     index_a = da.part.block_index
+    types_a = _block_types(da)
     used_through: set[int] = set()
-    if isinstance(da, Z2Diagram):
-        types_a = _block_types(da)
-        types_b = _block_types(db)
-        for bi, block in enumerate(db.part.blocks):
-            target = index_a[block[0]]
-            if any(index_a[v] != target for v in block[1:]):
-                return False
-            b_through, b_fixed = types_b[bi]
-            a_through, a_fixed = types_a[target]
-            if b_through:
-                if not a_through or a_fixed != b_fixed:
-                    return False
-                if target in used_through:
-                    return False
-                used_through.add(target)
-            elif b_fixed and not a_fixed:
-                return False
-        return True
-    k = da.k
-    for block in db.part.blocks:
+    for block, (b_through, b_fixed) in zip(db.part.blocks, _block_types(db)):
         target = index_a[block[0]]
         if any(index_a[v] != target for v in block[1:]):
             return False
-        if block[0] < k <= block[-1]:
-            tb = da.part.blocks[target]
-            if not (tb[0] < k <= tb[-1]):
-                return False
-            if target in used_through:
+        a_through, a_fixed = types_a[target]
+        if b_through:
+            if not a_through or a_fixed != b_fixed or target in used_through:
                 return False
             used_through.add(target)
+        elif b_fixed and not a_fixed:
+            return False
     return True
 
 

@@ -7,9 +7,11 @@ gen_stirling_z2(0, s, 0, r, 0, p). `count_coarser_bruteforce` computes the same
 quantity by exhaustively enumerating merge patterns of the diagram's row
 blocks, read from `coarser_profile_counts`, whose one walk per diagram sorts
 every admissible grouping by the profile it lands on and so gives the counts
-at all targets. The acceptance suite compares each diagram's counts with the
-formula on a target grid and at every profile the walk reaches; the formula
-is never trusted where the enumeration disagrees.
+at all targets. The walk reads the diagram's `RowView` and has no case per
+family: a plain diagram is walked as the flip-fixed slice of a doubled one,
+whose blocks are all flip-fixed. The acceptance suite compares each
+diagram's counts with the formula on a target grid and at every profile the
+walk reaches; the formula is never trusted where the enumeration disagrees.
 """
 
 from __future__ import annotations
@@ -86,47 +88,28 @@ def gen_stirling_z2(s1: int, s2: int, r1: int, r2: int, p1: int, p2: int) -> int
 # -- brute-force oracle ------------------------------------------------------
 
 
-def _z2_row_units(diagram: Z2Diagram):
-    """Top-row blocks of a symmetric diagram with flip and through metadata.
-
-    Returns (blocks, conj, through) where conj[i] is the index of the
-    flip-conjugate of block i, which is i for a flip-fixed block.
-    """
-    half = 2 * diagram.k
-    top, _ = diagram.halves()
-    blocks = list(top.blocks)
-    through = []
-    for block in blocks:
-        full = diagram.part.block_of(block[0])
-        through.append(full[-1] >= half)
-    index = top.block_index
-    conj = [index[b[0] ^ 1] for b in blocks]
-    return blocks, conj, through
-
-
 def coarser_profile_counts(diagram) -> Counter:
     """Every coarser diagram's horizontal-edge profile, with its count.
 
     One walk over the set partitions of the diagram's row blocks gives all
     targets at once, as `{(q1, q2): n}` for a doubled diagram and `{q: n}`
-    for a plain one, whose blocks walk as flip-fixed blocks. The count is
-    over the unrestricted symmetric family: every type-respecting blockwise
-    merge of the diagram's row structure.
+    for a plain one, whose q1 is always 0. The count is over the
+    unrestricted symmetric family: every type-respecting blockwise merge of
+    the diagram's row structure. The blocks, through positions and
+    flip-fixed flags are the diagram's `RowView`, which raises ValueError
+    unless the diagram is mirror-symmetric; every plain block is flip-fixed,
+    and each other block is paired with the block holding its flipped points.
     """
-    if isinstance(diagram, Z2Diagram):
-        if not diagram.is_mirror_symmetric():
-            raise ValueError("oracle requires a mirror-symmetric diagram")
-        blocks, conj, through = _z2_row_units(diagram)
-    elif isinstance(diagram, PartitionDiagram):
-        k = diagram.k
-        top = diagram.part.restrict(range(k))
-        if top != diagram.part.restrict(range(k, 2 * k)):
-            raise ValueError("oracle requires a mirror-symmetric diagram")
-        blocks = top.blocks
-        conj = range(len(blocks))
-        through = [diagram.part.block_of(block[0])[-1] >= k for block in blocks]
-    else:
-        raise TypeError(f"unsupported diagram type {type(diagram).__name__}")
+    view = diagram.row_view()
+    blocks, fixed = view.blocks, view.fixed
+    through = [i in view.through for i in range(len(blocks))]
+    even = sum(1 << v for v in range(0, sum(blocks).bit_length(), 2))
+    position = {mask: i for i, mask in enumerate(blocks)}
+    conj = [
+        i if fixed[i] else position[(mask & even) << 1 | (mask >> 1) & even]
+        for i, mask in enumerate(blocks)
+    ]
+    plain = isinstance(diagram, PartitionDiagram)
     counts = Counter()
     for grouping in set_partitions(range(len(blocks))):
         group_of = {}
@@ -155,7 +138,7 @@ def coarser_profile_counts(diagram) -> Counter:
                 q2 += 1
             elif image > gi:
                 q1 += 1
-        counts[(q1, q2) if isinstance(diagram, Z2Diagram) else q2] += 1
+        counts[q2 if plain else (q1, q2)] += 1
     return counts
 
 

@@ -9,10 +9,11 @@ import time
 from fractions import Fraction
 
 from diagram_gram.golden import published_gram_report, published_reduced_report, load_fixture
-from diagram_gram.gram import build_gram, enumerate_diagrams, standard_diagram
+from diagram_gram.gram import build_gram, enumerate_diagrams
 from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import global_poly, verdict
 from diagram_gram.stirling import count_coarser_bruteforce, gen_stirling_z2
+from test_gram import standard_diagram
 
 PUBLISHED_PARAMS = ("signed", 3, 1, 0)
 

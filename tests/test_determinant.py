@@ -2,7 +2,6 @@ import itertools
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +24,11 @@ from diagram_gram.determinant import (
     det_direct,
     det_isotypic,
 )
-from diagram_gram.gram import build_gram, fibre_permutation, projected_dimension
+from diagram_gram.gram import build_gram, projected_dimension
 from diagram_gram.polynomials import Poly, linear_factor, phi_atoms, phi_z2
 from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import admissible_profiles
+from test_gram import fibre_generators, fibre_permutation
 from test_reduction import K4_PROFILES, PROFILES
 
 
@@ -95,7 +95,7 @@ def test_identity_and_diagonal():
     )
     assert det_direct(ident) == Poly.one()
     diag = (
-        (Poly.x(), Poly.zero()),
+        (Poly.monomial(1), Poly.zero()),
         (Poly.zero(), Poly([-2, -1, 1])),
     )
     assert det_direct(diag) == Poly([0, -2, -1, 1])  # x^3-x^2-2x
@@ -103,13 +103,13 @@ def test_identity_and_diagonal():
 
 
 def test_zero_row_shortcut():
-    m = ((Poly.zero(), Poly.zero()), (Poly.one(), Poly.x()))
+    m = ((Poly.zero(), Poly.zero()), (Poly.one(), Poly.monomial(1)))
     assert det_direct(m) == Poly.zero()
 
 
 def test_non_square_rejected():
     with pytest.raises(ValueError):
-        det_direct(((Poly.one(),), (Poly.one(), Poly.x())))
+        det_direct(((Poly.one(),), (Poly.one(), Poly.monomial(1))))
 
 
 def test_2x2_cross_check():
@@ -128,7 +128,7 @@ def test_published_determinant_factorization():
     assert direct.degree() == sum(2 * key.r1 + key.r2 for key in gram.keys)
     # det G == x^9 * det(paired-edge block) * det(tail block)
     factors = dict(blocks.factored)
-    assert factors[Poly.x()] == 9
+    assert factors[Poly.monomial(1)] == 9
     pair_det = det_direct(dec.block(("cell", 1, 0)))
     rho_det = det_direct(dec.block(("rho",)))
     assert direct == Poly.monomial(9) * pair_det * rho_det
@@ -242,11 +242,19 @@ def test_det_direct_matches_the_reference_on_every_profile(profile):
         assert det_direct(matrix) == det_direct_reference(matrix)
 
 
-def _isotypic_checked(matrix, k, action):
+def fibre_pair(gram):
+    """π((0 1)) and π((0 1 ... k-1)) by `fibre_permutation`, read off the
+    diagrams, not `gram.generators`; None at k = 1, where there are none."""
+    if gram.k == 1:
+        return None
+    return tuple(fibre_permutation(gram, sigma) for sigma in fibre_generators(gram.k))
+
+
+def _isotypic_checked(matrix, k, generators):
     """`det_isotypic`, after checking that it splits the matrix: the
     isotypic blocks exist and add up to its size."""
-    assert _isotypic_bases(matrix, k, action) is not None
-    return det_isotypic(matrix, k, action)
+    assert _isotypic_bases(matrix, k, generators) is not None
+    return det_isotypic(matrix, k, generators)
 
 
 @pytest.mark.parametrize(
@@ -254,12 +262,12 @@ def _isotypic_checked(matrix, k, action):
 )
 def test_det_isotypic_matches_det_direct_on_gram_matrices(profile):
     gram = build_gram(*profile)
-    action = partial(fibre_permutation, gram)
+    pair = fibre_pair(gram)
     if gram.k == 1 or gram.dimension() == 1:
-        assert _isotypic_bases(gram.entries, gram.k, action) is None
-        assert det_isotypic(gram.entries, gram.k, action) == det_direct(gram.entries)
+        assert _isotypic_bases(gram.entries, gram.k, pair) is None
+        assert det_isotypic(gram.entries, gram.k, pair) == det_direct(gram.entries)
     else:
-        assert _isotypic_checked(gram.entries, gram.k, action) == det_direct(gram.entries)
+        assert _isotypic_checked(gram.entries, gram.k, pair) == det_direct(gram.entries)
 
 
 @pytest.mark.parametrize(
@@ -268,8 +276,7 @@ def test_det_isotypic_matches_det_direct_on_gram_matrices(profile):
 def test_det_isotypic_matches_det_blocks_on_the_k4_gram_matrices(profile):
     decomposition = reduced_decomposition(*profile)
     gram = decomposition.gram
-    action = partial(fibre_permutation, gram)
-    assert _isotypic_checked(gram.entries, 4, action) == det_blocks(decomposition).poly
+    assert _isotypic_checked(gram.entries, 4, fibre_pair(gram)) == det_blocks(decomposition).poly
 
 
 def _rho_components(decomposition):
@@ -288,8 +295,8 @@ def test_det_isotypic_matches_det_direct_on_signed_rho_components(profile):
     reduced, k = decomposition.reduced, decomposition.gram.k
     for comp in _rho_components(decomposition):
         block = tuple(tuple(reduced[i][j] for j in comp) for i in comp)
-        action = _restricted(decomposition.gram, comp)
-        assert _isotypic_checked(block, k, action) == det_direct(block)
+        pair = _restricted(decomposition.gram, comp)
+        assert _isotypic_checked(block, k, pair) == det_direct(block)
 
 
 def test_signed_k4_has_coupled_rho_components():
@@ -304,7 +311,7 @@ def test_signed_k4_has_coupled_rho_components():
 def test_isotypic_blocks_of_the_z2_k4_gram_matrix():
     # λ = (4), (3,1), (2,2), (2,1,1); (1,1,1,1) has no copy
     gram = build_gram("z2", 4, 2, 0)
-    bases = _isotypic_bases(gram.entries, 4, partial(fibre_permutation, gram))
+    bases = _isotypic_bases(gram.entries, 4, fibre_pair(gram))
     assert [(len(ys), d) for ys, d in bases] == [(15, 1), (19, 3), (14, 2), (6, 3)]
 
 
@@ -358,17 +365,17 @@ def _group(k, generators):
     return group
 
 
-def young_columns_reference(matrix, k, action):
+def young_columns_reference(matrix, k, pair):
     """`_isotypic_bases` by listing S_k: every Young symmetrizer expanded
     term by term, each term's index permutation looked up in the whole
-    group, and every shape visited."""
+    group, composed from `pair` = π((0 1)), π((0 1 ... k-1)), and every
+    shape visited."""
     n = len(matrix)
-    if k == 1 or not n:
+    if k == 1 or not n or pair is None:
         return None
     generators = []
-    for sigma in ((1, 0, *range(2, k)), (*range(1, k), 0)):
-        perm = action(sigma)
-        if perm is None or any(
+    for sigma, perm in zip(fibre_generators(k), pair):
+        if any(
             tuple(map(matrix[perm[u]].__getitem__, perm)) != tuple(matrix[u]) for u in range(n)
         ):
             return None
@@ -394,12 +401,11 @@ def test_isotypic_bases_match_the_listed_group():
     for profile in PROFILES:
         if projected_dimension(*profile) <= 300:
             gram = build_gram(*profile)
-            action = partial(fibre_permutation, gram)
-            cases.append((gram.entries, gram.k, action))
+            pair = fibre_pair(gram)
+            cases.append((gram.entries, gram.k, pair))
             # the composed transpositions are the fibre transpositions
             if gram.k > 1:
-                swap, cycle = action((1, 0, *range(2, gram.k))), action((*range(1, gram.k), 0))
-                for (i, j), perm in _transpositions(gram.k, swap, cycle).items():
+                for (i, j), perm in _transpositions(gram.k, *pair).items():
                     sigma = list(range(gram.k))
                     sigma[i], sigma[j] = j, i
                     assert perm == fibre_permutation(gram, tuple(sigma)), (profile, i, j)
@@ -409,32 +415,29 @@ def test_isotypic_bases_match_the_listed_group():
             for comp in _rho_components(decomposition):
                 block = tuple(tuple(decomposition.reduced[i][j] for j in comp) for i in comp)
                 cases.append((block, k, _restricted(decomposition.gram, comp)))
-    for matrix, k, action in cases:
-        calls = []
-        counted = lambda sigma: calls.append(sigma) or action(sigma)
-        bases = _isotypic_bases(matrix, k, counted)
+    for matrix, k, pair in cases:
+        bases = _isotypic_bases(matrix, k, pair)
         if len(matrix) == 1:
-            # one diagram goes to det_direct without asking for the action
-            assert bases is None and not calls
+            # one diagram goes to det_direct
+            assert bases is None
             continue
-        assert bases == young_columns_reference(matrix, k, action)
-        assert len(calls) <= 2
+        assert bases == young_columns_reference(matrix, k, pair)
 
 
 def test_det_isotypic_falls_back_where_it_cannot_split():
     gram = build_gram("z2", 3, 1, 0)
-    action = partial(fibre_permutation, gram)
+    pair = fibre_pair(gram)
     # a diagonal entry at a diagram that (0 1) moves breaks the invariance
-    u = next(u for u, v in enumerate(action((1, 0, 2))) if u != v)
+    u = next(u for u, v in enumerate(pair[0]) if u != v)
     rows = [list(row) for row in gram.entries]
     rows[u][u] = rows[u][u] + Poly.one()
     planted = tuple(map(tuple, rows))
-    assert _isotypic_bases(planted, 3, action) is None
-    det = det_isotypic(planted, 3, action)
+    assert _isotypic_bases(planted, 3, pair) is None
+    det = det_isotypic(planted, 3, pair)
     assert det == det_direct(planted) != det_direct(gram.entries)
-    # an action that moves an index out of the matrix
-    assert _isotypic_bases(gram.entries, 3, lambda sigma: None) is None
-    assert det_isotypic(gram.entries, 3, lambda sigma: None) == det_direct(gram.entries)
+    # no generators, as for a rho component that one moves out of
+    assert _isotypic_bases(gram.entries, 3, None) is None
+    assert det_isotypic(gram.entries, 3, None) == det_direct(gram.entries)
 
 
 @st.composite
@@ -616,4 +619,4 @@ def test_interpolate_rejects_non_integer_coefficients(xs, ys):
 def test_fraction_coefficient_rejected():
     half = Poly([Fraction(1, 2), 1])
     with pytest.raises(ValueError):
-        det_direct(((Poly.x(), Poly.one()), (Poly.one(), half)))
+        det_direct(((Poly.monomial(1), Poly.one()), (Poly.one(), half)))

@@ -16,8 +16,11 @@ from diagram_gram.gram import (
     enumerate_diagrams,
     projected_dimension,
 )
-from diagram_gram.partitions import set_partitions
+from diagram_gram.partitions import SetPartition, set_partitions
+from diagram_gram.reduction import diagram_coarser_or_equal
 from diagram_gram.semisimplicity import admissible_profiles
+from diagram_gram.stirling import coarser_profile_counts
+from diagram_gram.z2diagrams import Z2Diagram
 
 CASES = [
     (algebra, k)
@@ -133,3 +136,26 @@ def test_enumeration_matches_generate_and_filter(algebra, k):
 def test_configs_walk_only_the_requested_profile():
     # the unpruned walk visits all 4.2 million set partitions of 12 fibres
     assert len(list(FAMILIES["z2"].configs(12, 12, 0))) == 1
+
+
+def embed(diagram):
+    """The doubled diagram that uses both points of each fibre of a plain
+    diagram: vertex v becomes the points 2v and 2v+1, on either row, so
+    every block is flip-fixed."""
+    k = diagram.k
+    blocks = [[p for v in block for p in (2 * v, 2 * v + 1)] for block in diagram.part.blocks]
+    return Z2Diagram(k, SetPartition(4 * k, blocks))
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_plain_diagrams_are_the_flip_fixed_slice_of_doubled_ones(k):
+    # both coarsening oracles give a plain diagram the answers of its
+    # embedding, whose conjugate-pair counts are all 0
+    for s in range(k + 1):
+        diagrams = [d for _, d in enumerate_diagrams("partition", k, s)]
+        embedded = [embed(d) for d in diagrams]
+        for d, e in zip(diagrams, embedded):
+            counts = coarser_profile_counts(d)
+            assert coarser_profile_counts(e) == {(0, q): n for q, n in counts.items()}
+        for (a, ea), (b, eb) in itertools.product(zip(diagrams, embedded), repeat=2):
+            assert diagram_coarser_or_equal(ea, eb) == diagram_coarser_or_equal(a, b)

@@ -9,15 +9,15 @@ from diagram_gram.families import FAMILIES
 from diagram_gram.gram import (
     ResourceGuardError,
     WindowError,
+    _fibre_map,
     _join,
+    _point_permutations,
     _through_image,
     build_gram,
     count_row_configs,
     enumerate_diagrams,
-    fibre_permutation,
     projected_dimension,
     row_partition_groups,
-    standard_diagram,
 )
 from diagram_gram.partitions import SetPartition
 from diagram_gram.polynomials import Poly
@@ -25,7 +25,43 @@ from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import admissible_profiles
 from diagram_gram.stirling import binomial
 from diagram_gram.z2diagrams import Z2Diagram, top_index
+from test_partitions import block_of, restrict
 from test_reduction import PROFILES
+
+
+def standard_diagram(alpha, k: int, algebra: str = "z2"):
+    """Contiguous-interval diagram realizing the shape `alpha`.
+
+    Fibers are consumed left to right in role order (paired through, fixed
+    through, paired horizontal, fixed horizontal), with conjugate-pair units
+    taking the all-e section.
+    """
+    family = FAMILIES[algebra]
+    if len(alpha) != len(family.alpha_roles) or sum(map(sum, alpha)) != k:
+        raise ValueError(f"shape {alpha} is not a {algebra} shape of weight {k}")
+    for part in alpha:
+        if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
+            raise ValueError(f"shape parts must be weakly decreasing, got {alpha}")
+    units = []
+    nxt = 1
+    for role, part in zip(family.alpha_roles, alpha):
+        for size in part:
+            units.append((role, tuple(range(nxt, nxt + size)), (0,) * size))
+            nxt += size
+    return family.assemble(k, units)
+
+
+def fibre_permutation(gram, sigma):
+    """The index permutation of the basis under the fibre permutation sigma.
+
+    sigma is a permutation of 0..k-1, fibre i going to sigma[i] (see
+    `gram._fibre_map`). Entry u of the result is the index of the image of
+    diagram u. Each family's basis is a union of orbits, since a profile
+    and a signed row's counts do not see the order of the fibres; an image
+    outside the basis raises KeyError.
+    """
+    (perm,) = _point_permutations(gram.diagrams, [_fibre_map(gram.diagrams, gram.k, sigma)])
+    return perm
 
 
 def underlying_partition(diagram):
@@ -33,26 +69,25 @@ def underlying_partition(diagram):
     the inverse of `standard_diagram` on shapes."""
     if isinstance(diagram, PartitionDiagram):
         k = diagram.k
-        top = diagram.part.restrict(range(k))
-        if top != diagram.part.restrict(range(k, 2 * k)):
+        top = restrict(diagram.part, range(k))
+        if top != restrict(diagram.part, range(k, 2 * k)):
             raise ValueError("diagram is not mirror-symmetric")
         through, horiz = [], []
         for block in top.blocks:
-            full = diagram.part.block_of(block[0])
+            full = block_of(diagram.part, block[0])
             (through if full[-1] >= k else horiz).append(len(block))
         return (tuple(sorted(through, reverse=True)), tuple(sorted(horiz, reverse=True)))
     if not isinstance(diagram, Z2Diagram):
         raise TypeError(f"unsupported diagram type {type(diagram).__name__}")
-    if not diagram.is_mirror_symmetric():
-        raise ValueError("diagram is not mirror-symmetric")
+    diagram.row_view()  # raises ValueError unless mirror-symmetric
     half = 2 * diagram.k
-    top, _ = diagram.halves()
+    top = restrict(diagram.part, range(half))
     sizes = {"s1": [], "s2": [], "r1": [], "r2": []}
     for bi, block in enumerate(top.blocks):
         conj = top.block_index[block[0] ^ 1]
         if conj < bi:
             continue  # one count per conjugate pair
-        is_through = diagram.part.block_of(block[0])[-1] >= half
+        is_through = block_of(diagram.part, block[0])[-1] >= half
         if conj == bi:
             sizes["s2" if is_through else "r2"].append(len(block) // 2)
         else:
@@ -234,7 +269,7 @@ def test_gram_basic_shape_and_diagonal():
     t = build_gram("z2", 2, 0, 2)
     assert t.dimension() == 1 and t.entries[0][0] == Poly.one()
     p = build_gram("partition", 1, 0)
-    assert p.dimension() == 1 and p.entries[0][0] == Poly.x()
+    assert p.dimension() == 1 and p.entries[0][0] == Poly.monomial(1)
 
 
 def test_gram_entry_zero_iff_through_count_drops():

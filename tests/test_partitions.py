@@ -8,6 +8,20 @@ from hypothesis import strategies as st
 from diagram_gram.partitions import SetPartition, UnionFind, set_partitions
 
 
+def block_of(part, v):
+    """The block of `part` that holds v."""
+    return part.blocks[part.block_index[v]]
+
+
+def restrict(part, points):
+    """Partition induced on `points`, relabelled by position in `points`."""
+    pos = {v: i for i, v in enumerate(points)}
+    pieces = {}
+    for v in points:
+        pieces.setdefault(part.block_index[v], []).append(pos[v])
+    return SetPartition(len(points), pieces.values())
+
+
 def singletons(n):
     return SetPartition(n, [[v] for v in range(n)])
 
@@ -134,9 +148,9 @@ def test_canonical_form_is_fixpoint():
 
 def test_restrict_relabels_by_position():
     p = SetPartition(6, [[0, 3, 5], [1, 2], [4]])
-    top = p.restrict([0, 1, 2])
+    top = restrict(p, [0, 1, 2])
     assert top == SetPartition(3, [[0], [1, 2]] + [])
-    bottom = p.restrict([3, 4, 5])
+    bottom = restrict(p, [3, 4, 5])
     assert bottom == SetPartition(3, [[0, 2], [1]])
 
 

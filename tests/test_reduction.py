@@ -29,6 +29,7 @@ from diagram_gram.reduction import (
 from diagram_gram.stirling import count_coarser_bruteforce
 from diagram_gram.z2diagrams import Z2Diagram
 from diagram_gram.semisimplicity import admissible_profiles
+from test_partitions import restrict
 
 PROFILES = (
     [
@@ -335,7 +336,7 @@ def test_published_reduction_blocks():
     b00 = dec.block(("cell", 0, 0))
     assert all(b00[i][j] == (Poly.one() if i == j else Poly.zero()) for i in range(4) for j in range(4))
     b01 = dec.block(("cell", 0, 1))
-    assert all(b01[i][j] == (Poly.x() if i == j else Poly.zero()) for i in range(9) for j in range(9))
+    assert all(b01[i][j] == (Poly.monomial(1) if i == j else Poly.zero()) for i in range(9) for j in range(9))
     b10 = dec.block(("cell", 1, 0))
     coupling = Poly([-2])
     diag = phi_z2(1, 0, 1, 0)
@@ -381,16 +382,16 @@ def swap_pair_parameters(du, dv):
     """
     if isinstance(du, Z2Diagram):
         half = 2 * du.k
-        top_u, _ = du.halves()
-        top_v, _ = dv.halves()
+        top_u = restrict(du.part, range(half))
+        top_v = restrict(dv.part, range(half))
         if top_u != top_v:
             return None
         thr_u = _through_block_set(du, half)
         thr_v = _through_block_set(dv, half)
     else:
         k = du.k
-        top_u = du.part.restrict(range(k))
-        top_v = dv.part.restrict(range(k))
+        top_u = restrict(du.part, range(k))
+        top_v = restrict(dv.part, range(k))
         if top_u != top_v:
             return None
         thr_u = _through_block_set(du, k)

@@ -16,7 +16,7 @@ from diagram_gram.semisimplicity import FactorRecord, admissible_profiles, globa
 
 def test_partition_k1_global_poly():
     result, records = global_poly("partition", 1)
-    assert result.poly == Poly.x()
+    assert result.poly == Poly.monomial(1)
     assert {(rec.s1, rec.s2) for rec in records} == {(0, 0)}
 
 
@@ -102,7 +102,7 @@ def test_global_poly_is_the_product_of_the_profile_determinants():
 
 
 def test_det_result_multiplies_out_once_on_demand():
-    result = DetResult(((Poly([-1, 1]), 2), (Poly.x(), 1)))
+    result = DetResult(((Poly([-1, 1]), 2), (Poly.monomial(1), 1)))
     assert "poly" not in vars(result)
     assert result.poly == Poly([0, 1, -2, 1])  # (x-1)^2 x
     assert vars(result)["poly"] is result.poly
@@ -173,7 +173,7 @@ def test_symbolic_verdict_matches_the_product():
 
 
 def test_symbolic_verdict_fails_on_a_zero_factor(monkeypatch):
-    zero = DetResult(((Poly.x(), 1), (Poly.zero(), 1)))
+    zero = DetResult(((Poly.monomial(1), 1), (Poly.zero(), 1)))
     monkeypatch.setattr(semisimplicity, "global_poly", lambda *args: (zero, ()))
     assert not verdict("z2", 2, None).semisimple
 

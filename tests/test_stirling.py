@@ -1,10 +1,9 @@
 import pytest
 
 from diagram_gram.families import FAMILIES
-from diagram_gram.gram import enumerate_diagrams, standard_diagram
+from diagram_gram.gram import enumerate_diagrams
 from diagram_gram.partitions import set_partitions
 from diagram_gram.stirling import (
-    _z2_row_units,
     binomial,
     coarser_profile_counts,
     count_coarser_bruteforce,
@@ -12,6 +11,8 @@ from diagram_gram.stirling import (
     stirling2,
 )
 from diagram_gram.z2diagrams import Z2Diagram
+from test_gram import standard_diagram
+from test_partitions import block_of, restrict
 
 
 def test_stirling2_examples():
@@ -123,6 +124,22 @@ def reference_count(diagram, target=None) -> int:
     return _reference_partition(diagram, target)
 
 
+def _z2_row_units(diagram):
+    """Top-row blocks of a symmetric diagram with flip and through metadata,
+    read off the whole partition.
+
+    Returns (blocks, conj, through) where conj[i] is the index of the
+    flip-conjugate of block i, which is i for a flip-fixed block.
+    """
+    half = 2 * diagram.k
+    top = restrict(diagram.part, range(half))
+    blocks = list(top.blocks)
+    through = [block_of(diagram.part, block[0])[-1] >= half for block in blocks]
+    index = top.block_index
+    conj = [index[b[0] ^ 1] for b in blocks]
+    return blocks, conj, through
+
+
 def _reference_z2(diagram, target):
     blocks, conj, through = _z2_row_units(diagram)
     count = 0
@@ -160,10 +177,10 @@ def _reference_z2(diagram, target):
 
 def _reference_partition(diagram, target):
     k = diagram.k
-    blocks = list(diagram.part.restrict(range(k)).blocks)
+    blocks = list(restrict(diagram.part, range(k)).blocks)
     through = []
     for block in blocks:
-        full = diagram.part.block_of(block[0])
+        full = block_of(diagram.part, block[0])
         through.append(full[-1] >= k)
     count = 0
     for grouping in set_partitions(range(len(blocks))):
