@@ -66,8 +66,8 @@ orbit tree by an index permutation:
   docstring derives the digit width, G's exponent grid, L = the columns of
   T at the representatives and R = T, which gives the representatives'
   rows of T'GT; every other row is its parent's read at g⁻¹
-  (`gram.unfold_rows`). It checks, entry by entry, that the T it is handed
-  is invariant too, and computes every row when it is not;
+  (`gram.unfold_rows`). It trusts the orbits it is handed: T is
+  `_zeta_inverse` of the checked G on those orbits, so it is invariant too;
 - the nonzero columns of the representatives' rows are read once, and
   those of row g(u) are those of row u mapped by g (`gram.unfold_sparse`);
 - `compare_blocks` compares the representatives' rows of each cell with
@@ -98,7 +98,6 @@ from .gram import (
     GramMatrix,
     Orbits,
     build_gram,
-    orbit_tree,
     row_partition_groups,
     unfold_rows,
     unfold_sparse,
@@ -247,28 +246,18 @@ def _zeta_inverse(grid, orbits: Orbits) -> tuple[tuple[tuple[int, int], ...], ..
     return tuple(cols)
 
 
-def _columns_invariant(columns, perm) -> bool:
-    """True iff the matrix of the sparse columns `columns` has
-    T[perm[u]][perm[v]] == T[u][v] for all u and v."""
-    return all(
-        {perm[u]: c for u, c in column} == dict(columns[image])
-        for image, column in zip(perm, columns)
-    )
-
-
 def _congruence(transform, grid, orbits: Orbits):
     """T' G T for T given as the sparse columns of `_zeta_inverse` and G as
     its exponent grid (x**e as e, zero as None), by `polynomials.congruence`.
     The result is dense rows of `Poly`; equal results share one `Poly`.
 
-    G must be invariant under the group of `orbits` (`GramMatrix.orbits`
-    checks that). Only the rows of the representatives are computed, and
-    every other row is copied from its parent's (`gram.unfold_rows`), when T
-    is invariant too; that is checked entry by entry, and if it fails the
-    group is trivial, so that every row is a representative.
+    G and T must be invariant under the group of `orbits`: G is checked by
+    `GramMatrix.orbits`, and T is `_zeta_inverse` of that G on those orbits,
+    so it is invariant by construction. Only the rows of the representatives
+    are computed, and every other row is copied from its parent's
+    (`gram.unfold_rows`). A caller with a T of its own that is not invariant
+    passes the trivial group, `orbit_tree((), n)`.
     """
-    if not all(_columns_invariant(transform, g) for g in orbits.generators):
-        orbits = orbit_tree((), len(grid))
     exponents = set().union(*grid) - {None}
     coeffs = {None: (), **{e: (0,) * e + (1,) for e in exponents}}
     left = [transform[u] for u in orbits.representatives]

@@ -1,8 +1,14 @@
 """Aggregated verification suite backing both `pytest` and the CLI.
 
-Each check returns a CheckResult; the acceptance tests assert `ok` and the
-CLI prints one line per check. Scale parameters mirror the documented
-acceptance bounds (full exactness, zero tolerance).
+`run_all_checks` visits each profile once, in the order of `FAMILIES` and
+then of k and (s1, s2): it reduces the profile (`reduced_decomposition`,
+which builds its Gram matrix) and hands the decomposition to each
+per-profile check that applies there. A check returns its failures as a
+list of strings and never loops over profiles; `run_all_checks` puts the
+profile's tag in front of each failure and adds up the seconds per check.
+The three global checks take no argument and return their failures the same
+way. The plain partition family runs one size higher. Every check is exact:
+no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -14,12 +20,7 @@ from itertools import product
 
 from .determinant import det_blocks, det_direct
 from .families import FAMILIES
-from .gram import (
-    DEFAULT_GUARD,
-    WindowError,
-    build_gram,
-    enumerate_diagrams,
-)
+from .gram import DEFAULT_GUARD, WindowError
 from .polynomials import Poly, phi_z2
 from .reduction import (
     coarsening_poset,
@@ -40,82 +41,51 @@ class CheckResult:
     seconds: float
 
 
-def _timed(fn):
-    t0 = time.monotonic()
-    ok, details = fn()
-    return ok, details, time.monotonic() - t0
+# -- per-profile checks: each reads one profile's decomposition ------------------
 
 
-# -- individual checks -----------------------------------------------------------
-
-
-def check_gram_invariants(k_max: int = 3, guard: int = DEFAULT_GUARD):
+def check_gram_invariants(decomposition) -> list[str]:
     """Symmetry, monic integral determinant, degree dominance, det agreement."""
-
-    def run():
-        failures = []
-        for algebra, top in (("partition", k_max + 1), ("z2", k_max), ("signed", k_max)):
-            for k in range(1, top + 1):
-                for s1, s2 in FAMILIES[algebra].profiles(k):
-                    # the guard goes in positionally, as reduced_decomposition
-                    # passes it, so that both share one cache entry
-                    gram = build_gram(algebra, k, s1, s2, guard)
-                    n = gram.dimension()
-                    if n == 0:
-                        continue
-                    grid = gram.exponents  # x**e as e, zero as None
-                    for u in range(n):
-                        for v in range(n):
-                            if grid[u][v] != grid[v][u]:
-                                failures.append(f"{algebra} k={k} ({s1},{s2}) asymmetric at {u},{v}")
-                    sort_keys = [key.sort_key() for key in gram.keys]
-                    for u, key in enumerate(gram.keys):
-                        want = gram.diagonal_degree(key)
-                        if grid[u][u] != want:
-                            failures.append(f"{algebra} k={k} ({s1},{s2}) bad diagonal at {u}")
-                        for v in range(n):
-                            if sort_keys[v] < sort_keys[u]:
-                                if grid[u][v] is not None and grid[u][v] >= want:
-                                    failures.append(
-                                        f"{algebra} k={k} ({s1},{s2}) degree dominance at {u},{v}"
-                                    )
-                    decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
-                    if decomposition.offblock_violations:
-                        failures.append(f"{algebra} k={k} ({s1},{s2}) off-block entries")
-                    d_raw = det_direct(gram.entries)
-                    d_red = det_direct(decomposition.reduced)
-                    d_blk = det_blocks(decomposition).poly
-                    if not (d_raw == d_red == d_blk):
-                        failures.append(f"{algebra} k={k} ({s1},{s2}) determinant mismatch")
-                    if not d_raw.is_monic() or not d_raw.is_integral():
-                        failures.append(f"{algebra} k={k} ({s1},{s2}) det not monic integral")
-                    if d_raw.degree() != sum(gram.diagonal_degree(key) for key in gram.keys):
-                        failures.append(f"{algebra} k={k} ({s1},{s2}) det degree")
-        return not failures, "; ".join(failures[:5]) or "all Gram invariants hold"
-
-    return CheckResult("gram-invariants", *_timed(run))
+    gram = decomposition.gram
+    n = gram.dimension()
+    if n == 0:
+        return []
+    failures = []
+    grid = gram.exponents  # x**e as e, zero as None
+    for u in range(n):
+        for v in range(n):
+            if grid[u][v] != grid[v][u]:
+                failures.append(f"asymmetric at {u},{v}")
+    sort_keys = [key.sort_key() for key in gram.keys]
+    for u, key in enumerate(gram.keys):
+        want = gram.diagonal_degree(key)
+        if grid[u][u] != want:
+            failures.append(f"bad diagonal at {u}")
+        for v in range(n):
+            if sort_keys[v] < sort_keys[u]:
+                if grid[u][v] is not None and grid[u][v] >= want:
+                    failures.append(f"degree dominance at {u},{v}")
+    if decomposition.offblock_violations:
+        failures.append("off-block entries")
+    d_raw = det_direct(gram.entries)
+    d_red = det_direct(decomposition.reduced)
+    d_blk = det_blocks(decomposition).poly
+    if not (d_raw == d_red == d_blk):
+        failures.append("determinant mismatch")
+    if not d_raw.is_monic() or not d_raw.is_integral():
+        failures.append("det not monic integral")
+    if d_raw.degree() != sum(gram.diagonal_degree(key) for key in gram.keys):
+        failures.append("det degree")
+    return failures
 
 
-def check_block_closed_forms(k_max: int = 3, guard: int = DEFAULT_GUARD):
-    """Reduced blocks match the closed forms; only known informative diffs."""
-
-    def run():
-        failures = []
-        for algebra, top in (("partition", k_max + 1), ("z2", k_max), ("signed", k_max)):
-            for k in range(1, top + 1):
-                for s1, s2 in FAMILIES[algebra].profiles(k):
-                    decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
-                    hard = decomposition.hard_diffs()
-                    if hard:
-                        failures.append(
-                            f"{algebra} k={k} ({s1},{s2}): {hard[0].describe()}"
-                        )
-        return not failures, "; ".join(failures[:3]) or "all blocks match closed forms"
-
-    return CheckResult("block-closed-forms", *_timed(run))
+def check_block_closed_forms(decomposition) -> list[str]:
+    """Reduced blocks match the closed forms; only known informative diffs.
+    The first hard diff stands for the profile."""
+    return [diff.describe() for diff in decomposition.hard_diffs()[:1]]
 
 
-def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
+def check_poset_duality(decomposition) -> list[str]:
     """Coarsening equals the loop-count criterion; joins are unique.
 
     The poset read off the Gram matrix must equal `diagram_coarser_or_equal`
@@ -124,138 +94,126 @@ def check_poset_duality(k_max: int = 3, guard: int = DEFAULT_GUARD):
     the loop-count criterion, and the row-partition Gram entries their
     product-based oracle.
     """
-
-    def run():
-        failures = []
-        for algebra, family in FAMILIES.items():
-            for k in range(1, k_max + 1):
-                for s1, s2 in family.profiles(k):
-                    gram = build_gram(algebra, k, s1, s2, guard)
-                    diagrams, keys = gram.diagrams, gram.keys
-                    target = gram.through_count()
-                    poset = coarsening_poset(gram)
-                    n = len(diagrams)
-                    degrees = [gram.diagonal_degree(key) for key in keys]
-                    for u in range(n):
-                        degu = degrees[u]
-                        for v in range(n):
-                            coarser = diagram_coarser_or_equal(diagrams[u], diagrams[v])
-                            agrees = poset.leq[u][v] == coarser
-                            if degu < degrees[v]:
-                                prod, loops = diagrams[u].multiply(diagrams[v])
-                                kept = prod.propagating_number() == target
-                                if coarser != (loops == degu and kept):
-                                    failures.append(f"{algebra} k={k} ({s1},{s2}) pair {u},{v}")
-                                agrees = agrees and gram.exponents[u][v] == (loops if kept else None)
-                            if not agrees:
-                                failures.append(
-                                    f"{algebra} k={k} ({s1},{s2}) pair {u},{v}: "
-                                    "row-partition view differs from the oracle"
-                                )
-                    if family.ambient != algebra:
-                        continue  # a join can lie outside the signed basis
-                    loops_at = {}  # (w, x) -> loops of the product d_w . d_x
-                    for u in range(n):
-                        for v in range(u, n):
-                            try:
-                                w = minimal_common_coarsening(gram, u, v)
-                            except RuntimeError as exc:
-                                failures.append(f"{algebra} k={k} ({s1},{s2}): {exc}")
-                                continue
-                            if u == v and w != u:
-                                failures.append(f"{algebra} k={k} ({s1},{s2}) join({u},{u}) != {u}")
-                            if w is not None:
-                                for x in (w, u, v):
-                                    if (w, x) not in loops_at:
-                                        loops_at[w, x] = diagrams[w].multiply(diagrams[x])[1]
-                                if not (loops_at[w, w] == loops_at[w, u] == loops_at[w, v]):
-                                    failures.append(
-                                        f"{algebra} k={k} ({s1},{s2}) loop identity at join({u},{v})"
-                                    )
-        return not failures, "; ".join(failures[:5]) or "poset duality and join uniqueness hold"
-
-    return CheckResult("poset-duality", *_timed(run))
+    gram = decomposition.gram
+    diagrams = gram.diagrams
+    target = gram.through_count()
+    poset = coarsening_poset(gram)
+    n = len(diagrams)
+    degrees = [gram.diagonal_degree(key) for key in gram.keys]
+    failures = []
+    for u in range(n):
+        degu = degrees[u]
+        for v in range(n):
+            coarser = diagram_coarser_or_equal(diagrams[u], diagrams[v])
+            agrees = poset.leq[u][v] == coarser
+            if degu < degrees[v]:
+                prod, loops = diagrams[u].multiply(diagrams[v])
+                kept = prod.propagating_number() == target
+                if coarser != (loops == degu and kept):
+                    failures.append(f"pair {u},{v}")
+                agrees = agrees and gram.exponents[u][v] == (loops if kept else None)
+            if not agrees:
+                failures.append(f"pair {u},{v}: row-partition view differs from the oracle")
+    if gram.family.ambient != gram.algebra:
+        return failures  # a join can lie outside a restricted basis
+    loops_at = {}  # (w, x) -> loops of the product d_w . d_x
+    for u in range(n):
+        for v in range(u, n):
+            try:
+                w = minimal_common_coarsening(gram, u, v)
+            except RuntimeError as exc:
+                failures.append(str(exc))
+                continue
+            if u == v and w != u:
+                failures.append(f"join({u},{u}) != {u}")
+            if w is not None:
+                for x in (w, u, v):
+                    if (w, x) not in loops_at:
+                        loops_at[w, x] = diagrams[w].multiply(diagrams[x])[1]
+                if not (loops_at[w, w] == loops_at[w, u] == loops_at[w, v]):
+                    failures.append(f"loop identity at join({u},{v})")
+    return failures
 
 
-def check_oracle_equivalence(k_max: int = 3, guard: int = DEFAULT_GUARD):
+def check_oracle_equivalence(decomposition) -> list[str]:
     """Closed-formula coarser counts equal the brute-force enumeration.
 
     One walk per basis diagram gives its counts at every target; they must
     equal the formula on the target grid and at every profile the walk
-    reaches.
+    reaches. Both sides are in doubled coordinates: a plain diagram's count
+    at q is the doubled count at (0, q).
     """
-
-    def run():
-        failures = []
-        for algebra in ("z2", "signed"):
-            for k in range(1, k_max + 1):
-                for s1, s2 in FAMILIES[algebra].profiles(k):
-                    for key, diagram in enumerate_diagrams(algebra, k, s1, s2, guard):
-                        counts = coarser_profile_counts(diagram)
-                        grid = product(range(key.r1 + 1), range(key.r1 + key.r2 + 2))
-                        for p1, p2 in sorted(counts.keys() | set(grid)):
-                            got = counts[p1, p2]
-                            want = gen_stirling_z2(s1, s2, key.r1, key.r2, p1, p2)
-                            if got != want:
-                                failures.append(
-                                    f"{algebra} k={k} ({s1},{s2}) r=({key.r1},{key.r2}) "
-                                    f"p=({p1},{p2}): oracle {got} vs formula {want}"
-                                )
-        for k in range(1, k_max + 2):
-            for s in range(k + 1):
-                for key, diagram in enumerate_diagrams("partition", k, s, 0, guard):
-                    counts = coarser_profile_counts(diagram)
-                    for p in sorted(counts.keys() | set(range(key.r1 + 1))):
-                        got = counts[p]
-                        want = gen_stirling_z2(0, s, 0, key.r1, 0, p)  # flip-fixed slice
-                        if got != want:
-                            failures.append(f"partition k={k} s={s} r={key.r1} p={p}")
-        return not failures, "; ".join(failures[:5]) or "oracle equals formula everywhere"
-
-    return CheckResult("stirling-oracle", *_timed(run))
+    gram = decomposition.gram
+    failures = []
+    for key, diagram in zip(gram.keys, gram.diagrams):
+        s1, s2, r1, r2 = gram.doubled(key)
+        counts = coarser_profile_counts(diagram)
+        if gram.family.plain:
+            counts = {(0, q): n for q, n in counts.items()}
+        grid = product(range(r1 + 1), range(r1 + r2 + 2))
+        for p1, p2 in sorted(counts.keys() | set(grid)):
+            got = counts.get((p1, p2), 0)
+            want = gen_stirling_z2(s1, s2, r1, r2, p1, p2)
+            if got != want:
+                failures.append(f"r=({r1},{r2}) p=({p1},{p2}): oracle {got} vs formula {want}")
+    return failures
 
 
-def check_stirling_recurrences():
+def check_zero_profile_blocks(decomposition) -> list[str]:
+    """At the empty through profile the block diagonals are the bare products."""
+    gram = decomposition.gram
+    failures = []
+    for label, members in decomposition.cells:
+        block = decomposition.block(label)
+        for a, idx in enumerate(members):
+            want = gram.phi(gram.keys[idx])
+            if label[0] == "rho":
+                want = want + phi_z2(0, 0, 0, gram.k)
+            if block[a][a] != want:
+                failures.append(f"{label} diagonal {a}")
+    return failures
+
+
+# -- global checks -----------------------------------------------------------------
+
+
+def check_stirling_recurrences() -> list[str]:
     """Three-term recurrences over the documented grid.
 
     The plain partition recurrence is the r2-recurrence at s1 = r1 = p1 = 0,
     inside this grid.
     """
-
-    def run():
-        failures = []
-        for s1 in range(4):
-            for s2 in range(4):
-                for r1 in range(5):
-                    for r2 in range(6 - r1):
-                        for p1 in range(r1 + 1):
-                            for p2 in range(r1 + r2 - p1 + 2):
-                                if r2 >= 1:
-                                    lhs = gen_stirling_z2(s1, s2, r1, r2, p1, p2)
-                                    rhs = gen_stirling_z2(s1, s2, r1, r2 - 1, p1, p2 - 1) + (
-                                        s2 + p2
-                                    ) * gen_stirling_z2(s1, s2, r1, r2 - 1, p1, p2)
-                                    if lhs != rhs:
-                                        failures.append(f"r2-recurrence {s1},{s2},{r1},{r2},{p1},{p2}")
-                                if r1 >= 1 and p1 <= r1 - 1 and (r1 - 1) - p1 >= p2 - r2:
-                                    lhs = gen_stirling_z2(s1, s2, r1, r2, p1, p2)
-                                    rhs = (
-                                        gen_stirling_z2(s1, s2, r1 - 1, r2, p1 - 1, p2)
-                                        + gen_stirling_z2(s1, s2, r1 - 1, r2 + 1, p1, p2)
-                                        + (2 * p1 + 2 * s1) * gen_stirling_z2(s1, s2, r1 - 1, r2, p1, p2)
-                                    )
-                                    if lhs != rhs:
-                                        failures.append(f"r1-recurrence {s1},{s2},{r1},{r2},{p1},{p2}")
-                                if r1 >= 1 and p1 <= r1 - 1 and p2 == 0:
-                                    lhs = gen_stirling_z2(s1, s2, r1, r2, p1, 0)
-                                    rhs = gen_stirling_z2(s1, s2, r1 - 1, r2, p1 - 1, 0) + (
-                                        2 * p1 + 2 * s1 + s2
-                                    ) * gen_stirling_z2(s1, s2, r1 - 1, r2, p1, 0)
-                                    if lhs != rhs:
-                                        failures.append(f"p2=0 recurrence {s1},{s2},{r1},{r2},{p1}")
-        return not failures, "; ".join(failures[:5]) or "all recurrences hold"
-
-    return CheckResult("stirling-recurrences", *_timed(run))
+    failures = []
+    for s1 in range(4):
+        for s2 in range(4):
+            for r1 in range(5):
+                for r2 in range(6 - r1):
+                    for p1 in range(r1 + 1):
+                        for p2 in range(r1 + r2 - p1 + 2):
+                            if r2 >= 1:
+                                lhs = gen_stirling_z2(s1, s2, r1, r2, p1, p2)
+                                rhs = gen_stirling_z2(s1, s2, r1, r2 - 1, p1, p2 - 1) + (
+                                    s2 + p2
+                                ) * gen_stirling_z2(s1, s2, r1, r2 - 1, p1, p2)
+                                if lhs != rhs:
+                                    failures.append(f"r2-recurrence {s1},{s2},{r1},{r2},{p1},{p2}")
+                            if r1 >= 1 and p1 <= r1 - 1 and (r1 - 1) - p1 >= p2 - r2:
+                                lhs = gen_stirling_z2(s1, s2, r1, r2, p1, p2)
+                                rhs = (
+                                    gen_stirling_z2(s1, s2, r1 - 1, r2, p1 - 1, p2)
+                                    + gen_stirling_z2(s1, s2, r1 - 1, r2 + 1, p1, p2)
+                                    + (2 * p1 + 2 * s1) * gen_stirling_z2(s1, s2, r1 - 1, r2, p1, p2)
+                                )
+                                if lhs != rhs:
+                                    failures.append(f"r1-recurrence {s1},{s2},{r1},{r2},{p1},{p2}")
+                            if r1 >= 1 and p1 <= r1 - 1 and p2 == 0:
+                                lhs = gen_stirling_z2(s1, s2, r1, r2, p1, 0)
+                                rhs = gen_stirling_z2(s1, s2, r1 - 1, r2, p1 - 1, 0) + (
+                                    2 * p1 + 2 * s1 + s2
+                                ) * gen_stirling_z2(s1, s2, r1 - 1, r2, p1, 0)
+                                if lhs != rhs:
+                                    failures.append(f"p2=0 recurrence {s1},{s2},{r1},{r2},{p1}")
+    return failures
 
 
 def _shift_holds(t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
@@ -283,90 +241,58 @@ def _shift_holds(t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
     return phi_z2(s1 + t1, s2 + t2, a, b) == rhs
 
 
-def check_phi_identities():
+def check_phi_identities() -> list[str]:
     """Shift identities between the named polynomial families.
 
     The two-parameter identity is asserted in its corrected form: every
     subtracted term carries the raised superscripts.
     """
-
-    def run():
-        failures = []
-        for t in range(3):
-            for s1 in range(t, 5):
-                for s2 in range(3):
-                    for r1 in range(5):
+    failures = []
+    for t in range(3):
+        for s1 in range(t, 5):
+            for s2 in range(3):
+                for r1 in range(5):
+                    for r2 in range(4):
+                        if not _shift_holds(t, 0, s1, s2, r1, r2):
+                            failures.append(f"first-family shift {t},{s1},{s2},{r1},{r2}")
+    for t in range(3):
+        for s2 in range(t, 5):
+            for s1 in range(3):
+                for r2 in range(5):
+                    for r1 in range(4):
+                        if not _shift_holds(0, t, s1, s2, r1, r2):
+                            failures.append(f"second-family shift {t},{s1},{s2},{r1},{r2}")
+    for t1 in range(2):
+        for t2 in range(2):
+            for s1 in range(t1, 4):
+                for s2 in range(t2, 4):
+                    for r1 in range(4):
                         for r2 in range(4):
-                            if not _shift_holds(t, 0, s1, s2, r1, r2):
-                                failures.append(f"first-family shift {t},{s1},{s2},{r1},{r2}")
-        for t in range(3):
-            for s2 in range(t, 5):
-                for s1 in range(3):
-                    for r2 in range(5):
-                        for r1 in range(4):
-                            if not _shift_holds(0, t, s1, s2, r1, r2):
-                                failures.append(f"second-family shift {t},{s1},{s2},{r1},{r2}")
-        for t1 in range(2):
-            for t2 in range(2):
-                for s1 in range(t1, 4):
-                    for s2 in range(t2, 4):
-                        for r1 in range(4):
-                            for r2 in range(4):
-                                if not _shift_holds(t1, t2, s1, s2, r1, r2):
-                                    failures.append(
-                                        f"combined shift {t1},{t2},{s1},{s2},{r1},{r2}"
-                                    )
-        return not failures, "; ".join(failures[:5]) or "all shift identities hold"
-
-    return CheckResult("phi-identities", *_timed(run))
+                            if not _shift_holds(t1, t2, s1, s2, r1, r2):
+                                failures.append(f"combined shift {t1},{t2},{s1},{s2},{r1},{r2}")
+    return failures
 
 
-def check_monomial_expansion():
+def check_monomial_expansion() -> list[str]:
     """x**(2r1+r2) expands as the B-weighted sum of the diagonal products.
 
     The grid holds the plain expansion x**r, at s1 = r1 = 0, for s <= 3 and
     r <= 4.
     """
-
-    def run():
-        failures = []
-        for s1 in range(3):
-            for s2 in range(4):
-                for r1 in range(4):
-                    for r2 in range(5):
-                        acc = Poly.zero()
-                        for p1 in range(r1 + 1):
-                            for p2 in range(r1 + r2 - p1 + 1):
-                                acc = acc + phi_z2(s1, s2, p1, p2).scalar_mul(
-                                    gen_stirling_z2(s1, s2, r1, r2, p1, p2)
-                                )
-                        if acc != Poly.monomial(2 * r1 + r2):
-                            failures.append(f"z2 expansion {s1},{s2},{r1},{r2}")
-        return not failures, "; ".join(failures[:5]) or "monomial expansions hold"
-
-    return CheckResult("monomial-expansion", *_timed(run))
-
-
-def check_zero_profile_blocks(k_max: int = 3, guard: int = DEFAULT_GUARD):
-    """At the empty through profile the block diagonals are the bare products."""
-
-    def run():
-        failures = []
-        for k in range(1, k_max + 1):
-            for algebra in ("z2", "signed", "partition"):
-                decomposition = reduced_decomposition(algebra, k, 0, 0, guard)
-                gram = decomposition.gram
-                for label, members in decomposition.cells:
-                    block = decomposition.block(label)
-                    for a, idx in enumerate(members):
-                        want = gram.phi(gram.keys[idx])
-                        if label[0] == "rho":
-                            want = want + phi_z2(0, 0, 0, k)
-                        if block[a][a] != want:
-                            failures.append(f"{algebra} k={k} {label} diagonal {a}")
-        return not failures, "; ".join(failures[:5]) or "zero-profile diagonals match"
-
-    return CheckResult("zero-profile-blocks", *_timed(run))
+    failures = []
+    for s1 in range(3):
+        for s2 in range(4):
+            for r1 in range(4):
+                for r2 in range(5):
+                    acc = Poly.zero()
+                    for p1 in range(r1 + 1):
+                        for p2 in range(r1 + r2 - p1 + 1):
+                            acc = acc + phi_z2(s1, s2, p1, p2).scalar_mul(
+                                gen_stirling_z2(s1, s2, r1, r2, p1, p2)
+                            )
+                    if acc != Poly.monomial(2 * r1 + r2):
+                        failures.append(f"expansion {s1},{s2},{r1},{r2}")
+    return failures
 
 
 def run_all_checks(k_max: int = 3, guard: int = DEFAULT_GUARD):
@@ -374,18 +300,47 @@ def run_all_checks(k_max: int = 3, guard: int = DEFAULT_GUARD):
 
     Raises WindowError unless 1 <= k_max <= 3, the scale the suite is sized
     for, and ResourceGuardError when a Gram matrix would exceed `guard`
-    rows.
+    rows. The build and reduction of each profile are charged to
+    gram-invariants.
     """
     if not 1 <= k_max <= 3:
         raise WindowError(f"verify runs at k from 1 to 3, got {k_max}")
-    checks = [
-        check_gram_invariants(k_max, guard),
-        check_block_closed_forms(k_max, guard),
-        check_poset_duality(k_max, guard),
-        check_oracle_equivalence(k_max, guard),
-        check_stirling_recurrences(),
-        check_phi_identities(),
-        check_monomial_expansion(),
-        check_zero_profile_blocks(k_max, guard),
+
+    every = lambda k, s1, s2: True
+    # (name, check, the profiles it reads, or None for a global check,
+    #  details cap, details when it passes), in output order
+    table = (
+        ("gram-invariants", check_gram_invariants, every, 5, "all Gram invariants hold"),
+        ("block-closed-forms", check_block_closed_forms, every, 3, "all blocks match closed forms"),
+        ("poset-duality", check_poset_duality, lambda k, s1, s2: k <= k_max, 5,
+         "poset duality and join uniqueness hold"),
+        ("stirling-oracle", check_oracle_equivalence, every, 5, "oracle equals formula everywhere"),
+        ("stirling-recurrences", check_stirling_recurrences, None, 5, "all recurrences hold"),
+        ("phi-identities", check_phi_identities, None, 5, "all shift identities hold"),
+        ("monomial-expansion", check_monomial_expansion, None, 5, "monomial expansions hold"),
+        ("zero-profile-blocks", check_zero_profile_blocks,
+         lambda k, s1, s2: k <= k_max and s1 == s2 == 0, 5, "zero-profile diagonals match"),
+    )
+    failures = {name: [] for name, *_ in table}
+    seconds = dict.fromkeys(failures, 0.0)
+    for algebra, family in FAMILIES.items():
+        for k in range(1, k_max + family.plain + 1):
+            for s1, s2 in family.profiles(k):
+                start = time.monotonic()
+                decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
+                seconds["gram-invariants"] += time.monotonic() - start
+                tag = f"{algebra} k={k} ({s1},{s2})"
+                for name, check, applies, _, _ in table:
+                    if applies and applies(k, s1, s2):
+                        start = time.monotonic()
+                        failures[name] += [f"{tag} {failure}" for failure in check(decomposition)]
+                        seconds[name] += time.monotonic() - start
+    for name, check, applies, _, _ in table:
+        if applies is None:
+            start = time.monotonic()
+            failures[name] = check()
+            seconds[name] = time.monotonic() - start
+    return [
+        CheckResult(name, not failures[name], "; ".join(failures[name][:cap]) or passed, seconds[name])
+        for name, _, _, cap, passed in table
     ]
-    return checks

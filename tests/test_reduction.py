@@ -166,10 +166,6 @@ def test_packed_congruence_matches_oracle_on_random_input(data):
     )
     trivial = orbit_tree((), n)
     assert _congruence(columns, grid, trivial) == congruence_oracle(columns, render(grid))
-    # a random grid is rarely invariant, and then every row is computed
-    generators = data.draw(st.lists(st.permutations(range(n)), max_size=2))
-    orbits = invariant_orbits(grid, orbit_tree(generators, n))
-    assert _congruence(columns, grid, orbits) == congruence_oracle(columns, render(grid))
 
 
 def invariant_under(perms, n, draw):
@@ -209,12 +205,30 @@ def test_packed_congruence_copies_rows_of_an_invariant_input(data):
     got = _congruence(columns, grid, orbits)
     assert got == congruence_oracle(columns, render(grid))
     assert len({id(p) for row in got for p in row}) == len({p for row in got for p in row})
-    # an invariant G with a T that is rarely invariant: every row is computed
+    # an invariant G with a T that is rarely invariant: `_congruence` trusts
+    # the orbits it is handed, so such a T goes with the trivial group
     coeff = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
     columns = tuple(
         tuple((u, c) for u in range(n) if (c := data.draw(coeff))) for _ in range(n)
     )
-    assert _congruence(columns, grid, orbits) == congruence_oracle(columns, render(grid))
+    trivial = orbit_tree((), n)
+    assert _congruence(columns, grid, trivial) == congruence_oracle(columns, render(grid))
+
+
+@pytest.mark.parametrize("profile", PROFILES + K4_PROFILES, ids=str)
+def test_transform_is_invariant_under_the_orbits(profile):
+    # `_congruence` copies rows along `gram.orbits` without checking T: the
+    # T that `reduce_gram` hands it, and the dense reference T solved
+    # without orbits, must both be invariant under every generator
+    decomposition = reduced_decomposition(*profile)
+    gram = decomposition.gram
+    reference = zeta_inverse_reference(coarsening_poset(gram))
+    for columns in (decomposition.transform, reference):
+        t = dense(columns)
+        for perm in gram.orbits.generators:
+            assert all(
+                t[perm[u]][perm[v]] == t[u][v] for u in range(len(t)) for v in range(len(t))
+            )
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,16 @@
 """The aggregated suite and its CLI frontend."""
 
 import dataclasses
+import hashlib
+import re
+
+import pytest
 
 from diagram_gram import cli, verify
 from diagram_gram.cli import main
-from diagram_gram.gram import DEFAULT_GUARD, build_gram
-from diagram_gram.z2diagrams import Z2Diagram
+from diagram_gram.families import FAMILIES
+from diagram_gram.gram import DEFAULT_GUARD, build_gram, enumerate_diagrams
+from diagram_gram.reduction import reduced_decomposition
 
 
 def test_run_all_checks_pass(checks_k3):
@@ -47,7 +52,8 @@ def test_poset_duality_catches_a_wrong_relation_at_deg_u_ge_deg_v(monkeypatch):
     """A flipped `leq` entry at a pair with deg u >= deg v, where the loop
     criterion is not evaluated, is caught by the comparison with the oracle."""
     original = verify.coarsening_poset
-    gram = build_gram("z2", 2, 0, 0)
+    decomposition = reduced_decomposition("z2", 2, 0, 0)
+    gram = decomposition.gram
     degrees = [gram.diagonal_degree(key) for key in gram.keys]
     u, v = next(
         (u, v)
@@ -58,31 +64,103 @@ def test_poset_duality_catches_a_wrong_relation_at_deg_u_ge_deg_v(monkeypatch):
 
     def planted(g):
         poset = original(g)
-        if (g.algebra, g.k, g.s1, g.s2) != ("z2", 2, 0, 0):
-            return poset
         leq = [list(row) for row in poset.leq]
         leq[u][v] = not leq[u][v]
         return dataclasses.replace(poset, leq=tuple(map(tuple, leq)))
 
-    assert verify.check_poset_duality(2).ok
+    assert verify.check_poset_duality(decomposition) == []
     monkeypatch.setattr(verify, "coarsening_poset", planted)
-    check = verify.check_poset_duality(2)
-    assert not check.ok
-    assert f"z2 k=2 (0,0) pair {u},{v}: row-partition view differs" in check.details
+    failures = verify.check_poset_duality(decomposition)
+    assert f"pair {u},{v}: row-partition view differs from the oracle" in failures
 
 
 def test_stirling_oracle_catches_a_profile_outside_the_window(monkeypatch):
     """A walk that reports a profile off the target grid, where the formula
-    is zero, fails the check."""
+    is zero, fails the check; a plain diagram's q is read as (0, q)."""
     original = verify.coarser_profile_counts
+    for profile, planted_key, planted_at in (
+        (("z2", 1, 0, 0), (99, 0), "p=(99,0)"),
+        (("partition", 2, 1, 0), 99, "p=(0,99)"),
+    ):
 
-    def planted(diagram):
-        counts = original(diagram)
-        counts[(99, 0) if isinstance(diagram, Z2Diagram) else 99] += 1
-        return counts
+        def planted(diagram):
+            counts = original(diagram)
+            counts[planted_key] += 1
+            return counts
 
-    assert verify.check_oracle_equivalence(1).ok
-    monkeypatch.setattr(verify, "coarser_profile_counts", planted)
-    check = verify.check_oracle_equivalence(1)
-    assert not check.ok
-    assert "p=(99,0): oracle 1 vs formula 0" in check.details
+        decomposition = reduced_decomposition(*profile)
+        monkeypatch.setattr(verify, "coarser_profile_counts", original)
+        assert verify.check_oracle_equivalence(decomposition) == []
+        monkeypatch.setattr(verify, "coarser_profile_counts", planted)
+        failures = verify.check_oracle_equivalence(decomposition)
+        assert len(failures) == decomposition.gram.dimension()
+        assert f"{planted_at}: oracle 1 vs formula 0" in failures[0]
+
+
+# one check per line: the planted failure must show only on its own line
+PLANTED = [
+    ("gram-invariants", "check_gram_invariants", ("partition", 2, 1, 0)),
+    ("block-closed-forms", "check_block_closed_forms", ("signed", 1, 0, 0)),
+    ("poset-duality", "check_poset_duality", ("z2", 1, 1, 0)),
+    ("stirling-oracle", "check_oracle_equivalence", ("partition", 2, 2, 0)),
+    ("zero-profile-blocks", "check_zero_profile_blocks", ("z2", 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name, function, profile", PLANTED, ids=[p[0] for p in PLANTED])
+def test_a_planted_failure_fails_its_own_check_under_its_profile_tag(
+    monkeypatch, name, function, profile
+):
+    original = getattr(verify, function)
+
+    def planted(decomposition):
+        gram = decomposition.gram
+        failures = original(decomposition)
+        if (gram.algebra, gram.k, gram.s1, gram.s2) == profile:
+            failures = failures + ["planted failure"]
+        return failures
+
+    monkeypatch.setattr(verify, function, planted)
+    checks = verify.run_all_checks(1)
+    assert [c.name for c in checks if not c.ok] == [name]
+    algebra, k, s1, s2 = profile
+    (failed,) = (c for c in checks if not c.ok)
+    assert failed.details == f"{algebra} k={k} ({s1},{s2}) planted failure"
+
+
+def test_each_profile_is_built_and_reduced_once():
+    """One visit per profile: the one-profile caches miss once for each."""
+    caches = (enumerate_diagrams, build_gram, reduced_decomposition)
+    for cache in caches:
+        cache.cache_clear()
+    verify.run_all_checks(2)
+    visited = sum(
+        len(family.profiles(k))
+        for family in FAMILIES.values()
+        for k in range(1, 2 + family.plain + 1)
+    )
+    assert visited == 22
+    assert [cache.cache_info().misses for cache in caches] == [visited] * 3
+
+
+def test_verify_output_is_pinned(capsys):
+    """`verify --k 2` stdout, with each line's seconds masked as
+    `sed -E 's/ +[0-9]+\\.[0-9]+s / Xs /'` masks them: every check line,
+    its details and the four documented slips of the published table."""
+    assert main(["verify", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    masked = "".join(
+        re.sub(r" +[0-9]+\.[0-9]+s ", " Xs ", line, count=1)
+        for line in out.splitlines(keepends=True)
+    )
+    digest = hashlib.sha256(masked.encode()).hexdigest()
+    assert digest == "676ff47b01a764bb91ac4668e8559f03ff940f051edb2b6efb6b3d45608a2690"
+
+
+def test_published_table_lines_need_signed_k3_at_any_k(capsys):
+    """The two published-table lines build signed k=3 (1,0), n=34, whatever
+    `--k` is: a guard below 34 exits 3 and names that profile."""
+    assert main(["verify", "--k", "1", "--guard", "33"]) == 3
+    err = capsys.readouterr().err
+    assert "exceeds guard 33 for signed k=3 profile (1, 0)" in err
+    assert main(["verify", "--k", "1", "--guard", "34"]) == 0
