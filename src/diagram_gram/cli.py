@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -262,12 +263,12 @@ def _parse_q(text):
     """None for the symbolic verdict (no --q, or x), else the exact rational."""
     if text in (None, "x"):
         return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise WindowError(
-            f"--q takes x, an integer, or a/b with b != 0, not {text!r}"
-        ) from None
+    if re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", text):  # Fraction would build 10**N for 1eN
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # b == 0, or past int's digit limit
+            pass
+    raise WindowError(f"--q takes x, an integer, or a/b with b != 0, not {text!r}")
 
 
 def cmd_semisimple(args) -> int:
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", choices=ALGEBRAS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", default=None,
-                   help='rational like "2", "5/3" or "-1/3"; omit for symbolic')
+                   help='x, an integer, or a/b with b != 0; omit for symbolic')
     common(p, profile=False)
     p.set_defaults(fn=cmd_semisimple)
 

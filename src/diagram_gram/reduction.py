@@ -193,15 +193,14 @@ def minimal_common_coarsening(gram: GramMatrix, u: int, v: int):
     """Index of the finest diagram of `gram`'s basis coarser than both basis
     elements u and v, or None.
 
-    Applies when the product of the two diagrams keeps the full through
-    count. The candidates and the finest among them are read from
-    `coarsening_poset(gram).leq`, the relation `verify` compares with
-    `diagram_coarser_or_equal` on every pair. Raises if the minimum is not
-    unique.
+    Applies when G[u][v] is nonzero, that is, when the product of the two
+    diagrams keeps the full through count (`verify` checks every entry
+    against its product). The candidates and the finest among them are
+    read from `coarsening_poset(gram).leq`, the relation `verify` compares
+    with `diagram_coarser_or_equal` on every pair. Raises if the minimum is
+    not unique.
     """
-    diagrams = gram.diagrams
-    prod, _ = diagrams[u].multiply(diagrams[v])
-    if prod.propagating_number() != gram.through_count():
+    if gram.exponents[u][v] is None:
         return None
     leq = coarsening_poset(gram).leq
     candidates = [w for w, above in enumerate(leq) if above[u] and above[v]]

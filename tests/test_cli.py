@@ -296,7 +296,9 @@ def test_argument_errors_exit_1(capsys, argv):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("q", ["1/0", "-3/0", "abc", "", "1/", "x/2"])
+@pytest.mark.parametrize(
+    "q", ["1/0", "-3/0", "abc", "", "1/", "x/2", "1e10000", "1e100000000", "0.5"]
+)
 def test_semisimple_rejects_an_unreadable_q(capsys, q):
     # the --q=VALUE form, which also passes the empty value
     code, out, err = run_cli(capsys, "semisimple", "--algebra", "z2", "--k", "2", f"--q={q}")

@@ -8,6 +8,7 @@ import pytest
 
 from diagram_gram import cli, verify
 from diagram_gram.cli import main
+from diagram_gram.diagrams import PartitionDiagram
 from diagram_gram.families import FAMILIES
 from diagram_gram.gram import DEFAULT_GUARD, build_gram, enumerate_diagrams
 from diagram_gram.reduction import reduced_decomposition
@@ -72,6 +73,55 @@ def test_poset_duality_catches_a_wrong_relation_at_deg_u_ge_deg_v(monkeypatch):
     monkeypatch.setattr(verify, "coarsening_poset", planted)
     failures = verify.check_poset_duality(decomposition)
     assert f"pair {u},{v}: row-partition view differs from the oracle" in failures
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [("z2", 2, 1, 0), ("partition", 3, 1, 0), ("signed", 3, 1, 0)],
+    ids=lambda p: "{} k={} ({},{})".format(*p),
+)
+def test_poset_duality_catches_a_wrong_gram_entry_at_an_equal_degree_pair(profile):
+    """A zero entry G[u][v] = G[v][u] at deg u == deg v, planted as
+    x**(deg u - 1): symmetric and below the degree, so the poset read off
+    the matrix is unchanged, but the entry differs from the product u.v."""
+    decomposition = reduced_decomposition(*profile)
+    gram = decomposition.gram
+    grid = gram.exponents
+    degrees = [gram.diagonal_degree(key) for key in gram.keys]
+    u, v = next(
+        (u, v)
+        for u in range(len(degrees))
+        for v in range(len(degrees))
+        if u != v and degrees[u] == degrees[v] and grid[u][v] is None
+    )
+    rows = [list(row) for row in grid]
+    rows[u][v] = rows[v][u] = grid[u][u] - 1
+    planted = dataclasses.replace(gram, exponents=tuple(map(tuple, rows)))
+    failures = verify.check_poset_duality(dataclasses.replace(decomposition, gram=planted))
+    for a, b in ((u, v), (v, u)):
+        assert f"pair {a},{b}: row-partition view differs from the oracle" in failures
+
+
+def test_poset_duality_makes_one_product_per_unordered_pair(monkeypatch):
+    """`Z2Diagram.multiply` multiplies through `PartitionDiagram.multiply`
+    once, so counting the latter counts the products of every family."""
+    calls = 0
+    original = PartitionDiagram.multiply
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(PartitionDiagram, "multiply", counted)
+    for algebra, family in FAMILIES.items():
+        for k in (1, 2):
+            for s1, s2 in family.profiles(k):
+                decomposition = reduced_decomposition(algebra, k, s1, s2)
+                n = decomposition.gram.dimension()
+                calls = 0
+                assert verify.check_poset_duality(decomposition) == []
+                assert calls == n * (n + 1) // 2, (algebra, k, s1, s2)
 
 
 def test_stirling_oracle_catches_a_profile_outside_the_window(monkeypatch):
