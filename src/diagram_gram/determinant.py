@@ -22,7 +22,12 @@ Row shift. Let v_i and h_i be the lowest and the highest power of x in
 row i. Every term of the Leibniz expansion takes one entry from each row,
 so it is divisible by x^(Σv_i) and has degree at most Σh_i. Hence
 det = x^(Σv_i)·Q, where Q is the determinant of the matrix with row i
-divided by x^(v_i), and deg Q <= D = Σ(h_i - v_i).
+divided by x^(v_i), and deg Q <= D = Σ(h_i - v_i). Dividing rows by
+different powers would make a symmetric matrix asymmetric, so at x != 0
+a symmetric matrix is divided only by x^c, c = min v_i, the least
+valuation of any entry: its determinant there is x^(Σv_i - n·c)·Q(x),
+and Q(x) is that integer divided by x^(Σv_i - n·c), exactly (a remainder
+raises ValueError). At x = 0, Q(0) comes from the row-shifted matrix.
 
 Window. Q is evaluated at the D+1 consecutive integers -⌊D/2⌋..⌈D/2⌉,
 which keeps |x|, and with it the integers of the elimination, small.
@@ -38,6 +43,22 @@ rewritten with the divisor P[a] of its own last rewrite. Every level-k value
 is a k+1 by k+1 minor of the input (Sylvester's identity), so each division
 is exact. A Gram matrix is sparse (z2 k=4 (2,0): 12.7% nonzeros), and most
 rows have f = 0 at most steps.
+
+Symmetric elimination. Every matrix eliminated in production is symmetric:
+a whole G, T'GT and its components, Y'BY and Y'Y. With pivots on the
+diagonal, the level-k value at (i, j) is the bordered minor on rows
+0..k-1, i and columns 0..k-1, j, the transpose of the one at (j, i), so
+the level-k matrix S is symmetric and `_bareiss_symmetric` rewrites only
+its upper triangle, about half the work of full rows. A zero pivot S[k][k]
+with a nonzero entry S[k][p] in its row adds t times index p to index k in
+rows and columns alike, t = ±1. That is a congruence E'AE of the input by
+a unimodular E that fixes indices 0..k-1: the leading block, hence the
+pivots so far, and the determinant stay as they are, and the level-k
+matrix of E'AE is E'SE (the Schur complement transforms the same way),
+which differs from S only in row and column k. The new pivot is
+2t·S[k][p] + S[p][p], and t = 1 or t = -1 makes it nonzero. A zero row
+of S makes the determinant 0. A non-symmetric input, such as the
+row-shifted matrix at x = 0, keeps the row elimination.
 
 Interpolation. Q has integer coefficients, so D!·Q, written in Newton's
 forward form on the window, has integer coefficients too, and dividing
@@ -114,7 +135,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 
 from .gram import is_invariant
 from .partitions import UnionFind
@@ -150,7 +171,8 @@ class DetResult:
 
 def _bareiss_int(rows: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix (Bareiss), rewriting
-    only the rows that a step changes.
+    only the rows that a step changes; a symmetric matrix goes to
+    `_bareiss_symmetric`, which rewrites only the upper triangle.
 
     P[0] = 1 and P[j] is the pivot of step j. A row last rewritten at step a
     is kept as its entries in columns a.. at level a; its level-k values are
@@ -164,6 +186,8 @@ def _bareiss_int(rows: list[list[int]]) -> int:
     with the first pending row, as in row-by-row elimination, and each such
     swap flips the sign; the determinant is the signed last pivot.
     """
+    if rows == list(map(list, zip(*rows))):
+        return _bareiss_symmetric(rows)
     pending = [(0, row) for row in rows]  # (level, entries from that column)
     pivots = [1]
     sign = 1
@@ -189,6 +213,62 @@ def _bareiss_int(rows: list[list[int]]) -> int:
     return sign * pivots[-1]
 
 
+def _bareiss_symmetric(rows: list[list[int]]) -> int:
+    """`_bareiss_int` on a symmetric integer matrix, over its upper triangle.
+
+    Row i is kept as its entries in columns i.. at its level a, lazily as in
+    `_bareiss_int`; the level-k values are symmetric in i and j, so its
+    entries in columns k..i-1 are those of rows k..i-1 in column i. Step k+1
+    pivots on the diagonal: f for row i is the pivot row's entry in column
+    i, at level k, and f·P[a] // P[k] at the row's own level, exact since
+    steps a+1..k left the whole row as r·P[k]/P[a].
+
+    A zero pivot with a nonzero entry b = S[k][p] in the pivot row, S the
+    level-k matrix and p the first such column, adds t times index p to
+    index k in rows and columns alike, t = ±1 so that the new pivot
+    2tb + S[p][p] is not 0 (the two signs cannot both give 0). This is a
+    congruence of the input by a unimodular matrix that fixes indices
+    0..k-1, so it keeps the pivots so far and the determinant, and it
+    changes only row k of S, the pivot row. A pivot row that is 0 makes the
+    determinant 0. Hence the result is the last pivot, without a sign.
+    """
+    n = len(rows)
+    upper = [row[i:] for i, row in enumerate(rows)]
+    levels = [0] * n
+    pivots = [1]
+    for k in range(n):
+        a, head = levels[k], upper[k]
+        scale = pivots[k]
+        if a < k:
+            head = [v * scale // pivots[a] for v in head]
+        if not head[0]:
+            for p, b in enumerate(head):
+                if b:
+                    break
+            else:
+                return 0
+            p += k
+            # row p of S: column p of rows k..p-1, then row p itself
+            other = [upper[j][p - j] * scale // pivots[levels[j]] for j in range(k, p)]
+            other += [v * scale // pivots[levels[p]] for v in upper[p]]
+            d = other[p - k]
+            t = 1 if 2 * b + d else -1
+            head = [u + t * v for u, v in zip(head, other)]
+            head[0] = 2 * t * b + d
+        piv = head[0]
+        for i in range(k + 1, n):
+            f = head[i - k]
+            if f:
+                a = levels[i]
+                prev = pivots[a]
+                if a < k:
+                    f = f * prev // scale
+                upper[i] = [(piv * u - f * v) // prev for u, v in zip(upper[i], head[i - k :])]
+                levels[i] = k + 1
+        pivots.append(piv)
+    return pivots[-1]
+
+
 def _interpolate(xs: list[int], ys: list[int]) -> Poly:
     """The polynomial of degree at most D = len(xs) - 1 through
     (xs[i], ys[i]), for consecutive integers xs and integers ys.
@@ -205,7 +285,7 @@ def _interpolate(xs: list[int], ys: list[int]) -> Poly:
     level = list(ys)
     while level:
         diffs.append(level[0])
-        level = [b - a for a, b in zip(level, level[1:])]
+        level = list(map(sub, level[1:], level))
     d = len(xs) - 1
     acc = [diffs[d]]  # ascending coefficients; weight is D!/j! at step j
     weight = 1
@@ -250,9 +330,10 @@ def det_direct(matrix) -> Poly:
                     if not p.is_integral():
                         raise ValueError("det_direct expects integer-coefficient entries")
                     integral.add(p)
-    det = Poly.one()
+    det = None
     for comp in pattern.blocks():
-        det = det * _eliminate(tuple(tuple(matrix[a][b] for b in comp) for a in comp))
+        part = _eliminate(tuple(tuple(matrix[a][b] for b in comp) for a in comp))
+        det = part if det is None else det * part
         if not det:
             break  # a zero row is a component of its own
     return det
@@ -268,38 +349,67 @@ def _eliminate(matrix) -> Poly:
     -⌊D/2⌋..⌈D/2⌉, each entry from one table of powers of x per point,
     and interpolated; since Q has integer coefficients, the
     interpolation's division by D! is exact. `det_direct` checks that the
-    coefficients are integers.
+    coefficients are integers. A symmetric matrix is divided at x != 0 by
+    the common x^c alone, so that it stays symmetric, and each value by
+    x^(Σv_i - n·c); its table holds the entries divided by x^c, and Q(0)
+    is read off the coefficients of x^(v_i).
     """
     lowest: dict[Poly, int] = {}
     for row in matrix:
         for p in row:
             if p and p not in lowest:
                 lowest[p] = next(e for e, c in enumerate(p.coeffs) if c)
-    # each row as indices into the distinct shifted entries' coefficient
-    # tuples, numbered in order of appearance; the zero entry is () at 0
-    index: dict[tuple[int, ...], int] = {(): 0}
-    rows = []
-    valuation = bound = 0
+    valuations = []
+    bound = 0
     for row in matrix:
         nonzero = [p for p in row if p]
         if not nonzero:
             return Poly.zero()
         v = min(lowest[p] for p in nonzero)
-        valuation += v
+        valuations.append(v)
         bound += max(p.degree() for p in nonzero) - v
-        rows.append([index.setdefault(p.coeffs[v:], len(index)) for p in row])
+    valuation = sum(valuations)
+    # each row as indices into the distinct shifted entries' coefficient
+    # tuples, numbered in order of appearance; the zero entry is () at 0.
+    # Every entry loses the common x^c first: equal keys are then equal
+    # entries, so the keys are symmetric iff the matrix is, and only an
+    # asymmetric matrix has each row divided by its own x^(v_i).
+    shift = min(valuations)
+    index: dict[tuple[int, ...], int] = {(): 0}
+    rows = [[index.setdefault(p.coeffs[shift:], len(index)) for p in row] for row in matrix]
+    excess = valuation - shift * len(matrix)
+    if excess and rows != list(map(list, zip(*rows))):
+        index = {(): 0}
+        rows = [
+            [index.setdefault(p.coeffs[v:], len(index)) for p in row]
+            for v, row in zip(valuations, matrix)
+        ]
+        excess = 0
     table = list(index)
     width = max(map(len, table))
 
     def det_at(x: int) -> int:
+        if excess and not x:
+            # Q(0) from the row-shifted matrix: row i's coefficients of x^(v_i)
+            return _bareiss_int(
+                [[p.coeffs[v] if len(p.coeffs) > v else 0 for p in row]
+                 for v, row in zip(valuations, matrix)]
+            )
         powers = [1]
         for _ in range(width - 1):
             powers.append(powers[-1] * x)
         values = [sum(map(mul, coeffs, powers)) for coeffs in table]
-        return _bareiss_int([list(map(values.__getitem__, keys)) for keys in rows])
+        det = _bareiss_int([list(map(values.__getitem__, keys)) for keys in rows])
+        if not excess:
+            return det
+        q, r = divmod(det, x**excess)
+        if r:
+            raise ValueError("the determinant is not divisible by the row shift")
+        return q
 
     xs = list(range(-(bound // 2), bound - bound // 2 + 1))
-    return Poly((0,) * valuation + _interpolate(xs, [det_at(x) for x in xs]).coeffs)
+    q = _interpolate(xs, [det_at(x) for x in xs])
+    return Poly((0,) * valuation + q.coeffs) if valuation else q
 
 
 def _partitions(k: int, largest: int | None = None):

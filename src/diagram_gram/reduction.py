@@ -108,6 +108,7 @@ __all__ = [
     "CoarseningPoset",
     "BlockDecomposition",
     "DiffEntry",
+    "block_types",
     "diagram_coarser_or_equal",
     "coarsening_poset",
     "minimal_common_coarsening",
@@ -123,7 +124,7 @@ __all__ = [
 # -- the coarsening relation ---------------------------------------------------
 
 
-def _block_types(diagram) -> list[tuple[bool, bool]]:
+def block_types(diagram) -> list[tuple[bool, bool]]:
     """(is_through, is_flip_fixed) of each block of a whole diagram.
 
     The flip exchanges the points 2i and 2i+1 of a doubled row and fixes
@@ -137,7 +138,7 @@ def _block_types(diagram) -> list[tuple[bool, bool]]:
     return [(b[0] < row <= b[-1], index[b[0] ^ flip] == index[b[0]]) for b in part.blocks]
 
 
-def diagram_coarser_or_equal(da, db) -> bool:
+def diagram_coarser_or_equal(da, db, types_a=None, types_b=None) -> bool:
     """True iff da is a coarser diagram of db (reflexively).
 
     Every class of db must be contained in a class of da; through classes
@@ -147,13 +148,20 @@ def diagram_coarser_or_equal(da, db) -> bool:
     agree. Without the one-to-one requirement the relation would identify
     pairs whose product drops the through count, and the block reduction
     degenerates.
+
+    `types_a` and `types_b` are `block_types(da)` and `block_types(db)`,
+    built here unless given: a caller that compares every pair of a basis
+    builds them once per diagram.
     """
     if type(da) is not type(db):
         raise TypeError("cannot compare diagrams of different families")
     index_a = da.part.block_index
-    types_a = _block_types(da)
+    if types_a is None:
+        types_a = block_types(da)
+    if types_b is None:
+        types_b = block_types(db)
     used_through: set[int] = set()
-    for block, (b_through, b_fixed) in zip(db.part.blocks, _block_types(db)):
+    for block, (b_through, b_fixed) in zip(db.part.blocks, types_b):
         target = index_a[block[0]]
         if any(index_a[v] != target for v in block[1:]):
             return False

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import product
 
 from .determinant import det_blocks, det_direct
@@ -23,6 +24,7 @@ from .families import FAMILIES
 from .gram import DEFAULT_GUARD, WindowError
 from .polynomials import Poly, phi_z2
 from .reduction import (
+    block_types,
     coarsening_poset,
     diagram_coarser_or_equal,
     minimal_common_coarsening,
@@ -104,13 +106,14 @@ def check_poset_duality(decomposition) -> list[str]:
     leq = coarsening_poset(gram).leq
     n = len(diagrams)
     degrees = [gram.diagonal_degree(key) for key in gram.keys]
+    types = [block_types(diagram) for diagram in diagrams]
     failures = []
     for u in range(n):
         for v in range(u, n):
             prod, loops = diagrams[u].multiply(diagrams[v])
             entry = loops if prod.propagating_number() == target else None
             for a, b in dict.fromkeys([(u, v), (v, u)]):  # (u, u) once
-                coarser = diagram_coarser_or_equal(diagrams[a], diagrams[b])
+                coarser = diagram_coarser_or_equal(diagrams[a], diagrams[b], types[a], types[b])
                 if degrees[a] < degrees[b] and coarser != (entry == degrees[a]):
                     failures.append(f"pair {a},{b}")
                 if leq[a][b] != coarser or gram.exponents[a][b] != entry:
@@ -175,36 +178,36 @@ def check_stirling_recurrences() -> list[str]:
     """Three-term recurrences over the documented grid.
 
     The plain partition recurrence is the r2-recurrence at s1 = r1 = p1 = 0,
-    inside this grid.
+    inside this grid. Every identity at one (s1, s2) reads gen_stirling_z2
+    at that pair, so its values are memoized per pair, and dropped with it.
     """
     failures = []
     for s1 in range(4):
         for s2 in range(4):
+            g = lru_cache(maxsize=None)(partial(gen_stirling_z2, s1, s2))
             for r1 in range(5):
                 for r2 in range(6 - r1):
                     for p1 in range(r1 + 1):
                         for p2 in range(r1 + r2 - p1 + 2):
                             if r2 >= 1:
-                                lhs = gen_stirling_z2(s1, s2, r1, r2, p1, p2)
-                                rhs = gen_stirling_z2(s1, s2, r1, r2 - 1, p1, p2 - 1) + (
-                                    s2 + p2
-                                ) * gen_stirling_z2(s1, s2, r1, r2 - 1, p1, p2)
+                                lhs = g(r1, r2, p1, p2)
+                                rhs = g(r1, r2 - 1, p1, p2 - 1) + (s2 + p2) * g(r1, r2 - 1, p1, p2)
                                 if lhs != rhs:
                                     failures.append(f"r2-recurrence {s1},{s2},{r1},{r2},{p1},{p2}")
                             if r1 >= 1 and p1 <= r1 - 1 and (r1 - 1) - p1 >= p2 - r2:
-                                lhs = gen_stirling_z2(s1, s2, r1, r2, p1, p2)
+                                lhs = g(r1, r2, p1, p2)
                                 rhs = (
-                                    gen_stirling_z2(s1, s2, r1 - 1, r2, p1 - 1, p2)
-                                    + gen_stirling_z2(s1, s2, r1 - 1, r2 + 1, p1, p2)
-                                    + (2 * p1 + 2 * s1) * gen_stirling_z2(s1, s2, r1 - 1, r2, p1, p2)
+                                    g(r1 - 1, r2, p1 - 1, p2)
+                                    + g(r1 - 1, r2 + 1, p1, p2)
+                                    + (2 * p1 + 2 * s1) * g(r1 - 1, r2, p1, p2)
                                 )
                                 if lhs != rhs:
                                     failures.append(f"r1-recurrence {s1},{s2},{r1},{r2},{p1},{p2}")
                             if r1 >= 1 and p1 <= r1 - 1 and p2 == 0:
-                                lhs = gen_stirling_z2(s1, s2, r1, r2, p1, 0)
-                                rhs = gen_stirling_z2(s1, s2, r1 - 1, r2, p1 - 1, 0) + (
-                                    2 * p1 + 2 * s1 + s2
-                                ) * gen_stirling_z2(s1, s2, r1 - 1, r2, p1, 0)
+                                lhs = g(r1, r2, p1, 0)
+                                rhs = g(r1 - 1, r2, p1 - 1, 0) + (2 * p1 + 2 * s1 + s2) * g(
+                                    r1 - 1, r2, p1, 0
+                                )
                                 if lhs != rhs:
                                     failures.append(f"p2=0 recurrence {s1},{s2},{r1},{r2},{p1}")
     return failures

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagram_gram.determinant import (
@@ -565,6 +565,97 @@ def test_bareiss_int_matches_the_row_by_row_reference(case):
     assert det == _bareiss_reference(rows)
     if singular:
         assert det == 0
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    """A symmetric integer matrix with n <= 12 and entries in -9..9, dense
+    or sparse, with some zero diagonal entries. It may have a trailing
+    block that no earlier index couples to, with an all-zero diagonal and
+    a nonzero off-diagonal entry, so that the pivot at its first index and
+    every later diagonal entry are 0 there; a duplicated row and column; or
+    no nonzero entry at all."""
+    n = draw(st.integers(1, 12))
+    entry = st.integers(-9, 9)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)  # sparse
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        rows[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        start = draw(st.integers(0, n - 2))
+        for i in range(start, n):
+            rows[i][:start] = [0] * start
+            rows[i][i] = 0
+            for row in rows[:start]:
+                row[i] = 0
+        j = draw(st.integers(start + 1, n - 1))
+        rows[start][j] = rows[j][start] = draw(entry.filter(bool))
+    shape = draw(st.sampled_from(["as drawn", "duplicated", "zero"]))
+    if shape == "duplicated" and n >= 2:
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[b] = list(rows[a])
+        for row in rows:
+            row[b] = row[a]
+        return rows, True
+    if shape == "zero":
+        return [[0] * n for _ in range(n)], True
+    return rows, False
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_integer_matrices())
+@example(([[0, 1], [1, 0]], False))  # no nonzero diagonal entry: index 1 is added to 0
+@example(([[0, 1, 1], [1, -2, 0], [1, 0, 1]], False))  # adding index 1 would leave 0; it is subtracted
+@example(([[0, 2, 1], [2, 0, 3], [1, 3, 0]], False))
+@example(([[5, 0, 0], [0, 0, 4], [0, 4, 0]], False))  # a zero-diagonal trailing block
+def test_bareiss_int_matches_the_reference_on_symmetric_matrices(case):
+    rows, singular = case
+    before = [list(row) for row in rows]
+    det = _bareiss_int(rows)
+    assert rows == before  # the input is read, not rewritten
+    assert det == _bareiss_reference(rows)
+    if singular:
+        assert det == 0
+
+
+@st.composite
+def symmetric_row_shifted_matrices(draw):
+    """A symmetric integer polynomial matrix with n <= 5 and a planted
+    factor x^a_i in row and column i, so x^max(a_i, a_j) at (i, j) and the
+    rows' lowest powers may differ; some diagonal entries may be 0, and rows
+    and columns 0 and n-1 may be equal."""
+    n = draw(st.integers(1, 5))
+    shifts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    entry = st.lists(st.integers(-4, 4), max_size=4).map(Poly)
+    rows = [[Poly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            p = draw(entry)
+            rows[i][j] = rows[j][i] = Poly((0,) * max(shifts[i], shifts[j]) + p.coeffs) if p else p
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        rows[i][i] = Poly.zero()
+    duplicated = n > 1 and draw(st.booleans())
+    if duplicated:
+        rows[n - 1] = list(rows[0])
+        for row in rows:
+            row[n - 1] = row[0]
+    return tuple(map(tuple, rows)), duplicated
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_row_shifted_matrices())
+@example((((Poly([-1, 1]), Poly([1])), (Poly([1]), Poly([-1, 1]))), False))  # x-1 on the diagonal
+@example((((Poly([0, 0, 1]), Poly([0, 1])), (Poly([0, 1]), Poly.zero())), False))
+def test_det_direct_matches_the_reference_on_symmetric_matrices(case):
+    matrix, duplicated = case
+    det = det_direct(matrix)
+    assert det == _eliminate(matrix) == det_direct_reference(matrix)
+    if duplicated:
+        assert det.is_zero()
 
 
 def _row_shifted_values(matrix, x):
