@@ -10,7 +10,6 @@ guard exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -131,6 +130,8 @@ def cmd_gram(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    import hashlib  # imported by its one user, so other commands start without it
+
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
     decomposition = reduce_gram(gram)

@@ -1,17 +1,29 @@
 """Partition diagrams: set partitions of two rows of k vertices.
 
 Vertex convention shared by every module: top vertex i (1-based) maps to
-index i-1, bottom vertex i' maps to k+i-1. Multiplication stacks one diagram
-above another, closes under union-find on 3k vertices, and reports how many
-connected components were confined to the glued middle row; the caller turns
-that count into a monomial coefficient.
+index i-1, bottom vertex i' maps to k+i-1. A diagram is stored as the
+bitmasks of its blocks over both rows, ordered by least point, which is
+the order of `SetPartition.blocks`; equality, hashing, the propagating
+number, the row view and multiplication read those masks. The
+`SetPartition` itself, `part`, is built only when read: by the
+whole-diagram oracles and the tests. A mask becomes its points in O(its
+popcount), so a diagram of thousands of points renders in linear time.
+
+Multiplication stacks one diagram above another: the lower diagram's masks
+are shifted by one row, so that its top row lands on the upper one's bottom
+row, and masks that meet are merged. A merged mask that lies wholly in that glued
+middle row is a loop; the caller turns the loop count into a monomial
+coefficient.
 
 A mirror-symmetric diagram is also described by its `RowView`: the
 partition of one row plus the set of blocks that run through to the other
 row. The Gram, poset and role-swap stages work on that view instead of on
-products, and so does `stirling.coarser_profile_counts`. A plain diagram is
-the flip-fixed slice of a doubled one: its flip fixes every point, so every
-block counts as flip-fixed, in the view and in the whole-diagram oracle
+products, and so does `stirling.coarser_profile_counts`. A basis diagram
+is built from its view (`Diagram.from_view`), which the enumeration
+assembles from the row configuration; any other diagram computes its view
+from its masks on first read. A plain diagram is the flip-fixed slice of a
+doubled one: its flip fixes every point, so every block counts as
+flip-fixed, in the view and in the whole-diagram oracle
 `reduction.diagram_coarser_or_equal` alike.
 """
 
@@ -20,9 +32,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .partitions import SetPartition, UnionFind
+from .partitions import SetPartition
 
-__all__ = ["PartitionDiagram", "RowView"]
+__all__ = ["Diagram", "PartitionDiagram", "RowView", "even_mask", "flip", "points"]
+
+
+def points(mask: int) -> tuple[int, ...]:
+    """The points of a bitmask, ascending, in O(popcount) big-int steps."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def flip(mask: int, even: int) -> int:
+    """The image of `mask` under the e/g flip, which exchanges the points
+    2i and 2i+1; `even` is the mask of the even points in range."""
+    return (mask & even) << 1 | (mask >> 1) & even
+
+
+def even_mask(n: int) -> int:
+    """The mask of the even points below the even number n: 0b0101...01."""
+    return ((1 << n) - 1) // 3
 
 
 @dataclass(frozen=True)
@@ -41,40 +74,6 @@ class RowView:
     through: tuple[int, ...]
     fixed: tuple[bool, ...]
 
-    @classmethod
-    def of(cls, part: SetPartition, row: int, doubled: bool) -> "RowView":
-        """View of a partition of two rows of `row` points each.
-
-        Raises ValueError unless the bottom row mirrors the top row and every
-        through block joins a row block to its own mirror image. For doubled
-        diagrams the flip exchanges the points 2i and 2i+1 of a row.
-        """
-        top, bottom, through = set(), set(), set()
-        for block in part.blocks:
-            t = b = 0
-            for v in block:
-                if v < row:
-                    t |= 1 << v
-                else:
-                    b |= 1 << (v - row)
-            if t and b:
-                if t != b:
-                    raise ValueError("diagram is not mirror-symmetric")
-                through.add(t)
-            if t:
-                top.add(t)
-            if b:
-                bottom.add(b)
-        if top != bottom:
-            raise ValueError("diagram is not mirror-symmetric")
-        blocks = tuple(sorted(top, key=lambda m: m & -m))
-        if doubled:
-            even = sum(1 << v for v in range(0, row, 2))
-            fixed = tuple(((m & even) << 1 | (m >> 1) & even) == m for m in blocks)
-        else:
-            fixed = (True,) * len(blocks)
-        return cls(blocks, tuple(i for i, m in enumerate(blocks) if m in through), fixed)
-
     @cached_property
     def through_blocks(self) -> frozenset[int]:
         """The through blocks, as bitmasks."""
@@ -86,70 +85,176 @@ class RowView:
         return sum(self.through_blocks)
 
 
-class PartitionDiagram:
-    """A set partition of {0..2k-1} viewed as a two-row diagram."""
+class Diagram:
+    """A set partition of two rows of `per_fibre * k` points each, stored as
+    `masks`, the bitmasks of its blocks ordered by least point.
 
-    __slots__ = ("k", "part", "_view")
+    `PartitionDiagram` has one point per fibre in a row and `Z2Diagram` two.
+    A diagram is built from a `SetPartition` (`cls(k, part)`), from its
+    masks (`from_masks`) or from its row view (`from_view`). Instances are
+    immutable; two diagrams are equal when they are of one class and have
+    the same k and masks.
+    """
+
+    __slots__ = ("k", "masks", "_part", "_view")
+    per_fibre = 1
 
     def __init__(self, k: int, part: SetPartition):
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if part.n != 2 * k:
-            raise ValueError(f"expected ground size {2 * k}, got {part.n}")
+        if part.n != 2 * self.per_fibre * k:
+            raise ValueError(f"expected ground size {2 * self.per_fibre * k}, got {part.n}")
+        self._set(k, tuple(sum(1 << v for v in block) for block in part.blocks))
+        object.__setattr__(self, "_part", part)
+
+    @classmethod
+    def from_masks(cls, k: int, masks: tuple[int, ...]):
+        """The diagram whose blocks are `masks`. The caller vouches that they
+        partition the points and are ordered by least point; `Z2Diagram`
+        still checks its flip."""
+        diagram = object.__new__(cls)
+        diagram._set(k, masks)
+        return diagram
+
+    @classmethod
+    def from_view(cls, k: int, view: RowView):
+        """The mirror-symmetric diagram that `view` describes, keeping the view.
+
+        Its blocks holding top points come in the view's order, each a row
+        block with its mirror image when it runs through; the bottom
+        images of the other row blocks follow, in the same order."""
+        row = cls.per_fibre * k
+        through = set(view.through)
+        top = [m | m << row if i in through else m for i, m in enumerate(view.blocks)]
+        bottom = [m << row for i, m in enumerate(view.blocks) if i not in through]
+        diagram = cls.from_masks(k, (*top, *bottom))
+        object.__setattr__(diagram, "_view", view)
+        return diagram
+
+    def _set(self, k: int, masks: tuple[int, ...]) -> None:
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "part", part)
+        object.__setattr__(self, "masks", masks)
 
     def __setattr__(self, name, value):
-        raise AttributeError("PartitionDiagram is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def part(self) -> SetPartition:
+        """The diagram as a `SetPartition` of its points, built on first read."""
+        try:
+            return self._part
+        except AttributeError:
+            part = SetPartition(2 * self.per_fibre * self.k, map(points, self.masks))
+            object.__setattr__(self, "_part", part)
+            return part
+
     def propagating_number(self) -> int:
         """Number of blocks meeting both the top and the bottom row."""
-        k = self.k
-        return sum(1 for b in self.part.blocks if b[0] < k <= b[-1])
+        row = self.per_fibre * self.k
+        top = (1 << row) - 1
+        return sum(1 for m in self.masks if m & top and m >> row)
 
     def row_view(self) -> RowView:
-        """Row partition and through blocks, computed once per instance."""
+        """Row partition, through blocks and flip-fixed flags, computed from
+        the masks once per instance unless the diagram was built from them.
+
+        Raises ValueError unless the bottom row mirrors the top row and every
+        through block joins a row block to its own mirror image. For doubled
+        diagrams the flip exchanges the points 2i and 2i+1 of a row.
+        """
         try:
             return self._view
         except AttributeError:
-            view = RowView.of(self.part, self.k, doubled=False)
-            object.__setattr__(self, "_view", view)
-            return view
+            pass
+        row = self.per_fibre * self.k
+        low = (1 << row) - 1
+        # a block holding top points has its least point on top, so the
+        # row blocks come ordered by least point
+        blocks, bottom, through = [], set(), []
+        for m in self.masks:
+            t, b = m & low, m >> row
+            if t and b:
+                if t != b:
+                    raise ValueError("diagram is not mirror-symmetric")
+                through.append(len(blocks))
+            if t:
+                blocks.append(t)
+            if b:
+                bottom.add(b)
+        if bottom != set(blocks):
+            raise ValueError("diagram is not mirror-symmetric")
+        if self.per_fibre == 2:
+            even = even_mask(row)
+            fixed = tuple(flip(m, even) == m for m in blocks)
+        else:
+            fixed = (True,) * len(blocks)
+        view = RowView(tuple(blocks), tuple(through), fixed)
+        object.__setattr__(self, "_view", view)
+        return view
 
-    def multiply(self, other: "PartitionDiagram") -> tuple["PartitionDiagram", int]:
-        """Stack self above other; return (resulting diagram, middle loops)."""
+    # -- identity and rendering ----------------------------------------------
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.k}, {self.part!r})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.k == other.k and self.masks == other.masks
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.masks))
+
+
+class PartitionDiagram(Diagram):
+    """A set partition of {0..2k-1} viewed as a two-row diagram."""
+
+    __slots__ = ()
+
+    def multiply(self, other: Diagram) -> tuple[Diagram, int]:
+        """Stack self above other; return (resulting diagram, middle loops).
+
+        Both are diagrams of one class. A `Z2Diagram` multiplies here too,
+        as the partition diagram on two rows of 2k points with the same
+        masks; the product is built in the factors' class, so a doubled
+        product's flip is checked."""
+        if type(other) is not type(self):
+            raise TypeError("cannot multiply diagrams of different families")
         if self.k != other.k:
             raise ValueError(f"k mismatch: {self.k} != {other.k}")
-        k = self.k
-        uf = UnionFind(3 * k)
-        # self occupies rows 0..k-1 (top) and k..2k-1 (middle), other occupies
-        # k..2k-1 (middle) and 2k..3k-1 (bottom): shift other's indices by k.
-        for block in self.part.blocks:
-            first = block[0]
-            for v in block[1:]:
-                uf.union(first, v)
-        for block in other.part.blocks:
-            first = block[0] + k
-            for v in block[1:]:
-                uf.union(first, v + k)
-        touched_outside = set()
-        for v in range(k):
-            touched_outside.add(uf.find(v))
-        for v in range(2 * k, 3 * k):
-            touched_outside.add(uf.find(v))
-        middle_roots = {uf.find(v) for v in range(k, 2 * k)}
-        loops = len(middle_roots - touched_outside)
-        groups: dict[int, list[int]] = {}
-        for v in range(k):
-            groups.setdefault(uf.find(v), []).append(v)
-        for v in range(2 * k, 3 * k):
-            groups.setdefault(uf.find(v), []).append(v - k)
-        result = PartitionDiagram(k, SetPartition(2 * k, groups.values()))
-        return result, loops
-
-    # -- rendering -----------------------------------------------------------
+        row = self.per_fibre * self.k  # points in a row
+        top = (1 << row) - 1
+        middle = top << row
+        # self holds the top row 0..row-1 and the middle row row..2row-1;
+        # other, shifted by row, holds the middle and the bottom row
+        # 2row..3row-1. A block that misses the middle row is a block of
+        # the product as it stands.
+        masks = [m for m in self.masks if not m & middle]
+        merged = [m for m in self.masks if m & middle]
+        for block in other.masks:
+            if not block & top:
+                masks.append(block)  # other's bottom row is the product's
+                continue
+            # the merged blocks are disjoint, so one pass gathers those
+            # that meet this block
+            block <<= row
+            rest = []
+            for c in merged:
+                if c & block:
+                    block |= c
+                else:
+                    rest.append(c)
+            rest.append(block)
+            merged = rest
+        loops = 0
+        for c in merged:
+            outer = c & top | (c >> row) & middle  # the bottom row moves to row..2row-1
+            if outer:
+                masks.append(outer)
+            else:
+                loops += 1
+        masks.sort(key=lambda m: m & -m)
+        return type(self).from_masks(self.k, tuple(masks)), loops
 
     def __str__(self) -> str:
         k = self.k
@@ -157,17 +262,6 @@ class PartitionDiagram:
         def tok(v: int) -> str:
             return str(v + 1) if v < k else f"{v - k + 1}'"
 
-        return "[" + "|".join("{" + ",".join(tok(v) for v in b) + "}" for b in self.part.blocks) + "]"
-
-    def __repr__(self) -> str:
-        return f"PartitionDiagram({self.k}, {self.part!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PartitionDiagram)
-            and self.k == other.k
-            and self.part == other.part
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.part))
+        return "[" + "|".join(
+            "{" + ",".join(map(tok, points(m))) + "}" for m in self.masks
+        ) + "]"

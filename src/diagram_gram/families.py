@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .diagrams import PartitionDiagram
-from .partitions import SetPartition, set_partitions
+from .diagrams import PartitionDiagram, RowView
+from .partitions import set_partitions
 from .z2diagrams import Z2Diagram, top_index
 
 __all__ = ["Family", "FAMILIES", "profile_of"]
@@ -46,7 +46,8 @@ class Family:
     messages. A plain family's rows also have r2 == 0.
     `unit_choices(m)` gives the (role, section) choices of a group of m
     fibers, `alpha_roles` the roles whose class sizes make up a key's
-    shape, `assemble(k, units)` the basis diagram of a configuration and
+    shape, `assemble(k, units)` the basis diagram of a configuration, built
+    from its `RowView` with no `SetPartition`, and
     `row_ok(k, s1, s2, r1, r2)` whether a row of that stored profile lies
     in the family. `ambient` names the unrestricted family whose basis
     contains this one's, `has_rho` says whether the reduction keeps a
@@ -84,7 +85,9 @@ class Family:
 
         Only groupings of at least s1 + s2 groups are walked; s1 of the
         groups take role 0, s2 of the others role 1, and the rest a
-        horizontal role, so the work follows the profile's own size.
+        horizontal role, so the work follows the profile's own size. The
+        groups, and so the units, come in order of least fiber, which
+        `assemble` relies on.
         """
         for grouping in set_partitions(range(1, k + 1), s1 + s2):
             groups = list(map(tuple, grouping))
@@ -135,35 +138,31 @@ def _doubled_units(size: int):
     )
 
 
+def _view(sides) -> RowView:
+    """The `RowView` of row blocks given as (mask, through, fixed) triples
+    in order of least point. The units of a configuration come in order of
+    least fiber (`Family.configs`), and a unit's blocks in order of least
+    point, so the assemblies list them that way without sorting."""
+    blocks, through, fixed = zip(*sides)
+    return RowView(blocks, tuple(itertools.compress(range(len(blocks)), through)), fixed)
+
+
 def _assemble_plain(k: int, units) -> PartitionDiagram:
-    blocks: list[list[int]] = []
-    for role, fibers, _ in units:
-        top = [i - 1 for i in fibers]
-        bottom = [v + k for v in top]
-        if role < 2:
-            blocks.append(top + bottom)
-        else:
-            blocks.extend([top, bottom])
-    return PartitionDiagram(k, SetPartition(2 * k, blocks))
+    return PartitionDiagram.from_view(k, _view(
+        (sum(1 << (i - 1) for i in fibers), role < 2, True) for role, fibers, _ in units
+    ))
 
 
 def _assemble_doubled(k: int, units) -> Z2Diagram:
-    blocks: list[list[int]] = []
+    sides = []
     for role, fibers, section in units:
-        if role % 2:  # flip-fixed: both points of every fiber
-            sides = [[top_index(i, s) for i in fibers for s in (0, 1)]]
-        else:  # a conjugate pair of blocks
-            sides = [
-                [top_index(i, s) for i, s in zip(fibers, section)],
-                [top_index(i, 1 - s) for i, s in zip(fibers, section)],
-            ]
-        for top in sides:
-            bottom = [v + 2 * k for v in top]
-            if role < 2:
-                blocks.append(top + bottom)
-            else:
-                blocks.extend([top, bottom])
-    return Z2Diagram(k, SetPartition(4 * k, blocks))
+        both = sum(3 << top_index(i, 0) for i in fibers)  # both points of every fiber
+        if role % 2:  # flip-fixed
+            sides.append((both, role < 2, True))
+        else:  # a conjugate pair of blocks, the first holding the first fiber's e
+            first = sum(1 << top_index(i, s) for i, s in zip(fibers, section))
+            sides += [(first, role < 2, False), (both ^ first, role < 2, False)]
+    return Z2Diagram.from_view(k, _view(sides))
 
 
 def _signed_row(k: int, s1: int, s2: int, r1: int, r2: int) -> bool:

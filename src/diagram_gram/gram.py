@@ -2,7 +2,10 @@
 
 The matrix rows are the mirror-symmetric diagrams with a prescribed
 through-class profile, ordered by (weighted edge count, plain edge count,
-shape, canonical encoding). An entry is the monomial x**loops of the product
+shape, canonical encoding). `Family.assemble` builds each one's row view
+and block masks straight from its row configuration, and the canonical
+encoding is read off the masks: the blocks as point tuples, in the order of
+`SetPartition.blocks`, which no stage builds. An entry is the monomial x**loops of the product
 of its row and column diagrams when that product keeps the full through
 count, and the zero polynomial otherwise.
 
@@ -51,6 +54,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
+from .diagrams import points
 from .families import FAMILIES, Family, profile_of
 from .polynomials import Poly, phi_z2
 from .stirling import binomial, stirling2
@@ -226,7 +230,10 @@ def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = 
         _, _, r1, r2 = profile_of(units)
         if family.row_ok(k, s1, s2, r1, r2):
             rows.append((DiagramKey(0, family.alpha(units), r1, r2), family.assemble(k, units)))
-    rows.sort(key=lambda row: (row[0].sort_key(), row[1].part.blocks))
+    # ties break on the blocks as point tuples, the order of `part.blocks`;
+    # the diagrams of a profile share most of their blocks
+    block_points = lru_cache(maxsize=None)(points)
+    rows.sort(key=lambda row: (row[0].sort_key(), tuple(map(block_points, row[1].masks))))
     out = []
     for _, cell in itertools.groupby(rows, lambda row: (row[0].alpha, row[0].r1, row[0].r2)):
         out.extend((replace(key, i=i), diagram) for i, (key, diagram) in enumerate(cell, 1))
@@ -307,19 +314,14 @@ def _point_permutations(diagrams, point_maps) -> tuple[tuple[int, ...], ...]:
 
 def _moved(mask: int, point) -> int:
     """The bitmask `mask` with each point p moved to point[p]."""
-    image = 0
-    while mask:
-        low = mask & -mask
-        image |= 1 << point[low.bit_length() - 1]
-        mask ^= low
-    return image
+    return sum(1 << point[p] for p in points(mask))
 
 
 def _fibre_map(diagrams, k: int, sigma) -> list[int]:
     """The map of one row's points under the fibre permutation sigma: point
     i of a plain row goes to sigma[i], point 2i+b of a doubled row to
     2 sigma[i] + b, so e and g points stay apart."""
-    per = diagrams[0].part.n // (2 * k)  # points per fibre in one row
+    per = diagrams[0].per_fibre
     return [per * sigma[p // per] + p % per for p in range(per * k)]
 
 
@@ -330,7 +332,7 @@ def basis_generators(diagrams, k: int) -> tuple[tuple[int, ...], ...]:
     if not diagrams:
         return ()
     maps = [_fibre_map(diagrams, k, sigma) for sigma in fibre_generators(k)]
-    if diagrams[0].part.n == 4 * k:  # doubled: two points per fibre in a row
+    if diagrams[0].per_fibre == 2:  # doubled: two points per fibre in a row
         maps.append([p ^ (p < 2) for p in range(2 * k)])
     return _point_permutations(diagrams, maps)
 

@@ -1,8 +1,10 @@
-"""Canonical set partitions of {0..n-1}.
+"""Canonical set partitions of {0..n-1}, their walk and a union-find.
 
-Everything in this package is built on top of these: diagrams are set
-partitions of two rows of vertices, diagram multiplication is a union-find
-closure, and the coarsening order on diagrams is blockwise containment.
+A diagram is a set partition of two rows of vertices, stored as the
+bitmasks of its blocks (`diagrams`); its `SetPartition` is built only for
+the whole-diagram oracles and the tests. `set_partitions` walks the
+groupings of fibres that the row configurations are built from, and
+`UnionFind` joins the connected components of the determinants.
 
 A partition is stored in canonical form: each block a sorted tuple, blocks
 ordered by minimal element. Two partitions compare equal iff their canonical

@@ -25,6 +25,8 @@ __all__ = ["Poly", "congruence", "phi_atoms", "phi_z2", "quadratic_factor", "lin
 
 
 def _normalize_scalar(c: Scalar) -> Scalar:
+    if type(c) is int:  # the common case, without the ABC instance check
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c

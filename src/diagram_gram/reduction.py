@@ -88,7 +88,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from operator import attrgetter
 
@@ -303,14 +303,24 @@ class DiffEntry:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
+    """The reduced matrix T'GT with its cells; the closed-form predictions
+    and their diffs are built on first read, so the determinants and the
+    verdict, which read neither, never build them."""
+
     gram: GramMatrix
     transform: tuple[tuple[tuple[int, int], ...], ...]  # sparse columns of T
     reduced: tuple[tuple[Poly, ...], ...]
     nonzero: tuple[tuple[int, ...], ...]  # ascending nonzero columns of each row
     cells: tuple[tuple[tuple, tuple[int, ...]], ...]  # (label, member indices)
     offblock_violations: tuple[tuple[int, int], ...]
-    predicted: dict
-    diffs: tuple[DiffEntry, ...]
+
+    @cached_property
+    def predicted(self) -> dict:
+        return predicted_blocks(self.gram, self.cells)
+
+    @cached_property
+    def diffs(self) -> tuple[DiffEntry, ...]:
+        return compare_blocks(self.gram, self.reduced, self.cells, self.predicted)
 
     def block(self, label) -> tuple[tuple[Poly, ...], ...]:
         members = dict(self.cells)[label]
@@ -336,7 +346,8 @@ def _cells_of(gram: GramMatrix):
 
 
 def reduce_gram(gram: GramMatrix) -> BlockDecomposition:
-    """Congruence-reduce a Gram matrix and compare against the closed forms.
+    """Congruence-reduce a Gram matrix. The comparison against the closed
+    forms is made when `predicted` or `diffs` is first read.
 
     Every stage reads the rows or columns of the orbit representatives of
     `gram.orbits` and copies the rest by index permutation.
@@ -359,11 +370,7 @@ def reduce_gram(gram: GramMatrix) -> BlockDecomposition:
     violations = tuple(
         (u, v) for u, row in enumerate(nonzero) for v in row if cell_of[u] != cell_of[v]
     )
-    predicted = predicted_blocks(gram, cells)
-    diffs = compare_blocks(gram, reduced, cells, predicted)
-    return BlockDecomposition(
-        gram, transform, reduced, nonzero, cells, violations, predicted, diffs
-    )
+    return BlockDecomposition(gram, transform, reduced, nonzero, cells, violations)
 
 
 @lru_cache(maxsize=1)

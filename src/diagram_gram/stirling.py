@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from .diagrams import PartitionDiagram
+from .diagrams import PartitionDiagram, even_mask, flip
 from .partitions import set_partitions
 from .z2diagrams import Z2Diagram
 
@@ -103,10 +103,10 @@ def coarser_profile_counts(diagram) -> Counter:
     view = diagram.row_view()
     blocks, fixed = view.blocks, view.fixed
     through = [i in view.through for i in range(len(blocks))]
-    even = sum(1 << v for v in range(0, sum(blocks).bit_length(), 2))
+    even = even_mask(2 * diagram.k)  # a doubled row has 2k points
     position = {mask: i for i, mask in enumerate(blocks)}
     conj = [
-        i if fixed[i] else position[(mask & even) << 1 | (mask >> 1) & even]
+        i if fixed[i] else position[flip(mask, even)]
         for i, mask in enumerate(blocks)
     ]
     plain = isinstance(diagram, PartitionDiagram)

@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from diagram_gram.diagrams import PartitionDiagram
 from diagram_gram.families import FAMILIES, profile_of
 from diagram_gram.gram import (
     DiagramKey,
@@ -20,7 +21,8 @@ from diagram_gram.partitions import SetPartition, set_partitions
 from diagram_gram.reduction import diagram_coarser_or_equal
 from diagram_gram.semisimplicity import admissible_profiles
 from diagram_gram.stirling import coarser_profile_counts
-from diagram_gram.z2diagrams import Z2Diagram
+from diagram_gram.z2diagrams import Z2Diagram, top_index
+from test_row_view import row_view_reference
 
 CASES = [
     (algebra, k)
@@ -112,15 +114,19 @@ def generate_and_filter(algebra, k):
             if family.row_ok(k, s1, s2, r1, r2):
                 key = DiagramKey(0, family.alpha(units), r1, r2)
                 rows.setdefault((s1, s2), []).append((key, family.assemble(k, units).part.blocks))
-    out = {}
-    for profile, found in rows.items():
-        found.sort(key=lambda row: (row[0].sort_key(), row[1]))
-        out[profile] = [
-            (dataclasses.replace(key, i=i), blocks)
-            for _, cell in itertools.groupby(found, lambda row: (row[0].alpha, row[0].r1, row[0].r2))
-            for i, (key, blocks) in enumerate(cell, 1)
-        ]
-    return out
+    return {profile: numbered(found) for profile, found in rows.items()}
+
+
+def numbered(rows, tie=lambda item: item):
+    """`rows` of (key, item) sorted on the key and then on `tie(item)`, each
+    key numbered from 1 within its (alpha, r1, r2) cell: the order of
+    `enumerate_diagrams`."""
+    rows = sorted(rows, key=lambda row: (row[0].sort_key(), tie(row[1])))
+    return [
+        (dataclasses.replace(key, i=i), item)
+        for _, cell in itertools.groupby(rows, lambda row: (row[0].alpha, row[0].r1, row[0].r2))
+        for i, (key, item) in enumerate(cell, 1)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -131,6 +137,92 @@ def test_enumeration_matches_generate_and_filter(algebra, k):
     for s1, s2 in FAMILIES[algebra].profiles(k):
         basis = enumerate_diagrams(algebra, k, s1, s2, guard=10**6)
         assert [(key, d.part.blocks) for key, d in basis] == reference.get((s1, s2), [])
+
+
+def assemble_reference(algebra, k, units):
+    """The basis diagram of a configuration, assembled as a `SetPartition` of
+    its points: the oracle for `Family.assemble`, which builds the row view
+    and the block masks straight from the units."""
+    family = FAMILIES[algebra]
+    row = k if family.plain else 2 * k  # points in one row
+    blocks = []
+    for role, fibers, section in units:
+        if family.plain:
+            sides = [[i - 1 for i in fibers]]
+        elif role % 2:  # flip-fixed: both points of every fiber
+            sides = [[top_index(i, s) for i in fibers for s in (0, 1)]]
+        else:  # a conjugate pair of blocks
+            sides = [
+                [top_index(i, s) for i, s in zip(fibers, section)],
+                [top_index(i, 1 - s) for i, s in zip(fibers, section)],
+            ]
+        for top in sides:
+            bottom = [v + row for v in top]
+            if role < 2:
+                blocks.append(top + bottom)
+            else:
+                blocks.extend([top, bottom])
+    cls = PartitionDiagram if family.plain else Z2Diagram
+    return cls(k, SetPartition(2 * row, blocks))
+
+
+def enumerate_reference(algebra, k, s1, s2):
+    """The ordered basis from `assemble_reference`, sorted with ties broken
+    on `part.blocks` and numbered within each cell: the oracle for
+    `enumerate_diagrams`, whose tie key is built from the block masks."""
+    family = FAMILIES[algebra]
+    rows = []
+    for units in family.configs(k, s1, s2):
+        _, _, r1, r2 = profile_of(units)
+        if family.row_ok(k, s1, s2, r1, r2):
+            key = DiagramKey(0, family.alpha(units), r1, r2)
+            rows.append((key, assemble_reference(algebra, k, units)))
+    return numbered(rows, tie=lambda diagram: diagram.part.blocks)
+
+
+def render_reference(diagram):
+    """The text of a diagram, read off its `SetPartition`."""
+    blocks = diagram.part.blocks
+    if isinstance(diagram, PartitionDiagram):
+        k = diagram.k
+        return "[" + "|".join(
+            "{" + ",".join(str(v + 1) if v < k else f"{v - k + 1}'" for v in b) + "}"
+            for b in blocks
+        ) + "]"
+    half = 2 * diagram.k
+
+    def token(v):
+        w = v % half
+        prime = "" if v < half else "'"
+        return f"{w // 2 + 1}{prime}{'eg'[w % 2]}"
+
+    return "{" + "|".join(",".join(map(token, b)) for b in blocks) + "}"
+
+
+MASK_PROFILES = (
+    [("partition", k, s, 0) for k in range(1, 6) for s in range(k + 1)]
+    + [
+        (algebra, k, s1, s2)
+        for algebra in ("z2", "signed")
+        for k in range(1, 5)
+        for s1, s2 in FAMILIES[algebra].profiles(k)
+    ]
+    + [("z2", 5, 1, 0)]
+)
+
+
+@pytest.mark.parametrize("profile", MASK_PROFILES, ids=str)
+def test_mask_built_basis_equals_the_set_partition_assembly(profile):
+    # keys, order, partition, row view and text of every basis diagram
+    basis = enumerate_diagrams(*profile, guard=10**6)
+    reference = enumerate_reference(*profile)
+    assert [key for key, _ in basis] == [key for key, _ in reference]
+    for (_, diagram), (_, want) in zip(basis, reference):
+        assert type(diagram) is type(want)
+        assert diagram.masks == want.masks and diagram == want
+        assert diagram.part == want.part
+        assert diagram.row_view() == row_view_reference(want)
+        assert str(diagram) == render_reference(want)
 
 
 def test_configs_walk_only_the_requested_profile():

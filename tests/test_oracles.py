@@ -8,13 +8,15 @@ paths they check.
 
 import random
 
+import pytest
 import sympy
 
 from diagram_gram.determinant import det_direct
 from diagram_gram.diagrams import PartitionDiagram
-from diagram_gram.gram import build_gram
+from diagram_gram.gram import build_gram, enumerate_diagrams
 from diagram_gram.partitions import SetPartition, set_partitions
 from diagram_gram.polynomials import Poly
+from diagram_gram.z2diagrams import Z2Diagram
 
 
 def multiply_oracle(d1: PartitionDiagram, d2: PartitionDiagram):
@@ -81,6 +83,53 @@ def test_multiplication_oracle_exhaustive_k2():
     for a in diagrams:
         for b in diagrams:
             assert a.multiply(b) == multiply_oracle(a, b)
+
+
+def test_multiplication_of_products_against_bfs_oracle():
+    # a product is built from block masks; the oracle reads its SetPartition
+    rng = random.Random(23)
+    for k in (2, 3, 4):
+        parts = list(set_partitions(range(2 * k)))
+        for _ in range(40):
+            a, b, c, d = (
+                PartitionDiagram(k, SetPartition(2 * k, rng.choice(parts))) for _ in range(4)
+            )
+            ab, _ = a.multiply(b)
+            cd, _ = c.multiply(d)
+            for x, y in ((ab, c), (a, cd), (ab, cd)):
+                assert x.multiply(y) == multiply_oracle(x, y)
+
+
+def z2_multiply_oracle(a: Z2Diagram, b: Z2Diagram):
+    """The product of two doubled diagrams as that of the partition
+    diagrams on two rows of 2k points with the same partitions."""
+    prod, loops = multiply_oracle(
+        PartitionDiagram(2 * a.k, a.part), PartitionDiagram(2 * b.k, b.part)
+    )
+    return Z2Diagram(a.k, prod.part), loops
+
+
+def test_z2_multiplication_of_mask_built_diagrams_against_bfs_oracle():
+    # basis diagrams come from their row views, products from masks
+    rng = random.Random(29)
+    for k, s1, s2 in ((1, 0, 0), (2, 1, 0), (2, 0, 1), (3, 1, 0), (3, 0, 0)):
+        basis = [d for _, d in enumerate_diagrams("z2", k, s1, s2)]
+        for _ in range(60):
+            a, b, c = (rng.choice(basis) for _ in range(3))
+            ab, loops = a.multiply(b)
+            assert type(ab) is Z2Diagram
+            assert (ab, loops) == z2_multiply_oracle(a, b)
+            assert ab.multiply(c) == z2_multiply_oracle(ab, c)
+            assert c.multiply(ab) == z2_multiply_oracle(c, ab)
+
+
+def test_multiplication_rejects_mixed_families():
+    plain = PartitionDiagram(2, SetPartition(4, [[0, 1, 2, 3]]))
+    doubled = Z2Diagram(1, SetPartition(4, [[0, 1, 2, 3]]))
+    with pytest.raises(TypeError):
+        plain.multiply(doubled)
+    with pytest.raises(TypeError):
+        doubled.multiply(plain)
 
 
 def _to_sympy(matrix):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagram_gram.diagrams import PartitionDiagram, RowView
+from diagram_gram.diagrams import PartitionDiagram, RowView, points
 from diagram_gram.gram import build_gram
 from diagram_gram.partitions import SetPartition
 from diagram_gram.polynomials import Poly
@@ -21,6 +21,7 @@ from diagram_gram.reduction import (
     role_swaps,
 )
 from diagram_gram.semisimplicity import admissible_profiles
+from diagram_gram.z2diagrams import Z2Diagram
 from test_reduction import swap_pair_parameters
 
 PROFILES = (
@@ -40,6 +41,40 @@ K4_PROFILES = [
     for algebra in ("z2", "signed")
     for s1, s2 in admissible_profiles(algebra, 4)
 ]
+
+
+def row_view_reference(diagram) -> RowView:
+    """The `RowView` of a whole diagram, read off its `SetPartition`: the
+    oracle for `row_view()`, which reads the block masks or keeps the view
+    the enumeration assembled. Raises ValueError unless the bottom row
+    mirrors the top row and every through block joins a row block to its
+    own mirror image; the flip of a doubled row exchanges 2i and 2i+1."""
+    part = diagram.part
+    row = part.n // 2
+    top, bottom, through = set(), set(), set()
+    for block in part.blocks:
+        t = sum(1 << v for v in block if v < row)
+        b = sum(1 << (v - row) for v in block if v >= row)
+        if t and b:
+            if t != b:
+                raise ValueError("diagram is not mirror-symmetric")
+            through.add(t)
+        if t:
+            top.add(t)
+        if b:
+            bottom.add(b)
+    if top != bottom:
+        raise ValueError("diagram is not mirror-symmetric")
+    blocks = tuple(sorted(top, key=lambda m: m & -m))
+    if isinstance(diagram, Z2Diagram):
+        pairs = [{v, v ^ 1} for v in range(row)]
+        fixed = tuple(
+            all(pair <= set(points(m)) or not pair & set(points(m)) for pair in pairs)
+            for m in blocks
+        )
+    else:
+        fixed = (True,) * len(blocks)
+    return RowView(blocks, tuple(i for i, m in enumerate(blocks) if m in through), fixed)
 
 
 def product_entry(du, dv, target: int) -> Poly:
@@ -123,3 +158,23 @@ def test_row_view_rejects_asymmetric_diagram():
         PartitionDiagram(2, SetPartition(4, [[0, 3], [1, 2]])).row_view()
     with pytest.raises(ValueError):
         PartitionDiagram(2, SetPartition(4, [[0, 1], [2], [3]])).row_view()
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_row_view_from_masks_matches_the_oracle(profile):
+    # a diagram built from its SetPartition has no assembled view, so
+    # row_view() reads its masks; products are not mirror-symmetric in general
+    diagrams = build_gram(*profile).diagrams
+    for d in diagrams:
+        rebuilt = type(d)(d.k, d.part)
+        assert rebuilt.row_view() == row_view_reference(d) == d.row_view()
+    for du in diagrams[:6]:
+        for dv in diagrams[-6:]:
+            prod, _ = du.multiply(dv)
+            try:
+                want = row_view_reference(prod)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    prod.row_view()
+            else:
+                assert prod.row_view() == want

@@ -3,6 +3,7 @@ from typing import NamedTuple
 
 import pytest
 
+from diagram_gram.diagrams import RowView
 from diagram_gram.gram import enumerate_diagrams
 from diagram_gram.partitions import SetPartition
 from diagram_gram.z2diagrams import Z2Diagram, top_index
@@ -133,6 +134,22 @@ def test_stability_is_validated():
     blocks = [[0, 2], [1], [3], [4], [5], [6], [7]]
     with pytest.raises(ValueError):
         Z2Diagram(k, SetPartition(4 * k, blocks))
+
+
+def test_mask_constructors_check_the_flip():
+    # (1,e) joined with (2,e) but (1,g) not with (2,g), as in the test above
+    k = 2
+    masks = (0b101, 0b10, 0b1000, 1 << 4, 1 << 5, 1 << 6, 1 << 7)
+    with pytest.raises(ValueError):
+        Z2Diagram.from_masks(k, masks)
+    view = RowView(blocks=(0b101, 0b10, 0b1000), through=(0,), fixed=(False,) * 3)
+    with pytest.raises(ValueError):
+        Z2Diagram.from_view(k, view)
+    # the flip-stable neighbour passes every constructor alike
+    stable = RowView(blocks=(0b101, 0b1010), through=(0, 1), fixed=(False, False))
+    built = Z2Diagram.from_view(k, stable)
+    assert built == Z2Diagram.from_masks(k, built.masks) == Z2Diagram(k, built.part)
+    assert str(built) == "{1e,2e,1'e,2'e|1g,2g,1'g,2'g}"
 
 
 def test_flip_fixed_block_odd_size_rejected():
