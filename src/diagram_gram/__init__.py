@@ -19,7 +19,6 @@ from .gram import (
     enumerate_diagrams,
     projected_dimension,
 )
-from .partitions import SetPartition
 from .polynomials import Poly, phi_z2
 from .reduction import (
     BlockDecomposition,
@@ -50,7 +49,6 @@ __all__ = [
     "PartitionDiagram",
     "Poly",
     "ResourceGuardError",
-    "SetPartition",
     "Verdict",
     "WindowError",
     "Z2Diagram",

@@ -2,12 +2,11 @@
 
 Vertex convention shared by every module: top vertex i (1-based) maps to
 index i-1, bottom vertex i' maps to k+i-1. A diagram is stored as the
-bitmasks of its blocks over both rows, ordered by least point, which is
-the order of `SetPartition.blocks`; equality, hashing, the propagating
-number, the row view and multiplication read those masks. The
-`SetPartition` itself, `part`, is built only when read: by the
-whole-diagram oracles and the tests. A mask becomes its points in O(its
-popcount), so a diagram of thousands of points renders in linear time.
+bitmasks of its blocks over both rows, ordered by least point, and has no
+other form: equality, hashing, the propagating number, the row view,
+multiplication and the whole-diagram oracles in `reduction` read those
+masks. A mask becomes its points in O(its popcount), so a diagram of
+thousands of points renders in linear time.
 
 Multiplication stacks one diagram above another: the lower diagram's masks
 are shifted by one row, so that its top row lands on the upper one's bottom
@@ -31,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-from .partitions import SetPartition
 
 __all__ = ["Diagram", "PartitionDiagram", "RowView", "even_mask", "flip", "points"]
 
@@ -90,22 +87,13 @@ class Diagram:
     `masks`, the bitmasks of its blocks ordered by least point.
 
     `PartitionDiagram` has one point per fibre in a row and `Z2Diagram` two.
-    A diagram is built from a `SetPartition` (`cls(k, part)`), from its
-    masks (`from_masks`) or from its row view (`from_view`). Instances are
-    immutable; two diagrams are equal when they are of one class and have
-    the same k and masks.
+    A diagram is built from its masks (`from_masks`) or from its row view
+    (`from_view`). Instances are immutable; two diagrams are equal when
+    they are of one class and have the same k and masks.
     """
 
-    __slots__ = ("k", "masks", "_part", "_view")
+    __slots__ = ("k", "masks", "_view")
     per_fibre = 1
-
-    def __init__(self, k: int, part: SetPartition):
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if part.n != 2 * self.per_fibre * k:
-            raise ValueError(f"expected ground size {2 * self.per_fibre * k}, got {part.n}")
-        self._set(k, tuple(sum(1 << v for v in block) for block in part.blocks))
-        object.__setattr__(self, "_part", part)
 
     @classmethod
     def from_masks(cls, k: int, masks: tuple[int, ...]):
@@ -139,16 +127,6 @@ class Diagram:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def part(self) -> SetPartition:
-        """The diagram as a `SetPartition` of its points, built on first read."""
-        try:
-            return self._part
-        except AttributeError:
-            part = SetPartition(2 * self.per_fibre * self.k, map(points, self.masks))
-            object.__setattr__(self, "_part", part)
-            return part
 
     def propagating_number(self) -> int:
         """Number of blocks meeting both the top and the bottom row."""
@@ -194,30 +172,15 @@ class Diagram:
         object.__setattr__(self, "_view", view)
         return view
 
-    # -- identity and rendering ----------------------------------------------
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.k}, {self.part!r})"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.k == other.k and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.masks))
-
-
-class PartitionDiagram(Diagram):
-    """A set partition of {0..2k-1} viewed as a two-row diagram."""
-
-    __slots__ = ()
+    # -- algebra -------------------------------------------------------------
 
     def multiply(self, other: Diagram) -> tuple[Diagram, int]:
         """Stack self above other; return (resulting diagram, middle loops).
 
-        Both are diagrams of one class. A `Z2Diagram` multiplies here too,
-        as the partition diagram on two rows of 2k points with the same
-        masks; the product is built in the factors' class, so a doubled
-        product's flip is checked."""
+        Both are diagrams of one class. A `Z2Diagram` multiplies as the
+        partition diagram on two rows of 2k points with the same masks; the
+        product is built in the factors' class, so a doubled product's flip
+        is checked."""
         if type(other) is not type(self):
             raise TypeError("cannot multiply diagrams of different families")
         if self.k != other.k:
@@ -255,6 +218,23 @@ class PartitionDiagram(Diagram):
                 loops += 1
         masks.sort(key=lambda m: m & -m)
         return type(self).from_masks(self.k, tuple(masks)), loops
+
+    # -- identity and rendering ----------------------------------------------
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.from_masks({self.k}, {self.masks!r})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.k == other.k and self.masks == other.masks
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.masks))
+
+
+class PartitionDiagram(Diagram):
+    """A set partition of {0..2k-1} viewed as a two-row diagram."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         k = self.k

@@ -47,7 +47,7 @@ class Family:
     `unit_choices(m)` gives the (role, section) choices of a group of m
     fibers, `alpha_roles` the roles whose class sizes make up a key's
     shape, `assemble(k, units)` the basis diagram of a configuration, built
-    from its `RowView` with no `SetPartition`, and
+    from its `RowView`, and
     `row_ok(k, s1, s2, r1, r2)` whether a row of that stored profile lies
     in the family. `ambient` names the unrestricted family whose basis
     contains this one's, `has_rho` says whether the reduction keeps a

@@ -4,8 +4,8 @@ The matrix rows are the mirror-symmetric diagrams with a prescribed
 through-class profile, ordered by (weighted edge count, plain edge count,
 shape, canonical encoding). `Family.assemble` builds each one's row view
 and block masks straight from its row configuration, and the canonical
-encoding is read off the masks: the blocks as point tuples, in the order of
-`SetPartition.blocks`, which no stage builds. An entry is the monomial x**loops of the product
+encoding is read off the masks: the blocks as ascending point tuples,
+ordered by least point. An entry is the monomial x**loops of the product
 of its row and column diagrams when that product keeps the full through
 count, and the zero polynomial otherwise.
 
@@ -15,7 +15,7 @@ basis diagram is a row partition P plus a set of through blocks (its
 the middle row becomes the join of P_u and P_v. The product keeps all
 `target` through blocks iff every join block holds as many through blocks
 of u as of v, and that number is 0 or 1; the loops are then the join blocks
-holding none, #join - target of them. `PartitionDiagram.multiply` is not
+holding none, #join - target of them. `Diagram.multiply` is not
 used here; the tests and `verify` compare these entries against it.
 
 G is invariant under the hyperoctahedral group B_k = Z_2^k ⋊ S_k, which
@@ -230,8 +230,8 @@ def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = 
         _, _, r1, r2 = profile_of(units)
         if family.row_ok(k, s1, s2, r1, r2):
             rows.append((DiagramKey(0, family.alpha(units), r1, r2), family.assemble(k, units)))
-    # ties break on the blocks as point tuples, the order of `part.blocks`;
-    # the diagrams of a profile share most of their blocks
+    # ties break on the blocks as ascending point tuples, ordered by least
+    # point; the diagrams of a profile share most of their blocks
     block_points = lru_cache(maxsize=None)(points)
     rows.sort(key=lambda row: (row[0].sort_key(), tuple(map(block_points, row[1].masks))))
     out = []

@@ -1,22 +1,16 @@
-"""Canonical set partitions of {0..n-1}, their walk and a union-find.
+"""The walk over the set partitions of a sequence, and a union-find.
 
 A diagram is a set partition of two rows of vertices, stored as the
-bitmasks of its blocks (`diagrams`); its `SetPartition` is built only for
-the whole-diagram oracles and the tests. `set_partitions` walks the
-groupings of fibres that the row configurations are built from, and
-`UnionFind` joins the connected components of the determinants.
-
-A partition is stored in canonical form: each block a sorted tuple, blocks
-ordered by minimal element. Two partitions compare equal iff their canonical
-forms are identical, so instances can be hashed, deduplicated and used as
-cache keys.
+bitmasks of its blocks (`diagrams`). `set_partitions` walks the groupings
+of fibres that the row configurations are built from, and `UnionFind`
+joins the connected components of the determinants.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-__all__ = ["SetPartition", "UnionFind", "set_partitions"]
+__all__ = ["UnionFind", "set_partitions"]
 
 
 class UnionFind:
@@ -51,56 +45,6 @@ class UnionFind:
         for v in range(len(self.parent)):
             groups.setdefault(self.find(v), []).append(v)
         return sorted(groups.values())
-
-
-class SetPartition:
-    """An immutable partition of {0..n-1} into disjoint nonempty blocks."""
-
-    __slots__ = ("n", "blocks", "block_index")
-
-    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        if n < 0:
-            raise ValueError(f"ground size must be nonnegative, got {n}")
-        canon = sorted(tuple(sorted(b)) for b in blocks)
-        index = [-1] * n
-        seen = 0
-        for bi, block in enumerate(canon):
-            if not block:
-                raise ValueError("empty block")
-            for v in block:
-                if not 0 <= v < n:
-                    raise ValueError(f"element {v} out of range for ground size {n}")
-                if index[v] != -1:
-                    raise ValueError(f"element {v} occurs in two blocks")
-                index[v] = bi
-            seen += len(block)
-        if seen != n:
-            missing = [v for v in range(n) if index[v] == -1]
-            raise ValueError(f"blocks do not cover the ground set, missing {missing}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", tuple(canon))
-        object.__setattr__(self, "block_index", tuple(index))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
-
-    # -- dunder --------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
-
-    def __str__(self) -> str:
-        return "{" + "|".join(",".join(str(v) for v in b) for b in self.blocks) + "}"
-
-    def __repr__(self) -> str:
-        return f"SetPartition({self.n}, {list(map(list, self.blocks))})"
 
 
 def set_partitions(items: Sequence, min_blocks: int = 0) -> Iterator[list[list]]:

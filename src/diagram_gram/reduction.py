@@ -46,9 +46,10 @@ through blocks, flip-fixed flags). A role swap is a pair with one row
 partition and two different through sets; (t1, t2) count the through
 blocks only u has. `diagram_coarser_or_equal` decides the coarsening on
 whole diagrams; it is the oracle the tests and `verify` compare the poset
-against. It is one walk over the blocks' through and flip types for every
-family, a plain diagram's blocks all being flip-fixed. The role-swap oracle
-on whole diagrams, `swap_pair_parameters`, lives in the tests.
+against. It is one walk over the block masks and their through and flip
+types for every family, a plain diagram's blocks all being flip-fixed.
+The role-swap oracle on whole diagrams, `swap_pair_parameters`, lives in
+the tests.
 
 Orbit representatives. G is invariant under the index permutations
 `GramMatrix.generators` (see `gram`), and `GramMatrix.orbits` checks that
@@ -92,6 +93,7 @@ from functools import cached_property, lru_cache
 from itertools import compress
 from operator import attrgetter
 
+from .diagrams import even_mask, flip
 from .gram import (
     DEFAULT_GUARD,
     DiagramKey,
@@ -125,17 +127,20 @@ __all__ = [
 
 
 def block_types(diagram) -> list[tuple[bool, bool]]:
-    """(is_through, is_flip_fixed) of each block of a whole diagram.
+    """(is_through, is_flip_fixed) of each block of a whole diagram, read
+    off its masks.
 
-    The flip exchanges the points 2i and 2i+1 of a doubled row and fixes
-    every point of a plain row, which has one point per fibre: so every
-    plain block is flip-fixed.
+    A block is through when it meets both rows. The flip exchanges the
+    points 2i and 2i+1 of a doubled row and fixes every point of a plain
+    row, which has one point per fibre: so every plain block is flip-fixed.
     """
-    part = diagram.part
-    row = part.n // 2
-    flip = part.n // (2 * diagram.k) - 1  # points per fibre in a row, less one
-    index = part.block_index
-    return [(b[0] < row <= b[-1], index[b[0] ^ flip] == index[b[0]]) for b in part.blocks]
+    row = diagram.per_fibre * diagram.k
+    top = (1 << row) - 1
+    through = [bool(m & top and m >> row) for m in diagram.masks]
+    if diagram.per_fibre == 1:
+        return [(t, True) for t in through]
+    even = even_mask(2 * row)
+    return [(t, flip(m, even) == m) for t, m in zip(through, diagram.masks)]
 
 
 def diagram_coarser_or_equal(da, db, types_a=None, types_b=None) -> bool:
@@ -147,7 +152,8 @@ def diagram_coarser_or_equal(da, db, types_a=None, types_b=None) -> bool:
     a plain partition diagram is flip-fixed, so there the flip types always
     agree. Without the one-to-one requirement the relation would identify
     pairs whose product drops the through count, and the block reduction
-    degenerates.
+    degenerates. The target of a block of db is the block of da holding
+    its least point.
 
     `types_a` and `types_b` are `block_types(da)` and `block_types(db)`,
     built here unless given: a caller that compares every pair of a basis
@@ -155,15 +161,18 @@ def diagram_coarser_or_equal(da, db, types_a=None, types_b=None) -> bool:
     """
     if type(da) is not type(db):
         raise TypeError("cannot compare diagrams of different families")
-    index_a = da.part.block_index
+    masks_a = da.masks
     if types_a is None:
         types_a = block_types(da)
     if types_b is None:
         types_b = block_types(db)
     used_through: set[int] = set()
-    for block, (b_through, b_fixed) in zip(db.part.blocks, types_b):
-        target = index_a[block[0]]
-        if any(index_a[v] != target for v in block[1:]):
+    for block, (b_through, b_fixed) in zip(db.masks, types_b):
+        low = block & -block
+        for target, a in enumerate(masks_a):
+            if a & low:
+                break
+        if block & ~a:
             return False
         a_through, a_fixed = types_a[target]
         if b_through:

@@ -7,10 +7,10 @@ is index XOR 1; a diagram is admissible only when that flip maps its
 blocks to its blocks, which every constructor checks on the block masks
 (`diagrams.Diagram`), including the one the products go through.
 
-Such a diagram embeds as an ordinary partition diagram on 2k+2k vertices,
-with the same masks, and multiplication is inherited through that
-embedding. The pipeline reads a diagram through its `RowView`: row blocks,
-through blocks and flip-fixed flags. A plain partition diagram is the
+Such a diagram is an ordinary partition diagram on 2k+2k vertices, with
+the same masks, and multiplies as one (`Diagram.multiply`). The pipeline
+reads a diagram through its `RowView`: row blocks, through blocks and
+flip-fixed flags. A plain partition diagram is the
 flip-fixed slice of these (its flip fixes every point), so the oracles in
 `reduction` and `stirling` walk both kinds alike. The whole-diagram class
 counts and the signed membership test, which the enumeration is checked
@@ -19,7 +19,7 @@ against, are oracles in the tests.
 
 from __future__ import annotations
 
-from .diagrams import Diagram, PartitionDiagram, even_mask, points
+from .diagrams import Diagram, even_mask, points
 
 __all__ = ["Z2Diagram", "top_index"]
 
@@ -43,13 +43,6 @@ class Z2Diagram(Diagram):
         if {(m & even) << 1 | (m >> 1) & even for m in masks} != set(masks):
             raise ValueError("partition is not stable under the e/g flip")
         super()._set(k, masks)
-
-    # -- algebra -------------------------------------------------------------
-
-    def multiply(self, other: "Z2Diagram") -> tuple["Z2Diagram", int]:
-        """The product of the embedded partition diagrams on two rows of 2k
-        points, as a `Z2Diagram`."""
-        return PartitionDiagram.multiply(self, other)
 
     # -- rendering -----------------------------------------------------------
 

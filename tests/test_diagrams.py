@@ -3,25 +3,27 @@ import random
 
 import pytest
 
-from diagram_gram.diagrams import PartitionDiagram
+from diagram_gram.diagrams import PartitionDiagram, points
 from diagram_gram.gram import enumerate_diagrams
-from diagram_gram.partitions import SetPartition, set_partitions
+from diagram_gram.partitions import set_partitions
+from diagram_gram.z2diagrams import Z2Diagram
+from test_partitions import make_diagram
 
 
 def all_diagrams(k):
-    return [PartitionDiagram(k, SetPartition(2 * k, b)) for b in set_partitions(range(2 * k))]
+    return [make_diagram(PartitionDiagram, k, b) for b in set_partitions(range(2 * k))]
 
 
 def identity(k):
     """The identity diagram: each top vertex joined to its bottom vertex."""
-    return PartitionDiagram(k, SetPartition(2 * k, [[i, k + i] for i in range(k)]))
+    return make_diagram(PartitionDiagram, k, [[i, k + i] for i in range(k)])
 
 
 def from_signed_blocks(k, blocks):
     """The diagram of blocks of 1-based signed vertices: +i is top i, -i is
     bottom i'."""
     conv = [[(v - 1) if v > 0 else (k - v - 1) for v in block] for block in blocks]
-    return PartitionDiagram(k, SetPartition(2 * k, conv))
+    return make_diagram(PartitionDiagram, k, conv)
 
 
 def test_identity():
@@ -36,7 +38,7 @@ def test_identity():
 
 
 def test_single_vertex_shape_squares_to_itself_with_one_loop():
-    d = PartitionDiagram(1, SetPartition(2, [[0], [1]]))
+    d = make_diagram(PartitionDiagram, 1, [[0], [1]])
     prod, loops = d.multiply(d)
     assert prod == d
     assert loops == 1
@@ -45,7 +47,7 @@ def test_single_vertex_shape_squares_to_itself_with_one_loop():
 
 def test_propagating_examples():
     k = 3
-    singles = PartitionDiagram(k, SetPartition(2 * k, [[v] for v in range(2 * k)]))
+    singles = make_diagram(PartitionDiagram, k, [[v] for v in range(2 * k)])
     assert singles.propagating_number() == 0
     assert identity(k).propagating_number() == k
 
@@ -103,10 +105,23 @@ def test_multiply_result_is_canonical_and_size_preserving():
     a = from_signed_blocks(2, [[1, -2], [2], [-1]])
     b = from_signed_blocks(2, [[1, 2, -1], [-2]])
     prod, _ = a.multiply(b)
-    assert prod.part.n == 4
-    assert prod.part == SetPartition(4, prod.part.blocks)
+    # masks ordered by least point, partitioning the four points
+    assert make_diagram(PartitionDiagram, 2, map(points, prod.masks)).masks == prod.masks
 
 
 def test_text_and_signed_blocks_roundtrip():
     d = from_signed_blocks(2, [[1, -2], [2], [-1]])
     assert str(d) == "[{1,2'}|{2}|{1'}]"
+
+
+@pytest.mark.parametrize(
+    "profile", [("partition", 3, 1), ("partition", 2, 0), ("z2", 2, 1, 0), ("signed", 3, 1, 0)]
+)
+def test_repr_evaluates_to_an_equal_diagram(profile):
+    # basis diagrams come from their row views, products from their masks
+    basis = [d for _, d in enumerate_diagrams(*profile)]
+    products = [a.multiply(b)[0] for a in basis[:5] for b in basis[-5:]]
+    for d in basis + products:
+        again = eval(repr(d), {"PartitionDiagram": PartitionDiagram, "Z2Diagram": Z2Diagram})
+        assert type(again) is type(d) and again == d
+    assert repr(identity(2)) == "PartitionDiagram.from_masks(2, (5, 10))"

@@ -17,11 +17,12 @@ from diagram_gram.gram import (
     enumerate_diagrams,
     projected_dimension,
 )
-from diagram_gram.partitions import SetPartition, set_partitions
+from diagram_gram.partitions import set_partitions
 from diagram_gram.reduction import diagram_coarser_or_equal
 from diagram_gram.semisimplicity import admissible_profiles
 from diagram_gram.stirling import coarser_profile_counts
 from diagram_gram.z2diagrams import Z2Diagram, top_index
+from test_partitions import make_diagram, part_of
 from test_row_view import row_view_reference
 
 CASES = [
@@ -113,7 +114,8 @@ def generate_and_filter(algebra, k):
             s1, s2, r1, r2 = profile_of(units)
             if family.row_ok(k, s1, s2, r1, r2):
                 key = DiagramKey(0, family.alpha(units), r1, r2)
-                rows.setdefault((s1, s2), []).append((key, family.assemble(k, units).part.blocks))
+                blocks = part_of(family.assemble(k, units)).blocks
+                rows.setdefault((s1, s2), []).append((key, blocks))
     return {profile: numbered(found) for profile, found in rows.items()}
 
 
@@ -136,7 +138,7 @@ def test_enumeration_matches_generate_and_filter(algebra, k):
     reference = generate_and_filter(algebra, k)
     for s1, s2 in FAMILIES[algebra].profiles(k):
         basis = enumerate_diagrams(algebra, k, s1, s2, guard=10**6)
-        assert [(key, d.part.blocks) for key, d in basis] == reference.get((s1, s2), [])
+        assert [(key, part_of(d).blocks) for key, d in basis] == reference.get((s1, s2), [])
 
 
 def assemble_reference(algebra, k, units):
@@ -163,12 +165,12 @@ def assemble_reference(algebra, k, units):
             else:
                 blocks.extend([top, bottom])
     cls = PartitionDiagram if family.plain else Z2Diagram
-    return cls(k, SetPartition(2 * row, blocks))
+    return make_diagram(cls, k, blocks)
 
 
 def enumerate_reference(algebra, k, s1, s2):
     """The ordered basis from `assemble_reference`, sorted with ties broken
-    on `part.blocks` and numbered within each cell: the oracle for
+    on the `SetPartition` blocks and numbered within each cell: the oracle for
     `enumerate_diagrams`, whose tie key is built from the block masks."""
     family = FAMILIES[algebra]
     rows = []
@@ -177,12 +179,12 @@ def enumerate_reference(algebra, k, s1, s2):
         if family.row_ok(k, s1, s2, r1, r2):
             key = DiagramKey(0, family.alpha(units), r1, r2)
             rows.append((key, assemble_reference(algebra, k, units)))
-    return numbered(rows, tie=lambda diagram: diagram.part.blocks)
+    return numbered(rows, tie=lambda diagram: part_of(diagram).blocks)
 
 
 def render_reference(diagram):
     """The text of a diagram, read off its `SetPartition`."""
-    blocks = diagram.part.blocks
+    blocks = part_of(diagram).blocks
     if isinstance(diagram, PartitionDiagram):
         k = diagram.k
         return "[" + "|".join(
@@ -213,14 +215,13 @@ MASK_PROFILES = (
 
 @pytest.mark.parametrize("profile", MASK_PROFILES, ids=str)
 def test_mask_built_basis_equals_the_set_partition_assembly(profile):
-    # keys, order, partition, row view and text of every basis diagram
+    # keys, order, masks, row view and text of every basis diagram
     basis = enumerate_diagrams(*profile, guard=10**6)
     reference = enumerate_reference(*profile)
     assert [key for key, _ in basis] == [key for key, _ in reference]
     for (_, diagram), (_, want) in zip(basis, reference):
         assert type(diagram) is type(want)
         assert diagram.masks == want.masks and diagram == want
-        assert diagram.part == want.part
         assert diagram.row_view() == row_view_reference(want)
         assert str(diagram) == render_reference(want)
 
@@ -234,9 +235,8 @@ def embed(diagram):
     """The doubled diagram that uses both points of each fibre of a plain
     diagram: vertex v becomes the points 2v and 2v+1, on either row, so
     every block is flip-fixed."""
-    k = diagram.k
-    blocks = [[p for v in block for p in (2 * v, 2 * v + 1)] for block in diagram.part.blocks]
-    return Z2Diagram(k, SetPartition(4 * k, blocks))
+    blocks = [[p for v in block for p in (2 * v, 2 * v + 1)] for block in part_of(diagram).blocks]
+    return make_diagram(Z2Diagram, diagram.k, blocks)
 
 
 @pytest.mark.parametrize("k", range(1, 5))

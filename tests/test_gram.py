@@ -19,13 +19,12 @@ from diagram_gram.gram import (
     projected_dimension,
     row_partition_groups,
 )
-from diagram_gram.partitions import SetPartition
 from diagram_gram.polynomials import Poly
 from diagram_gram.reduction import reduced_decomposition
 from diagram_gram.semisimplicity import admissible_profiles
 from diagram_gram.stirling import binomial
 from diagram_gram.z2diagrams import Z2Diagram, top_index
-from test_partitions import block_of, restrict
+from test_partitions import block_of, make_diagram, part_of, restrict
 from test_reduction import PROFILES
 
 
@@ -68,26 +67,26 @@ def underlying_partition(diagram):
     """Shape tuple of a mirror-symmetric diagram: sorted class sizes by role;
     the inverse of `standard_diagram` on shapes."""
     if isinstance(diagram, PartitionDiagram):
-        k = diagram.k
-        top = restrict(diagram.part, range(k))
-        if top != restrict(diagram.part, range(k, 2 * k)):
+        k, part = diagram.k, part_of(diagram)
+        top = restrict(part, range(k))
+        if top != restrict(part, range(k, 2 * k)):
             raise ValueError("diagram is not mirror-symmetric")
         through, horiz = [], []
         for block in top.blocks:
-            full = block_of(diagram.part, block[0])
+            full = block_of(part, block[0])
             (through if full[-1] >= k else horiz).append(len(block))
         return (tuple(sorted(through, reverse=True)), tuple(sorted(horiz, reverse=True)))
     if not isinstance(diagram, Z2Diagram):
         raise TypeError(f"unsupported diagram type {type(diagram).__name__}")
     diagram.row_view()  # raises ValueError unless mirror-symmetric
-    half = 2 * diagram.k
-    top = restrict(diagram.part, range(half))
+    half, part = 2 * diagram.k, part_of(diagram)
+    top = restrict(part, range(half))
     sizes = {"s1": [], "s2": [], "r1": [], "r2": []}
     for bi, block in enumerate(top.blocks):
         conj = top.block_index[block[0] ^ 1]
         if conj < bi:
             continue  # one count per conjugate pair
-        is_through = block_of(diagram.part, block[0])[-1] >= half
+        is_through = block_of(part, block[0])[-1] >= half
         if conj == bi:
             sizes["s2" if is_through else "r2"].append(len(block) // 2)
         else:
@@ -226,7 +225,7 @@ def test_underlying_partition_requires_symmetry():
         [top_index(2, 0), 2 * k + top_index(1, 0)],
         [top_index(2, 1), 2 * k + top_index(1, 1)],
     ]
-    d = Z2Diagram(k, SetPartition(4 * k, blocks))
+    d = make_diagram(Z2Diagram, k, blocks)
     with pytest.raises(ValueError):
         underlying_partition(d)
 
@@ -245,8 +244,8 @@ def test_conjugation_orbits_match_cells():
                 dst = top_index(sigma[i - 1], s ^ eps[i - 1])
                 mapping[src] = dst
                 mapping[src + 2 * k] = dst + 2 * k
-        blocks = [[mapping[v] for v in block] for block in diagram.part.blocks]
-        return Z2Diagram(k, SetPartition(4 * k, blocks))
+        blocks = [[mapping[v] for v in block] for block in part_of(diagram).blocks]
+        return make_diagram(Z2Diagram, k, blocks)
 
     for s1, s2 in ((1, 0), (0, 1), (1, 1)):
         basis = enumerate_diagrams("z2", k, s1, s2)
@@ -293,8 +292,8 @@ def swapped_diagram(diagram):
     both rows, read off the whole partition: the oracle for the e/g swap of
     `GramMatrix.generators`."""
     row = 2 * diagram.k
-    blocks = [[v ^ 1 if v % row < 2 else v for v in block] for block in diagram.part.blocks]
-    return Z2Diagram(diagram.k, SetPartition(diagram.part.n, blocks))
+    blocks = [[v ^ 1 if v % row < 2 else v for v in block] for block in part_of(diagram).blocks]
+    return make_diagram(Z2Diagram, diagram.k, blocks)
 
 
 def dense_gram_exponents(algebra, k, s1, s2=0):
@@ -350,16 +349,15 @@ def permuted_diagram(diagram, sigma):
     """The diagram with every vertex of fibre i moved to fibre sigma[i],
     on both rows, keeping e and g apart: the oracle for
     `fibre_permutation`, read off the whole partition, not its row view."""
-    k, n = diagram.k, diagram.part.n
-    per = n // (2 * k)  # points per fibre in one row
+    k, per = diagram.k, diagram.per_fibre  # points per fibre in one row
     row = per * k
 
     def image(v):
         point = v % row
         return v - point + per * sigma[point // per] + point % per
 
-    blocks = [[image(v) for v in block] for block in diagram.part.blocks]
-    return type(diagram)(k, SetPartition(n, blocks))
+    blocks = [[image(v) for v in block] for block in part_of(diagram).blocks]
+    return make_diagram(type(diagram), k, blocks)
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=str)

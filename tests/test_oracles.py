@@ -14,9 +14,10 @@ import sympy
 from diagram_gram.determinant import det_direct
 from diagram_gram.diagrams import PartitionDiagram
 from diagram_gram.gram import build_gram, enumerate_diagrams
-from diagram_gram.partitions import SetPartition, set_partitions
+from diagram_gram.partitions import set_partitions
 from diagram_gram.polynomials import Poly
 from diagram_gram.z2diagrams import Z2Diagram
+from test_partitions import make_diagram, part_of
 
 
 def multiply_oracle(d1: PartitionDiagram, d2: PartitionDiagram):
@@ -28,12 +29,12 @@ def multiply_oracle(d1: PartitionDiagram, d2: PartitionDiagram):
         edges[a].add(b)
         edges[b].add(a)
 
-    for block in d1.part.blocks:
+    for block in part_of(d1).blocks:
         for a in block:
             for b in block:
                 if a != b:
                     connect(a, b)
-    for block in d2.part.blocks:
+    for block in part_of(d2).blocks:
         for a in block:
             for b in block:
                 if a != b:
@@ -60,12 +61,12 @@ def multiply_oracle(d1: PartitionDiagram, d2: PartitionDiagram):
         outer = [v if v < k else v - k for v in comp if v < k or v >= 2 * k]
         if outer:
             blocks.append(outer)
-    return PartitionDiagram(k, SetPartition(2 * k, blocks)), loops
+    return make_diagram(PartitionDiagram, k, blocks), loops
 
 
 def random_diagram(rng, k):
     parts = list(set_partitions(range(2 * k)))
-    return PartitionDiagram(k, SetPartition(2 * k, rng.choice(parts)))
+    return make_diagram(PartitionDiagram, k, rng.choice(parts))
 
 
 def test_multiplication_against_bfs_oracle():
@@ -78,7 +79,7 @@ def test_multiplication_against_bfs_oracle():
 
 def test_multiplication_oracle_exhaustive_k2():
     diagrams = [
-        PartitionDiagram(2, SetPartition(4, blocks)) for blocks in set_partitions(range(4))
+        make_diagram(PartitionDiagram, 2, blocks) for blocks in set_partitions(range(4))
     ]
     for a in diagrams:
         for b in diagrams:
@@ -86,13 +87,13 @@ def test_multiplication_oracle_exhaustive_k2():
 
 
 def test_multiplication_of_products_against_bfs_oracle():
-    # a product is built from block masks; the oracle reads its SetPartition
+    # a product is built from block masks; the oracle reads its `part_of`
     rng = random.Random(23)
     for k in (2, 3, 4):
         parts = list(set_partitions(range(2 * k)))
         for _ in range(40):
             a, b, c, d = (
-                PartitionDiagram(k, SetPartition(2 * k, rng.choice(parts))) for _ in range(4)
+                make_diagram(PartitionDiagram, k, rng.choice(parts)) for _ in range(4)
             )
             ab, _ = a.multiply(b)
             cd, _ = c.multiply(d)
@@ -104,9 +105,10 @@ def z2_multiply_oracle(a: Z2Diagram, b: Z2Diagram):
     """The product of two doubled diagrams as that of the partition
     diagrams on two rows of 2k points with the same partitions."""
     prod, loops = multiply_oracle(
-        PartitionDiagram(2 * a.k, a.part), PartitionDiagram(2 * b.k, b.part)
+        PartitionDiagram.from_masks(2 * a.k, a.masks),
+        PartitionDiagram.from_masks(2 * b.k, b.masks),
     )
-    return Z2Diagram(a.k, prod.part), loops
+    return Z2Diagram.from_masks(a.k, prod.masks), loops
 
 
 def test_z2_multiplication_of_mask_built_diagrams_against_bfs_oracle():
@@ -124,8 +126,8 @@ def test_z2_multiplication_of_mask_built_diagrams_against_bfs_oracle():
 
 
 def test_multiplication_rejects_mixed_families():
-    plain = PartitionDiagram(2, SetPartition(4, [[0, 1, 2, 3]]))
-    doubled = Z2Diagram(1, SetPartition(4, [[0, 1, 2, 3]]))
+    plain = make_diagram(PartitionDiagram, 2, [[0, 1, 2, 3]])
+    doubled = make_diagram(Z2Diagram, 1, [[0, 1, 2, 3]])
     with pytest.raises(TypeError):
         plain.multiply(doubled)
     with pytest.raises(TypeError):

@@ -1,11 +1,84 @@
 import itertools
 import random
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagram_gram.partitions import SetPartition, UnionFind, set_partitions
+from diagram_gram.diagrams import points
+from diagram_gram.partitions import UnionFind, set_partitions
+
+
+class SetPartition:
+    """An immutable partition of {0..n-1} into disjoint nonempty blocks.
+
+    It is stored in canonical form: each block a sorted tuple, blocks
+    ordered by least element, so two partitions are equal iff their
+    canonical forms are, and they hash and deduplicate. The package stores
+    a diagram as block masks; the oracles here read it as a `SetPartition`
+    (`part_of`), and the fixtures build diagrams through it
+    (`make_diagram`), which checks that the blocks partition the points.
+    """
+
+    __slots__ = ("n", "blocks", "block_index")
+
+    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
+        if n < 0:
+            raise ValueError(f"ground size must be nonnegative, got {n}")
+        canon = sorted(tuple(sorted(b)) for b in blocks)
+        index = [-1] * n
+        seen = 0
+        for bi, block in enumerate(canon):
+            if not block:
+                raise ValueError("empty block")
+            for v in block:
+                if not 0 <= v < n:
+                    raise ValueError(f"element {v} out of range for ground size {n}")
+                if index[v] != -1:
+                    raise ValueError(f"element {v} occurs in two blocks")
+                index[v] = bi
+            seen += len(block)
+        if seen != n:
+            missing = [v for v in range(n) if index[v] == -1]
+            raise ValueError(f"blocks do not cover the ground set, missing {missing}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", tuple(canon))
+        object.__setattr__(self, "block_index", tuple(index))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SetPartition is immutable")
+
+    # -- dunder --------------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SetPartition)
+            and self.n == other.n
+            and self.blocks == other.blocks
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.blocks))
+
+    def __str__(self) -> str:
+        return "{" + "|".join(",".join(str(v) for v in b) for b in self.blocks) + "}"
+
+    def __repr__(self) -> str:
+        return f"SetPartition({self.n}, {list(map(list, self.blocks))})"
+
+
+def part_of(diagram):
+    """The blocks of a diagram as a `SetPartition` of its points."""
+    return SetPartition(2 * diagram.per_fibre * diagram.k, map(points, diagram.masks))
+
+
+def make_diagram(cls, k, blocks):
+    """The diagram of class `cls` at k whose blocks are `blocks`, point
+    lists over its two rows; raises ValueError unless they partition the
+    points."""
+    part = SetPartition(2 * cls.per_fibre * k, blocks)
+    return cls.from_masks(k, tuple(sum(1 << v for v in block) for block in part.blocks))
 
 
 def block_of(part, v):

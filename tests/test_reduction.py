@@ -18,6 +18,7 @@ from diagram_gram.reduction import (
     _cells_of,
     _congruence,
     _zeta_inverse,
+    block_types,
     coarsening_poset,
     diagram_coarser_or_equal,
     is_rho_key,
@@ -29,7 +30,7 @@ from diagram_gram.reduction import (
 from diagram_gram.stirling import count_coarser_bruteforce
 from diagram_gram.z2diagrams import Z2Diagram
 from diagram_gram.semisimplicity import admissible_profiles
-from test_partitions import restrict
+from test_partitions import part_of, restrict
 
 PROFILES = (
     [
@@ -385,6 +386,79 @@ def test_all_small_reductions_are_clean():
                 assert not dec.hard_diffs(), (algebra, k, s1, s2)
 
 
+def block_types_reference(part, per_fibre):
+    """(is_through, is_flip_fixed) of each block of a diagram's
+    `SetPartition`, which has `per_fibre` points per fibre in a row: the
+    oracle for `block_types`, which reads the block masks. The flip
+    exchanges the points 2i and 2i+1 of a doubled row and fixes every point
+    of a plain row."""
+    row = part.n // 2
+    flip = per_fibre - 1
+    index = part.block_index
+    return [(b[0] < row <= b[-1], index[b[0] ^ flip] == index[b[0]]) for b in part.blocks]
+
+
+def coarser_or_equal_reference(part_a, part_b, types_a, types_b):
+    """Whether the diagram of `part_a` is a coarser diagram of that of
+    `part_b`, given their `block_types_reference`: the oracle for
+    `diagram_coarser_or_equal`, which reads the block masks. Every block
+    of b must lie in one block of a; through blocks land one-to-one in
+    through blocks of their flip type, flip-fixed ones in flip-fixed
+    targets."""
+    index_a = part_a.block_index
+    used_through = set()
+    for block, (b_through, b_fixed) in zip(part_b.blocks, types_b):
+        target = index_a[block[0]]
+        if any(index_a[v] != target for v in block[1:]):
+            return False
+        a_through, a_fixed = types_a[target]
+        if b_through:
+            if not a_through or a_fixed != b_fixed or target in used_through:
+                return False
+            used_through.add(target)
+        elif b_fixed and not a_fixed:
+            return False
+    return True
+
+
+COARSENING_PROFILES = (
+    [("partition", k, s, 0) for k in range(1, 6) for s in range(k + 1)]
+    + [
+        (algebra, k, s1, s2)
+        for algebra in ("z2", "signed")
+        for k in (1, 2, 3)
+        for s1, s2 in FAMILIES[algebra].profiles(k)
+    ]
+    + [("z2", 4, 1, 0), ("signed", 4, 1, 0)]
+)
+
+
+@pytest.mark.parametrize("profile", COARSENING_PROFILES, ids=str)
+def test_mask_coarsening_equals_the_set_partition_oracle(profile):
+    # every ordered pair of the basis, with the types handed in as `verify`
+    # hands them, and built by the call itself on the first row
+    diagrams = [d for _, d in enumerate_diagrams(*profile)]
+    parts = [part_of(d) for d in diagrams]
+    want_types = [block_types_reference(p, d.per_fibre) for p, d in zip(parts, diagrams)]
+    types = [block_types(d) for d in diagrams]
+    assert types == want_types
+    for a, da in enumerate(diagrams):
+        for b, db in enumerate(diagrams):
+            want = coarser_or_equal_reference(parts[a], parts[b], want_types[a], want_types[b])
+            assert diagram_coarser_or_equal(da, db, types[a], types[b]) == want, (a, b)
+            if a == 0:
+                assert diagram_coarser_or_equal(da, db) == want, (a, b)
+
+
+def test_coarsening_rejects_mixed_families():
+    plain = enumerate_diagrams("partition", 2, 1)[0][1]
+    doubled = enumerate_diagrams("z2", 1, 1, 0)[0][1]
+    with pytest.raises(TypeError):
+        diagram_coarser_or_equal(plain, doubled)
+    with pytest.raises(TypeError):
+        diagram_coarser_or_equal(doubled, plain)
+
+
 def swap_pair_parameters(du, dv):
     """Role-swap parameters (t1, t2) for two diagrams on the same row partition.
 
@@ -396,16 +470,16 @@ def swap_pair_parameters(du, dv):
     """
     if isinstance(du, Z2Diagram):
         half = 2 * du.k
-        top_u = restrict(du.part, range(half))
-        top_v = restrict(dv.part, range(half))
+        top_u = restrict(part_of(du), range(half))
+        top_v = restrict(part_of(dv), range(half))
         if top_u != top_v:
             return None
         thr_u = _through_block_set(du, half)
         thr_v = _through_block_set(dv, half)
     else:
         k = du.k
-        top_u = restrict(du.part, range(k))
-        top_v = restrict(dv.part, range(k))
+        top_u = restrict(part_of(du), range(k))
+        top_v = restrict(part_of(dv), range(k))
         if top_u != top_v:
             return None
         thr_u = _through_block_set(du, k)
@@ -427,7 +501,7 @@ def swap_pair_parameters(du, dv):
 
 def _through_block_set(diagram, half):
     out = set()
-    for block in diagram.part.blocks:
+    for block in part_of(diagram).blocks:
         if block[0] < half <= block[-1]:
             out.add(frozenset(v for v in block if v < half))
     return out

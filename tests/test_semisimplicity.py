@@ -1,18 +1,22 @@
 import gc
+import importlib
 import math
+import pkgutil
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
+import diagram_gram
 from diagram_gram import reduction, semisimplicity
 from diagram_gram.determinant import DetResult, det_blocks
+from diagram_gram.diagrams import Diagram, PartitionDiagram
 from diagram_gram.gram import DEFAULT_GUARD, GramMatrix, build_gram, enumerate_diagrams
-from diagram_gram.partitions import SetPartition
 from diagram_gram.polynomials import Poly, linear_factor, quadratic_factor
 from diagram_gram.reduction import coarsening_poset, reduced_decomposition
 from diagram_gram.semisimplicity import FactorRecord, admissible_profiles, global_poly, verdict
+from diagram_gram.z2diagrams import Z2Diagram
 
 
 def test_partition_k1_global_poly():
@@ -142,29 +146,28 @@ def test_verdict_never_renders_the_gram_entries(monkeypatch):
 
 
 def test_verdict_builds_no_set_partition_and_no_prediction(monkeypatch):
-    # the diagrams are block masks, and a decomposition builds its
-    # closed-form predictions only when they are read
-    built, predicted = [], []
-    init, predict = SetPartition.__init__, reduction.predicted_blocks
-
-    def recorded_init(part, n, blocks):
-        built.append(n)
-        init(part, n, blocks)
+    # a diagram is its block masks and nothing else: the package defines no
+    # SetPartition and a diagram has no `part`. A decomposition builds its
+    # closed-form predictions only when they are read.
+    for module in pkgutil.iter_modules(diagram_gram.__path__):
+        assert not hasattr(importlib.import_module(f"diagram_gram.{module.name}"), "SetPartition")
+    for cls in (Diagram, PartitionDiagram, Z2Diagram):
+        assert not hasattr(cls, "part") and "_part" not in cls.__slots__
+    predicted = []
+    predict = reduction.predicted_blocks
 
     def recorded_predict(gram, cells):
         predicted.append((gram.s1, gram.s2))
         return predict(gram, cells)
 
-    monkeypatch.setattr(SetPartition, "__init__", recorded_init)
     monkeypatch.setattr(reduction, "predicted_blocks", recorded_predict)
     for cached in (enumerate_diagrams, build_gram, reduced_decomposition, global_poly):
         cached.cache_clear()
     assert not verdict("z2", 3, 2).semisimple
     assert build_gram.cache_info().misses == len(admissible_profiles("z2", 3))
-    assert built == [] and predicted == []
-    # the recorders see a read
+    assert predicted == []
+    # the recorder sees a read
     decomposition = reduced_decomposition("z2", 3, 1, 0)
-    assert decomposition.gram.diagrams[0].part.n == 12 and built == [12]
     assert decomposition.diffs == () and predicted == [(1, 0)]
 
 

@@ -12,7 +12,7 @@ from diagram_gram.stirling import (
 )
 from diagram_gram.z2diagrams import Z2Diagram
 from test_gram import standard_diagram
-from test_partitions import block_of, restrict
+from test_partitions import block_of, part_of, restrict
 
 
 def test_stirling2_examples():
@@ -131,10 +131,10 @@ def _z2_row_units(diagram):
     Returns (blocks, conj, through) where conj[i] is the index of the
     flip-conjugate of block i, which is i for a flip-fixed block.
     """
-    half = 2 * diagram.k
-    top = restrict(diagram.part, range(half))
+    half, part = 2 * diagram.k, part_of(diagram)
+    top = restrict(part, range(half))
     blocks = list(top.blocks)
-    through = [block_of(diagram.part, block[0])[-1] >= half for block in blocks]
+    through = [block_of(part, block[0])[-1] >= half for block in blocks]
     index = top.block_index
     conj = [index[b[0] ^ 1] for b in blocks]
     return blocks, conj, through
@@ -176,11 +176,11 @@ def _reference_z2(diagram, target):
 
 
 def _reference_partition(diagram, target):
-    k = diagram.k
-    blocks = list(restrict(diagram.part, range(k)).blocks)
+    k, part = diagram.k, part_of(diagram)
+    blocks = list(restrict(part, range(k)).blocks)
     through = []
     for block in blocks:
-        full = block_of(diagram.part, block[0])
+        full = block_of(part, block[0])
         through.append(full[-1] >= k)
     count = 0
     for grouping in set_partitions(range(len(blocks))):

@@ -8,10 +8,26 @@ import pytest
 
 from diagram_gram import cli, verify
 from diagram_gram.cli import main
-from diagram_gram.diagrams import PartitionDiagram
+from diagram_gram.diagrams import Diagram
 from diagram_gram.families import FAMILIES
 from diagram_gram.gram import DEFAULT_GUARD, build_gram, enumerate_diagrams
 from diagram_gram.reduction import reduced_decomposition
+
+
+# sha256 of `verify` stdout, seconds masked, recorded before the coarsening
+# oracle read block masks; it is the same at `--k 1`, 2 and 3, as no line
+# of the output names k
+VERIFY_DIGEST = "676ff47b01a764bb91ac4668e8559f03ff940f051edb2b6efb6b3d45608a2690"
+
+
+def masked_digest(out):
+    """sha256 of `verify` stdout with each line's seconds masked as
+    `sed -E 's/ +[0-9]+\\.[0-9]+s / Xs /'` masks them."""
+    masked = "".join(
+        re.sub(r" +[0-9]+\.[0-9]+s ", " Xs ", line, count=1)
+        for line in out.splitlines(keepends=True)
+    )
+    return hashlib.sha256(masked.encode()).hexdigest()
 
 
 def test_run_all_checks_pass(checks_k3):
@@ -47,6 +63,7 @@ def test_verify_cli_exit_zero(checks_k3, monkeypatch, capsys):
     assert len(lines) == 10  # eight checks plus the two golden comparisons
     assert all(line.startswith("PASS") for line in lines)
     assert "suspected typo in the published table" in out
+    assert masked_digest(out) == VERIFY_DIGEST
 
 
 def test_poset_duality_catches_a_wrong_relation_at_deg_u_ge_deg_v(monkeypatch):
@@ -103,17 +120,17 @@ def test_poset_duality_catches_a_wrong_gram_entry_at_an_equal_degree_pair(profil
 
 
 def test_poset_duality_makes_one_product_per_unordered_pair(monkeypatch):
-    """`Z2Diagram.multiply` multiplies through `PartitionDiagram.multiply`
-    once, so counting the latter counts the products of every family."""
+    """Both diagram classes multiply through `Diagram.multiply`, so counting
+    it counts the products of every family."""
     calls = 0
-    original = PartitionDiagram.multiply
+    original = Diagram.multiply
 
     def counted(self, other):
         nonlocal calls
         calls += 1
         return original(self, other)
 
-    monkeypatch.setattr(PartitionDiagram, "multiply", counted)
+    monkeypatch.setattr(Diagram, "multiply", counted)
     for algebra, family in FAMILIES.items():
         for k in (1, 2):
             for s1, s2 in family.profiles(k):
@@ -194,17 +211,13 @@ def test_each_profile_is_built_and_reduced_once():
 
 
 def test_verify_output_is_pinned(capsys):
-    """`verify --k 2` stdout, with each line's seconds masked as
-    `sed -E 's/ +[0-9]+\\.[0-9]+s / Xs /'` masks them: every check line,
-    its details and the four documented slips of the published table."""
-    assert main(["verify", "--k", "2"]) == 0
-    out = capsys.readouterr().out
-    masked = "".join(
-        re.sub(r" +[0-9]+\.[0-9]+s ", " Xs ", line, count=1)
-        for line in out.splitlines(keepends=True)
-    )
-    digest = hashlib.sha256(masked.encode()).hexdigest()
-    assert digest == "676ff47b01a764bb91ac4668e8559f03ff940f051edb2b6efb6b3d45608a2690"
+    """`verify --k 1` and `--k 2` stdout, seconds masked: every check line,
+    its details and the four documented slips of the published table.
+    `test_verify_cli_exit_zero` pins `--k 3`."""
+    for k in ("1", "2"):
+        assert main(["verify", "--k", k]) == 0
+        out = capsys.readouterr().out
+        assert masked_digest(out) == VERIFY_DIGEST, k
 
 
 def test_published_table_lines_need_signed_k3_at_any_k(capsys):

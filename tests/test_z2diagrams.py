@@ -5,14 +5,13 @@ import pytest
 
 from diagram_gram.diagrams import RowView
 from diagram_gram.gram import enumerate_diagrams
-from diagram_gram.partitions import SetPartition
 from diagram_gram.z2diagrams import Z2Diagram, top_index
-from test_partitions import block_of, restrict
+from test_partitions import block_of, make_diagram, part_of, restrict
 
 
 def identity(k):
     """The identity diagram: each doubled point joined to its mirror image."""
-    return Z2Diagram(k, SetPartition(4 * k, [[v, v + 2 * k] for v in range(2 * k)]))
+    return make_diagram(Z2Diagram, k, [[v, v + 2 * k] for v in range(2 * k)])
 
 
 class Z2Stats(NamedTuple):
@@ -36,9 +35,10 @@ def stats(diagram):
     enumeration's keys and the signed membership test."""
     half = 2 * diagram.k
     s1 = s2 = r1 = r2 = r1p = r2p = 0
-    for block in diagram.part.blocks:
+    part = part_of(diagram)
+    for block in part.blocks:
         top, bottom = block[0] < half, block[-1] >= half
-        conjugate = block_of(diagram.part, block[0] ^ 1)
+        conjugate = block_of(part, block[0] ^ 1)
         if conjugate == block:  # flip-fixed
             if top and bottom:
                 s2 += 1
@@ -100,12 +100,12 @@ def all_z2_diagrams(k):
             # reinterpret a single row of 2k fibers as top row (1..k) and
             # bottom row (k+1..2k); through roles are meaningless here, so
             # skip dupes
-            diagram_part = z2.assemble(2 * k, units).part
+            diagram_part = part_of(z2.assemble(2 * k, units))
             top_half = restrict(diagram_part, range(4 * k))
             if top_half in seen:
                 continue
             seen.add(top_half)
-            out.append(Z2Diagram(k, top_half))
+            out.append(make_diagram(Z2Diagram, k, top_half.blocks))
     return out
 
 
@@ -123,7 +123,7 @@ def test_identity_stats_and_projection():
 def test_all_singleton_pairs_stats():
     k = 3
     blocks = [[v] for v in range(4 * k)]
-    d = Z2Diagram(k, SetPartition(4 * k, blocks))
+    d = make_diagram(Z2Diagram, k, blocks)
     st = stats(d)
     assert (st.s1, st.s2, st.r1, st.r1p, st.r2, st.r2p) == (0, 0, k, k, 0, 0)
 
@@ -133,7 +133,7 @@ def test_stability_is_validated():
     k = 2
     blocks = [[0, 2], [1], [3], [4], [5], [6], [7]]
     with pytest.raises(ValueError):
-        Z2Diagram(k, SetPartition(4 * k, blocks))
+        make_diagram(Z2Diagram, k, blocks)
 
 
 def test_mask_constructors_check_the_flip():
@@ -148,7 +148,8 @@ def test_mask_constructors_check_the_flip():
     # the flip-stable neighbour passes every constructor alike
     stable = RowView(blocks=(0b101, 0b1010), through=(0, 1), fixed=(False, False))
     built = Z2Diagram.from_view(k, stable)
-    assert built == Z2Diagram.from_masks(k, built.masks) == Z2Diagram(k, built.part)
+    assert built == Z2Diagram.from_masks(k, built.masks)
+    assert built == make_diagram(Z2Diagram, k, part_of(built).blocks)
     assert str(built) == "{1e,2e,1'e,2'e|1g,2g,1'g,2'g}"
 
 
@@ -156,7 +157,7 @@ def test_flip_fixed_block_odd_size_rejected():
     # a flip-fixed block must have even size; sizes here are fine but the
     # companion check is exercised through stability, so build a legal one
     k = 1
-    d = Z2Diagram(k, SetPartition(4, [[0, 1], [2, 3]]))
+    d = make_diagram(Z2Diagram, k, [[0, 1], [2, 3]])
     st = stats(d)
     assert (st.r2, st.r2p) == (1, 1)
 
@@ -197,7 +198,7 @@ def test_signed_membership():
         [2, 3], [4, 5],                           # fixed edges, top
         [2 * k + 2, 2 * k + 3], [2 * k + 4, 2 * k + 5],  # fixed edges, bottom
     ]
-    d = Z2Diagram(k, SetPartition(4 * k, blocks))
+    d = make_diagram(Z2Diagram, k, blocks)
     st = stats(d)
     assert (st.s1, st.s2, st.r1, st.r2) == (1, 0, 0, 2)
     assert not is_signed_member(d)
@@ -214,12 +215,12 @@ def test_signed_membership_asymmetric_rows():
     k = 2
     top_edge_pair = [[0, 2], [1, 3]]  # one paired edge covering both fibers
     bottom_fixed = [[4, 5], [6, 7]]   # two flip-fixed edges, bottom row
-    d = Z2Diagram(k, SetPartition(4 * k, top_edge_pair + bottom_fixed))
+    d = make_diagram(Z2Diagram, k, top_edge_pair + bottom_fixed)
     st = stats(d)
     assert (st.r1, st.r2, st.r1p, st.r2p) == (1, 0, 0, 2)
     # bottom row fills every fiber without a paired edge: not a member
     assert not is_signed_member(d)
-    mirrored = Z2Diagram(k, SetPartition(4 * k, top_edge_pair + [[4, 6], [5, 7]]))
+    mirrored = make_diagram(Z2Diagram, k, top_edge_pair + [[4, 6], [5, 7]])
     st2 = stats(mirrored)
     assert (st2.r1, st2.r1p) == (1, 1)
     # both rows carry a paired edge: member even though both rows are full
