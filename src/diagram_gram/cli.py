@@ -282,7 +282,9 @@ def cmd_semisimple(args) -> int:
 def cmd_verify(args) -> int:
     checks = run_all_checks(args.k, args.guard)
     failures = 0
-    lines = []
+    # indented, like the detail lines, so a reader of the check lines skips it
+    sizes = ", ".join(f"{name} k<={args.k + family.plain}" for name, family in FAMILIES.items())
+    lines = [f"  scale: {sizes}; guard {args.guard}"]
     for check in checks:
         status = "PASS" if check.ok else "FAIL"
         lines.append(f"{status}  {check.name:<24} {check.seconds:7.2f}s  {check.details}")

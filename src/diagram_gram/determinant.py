@@ -132,7 +132,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 from operator import itemgetter, mul, sub
@@ -144,16 +143,29 @@ from .polynomials import Poly, congruence, phi_atoms
 __all__ = ["DetResult", "det_direct", "det_isotypic", "det_blocks"]
 
 
-@dataclass(frozen=True)
 class DetResult:
     """A determinant kept as its factors: (factor, multiplicity) pairs.
 
     `poly` multiplies the factors out on first access and caches the
     product on the instance, so callers that only read the factors never
-    pay for the (possibly large) product.
+    pay for the (possibly large) product. Immutable; two results are equal
+    when their factors are.
     """
 
-    factored: tuple[tuple[Poly, int], ...]
+    def __init__(self, factored: tuple[tuple[Poly, int], ...]):
+        self.__dict__["factored"] = factored
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DetResult is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is DetResult and self.factored == other.factored
+
+    def __hash__(self) -> int:
+        return hash(self.factored)
+
+    def __repr__(self) -> str:
+        return f"DetResult({self.factored!r})"
 
     @classmethod
     def from_counts(cls, factors: dict[Poly, int]) -> "DetResult":

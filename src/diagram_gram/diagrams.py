@@ -28,7 +28,6 @@ flip-fixed, in the view and in the whole-diagram oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 __all__ = ["Diagram", "PartitionDiagram", "RowView", "even_mask", "flip", "points"]
@@ -55,7 +54,6 @@ def even_mask(n: int) -> int:
     return ((1 << n) - 1) // 3
 
 
-@dataclass(frozen=True)
 class RowView:
     """A mirror-symmetric diagram as one row partition plus its through blocks.
 
@@ -64,12 +62,25 @@ class RowView:
     that run to the other row, ascending; `fixed[i]` says whether block i is
     mapped to itself by the e/g flip. Every block of a plain diagram counts
     as flip-fixed: plain diagrams are the flip-fixed slice of the doubled
-    ones.
+    ones. Views are immutable and compare by value.
     """
 
-    blocks: tuple[int, ...]
-    through: tuple[int, ...]
-    fixed: tuple[bool, ...]
+    def __init__(self, blocks: tuple[int, ...], through: tuple[int, ...], fixed: tuple[bool, ...]):
+        self.__dict__.update(blocks=blocks, through=through, fixed=fixed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RowView is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is RowView and (self.blocks, self.through, self.fixed) == (
+            other.blocks, other.through, other.fixed
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.through, self.fixed))
+
+    def __repr__(self) -> str:
+        return f"RowView(blocks={self.blocks!r}, through={self.through!r}, fixed={self.fixed!r})"
 
     @cached_property
     def through_blocks(self) -> frozenset[int]:
@@ -178,9 +189,10 @@ class Diagram:
         """Stack self above other; return (resulting diagram, middle loops).
 
         Both are diagrams of one class. A `Z2Diagram` multiplies as the
-        partition diagram on two rows of 2k points with the same masks; the
-        product is built in the factors' class, so a doubled product's flip
-        is checked."""
+        partition diagram on two rows of 2k points with the same masks. The
+        product is built in the factors' class without the flip check of
+        `from_masks`: stacking commutes with the e/g flip, so a product of
+        flip-stable diagrams is flip-stable."""
         if type(other) is not type(self):
             raise TypeError("cannot multiply diagrams of different families")
         if self.k != other.k:
@@ -217,7 +229,9 @@ class Diagram:
             else:
                 loops += 1
         masks.sort(key=lambda m: m & -m)
-        return type(self).from_masks(self.k, tuple(masks)), loops
+        product = object.__new__(type(self))
+        Diagram._set(product, self.k, tuple(masks))
+        return product, loops
 
     # -- identity and rendering ----------------------------------------------
 

@@ -26,9 +26,8 @@ Plain classes take roles 0 (through) and 2 (horizontal).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .diagrams import PartitionDiagram, RowView
 from .partitions import set_partitions
@@ -37,8 +36,7 @@ from .z2diagrams import Z2Diagram, top_index
 __all__ = ["Family", "FAMILIES", "profile_of"]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """What the pipeline needs to know about one algebra family.
 
     The admissible profiles at k are the (s1, s2) with s1 + s2 <= k - spare,

@@ -22,8 +22,8 @@ is itself the proof that the table is reproduced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
+from typing import NamedTuple
 
 from .gram import GramMatrix
 from .polynomials import Poly
@@ -40,12 +40,14 @@ FIXTURE_VERSION = "v1"
 
 
 def load_fixture(name: str) -> dict:
-    path = resources.files("diagram_gram") / "fixtures" / FIXTURE_VERSION / name
-    return json.loads(path.read_text())
+    # a path beside this module, as the package data is installed: on
+    # Python 3.12 `importlib.resources` would load `inspect` at start
+    path = os.path.join(os.path.dirname(__file__), "fixtures", FIXTURE_VERSION, name)
+    with open(path) as f:
+        return json.load(f)
 
 
-@dataclass
-class GoldenReport:
+class GoldenReport(NamedTuple):
     permutation: tuple[int, ...] | None  # ours index -> printed index
     hard_mismatches: list[tuple[int, int, object, object]]
     slips: list[tuple[int, int, object, object, object]]

@@ -49,7 +49,6 @@ configurations and the map of plain profiles into doubled coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -84,8 +83,7 @@ class ResourceGuardError(RuntimeError):
     """Projected matrix dimension exceeds the configured guard."""
 
 
-@dataclass(frozen=True)
-class DiagramKey:
+class DiagramKey(NamedTuple):
     """Position of a diagram in the matrix ordering.
 
     `alpha` is the tuple of weakly decreasing part tuples describing class
@@ -115,7 +113,6 @@ def alpha_sort_key(alpha) -> tuple[int, ...]:
     return tuple(-p for part in alpha for p in part)
 
 
-@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Square monomial matrix over an ordered diagram basis.
 
@@ -131,17 +128,28 @@ class GramMatrix:
     fibre 0 (`basis_generators`). They generate S_k, or B_k = Z_2^k ⋊ S_k
     on doubled diagrams, and G is invariant under each: G[g[u]][g[v]] ==
     G[u][v]. `build_gram` walks them once and passes the walk; a matrix
-    built by hand may leave it out, which claims no symmetry.
+    built by hand may leave it out, which claims no symmetry. A matrix is
+    immutable.
     """
 
-    algebra: str
-    k: int
-    s1: int
-    s2: int
-    keys: tuple[DiagramKey, ...]
-    diagrams: tuple
-    exponents: tuple[tuple[int | None, ...], ...]
-    symmetry: Orbits | None = None
+    def __init__(
+        self,
+        algebra: str,
+        k: int,
+        s1: int,
+        s2: int,
+        keys: tuple[DiagramKey, ...],
+        diagrams: tuple,
+        exponents: tuple[tuple[int | None, ...], ...],
+        symmetry: Orbits | None = None,
+    ):
+        self.__dict__.update(
+            algebra=algebra, k=k, s1=s1, s2=s2, keys=keys, diagrams=diagrams,
+            exponents=exponents, symmetry=symmetry,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GramMatrix is immutable")
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -236,7 +244,7 @@ def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = 
     rows.sort(key=lambda row: (row[0].sort_key(), tuple(map(block_points, row[1].masks))))
     out = []
     for _, cell in itertools.groupby(rows, lambda row: (row[0].alpha, row[0].r1, row[0].r2)):
-        out.extend((replace(key, i=i), diagram) for i, (key, diagram) in enumerate(cell, 1))
+        out.extend((key._replace(i=i), diagram) for i, (key, diagram) in enumerate(cell, 1))
     return tuple(out)
 
 

@@ -88,10 +88,10 @@ connected components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from operator import attrgetter
+from typing import NamedTuple
 
 from .diagrams import even_mask, flip
 from .gram import (
@@ -184,10 +184,15 @@ def diagram_coarser_or_equal(da, db, types_a=None, types_b=None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class CoarseningPoset:
-    keys: tuple[DiagramKey, ...]
-    leq: tuple[tuple[bool, ...], ...]  # leq[u][v]: diagram u coarser-or-equal v
+    """The coarsening order of a basis: `leq[u][v]` says diagram u is
+    coarser than or equal to v. Immutable; compares by identity."""
+
+    def __init__(self, keys: tuple[DiagramKey, ...], leq: tuple[tuple[bool, ...], ...]):
+        self.__dict__.update(keys=keys, leq=leq)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoarseningPoset is immutable")
 
 
 @lru_cache(maxsize=1)
@@ -292,8 +297,7 @@ def is_rho_key(key: DiagramKey, k: int, s1: int, s2: int) -> bool:
     return all(p == 1 for p in sizes) and len(sizes) == k and s1 + s2 + key.r1 + key.r2 == k
 
 
-@dataclass(frozen=True)
-class DiffEntry:
+class DiffEntry(NamedTuple):
     block: tuple
     row_key: DiagramKey
     col_key: DiagramKey
@@ -310,18 +314,28 @@ class DiffEntry:
         )
 
 
-@dataclass(frozen=True)
 class BlockDecomposition:
     """The reduced matrix T'GT with its cells; the closed-form predictions
     and their diffs are built on first read, so the determinants and the
-    verdict, which read neither, never build them."""
+    verdict, which read neither, never build them. Immutable; compares by
+    identity."""
 
-    gram: GramMatrix
-    transform: tuple[tuple[tuple[int, int], ...], ...]  # sparse columns of T
-    reduced: tuple[tuple[Poly, ...], ...]
-    nonzero: tuple[tuple[int, ...], ...]  # ascending nonzero columns of each row
-    cells: tuple[tuple[tuple, tuple[int, ...]], ...]  # (label, member indices)
-    offblock_violations: tuple[tuple[int, int], ...]
+    def __init__(
+        self,
+        gram: GramMatrix,
+        transform: tuple[tuple[tuple[int, int], ...], ...],  # sparse columns of T
+        reduced: tuple[tuple[Poly, ...], ...],
+        nonzero: tuple[tuple[int, ...], ...],  # ascending nonzero columns of each row
+        cells: tuple[tuple[tuple, tuple[int, ...]], ...],  # (label, member indices)
+        offblock_violations: tuple[tuple[int, int], ...],
+    ):
+        self.__dict__.update(
+            gram=gram, transform=transform, reduced=reduced, nonzero=nonzero,
+            cells=cells, offblock_violations=offblock_violations,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BlockDecomposition is immutable")
 
     @cached_property
     def predicted(self) -> dict:

@@ -15,9 +15,9 @@ and divides it (`_vanishing_atom`): only an integer q is a root of an atom.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .determinant import DetResult, det_blocks
 from .families import FAMILIES
@@ -28,8 +28,7 @@ from .reduction import reduced_decomposition
 __all__ = ["FactorRecord", "Verdict", "admissible_profiles", "global_poly", "verdict"]
 
 
-@dataclass(frozen=True)
-class FactorRecord:
+class FactorRecord(NamedTuple):
     """One retained determinant factor with its profile of origin."""
 
     s1: int
@@ -63,8 +62,7 @@ def _vanishing_atom(poly: Poly, q) -> Poly | None:
     return None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     algebra: str
     k: int
     q: Fraction | None  # None means the symbolic, indeterminate parameter

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from typing import NamedTuple
 
 from .determinant import det_blocks, det_direct
 from .families import FAMILIES
@@ -35,8 +35,7 @@ from .stirling import binomial, coarser_profile_counts, gen_stirling_z2
 __all__ = ["CheckResult", "run_all_checks"]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     details: str

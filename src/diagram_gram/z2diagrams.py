@@ -4,11 +4,12 @@ Each of the k fibers of a row carries two points, tagged e and g. Index
 convention: top (i, e) -> 2(i-1), (i, g) -> 2(i-1)+1 for i in 1..k; bottom
 vertices get the same layout shifted by 2k. Flipping e and g on every vertex
 is index XOR 1; a diagram is admissible only when that flip maps its
-blocks to its blocks, which every constructor checks on the block masks
-(`diagrams.Diagram`), including the one the products go through.
+blocks to its blocks, which `from_masks` checks on the block masks.
 
 Such a diagram is an ordinary partition diagram on 2k+2k vertices, with
-the same masks, and multiplies as one (`Diagram.multiply`). The pipeline
+the same masks, and multiplies as one (`Diagram.multiply`). Stacking
+commutes with the flip, so a product of flip-stable diagrams is
+flip-stable: products skip the check, and the tests check them instead. The pipeline
 reads a diagram through its `RowView`: row blocks, through blocks and
 flip-fixed flags. A plain partition diagram is the
 flip-fixed slice of these (its flip fixes every point), so the oracles in
@@ -38,7 +39,7 @@ class Z2Diagram(Diagram):
     def _set(self, k: int, masks: tuple[int, ...]) -> None:
         # the flip permutes the points, so it maps the blocks onto
         # themselves iff their images are the blocks; `flip` is inlined,
-        # as every basis diagram and every product passes here
+        # as every basis diagram passes here
         even = even_mask(4 * k)
         if {(m & even) << 1 | (m >> 1) & even for m in masks} != set(masks):
             raise ValueError("partition is not stable under the e/g flip")

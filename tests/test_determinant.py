@@ -1,6 +1,5 @@
 import itertools
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,7 +25,7 @@ from diagram_gram.determinant import (
 )
 from diagram_gram.gram import build_gram, projected_dimension
 from diagram_gram.polynomials import Poly, linear_factor, phi_atoms, phi_z2
-from diagram_gram.reduction import reduced_decomposition
+from diagram_gram.reduction import BlockDecomposition, reduced_decomposition
 from diagram_gram.semisimplicity import admissible_profiles
 from test_gram import fibre_generators, fibre_permutation
 from test_reduction import K4_PROFILES, PROFILES
@@ -161,10 +160,13 @@ def test_det_blocks_follows_a_planted_coupling():
     nonzero = [set(row) for row in dec.nonzero]
     nonzero[u].add(v)
     nonzero[v].add(u)
-    planted = replace(
-        dec,
-        reduced=tuple(map(tuple, rows)),
-        nonzero=tuple(tuple(sorted(row)) for row in nonzero),
+    planted = BlockDecomposition(
+        dec.gram,
+        dec.transform,
+        tuple(map(tuple, rows)),
+        tuple(tuple(sorted(row)) for row in nonzero),
+        dec.cells,
+        dec.offblock_violations,
     )
     assert det_blocks(planted).poly == det_direct(planted.reduced)
     assert det_blocks(planted).poly != det_blocks(dec).poly
@@ -206,7 +208,10 @@ def test_det_blocks_checks_each_component_it_reads_from_the_memo():
     u, v = next(c for c in _components(dec.nonzero) if len(c) == 2)
     rows = [list(row) for row in dec.reduced]
     rows[u][v] = rows[v][u] = rows[u][v] + Poly.one()
-    planted = replace(dec, reduced=tuple(map(tuple, rows)))
+    planted = BlockDecomposition(
+        dec.gram, dec.transform, tuple(map(tuple, rows)), dec.nonzero, dec.cells,
+        dec.offblock_violations,
+    )
     assert det_blocks(planted).factored == det_blocks_reference(planted).factored
     assert det_blocks(planted).factored != det_blocks(dec).factored
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from diagram_gram.families import FAMILIES
 from diagram_gram.gram import (
+    GramMatrix,
     ResourceGuardError,
     build_gram,
     enumerate_diagrams,
@@ -644,7 +644,10 @@ def test_reduce_gram_reads_the_grid_it_is_handed():
     )
     rows = [list(row) for row in grid]
     rows[u][v] = rows[v][u] = grid[u][u]
-    planted = dataclasses.replace(gram, exponents=tuple(map(tuple, rows)))
+    planted = GramMatrix(
+        gram.algebra, gram.k, gram.s1, gram.s2, gram.keys, gram.diagrams,
+        tuple(map(tuple, rows)), gram.symmetry,
+    )
     assert coarsening_poset(planted).leq[u][v]
     # the planted grid is not invariant, so the group is trivial: every
     # column of T and every row of T'GT is computed

@@ -1,6 +1,5 @@
 """The aggregated suite and its CLI frontend."""
 
-import dataclasses
 import hashlib
 import re
 
@@ -10,22 +9,26 @@ from diagram_gram import cli, verify
 from diagram_gram.cli import main
 from diagram_gram.diagrams import Diagram
 from diagram_gram.families import FAMILIES
-from diagram_gram.gram import DEFAULT_GUARD, build_gram, enumerate_diagrams
-from diagram_gram.reduction import reduced_decomposition
+from diagram_gram.gram import DEFAULT_GUARD, GramMatrix, build_gram, enumerate_diagrams
+from diagram_gram.reduction import BlockDecomposition, CoarseningPoset, reduced_decomposition
 
 
-# sha256 of `verify` stdout, seconds masked, recorded before the coarsening
-# oracle read block masks; it is the same at `--k 1`, 2 and 3, as no line
-# of the output names k
+# sha256 of `verify` stdout, seconds masked and scale line removed, recorded
+# before the coarsening oracle read block masks; it is the same at `--k 1`,
+# 2 and 3, as only the scale line names k
 VERIFY_DIGEST = "676ff47b01a764bb91ac4668e8559f03ff940f051edb2b6efb6b3d45608a2690"
+
+SCALE_PREFIX = "  scale: "
 
 
 def masked_digest(out):
-    """sha256 of `verify` stdout with each line's seconds masked as
-    `sed -E 's/ +[0-9]+\\.[0-9]+s / Xs /'` masks them."""
+    """sha256 of `verify` stdout without its scale line and with each
+    line's seconds masked as `sed -E 's/ +[0-9]+\\.[0-9]+s / Xs /'` masks
+    them."""
     masked = "".join(
         re.sub(r" +[0-9]+\.[0-9]+s ", " Xs ", line, count=1)
         for line in out.splitlines(keepends=True)
+        if not line.startswith(SCALE_PREFIX)
     )
     return hashlib.sha256(masked.encode()).hexdigest()
 
@@ -63,6 +66,9 @@ def test_verify_cli_exit_zero(checks_k3, monkeypatch, capsys):
     assert len(lines) == 10  # eight checks plus the two golden comparisons
     assert all(line.startswith("PASS") for line in lines)
     assert "suspected typo in the published table" in out
+    assert out.splitlines()[0] == (
+        f"{SCALE_PREFIX}partition k<=4, z2 k<=3, signed k<=3; guard {DEFAULT_GUARD}"
+    )
     assert masked_digest(out) == VERIFY_DIGEST
 
 
@@ -84,7 +90,7 @@ def test_poset_duality_catches_a_wrong_relation_at_deg_u_ge_deg_v(monkeypatch):
         poset = original(g)
         leq = [list(row) for row in poset.leq]
         leq[u][v] = not leq[u][v]
-        return dataclasses.replace(poset, leq=tuple(map(tuple, leq)))
+        return CoarseningPoset(poset.keys, tuple(map(tuple, leq)))
 
     assert verify.check_poset_duality(decomposition) == []
     monkeypatch.setattr(verify, "coarsening_poset", planted)
@@ -113,8 +119,14 @@ def test_poset_duality_catches_a_wrong_gram_entry_at_an_equal_degree_pair(profil
     )
     rows = [list(row) for row in grid]
     rows[u][v] = rows[v][u] = grid[u][u] - 1
-    planted = dataclasses.replace(gram, exponents=tuple(map(tuple, rows)))
-    failures = verify.check_poset_duality(dataclasses.replace(decomposition, gram=planted))
+    planted = GramMatrix(
+        gram.algebra, gram.k, gram.s1, gram.s2, gram.keys, gram.diagrams,
+        tuple(map(tuple, rows)), gram.symmetry,
+    )
+    d = decomposition
+    failures = verify.check_poset_duality(BlockDecomposition(
+        planted, d.transform, d.reduced, d.nonzero, d.cells, d.offblock_violations
+    ))
     for a, b in ((u, v), (v, u)):
         assert f"pair {a},{b}: row-partition view differs from the oracle" in failures
 
@@ -211,12 +223,19 @@ def test_each_profile_is_built_and_reduced_once():
 
 
 def test_verify_output_is_pinned(capsys):
-    """`verify --k 1` and `--k 2` stdout, seconds masked: every check line,
-    its details and the four documented slips of the published table.
-    `test_verify_cli_exit_zero` pins `--k 3`."""
-    for k in ("1", "2"):
-        assert main(["verify", "--k", k]) == 0
+    """`verify --k 1` and `--k 2` stdout, seconds masked: the scale line,
+    every check line, its details and the four documented slips of the
+    published table. `test_verify_cli_exit_zero` pins `--k 3`."""
+    scales = {
+        "1": "partition k<=2, z2 k<=1, signed k<=1; guard 34",
+        "2": f"partition k<=3, z2 k<=2, signed k<=2; guard {DEFAULT_GUARD}",
+    }
+    for k, scale in scales.items():
+        guard = ["--guard", "34"] if k == "1" else []
+        assert main(["verify", "--k", k, *guard]) == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[0] == SCALE_PREFIX + scale, k
+        assert sum(line.startswith(SCALE_PREFIX) for line in out.splitlines()) == 1
         assert masked_digest(out) == VERIFY_DIGEST, k
 
 

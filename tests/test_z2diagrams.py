@@ -3,7 +3,8 @@ from typing import NamedTuple
 
 import pytest
 
-from diagram_gram.diagrams import RowView
+from diagram_gram.diagrams import RowView, even_mask, flip
+from diagram_gram.families import FAMILIES
 from diagram_gram.gram import enumerate_diagrams
 from diagram_gram.z2diagrams import Z2Diagram, top_index
 from test_partitions import block_of, make_diagram, part_of, restrict
@@ -167,15 +168,48 @@ def test_index_conventions():
     assert top_index(3, 0) == 4
 
 
+def flip_stable(diagram) -> bool:
+    """The e/g flip maps the blocks of `diagram` onto its blocks: the check
+    `Z2Diagram.from_masks` makes and `multiply` leaves out."""
+    even = even_mask(4 * diagram.k)
+    return {flip(m, even) for m in diagram.masks} == set(diagram.masks)
+
+
 def test_closure_and_stats_consistency_exhaustive_k2():
     diagrams = all_z2_diagrams(2)
     assert len(diagrams) == 164  # flip-stable partitions of 8 doubled points
     for d in diagrams:
         st = stats(d)
         assert 2 * st.s1 + st.s2 == d.propagating_number()
-    for a, b in itertools.islice(itertools.product(diagrams, repeat=2), 0, None):
-        prod, _ = a.multiply(b)  # constructor re-validates flip stability
-        assert isinstance(prod, Z2Diagram)
+    for a, b in itertools.product(diagrams, repeat=2):
+        prod, _ = a.multiply(b)
+        assert type(prod) is Z2Diagram and flip_stable(prod)
+
+
+@pytest.mark.parametrize("algebra", ["z2", "signed"])
+def test_products_of_basis_diagrams_are_flip_stable(algebra):
+    """Stacking commutes with the e/g flip, so a product of flip-stable
+    diagrams is flip-stable and `multiply` does not check it: every ordered
+    pair of basis diagrams at k <= 3, across the profiles."""
+    for k in (1, 2, 3):
+        basis = [
+            d
+            for s1, s2 in FAMILIES[algebra].profiles(k)
+            for _, d in enumerate_diagrams(algebra, k, s1, s2)
+        ]
+        for a, b in itertools.product(basis, repeat=2):
+            prod, _ = a.multiply(b)
+            assert type(prod) is Z2Diagram and flip_stable(prod), (k, a, b)
+
+
+def test_multiply_skips_the_flip_check(monkeypatch):
+    a = identity(2)
+
+    def refuse(self, k, masks):
+        raise AssertionError("flip checked")
+
+    monkeypatch.setattr(Z2Diagram, "_set", refuse)
+    assert a.multiply(a) == (a, 0)
 
 
 def test_projection_propagating_matches_stats_on_bases():
