@@ -6,7 +6,8 @@ component of a reduced matrix outside the rho cell, and it takes every
 determinant that `det_isotypic` splits off. `det_isotypic` splits a matrix
 that the fibre permutations leave invariant into one small block per
 partition of k; applied to a whole Gram matrix by the `det` command it is
-independent of the block reduction and cross-validates it.
+independent of the block reduction and cross-validates it. Both take
+symmetric matrices only (see "Symmetric input").
 
 Components. `det_direct` first splits its input along the connected
 components of its own nonzero pattern. With rows and columns permuted
@@ -18,47 +19,53 @@ on the k=3 profiles). It finds them with its own union-find, not with
 reduced matrices `det_blocks` splits. Each block is eliminated as below
 (`_eliminate`).
 
-Row shift. Let v_i and h_i be the lowest and the highest power of x in
-row i. Every term of the Leibniz expansion takes one entry from each row,
-so it is divisible by x^(Σv_i) and has degree at most Σh_i. Hence
+Symmetric input. Every determinant taken here is of a symmetric matrix:
+a whole Gram matrix G, T'GT and its components, Y'BY and Y'Y.
+`det_direct` checks this once, where a matrix comes in, and raises
+ValueError on any other input; everything below relies on it.
+
+Shift. Let v_i and h_i be the lowest and the highest power of x in row i.
+Every term of the Leibniz expansion takes one entry from each row, so it
+is divisible by x^(Σv_i) and has degree at most Σh_i. Hence
 det = x^(Σv_i)·Q, where Q is the determinant of the matrix with row i
 divided by x^(v_i), and deg Q <= D = Σ(h_i - v_i). Dividing rows by
-different powers would make a symmetric matrix asymmetric, so at x != 0
-a symmetric matrix is divided only by x^c, c = min v_i, the least
-valuation of any entry: its determinant there is x^(Σv_i - n·c)·Q(x),
-and Q(x) is that integer divided by x^(Σv_i - n·c), exactly (a remainder
-raises ValueError). At x = 0, Q(0) comes from the row-shifted matrix.
+different powers would make the matrix asymmetric, so at x != 0 every
+entry is divided only by x^c, c = min v_i, the least valuation of any
+entry: the determinant there is x^(Σv_i - n·c)·Q(x), and Q(x) is that
+integer divided by x^(Σv_i - n·c), exactly (a remainder raises
+ValueError). At x = 0, Q(0) = det R, R[i][j] the coefficient of x^(v_i)
+in M[i][j]. If R[i][j] != 0, then M[i][j] = M[j][i], a nonzero entry of
+row j, has valuation v_i or less and at least v_j, so v_j <= v_i. Ordered
+by v, R is block lower-triangular, and its diagonal blocks (v_i = v_j)
+are symmetric; so Q(0) is the determinant of the kept matrix, which keeps
+R's entries with v_i = v_j and sets the others to 0, and is symmetric.
+For instance [[x, x²], [x², x²]] has v = (1, 2) and R = [[1, 0], [1, 1]];
+the kept matrix is the identity, and Q = 1 - x.
 
 Window. Q is evaluated at the D+1 consecutive integers -⌊D/2⌋..⌈D/2⌉,
 which keeps |x|, and with it the integers of the elimination, small.
 
 Elimination. Each integer determinant comes from fraction-free Bareiss
-elimination (Bareiss, Math. Comp. 22, 1968). With P[0] = 1 and P[j] the
-pivot of step j, step j turns a row r into (P[j]·r - f·pivot_row) / P[j-1],
-f its entry in the pivot column. For f = 0 that is r·P[j]/P[j-1], so a row
-that steps a+1..k skip has the level-k values r·P[k]/P[a]: the factors
-telescope. Such a row is left as it is and carries its level a; the pivot
-row is brought to the current level once, and a row with f != 0 is
-rewritten with the divisor P[a] of its own last rewrite. Every level-k value
-is a k+1 by k+1 minor of the input (Sylvester's identity), so each division
-is exact. A Gram matrix is sparse (z2 k=4 (2,0): 12.7% nonzeros), and most
-rows have f = 0 at most steps.
-
-Symmetric elimination. Every matrix eliminated in production is symmetric:
-a whole G, T'GT and its components, Y'BY and Y'Y. With pivots on the
-diagonal, the level-k value at (i, j) is the bordered minor on rows
-0..k-1, i and columns 0..k-1, j, the transpose of the one at (j, i), so
-the level-k matrix S is symmetric and `_bareiss_symmetric` rewrites only
-its upper triangle, about half the work of full rows. A zero pivot S[k][k]
-with a nonzero entry S[k][p] in its row adds t times index p to index k in
-rows and columns alike, t = ±1. That is a congruence E'AE of the input by
-a unimodular E that fixes indices 0..k-1: the leading block, hence the
-pivots so far, and the determinant stay as they are, and the level-k
-matrix of E'AE is E'SE (the Schur complement transforms the same way),
-which differs from S only in row and column k. The new pivot is
-2t·S[k][p] + S[p][p], and t = 1 or t = -1 makes it nonzero. A zero row
-of S makes the determinant 0. A non-symmetric input, such as the
-row-shifted matrix at x = 0, keeps the row elimination.
+elimination (Bareiss, Math. Comp. 22, 1968), pivoting on the diagonal.
+With P[0] = 1 and P[j] the pivot of step j, step j turns a row r into
+(P[j]·r - f·pivot_row) / P[j-1], f its entry in the pivot column. For
+f = 0 that is r·P[j]/P[j-1], so a row that steps a+1..k skip has the
+level-k values r·P[k]/P[a]: the factors telescope. Such a row is left as
+it is and carries its level a; the pivot row is brought to the current
+level once, and a row with f != 0 is rewritten with the divisor P[a] of
+its own last rewrite. The level-k value at (i, j) is the bordered minor on
+rows 0..k-1, i and columns 0..k-1, j (Sylvester's identity), so each
+division is exact, and it is the transpose of the one at (j, i): the
+level-k matrix S is symmetric and `_bareiss_int` rewrites only its upper
+triangle. A Gram matrix is sparse (z2 k=4 (2,0): 12.7% nonzeros), and most
+rows have f = 0 at most steps. A zero pivot S[k][k] with a nonzero entry
+S[k][p] in its row adds t times index p to index k in rows and columns
+alike, t = ±1. That is a congruence E'AE of the input by a unimodular E
+that fixes indices 0..k-1: the leading block, hence the pivots so far, and
+the determinant stay as they are, and the level-k matrix of E'AE is E'SE
+(the Schur complement transforms the same way), which differs from S only
+in row and column k. The new pivot is 2t·S[k][p] + S[p][p], and t = 1 or
+t = -1 makes it nonzero. A zero row of S makes the determinant 0.
 
 Interpolation. Q has integer coefficients, so D!·Q, written in Newton's
 forward form on the window, has integer coefficients too, and dividing
@@ -182,67 +189,20 @@ class DetResult:
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss), rewriting
-    only the rows that a step changes; a symmetric matrix goes to
-    `_bareiss_symmetric`, which rewrites only the upper triangle.
+    """Fraction-free determinant of a symmetric integer matrix (Bareiss),
+    over its upper triangle, as the module docstring's "Elimination" says.
 
-    P[0] = 1 and P[j] is the pivot of step j. A row last rewritten at step a
-    is kept as its entries in columns a.. at level a; its level-k values are
-    r·P[k]/P[a], since the factors piv/prev of the steps that skipped it
-    telescope. Step k+1 takes the first pending row with a nonzero entry in
-    column k as its pivot row and brings it to level k with r·P[k] // P[a].
-    A row with a nonzero entry f in column k becomes
-    (piv·r - f·pivot_row) // P[a], its level-(k+1) values; a row with f = 0
-    is left as it is. Both divisions are exact, since every level-k value is
-    a minor of the input (Sylvester's identity). The pivot row trades places
-    with the first pending row, as in row-by-row elimination, and each such
-    swap flips the sign; the determinant is the signed last pivot.
-    """
-    if rows == list(map(list, zip(*rows))):
-        return _bareiss_symmetric(rows)
-    pending = [(0, row) for row in rows]  # (level, entries from that column)
-    pivots = [1]
-    sign = 1
-    for k in range(len(rows)):
-        for p, (a, row) in enumerate(pending):
-            if row[k - a]:
-                break
-        else:
-            return 0
-        if p:
-            pending[0], pending[p] = pending[p], pending[0]
-            sign = -sign
-        a, head = pending.pop(0)
-        if a < k:
-            head = [v * pivots[k] // pivots[a] for v in head[k - a :]]
-        piv, head = head[0], head[1:]
-        for i, (a, row) in enumerate(pending):
-            f = row[k - a]
-            if f:
-                prev, rest = pivots[a], row[k - a + 1 :]
-                pending[i] = (k + 1, [(piv * u - f * v) // prev for u, v in zip(rest, head)])
-        pivots.append(piv)
-    return sign * pivots[-1]
-
-
-def _bareiss_symmetric(rows: list[list[int]]) -> int:
-    """`_bareiss_int` on a symmetric integer matrix, over its upper triangle.
-
-    Row i is kept as its entries in columns i.. at its level a, lazily as in
-    `_bareiss_int`; the level-k values are symmetric in i and j, so its
-    entries in columns k..i-1 are those of rows k..i-1 in column i. Step k+1
-    pivots on the diagonal: f for row i is the pivot row's entry in column
-    i, at level k, and f·P[a] // P[k] at the row's own level, exact since
-    steps a+1..k left the whole row as r·P[k]/P[a].
-
-    A zero pivot with a nonzero entry b = S[k][p] in the pivot row, S the
-    level-k matrix and p the first such column, adds t times index p to
-    index k in rows and columns alike, t = ±1 so that the new pivot
-    2tb + S[p][p] is not 0 (the two signs cannot both give 0). This is a
-    congruence of the input by a unimodular matrix that fixes indices
-    0..k-1, so it keeps the pivots so far and the determinant, and it
-    changes only row k of S, the pivot row. A pivot row that is 0 makes the
-    determinant 0. Hence the result is the last pivot, without a sign.
+    Row i is kept as its entries in columns i.. at the level a of its last
+    rewrite; its entries in columns k..i-1 are those of rows k..i-1 in
+    column i. Step k+1 pivots on the diagonal: f for row i is the pivot
+    row's entry in column i, at level k, and f·P[a] // P[k] at the row's
+    own level, exact since steps a+1..k left the whole row as r·P[k]/P[a].
+    A zero pivot takes p, the first column with a nonzero entry b in the
+    pivot row, and adds t times index p to index k, t = ±1 so that the new
+    pivot 2tb + S[p][p] is not 0 (the two signs cannot both give 0); a zero
+    pivot row makes the determinant 0. The pivots so far and the
+    determinant stay as they are, so the result is the last pivot, without
+    a sign. The input is read, not rewritten.
     """
     n = len(rows)
     upper = [row[i:] for i, row in enumerate(rows)]
@@ -317,25 +277,31 @@ def _interpolate(xs: list[int], ys: list[int]) -> Poly:
 
 
 def det_direct(matrix) -> Poly:
-    """Determinant of a square polynomial matrix with integer coefficients,
-    exactly.
+    """Determinant of a square symmetric polynomial matrix with integer
+    coefficients, exactly.
 
     The matrix is split along the connected components of its own nonzero
     pattern, the graph joining u and v for every nonzero entry (u, v): with
     rows and columns permuted alike so that each component is contiguous,
     the matrix is block diagonal, so its determinant is the product of the
-    components' determinants, each from `_eliminate`. An entry with a
-    non-integer coefficient raises ValueError before any evaluation.
+    components' determinants, each from `_eliminate`. A matrix that is not
+    symmetric, or an entry with a non-integer coefficient, raises ValueError
+    before any evaluation.
     """
     n = len(matrix)
     if n == 0:
         return Poly.one()
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
+    # rows against columns as tuples: equal entries are mostly the same
+    # `Poly`, which compares by identity
+    if any(tuple(row) != column for row, column in zip(matrix, zip(*matrix))):
+        raise ValueError("det_direct expects a symmetric matrix")
     integral: set[Poly] = set()
     pattern = UnionFind(n)
     for u, row in enumerate(matrix):
-        for v, p in enumerate(row):
+        for v in range(u, n):
+            p = row[v]
             if p:
                 pattern.union(u, v)
                 if p not in integral:
@@ -352,19 +318,21 @@ def det_direct(matrix) -> Poly:
 
 
 def _eliminate(matrix) -> Poly:
-    """Determinant of a square matrix of integer polynomials by evaluation,
-    Bareiss elimination and interpolation, whatever its nonzero pattern.
+    """Determinant of a square symmetric matrix of integer polynomials by
+    evaluation, Bareiss elimination and interpolation, whatever its nonzero
+    pattern.
 
-    Row i is divided by x^(v_i), its lowest power of x, which leaves
-    det = x^(Σv_i)·Q with deg Q <= D = Σ(h_i - v_i), h_i the row's highest
-    power (see the module docstring). Q is evaluated at the D+1 integers
-    -⌊D/2⌋..⌈D/2⌉, each entry from one table of powers of x per point,
-    and interpolated; since Q has integer coefficients, the
-    interpolation's division by D! is exact. `det_direct` checks that the
-    coefficients are integers. A symmetric matrix is divided at x != 0 by
-    the common x^c alone, so that it stays symmetric, and each value by
-    x^(Σv_i - n·c); its table holds the entries divided by x^c, and Q(0)
-    is read off the coefficients of x^(v_i).
+    With v_i the lowest power of x in row i, det = x^(Σv_i)·Q with
+    deg Q <= D = Σ(h_i - v_i), h_i the row's highest power (see the module
+    docstring). Q is evaluated at the D+1 integers -⌊D/2⌋..⌈D/2⌉, each
+    entry from one table of powers of x per point, and interpolated; since
+    Q has integer coefficients, the interpolation's division by D! is
+    exact. `det_direct` checks that the coefficients are integers and that
+    the matrix is symmetric. At x != 0 every entry is divided by the common
+    x^c, c = min v_i, so that the matrix stays symmetric, and each value by
+    x^(Σv_i - n·c); the table holds the entries divided by x^c. Q(0) is the
+    determinant of the kept matrix: the coefficient of x^(v_i) at (i, j)
+    where v_i = v_j, and 0 elsewhere.
     """
     lowest: dict[Poly, int] = {}
     for row in matrix:
@@ -382,29 +350,18 @@ def _eliminate(matrix) -> Poly:
         bound += max(p.degree() for p in nonzero) - v
     valuation = sum(valuations)
     # each row as indices into the distinct shifted entries' coefficient
-    # tuples, numbered in order of appearance; the zero entry is () at 0.
-    # Every entry loses the common x^c first: equal keys are then equal
-    # entries, so the keys are symmetric iff the matrix is, and only an
-    # asymmetric matrix has each row divided by its own x^(v_i).
+    # tuples, numbered in order of appearance; the zero entry is () at 0
     shift = min(valuations)
     index: dict[tuple[int, ...], int] = {(): 0}
     rows = [[index.setdefault(p.coeffs[shift:], len(index)) for p in row] for row in matrix]
     excess = valuation - shift * len(matrix)
-    if excess and rows != list(map(list, zip(*rows))):
-        index = {(): 0}
-        rows = [
-            [index.setdefault(p.coeffs[v:], len(index)) for p in row]
-            for v, row in zip(valuations, matrix)
-        ]
-        excess = 0
     table = list(index)
     width = max(map(len, table))
 
     def det_at(x: int) -> int:
         if excess and not x:
-            # Q(0) from the row-shifted matrix: row i's coefficients of x^(v_i)
             return _bareiss_int(
-                [[p.coeffs[v] if len(p.coeffs) > v else 0 for p in row]
+                [[p.coeffs[v] if p and w == v else 0 for w, p in zip(valuations, row)]
                  for v, row in zip(valuations, matrix)]
             )
         powers = [1]
@@ -416,7 +373,7 @@ def _eliminate(matrix) -> Poly:
             return det
         q, r = divmod(det, x**excess)
         if r:
-            raise ValueError("the determinant is not divisible by the row shift")
+            raise ValueError("the determinant is not divisible by the common shift")
         return q
 
     xs = list(range(-(bound // 2), bound - bound // 2 + 1))
@@ -526,8 +483,10 @@ def _isotypic_bases(matrix, k: int, generators):
 
 
 def det_isotypic(matrix, k: int, generators) -> Poly:
-    """Determinant of a square integer-polynomial matrix B that is invariant
-    under an action π of S_k on its indices, block by isotypic block.
+    """Determinant of a square symmetric integer-polynomial matrix B that
+    is invariant under an action π of S_k on its indices, block by
+    isotypic block. Symmetry is the contract of `det_direct`, which takes
+    the blocks and the fallback.
 
     `generators` is the pair π((0 1)), π((0 1 ... k-1)) of index
     permutations (entry u is the index that u goes to), or None when there

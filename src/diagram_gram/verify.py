@@ -57,6 +57,7 @@ def check_gram_invariants(decomposition) -> list[str]:
         for v in range(n):
             if grid[u][v] != grid[v][u]:
                 failures.append(f"asymmetric at {u},{v}")
+    symmetric = not failures
     sort_keys = [key.sort_key() for key in gram.keys]
     for u, key in enumerate(gram.keys):
         want = gram.diagonal_degree(key)
@@ -68,6 +69,8 @@ def check_gram_invariants(decomposition) -> list[str]:
                     failures.append(f"degree dominance at {u},{v}")
     if decomposition.offblock_violations:
         failures.append("off-block entries")
+    if not symmetric:
+        return failures  # det_direct takes symmetric matrices only
     d_raw = det_direct(gram.entries)
     d_red = det_direct(decomposition.reduced)
     d_blk = det_blocks(decomposition).poly

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from diagram_gram.cli import main
+from diagram_gram.cli import STIRLING_MAX, main
+from diagram_gram.stirling import gen_stirling_z2
 
 
 def run_cli(capsys, *argv):
@@ -350,8 +351,27 @@ def test_options_no_subcommand_reads_are_rejected(capsys, argv):
 
 
 def test_stirling_counts_deep_parameters(capsys):
+    # S(n, k) is an alternating sum, so no recursion depth grows with n; the
+    # CLI takes r1 up to STIRLING_MAX, the library any r1
+    assert gen_stirling_z2(0, 0, 1100, 0, 1100, 0) == 1
     code, out, _ = run_cli(
-        capsys, "stirling", "--s1", "0", "--s2", "0", "--r1", "1100", "--r2", "0",
-        "--p1", "1100", "--p2", "0",
+        capsys, "stirling", "--s1", "0", "--s2", "0", "--r1", str(STIRLING_MAX),
+        "--r2", "0", "--p1", str(STIRLING_MAX), "--p2", "0",
     )
     assert code == 0 and json.loads(out)["value"] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--s1", "1", "--s2", "0", "--r1", "1000000", "--r2", "0", "--p1", "0", "--p2", "0"),
+    ("--s1", "1", "--s2", "0", "--r1", "0", "--r2", "101", "--p1", "0", "--p2", "0"),
+    ("--s1", "1" + "0" * 4000, "--s2", "0", "--r1", "20", "--r2", "20", "--p1", "0", "--p2", "0"),
+    ("--s1", "0", "--s2", "101", "--table"),
+    ("--algebra", "partition", "--s", "0", "--r", "100000", "--p", "3"),
+    ("--algebra", "partition", "--s", "101", "--r", "1", "--p", "0"),
+], ids=lambda argv: " ".join(a[:8] for a in argv))
+def test_stirling_rejects_parameters_above_the_bound(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "stirling", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("parameter error: ") and f"at most {STIRLING_MAX}" in err
+    assert time.perf_counter() - start < 1  # rejected before any arithmetic

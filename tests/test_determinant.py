@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diagram_gram import determinant
+from diagram_gram.cli import main
 from diagram_gram.determinant import (
     DetResult,
     _bareiss_int,
@@ -23,10 +25,10 @@ from diagram_gram.determinant import (
     det_direct,
     det_isotypic,
 )
-from diagram_gram.gram import build_gram, projected_dimension
+from diagram_gram.gram import build_gram, enumerate_diagrams, projected_dimension
 from diagram_gram.polynomials import Poly, linear_factor, phi_atoms, phi_z2
-from diagram_gram.reduction import BlockDecomposition, reduced_decomposition
-from diagram_gram.semisimplicity import admissible_profiles
+from diagram_gram.reduction import BlockDecomposition, coarsening_poset, reduced_decomposition
+from diagram_gram.semisimplicity import admissible_profiles, global_poly
 from test_gram import fibre_generators, fibre_permutation
 from test_reduction import K4_PROFILES, PROFILES
 
@@ -102,7 +104,7 @@ def test_identity_and_diagonal():
 
 
 def test_zero_row_shortcut():
-    m = ((Poly.zero(), Poly.zero()), (Poly.one(), Poly.monomial(1)))
+    m = ((Poly.zero(), Poly.zero()), (Poly.zero(), Poly.monomial(1)))  # zero row and column
     assert det_direct(m) == Poly.zero()
 
 
@@ -112,8 +114,24 @@ def test_non_square_rejected():
 
 
 def test_2x2_cross_check():
-    a, b, c, d = Poly([1, 1]), Poly([0, 2]), Poly([3]), Poly([1, 0, 1])
-    assert det_direct(((a, b), (c, d))) == a * d - b * c
+    a, b, d = Poly([1, 1]), Poly([0, 2]), Poly([1, 0, 1])
+    assert det_direct(((a, b), (b, d))) == a * d - b * b
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((Poly.zero(), Poly.zero()), (Poly.one(), Poly.monomial(1))),
+        ((Poly([1, 1]), Poly([0, 2])), (Poly([3]), Poly([1, 0, 1]))),
+        # (0, 1) and (1, 0) are equal but distinct objects; (1, 2) and (2, 1) differ
+        ((Poly([1]), Poly([0, 2]), Poly.zero()),
+         (Poly([0, 2]), Poly([1]), Poly([0, 3])),
+         (Poly.zero(), Poly([0, 2]), Poly([1]))),
+    ],
+)
+def test_det_direct_rejects_an_asymmetric_matrix(matrix):
+    with pytest.raises(ValueError, match="symmetric"):
+        det_direct(matrix)
 
 
 def test_published_determinant_factorization():
@@ -445,36 +463,6 @@ def test_det_isotypic_falls_back_where_it_cannot_split():
     assert det_isotypic(gram.entries, 3, None) == det_direct(gram.entries)
 
 
-@st.composite
-def row_shifted_matrices(draw):
-    """An integer polynomial matrix with a planted factor x^a_i in row i,
-    negative coefficients and zero entries; it may have a zero leading
-    entry and a duplicated row."""
-    n = draw(st.integers(1, 5))
-    entry = st.lists(st.integers(-4, 4), max_size=4).map(Poly)
-    rows = []
-    for _ in range(n):
-        shift = draw(st.integers(0, 3))
-        row = draw(st.lists(entry, min_size=n, max_size=n))
-        rows.append([Poly((0,) * shift + p.coeffs) if p else p for p in row])
-    if draw(st.booleans()):
-        rows[0][0] = Poly.zero()
-    duplicated = n > 1 and draw(st.booleans())
-    if duplicated:
-        rows[draw(st.integers(1, n - 1))] = list(rows[0])
-    return tuple(map(tuple, rows)), duplicated
-
-
-@settings(max_examples=300, deadline=None)
-@given(row_shifted_matrices())
-def test_det_direct_matches_the_reference_on_random_matrices(case):
-    matrix, duplicated = case
-    det = det_direct(matrix)
-    assert det == det_direct_reference(matrix)
-    if duplicated:
-        assert det.is_zero()
-
-
 @pytest.mark.parametrize("profile", PROFILES, ids=str)
 def test_det_direct_split_matches_the_unsplit_elimination(profile):
     reduced = reduced_decomposition(*profile).reduced
@@ -491,9 +479,9 @@ def test_det_direct_split_matches_the_unsplit_elimination(profile):
 
 @st.composite
 def permuted_block_diagonal_matrices(draw):
-    """A block-diagonal integer polynomial matrix of up to four blocks of
-    size 1 to 3, its rows and columns permuted alike, and maybe one row
-    set to zero."""
+    """A symmetric block-diagonal integer polynomial matrix of up to four
+    blocks of size 1 to 3, its rows and columns permuted alike, and maybe
+    one row and its column set to zero."""
     entry = st.lists(st.integers(-4, 4), max_size=3).map(Poly)
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     n = sum(sizes)
@@ -501,13 +489,17 @@ def permuted_block_diagonal_matrices(draw):
     start = 0
     for size in sizes:
         for i in range(start, start + size):
-            rows[i][start : start + size] = draw(st.lists(entry, min_size=size, max_size=size))
+            for j in range(i, start + size):
+                rows[i][j] = rows[j][i] = draw(entry)
         start += size
     perm = draw(st.permutations(range(n)))
     matrix = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     zero_row = draw(st.booleans())
     if zero_row:
-        matrix[draw(st.integers(0, n - 1))] = [Poly.zero()] * n
+        u = draw(st.integers(0, n - 1))
+        matrix[u] = [Poly.zero()] * n
+        for row in matrix:
+            row[u] = Poly.zero()
     return tuple(map(tuple, matrix)), zero_row
 
 
@@ -523,41 +515,44 @@ def test_det_direct_split_matches_the_unsplit_elimination_on_random_blocks(case)
 
 @st.composite
 def sparse_integer_matrices(draw):
-    """An integer matrix with n <= 12, entries in -9..9 and at least 60%
-    zeros. Where the zeros leave room it has a planted permuted diagonal,
-    so it is mostly nonsingular. It may have a zero leading block (its
-    first pivots come from lower rows), an all-zero column and a duplicated
-    row."""
+    """A symmetric integer matrix with n <= 12, entries in -9..9 and at
+    least 60% zeros. Where the zeros leave room it has a planted symmetric
+    permutation pattern, so it is mostly nonsingular. It may have a zero
+    leading block (its first pivots come from adding later indices), an
+    all-zero row and column, and a duplicated row and column."""
     n = draw(st.integers(1, 12))
     duplicated = n > 1 and draw(st.booleans())
-    # nonzero entries allowed; a duplicated row may add up to n more
-    budget = 2 * n * n // 5 - (n if duplicated else 0)
+    # nonzero entries allowed; a duplicated row and column may add up to 2n more
+    budget = 2 * n * n // 5 - (2 * n if duplicated else 0)
     nonzero = st.integers(-9, 9).filter(bool)
     planted = n if n <= budget else 0
     cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    entries = draw(st.dictionaries(cell, nonzero, max_size=max(budget - planted, 0)))
-    rows = [[entries.get((i, j), 0) for j in range(n)] for i in range(n)]
+    entries = draw(st.dictionaries(cell, nonzero, max_size=max(budget - planted, 0) // 2))
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), c in entries.items():
+        rows[i][j] = rows[j][i] = c
     lead = draw(st.integers(0, n // 2))
     for i in range(lead):
         rows[i][:lead] = [0] * lead
     if planted:
-        # a permutation that sends the rows of the zero block to the
-        # columns past it
-        cols = draw(st.permutations(range(n)))
-        for i in range(lead):
-            if cols[i] < lead:
-                j = next(j for j in range(lead, n) if cols[j] >= lead)
-                cols[i], cols[j] = cols[j], cols[i]
-        for i, j in enumerate(cols):
-            rows[i][j] = draw(nonzero)
-    zero_column = draw(st.booleans())
-    if zero_column:
-        column = draw(st.integers(0, n - 1))
+        # an involution that pairs each index of the zero block with one
+        # past it and fixes the rest
+        others = draw(st.permutations(range(lead, n)))
+        pairs = [*zip(range(lead), others), *((i, i) for i in others[lead:])]
+        for i, j in pairs:
+            rows[i][j] = rows[j][i] = draw(nonzero)
+    zero_line = draw(st.booleans())
+    if zero_line:
+        u = draw(st.integers(0, n - 1))
+        rows[u] = [0] * n
         for row in rows:
-            row[column] = 0
+            row[u] = 0
     if duplicated:
-        rows[draw(st.integers(1, n - 1))] = list(rows[0])
-    return rows, zero_column or duplicated
+        b = draw(st.integers(1, n - 1))
+        rows[b] = list(rows[0])
+        for row in rows:
+            row[b] = row[0]
+    return rows, zero_line or duplicated
 
 
 @settings(max_examples=400, deadline=None)
@@ -655,6 +650,8 @@ def symmetric_row_shifted_matrices(draw):
 @given(symmetric_row_shifted_matrices())
 @example((((Poly([-1, 1]), Poly([1])), (Poly([1]), Poly([-1, 1]))), False))  # x-1 on the diagonal
 @example((((Poly([0, 0, 1]), Poly([0, 1])), (Poly([0, 1]), Poly.zero())), False))
+# v = (1, 2): Q(0) from the kept matrix, the identity; det = x^3·(1 - x)
+@example((((Poly([0, 1]), Poly([0, 0, 1])), (Poly([0, 0, 1]), Poly([0, 0, 1]))), False))
 def test_det_direct_matches_the_reference_on_symmetric_matrices(case):
     matrix, duplicated = case
     det = det_direct(matrix)
@@ -663,14 +660,22 @@ def test_det_direct_matches_the_reference_on_symmetric_matrices(case):
         assert det.is_zero()
 
 
-def _row_shifted_values(matrix, x):
-    """The integer matrix that `det_direct` eliminates at x: row i divided
-    by x^(v_i), its lowest power of x, and evaluated at x."""
-    rows = []
-    for row in matrix:
-        v = min(next(e for e, c in enumerate(p.coeffs) if c) for p in row if p)
-        rows.append([Poly(p.coeffs[v:]).eval_at(x) if p else 0 for p in row])
-    return rows
+def _eliminated_values(matrix, x):
+    """The integer matrix that `_eliminate` hands to `_bareiss_int` at x:
+    at x != 0 every entry divided by x^c, c the least power of x in the
+    matrix, and evaluated at x; at x = 0 the kept matrix, whose entry at
+    (i, j) is the coefficient of x^(v_i) where v_i = v_j and 0 elsewhere,
+    v_i the lowest power of x in row i."""
+    valuations = [
+        min(next(e for e, c in enumerate(p.coeffs) if c) for p in row if p) for row in matrix
+    ]
+    if x:
+        c = min(valuations)
+        return [[Poly(p.coeffs[c:]).eval_at(x) if p else 0 for p in row] for row in matrix]
+    return [
+        [p.coeffs[v] if p and w == v else 0 for w, p in zip(valuations, row)]
+        for v, row in zip(valuations, matrix)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -680,8 +685,40 @@ def z2_k4_gram():
 
 @pytest.mark.parametrize("x", [0, 1, -1, 63, -63])
 def test_bareiss_int_matches_the_reference_on_the_z2_k4_gram_matrix(z2_k4_gram, x):
-    rows = _row_shifted_values(z2_k4_gram, x)
+    rows = _eliminated_values(z2_k4_gram, x)
     assert _bareiss_int(rows) == _bareiss_reference(rows)
+
+
+def test_every_elimination_is_of_a_symmetric_matrix(monkeypatch, capsys):
+    """`_bareiss_int` is handed only symmetric matrices: on every profile
+    of PROFILES and in the three commands the benchmark runs, from cold
+    caches."""
+    calls = []
+    eliminate = determinant._bareiss_int
+
+    def checked(rows):
+        assert rows == [list(column) for column in zip(*rows)]
+        calls.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(determinant, "_bareiss_int", checked)
+    for cached in (enumerate_diagrams, build_gram, coarsening_poset, reduced_decomposition,
+                   global_poly):
+        cached.cache_clear()
+    for profile in PROFILES:
+        decomposition = reduced_decomposition(*profile)
+        det_blocks(decomposition)
+        det_direct(decomposition.reduced)
+    counts = [len(calls)]
+    for argv in (
+        ["semisimple", "--algebra", "z2", "--k", "4", "--q", "2"],
+        ["det", "--algebra", "z2", "--k", "4", "--s1", "2", "--s2", "0"],
+        ["verify", "--k", "3"],
+    ):
+        assert main(argv) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert all(a < b for a, b in zip([0, *counts], counts))  # each of them eliminated
 
 
 @pytest.mark.parametrize("start", [-6, -1, 0, 3])

@@ -131,6 +131,25 @@ def test_poset_duality_catches_a_wrong_gram_entry_at_an_equal_degree_pair(profil
         assert f"pair {a},{b}: row-partition view differs from the oracle" in failures
 
 
+def test_gram_invariants_report_an_asymmetric_grid_without_a_determinant():
+    """An entry planted at (0, 1) alone is reported at both positions, and
+    no determinant is taken: `det_direct` rejects an asymmetric matrix."""
+    decomposition = reduced_decomposition("z2", 2, 0, 0)
+    gram = decomposition.gram
+    rows = [list(row) for row in gram.exponents]
+    assert rows[0][1] == rows[1][0] == 1
+    rows[0][1] = 6
+    planted = GramMatrix(
+        gram.algebra, gram.k, gram.s1, gram.s2, gram.keys, gram.diagrams,
+        tuple(map(tuple, rows)), gram.symmetry,
+    )
+    d = decomposition
+    failures = verify.check_gram_invariants(BlockDecomposition(
+        planted, d.transform, d.reduced, d.nonzero, d.cells, d.offblock_violations
+    ))
+    assert failures == ["asymmetric at 0,1", "asymmetric at 1,0"]
+
+
 def test_poset_duality_makes_one_product_per_unordered_pair(monkeypatch):
     """Both diagram classes multiply through `Diagram.multiply`, so counting
     it counts the products of every family."""
