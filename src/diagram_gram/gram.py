@@ -49,7 +49,8 @@ configurations and the map of plain profiles into doubled coordinates.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+import weakref
+from functools import cached_property, lru_cache, update_wrapper
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -218,14 +219,83 @@ def check_window(algebra: str, k: int, s1: int, s2: int = 0) -> Family:
     return family
 
 
+# -- one-entry caches --------------------------------------------------------------
+
+
+class CacheInfo(NamedTuple):
+    """The statistics of `functools.lru_cache`, under the same names."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class last_call:
+    """Cache of a function's last call, which lets go of it before the next.
+
+    A call with the arguments of the held one returns the held value. A
+    call with other arguments first drops the held arguments and value and
+    only then computes, so the old and the new value are never alive
+    together, as they are under `lru_cache(maxsize=1)`, which stores the
+    new entry before it evicts the old one. A call that raises leaves the
+    cache empty. Arguments match as `lru_cache` matches them, by equality,
+    keywords in the order given, so both count the same hits and misses;
+    `cache_info()` and `cache_clear()` behave as theirs do.
+    """
+
+    def __init__(self, fn):
+        update_wrapper(self, fn)
+        self.hits = self.misses = 0
+        self._entry = None  # (key, value) of the held call
+
+    def __call__(self, *args, **kwargs):
+        key = self._key(*args, **kwargs)
+        entry = self._entry
+        if entry is not None and entry[0] == key:
+            self.hits += 1
+            return entry[1]
+        self._entry = entry = None  # this frame's reference goes too
+        self.misses += 1
+        value = self.__wrapped__(*args, **kwargs)
+        self._entry = key, value
+        return value
+
+    def _key(self, *args, **kwargs):
+        return args, tuple(kwargs.items())
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, 1, int(self._entry is not None))
+
+    def cache_clear(self) -> None:
+        self.hits = self.misses = 0
+        self._entry = None
+
+
+class last_call_weak(last_call):
+    """`last_call` of a function of one object, which it holds by a weak
+    reference: the entry goes when that object does. Two references to
+    live objects compare as the objects do (a `GramMatrix` by identity),
+    and a reference to a dead one equals no new one, so a reused id never
+    hits."""
+
+    def _key(self, obj):
+        return weakref.ref(obj, self._expire)
+
+    def _expire(self, ref) -> None:
+        if self._entry is not None and self._entry[0] is ref:
+            self._entry = None
+
+
 # -- enumeration -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
+@last_call
 def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD):
     """Ordered basis: tuple of (DiagramKey, diagram) for the given profile.
 
-    Cached for the last profile only, like `build_gram`, which reads it."""
+    Cached for the last profile only, like `build_gram`, which reads it: a
+    call for another profile releases the last basis before it enumerates."""
     family = check_window(algebra, k, s1, s2)
     dim = projected_dimension(algebra, k, s1, s2, cap=guard)
     if dim > guard:
@@ -472,7 +542,7 @@ def row_partition_groups(views, indices=None) -> list[tuple[tuple[int, ...], lis
     return list(groups.items())
 
 
-@lru_cache(maxsize=1)
+@last_call
 def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD) -> GramMatrix:
     """Gram matrix over the ordered basis for the given profile.
 
@@ -483,11 +553,12 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
     stored as its loop count, the exponent of x**loops, and a zero entry as
     None.
 
-    The cache holds one profile, the last one built: a call for another
-    profile releases the last matrix, its basis and its grid, unless the
-    caller keeps them. The verdict visits each profile once, so it holds one
-    matrix at a time; a repeated call with the same arguments, guard in
-    the same position, returns the same matrix.
+    The cache holds one profile, the last one built (`last_call`): a call
+    for another profile releases the last matrix, its basis and its grid,
+    unless the caller keeps them, before it builds the new one. The verdict
+    visits each profile once and keeps none, so it holds one matrix at a
+    time; a repeated call with the same arguments, guard in the same
+    position, returns the same matrix.
     """
     basis = enumerate_diagrams(algebra, k, s1, s2, guard)
     keys = tuple(key for key, _ in basis)

@@ -205,6 +205,12 @@ def congruence(left, rows, right, coeffs) -> tuple[tuple[Poly, ...], ...]:
     column of L, a column of L'BR a sum of multiples of packed columns of
     L'B over a column of R, and the transpose in between is a strided copy
     of bytes, every slot biased by half its range to be nonnegative.
+
+    The rows of B are streamed: each row that L reads is packed once, added
+    with its coefficient into every row of L'B that reads it, and dropped,
+    so one packed row of B is alive at a time beside the p rows of L'B.
+    The packed rows of L'B are dropped once their transpose is built, and
+    those columns once L'BR is.
     """
     n, p = len(rows), len(left)
 
@@ -224,14 +230,17 @@ def congruence(left, rows, right, coeffs) -> tuple[tuple[Poly, ...], ...]:
     biased_zero = half.to_bytes(size, "little")
     row_bias = int.from_bytes(biased_zero * n, "little")
     col_bias = int.from_bytes(biased_zero * p, "little")
-    packed = {  # the rows of B that L reads
-        w: int.from_bytes(b"".join(map(slot.__getitem__, rows[w])), "little") - row_bias
-        for w in {w for col in left for w, _ in col}
-    }
-    # each stage's packed ints are dropped once the next stage has them,
-    # which keeps the peak memory near one stage's worth
-    left_rows = [sum(c * packed[w] for w, c in col) for col in left]  # L'B
-    del packed
+    reads: dict[int, list[tuple[int, int]]] = {}  # row w of B -> (column of L, c)
+    for u, col in enumerate(left):
+        for w, c in col:
+            reads.setdefault(w, []).append((u, c))
+    left_rows = [0] * p  # L'B
+    for w, uses in reads.items():
+        row = int.from_bytes(b"".join(map(slot.__getitem__, rows[w])), "little") - row_bias
+        for u, c in uses:
+            left_rows[u] += c * row
+        del row  # before the next row is packed
+    del reads
     left_cols = _transpose(left_rows, n, size, row_bias, col_bias)
     del left_rows
     out_cols = [sum(c * left_cols[i] for i, c in col) for col in right]  # L'BR

@@ -88,7 +88,7 @@ connected components.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from operator import attrgetter
 from typing import NamedTuple
@@ -100,6 +100,8 @@ from .gram import (
     GramMatrix,
     Orbits,
     build_gram,
+    last_call,
+    last_call_weak,
     row_partition_groups,
     unfold_rows,
     unfold_sparse,
@@ -195,15 +197,16 @@ class CoarseningPoset:
         raise AttributeError("CoarseningPoset is immutable")
 
 
-@lru_cache(maxsize=1)
+@last_call_weak
 def coarsening_poset(gram: GramMatrix) -> CoarseningPoset:
     """Coarsening order of `gram`'s basis: u below v iff G[u][v] == G[u][u].
 
     Read off the exponents of the matrix handed in, and cached for the last
-    matrix only (`GramMatrix` hashes by identity), so `verify` and
-    `minimal_common_coarsening` share one poset while they read one
-    matrix. The diagonal is never zero. See the module docstring for why
-    the equality is the coarsening order.
+    matrix only, so `verify` and `minimal_common_coarsening` share one
+    poset while they read one matrix. The cache holds that matrix by a weak
+    reference (`last_call_weak`): it keeps no matrix alive, and the poset
+    goes with its matrix. The diagonal is never zero. See the module
+    docstring for why the equality is the coarsening order.
     """
     leq = tuple(
         tuple(e == row[u] for e in row) for u, row in enumerate(gram.exponents)
@@ -396,7 +399,7 @@ def reduce_gram(gram: GramMatrix) -> BlockDecomposition:
     return BlockDecomposition(gram, transform, reduced, nonzero, cells, violations)
 
 
-@lru_cache(maxsize=1)
+@last_call
 def reduced_decomposition(
     algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD
 ) -> BlockDecomposition:
@@ -404,8 +407,10 @@ def reduced_decomposition(
 
     Cached for one profile, the last one reduced, like `build_gram`: a call
     for another profile releases the last decomposition, with its
-    transform, its reduced rows and its predictions. `global_poly` visits
-    each profile once and keeps only the factors of `det_blocks`.
+    transform, its reduced rows and its predictions, before it builds the
+    new one. `global_poly` and `verify.run_all_checks` visit each profile
+    once and keep no decomposition, so `reduce_gram` always starts with
+    the last profile's matrix and decomposition released.
     """
     return reduce_gram(build_gram(algebra, k, s1, s2, guard))
 

@@ -99,16 +99,18 @@ def global_poly(algebra: str, k: int, guard: int = DEFAULT_GUARD):
     """Obstruction polynomial with its factor records, over all profiles.
 
     The result keeps the merged factors of every profile; its `poly` is
-    multiplied out only when read. The profile caches below it hold one
-    profile, so each profile's basis, matrix and reduction are released
-    once `det_blocks` has taken its factors.
+    multiplied out only when read. The loop keeps no profile: the
+    decomposition goes straight to `det_blocks`, and the profile caches
+    below it hold one profile and drop it before they build the next. So
+    each profile's basis, matrix and reduction are released before the
+    next profile is reduced.
     """
     check_window(algebra, k, 0, 0)
     records: list[FactorRecord] = []
     factors: Counter[Poly] = Counter()
     for s1, s2 in admissible_profiles(algebra, k):
-        decomposition = reduced_decomposition(algebra, k, s1, s2, guard)
-        for factor, mult in det_blocks(decomposition).factored:
+        result = det_blocks(reduced_decomposition(algebra, k, s1, s2, guard))
+        for factor, mult in result.factored:
             factors[factor] += mult
             if factor.degree() > 0:
                 records.append(FactorRecord(s1, s2, factor))

@@ -5,7 +5,8 @@ then of k and (s1, s2): it reduces the profile (`reduced_decomposition`,
 which builds its Gram matrix) and hands the decomposition to each
 per-profile check that applies there. A check returns its failures as a
 list of strings and never loops over profiles; `run_all_checks` puts the
-profile's tag in front of each failure and adds up the seconds per check.
+profile's tag in front of each failure and adds up the seconds per check,
+and drops the decomposition before it reduces the next profile.
 The three global checks take no argument and return their failures the same
 way. The plain partition family runs one size higher. Every check is exact:
 no tolerance anywhere.
@@ -334,6 +335,8 @@ def run_all_checks(k_max: int = 3, guard: int = DEFAULT_GUARD):
                         start = time.monotonic()
                         failures[name] += [f"{tag} {failure}" for failure in check(decomposition)]
                         seconds[name] += time.monotonic() - start
+                # the next profile is reduced with this one released
+                del decomposition
     for name, check, applies, _, _ in table:
         if applies is None:
             start = time.monotonic()

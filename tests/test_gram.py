@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from collections import Counter
 from functools import lru_cache
 
@@ -16,6 +18,8 @@ from diagram_gram.gram import (
     build_gram,
     count_row_configs,
     enumerate_diagrams,
+    last_call,
+    last_call_weak,
     projected_dimension,
     row_partition_groups,
 )
@@ -411,3 +415,94 @@ def test_projected_dimension_stops_above_its_cap():
                 assert partial == dim
             else:
                 assert cap < partial <= dim
+
+
+class Box:
+    """A value that takes weak references."""
+
+    def __init__(self, *args, **kwargs):
+        self.args, self.kwargs = args, kwargs
+
+
+def boxed(x, y=0):
+    if x < 0:
+        raise ValueError("negative")
+    return Box(x, y=y)
+
+
+def test_last_call_counts_as_a_one_entry_lru_cache():
+    # A, A, B, A with keyword arguments: the same key both ways, the same
+    # hits and misses; a keyword and a positional argument are two keys, as
+    # are two orders of the same keywords
+    ours, lru = last_call(boxed), lru_cache(maxsize=1)(boxed)
+    calls = [
+        ((1,), {"y": 2}), ((1,), {"y": 2}), ((1, 2), {}), ((1,), {"y": 2}),
+        ((), {"x": 1, "y": 2}), ((), {"y": 2, "x": 1}), ((), {"y": 2, "x": 1}),
+    ]
+    held = None
+    for args, kwargs in calls:
+        hits = ours.cache_info().hits
+        got, want = ours(*args, **kwargs), lru(*args, **kwargs)
+        assert (got.args, got.kwargs) == (want.args, want.kwargs)
+        assert tuple(ours.cache_info()) == tuple(lru.cache_info())
+        assert (got is held) == (ours.cache_info().hits > hits)
+        held = got
+    assert tuple(ours.cache_info()) == (2, 5, 1, 1)
+    # a call that raises is a miss and leaves the cache empty, where
+    # lru_cache keeps its entry
+    with pytest.raises(ValueError):
+        ours(-1)
+    with pytest.raises(ValueError):
+        lru(-1)
+    assert tuple(ours.cache_info()) == (2, 6, 1, 0)
+    assert tuple(lru.cache_info()) == (2, 6, 1, 1)
+    assert ours(y=2, x=1) is not held
+    ours.cache_clear()
+    assert tuple(ours.cache_info()) == (0, 0, 1, 0)
+    assert ours.__name__ == "boxed" and ours.__wrapped__ is boxed
+
+
+def test_last_call_drops_the_held_value_before_it_computes():
+    # under lru_cache(maxsize=1) the value of 1 is alive while 2 is built
+    made = []
+
+    @last_call
+    def make(x):
+        assert all(ref() is None for ref in made)
+        value = Box(x)
+        made.append(weakref.ref(value))
+        return value
+
+    enabled = gc.isenabled()
+    gc.disable()  # a value must be freed by its count, not by a collection
+    try:
+        for x in (1, 1, 2, 1, 3):
+            make(x)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(made) == 4 and made[-1]() is not None
+
+
+def test_last_call_weak_holds_its_argument_weakly():
+    made = []
+
+    @last_call_weak
+    def wrap(obj):
+        made.append(obj.args)
+        return Box(obj.args)  # holds no reference to obj
+
+    first = Box(1)
+    value = wrap(first)
+    assert wrap(first) is value and tuple(wrap.cache_info()) == (1, 1, 1, 1)
+    value = weakref.ref(value)
+    del first  # the entry goes with its argument, and the value with it
+    assert tuple(wrap.cache_info()) == (1, 1, 1, 0) and value() is None
+    for x in range(5):  # a new object, whatever its id, is a miss
+        wrap(Box(x))
+    assert tuple(wrap.cache_info()) == (1, 6, 1, 0)
+    second = Box(7)
+    wrap(second)
+    assert wrap.cache_info().currsize == 1
+    wrap(Box(8))  # another argument releases the entry of `second`
+    assert wrap.cache_info().misses == 8 and made == [(1,), *[(x,) for x in range(5)], (7,), (8,)]

@@ -258,6 +258,17 @@ def test_congruence_kernel_matches_oracle_on_random_input(data):
     assert congruence(columns, rows, right, coeffs) == congruence_oracle(columns, rows, right)
 
 
+@pytest.mark.parametrize("left", [(), ((),), ((), ())], ids=["no column", "one zero", "two zero"])
+def test_congruence_kernel_when_the_left_side_reads_no_row(left):
+    # the rows of B are packed as L reads them: with no row read, L'BR is
+    # p rows of zeros, or no row at all
+    rows = ((Poly([1, 2]), Poly.zero()), (Poly.zero(), Poly.monomial(3)))
+    coeffs = {p: p.coeffs for row in rows for p in row}
+    right = (((0, 1),), ((0, -2), (1, 5)), ())
+    got = congruence(left, rows, right, coeffs)
+    assert got == congruence_oracle(left, rows, right) == ((Poly.zero(),) * 3,) * len(left)
+
+
 def test_poset_is_a_partial_order():
     for algebra in ("partition", "z2", "signed"):
         for k in (1, 2, 3):

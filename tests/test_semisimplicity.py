@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 import diagram_gram
-from diagram_gram import reduction, semisimplicity
+from diagram_gram import reduction, semisimplicity, verify
 from diagram_gram.determinant import DetResult, det_blocks
 from diagram_gram.diagrams import Diagram, PartitionDiagram
+from diagram_gram.families import FAMILIES
 from diagram_gram.gram import DEFAULT_GUARD, GramMatrix, build_gram, enumerate_diagrams
 from diagram_gram.polynomials import Poly, linear_factor, quadratic_factor
 from diagram_gram.reduction import coarsening_poset, reduced_decomposition
@@ -193,6 +194,45 @@ def test_global_poly_releases_each_profile(monkeypatch):
     assert first_decomposition() is None
     for cached in caches:
         assert cached.cache_info().currsize <= 1, cached
+
+
+@pytest.mark.parametrize(
+    "run, profiles",
+    [
+        (lambda: global_poly("z2", 4, DEFAULT_GUARD), len(admissible_profiles("z2", 4))),
+        # the partition family runs one size higher
+        (lambda: verify.run_all_checks(2), sum(
+            len(family.profiles(k))
+            for family in FAMILIES.values() for k in range(1, 3 + family.plain)
+        )),
+    ],
+    ids=["global_poly", "run_all_checks"],
+)
+def test_each_profile_is_reduced_with_the_last_one_released(monkeypatch, run, profiles):
+    # one profile alive at a time: when `reduce_gram` starts on a profile,
+    # no earlier profile's matrix or decomposition is alive. The collector
+    # is off, so an object counts as released only once nothing refers to it
+    earlier = []
+    reduce = reduction.reduce_gram
+
+    def watched(gram):
+        alive = [ref for ref in earlier if ref() is not None]
+        assert not alive, f"profile {len(earlier) // 2}: {len(alive)} earlier objects alive"
+        decomposition = reduce(gram)
+        earlier.extend((weakref.ref(gram), weakref.ref(decomposition)))
+        return decomposition
+
+    caches = (enumerate_diagrams, build_gram, coarsening_poset, reduced_decomposition, global_poly)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(reduction, "reduce_gram", watched)
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+    finally:
+        gc.enable()
+    assert len(earlier) == 2 * profiles
 
 
 def test_symbolic_verdict_matches_the_product():
