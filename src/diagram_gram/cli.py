@@ -300,8 +300,8 @@ def cmd_verify(args) -> int:
         status = "PASS" if check.ok else "FAIL"
         lines.append(f"{status}  {check.name:<24} {check.seconds:7.2f}s  {check.details}")
         failures += 0 if check.ok else 1
-    # the profile caches hold the last profile the checks read, so this
-    # builds the signed (1, 0) decomposition again
+    # `--k 1` and `--k 2` never visit signed k=3 (1, 0), so this builds it
+    # itself; at `--k 3` the checks built it too, and kept nothing
     decomposition = reduced_decomposition("signed", 3, 1, 0, args.guard)
     report = published_gram_report(decomposition.gram)
     status = "PASS" if report.ok else "FAIL"

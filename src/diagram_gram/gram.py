@@ -39,7 +39,9 @@ A `GramMatrix` stores its entries in this form: `exponents[u][v]` is the
 loop count e of the entry x**e, or None for a zero entry. The coarsening
 poset and the congruence in `reduction` read that grid directly. The
 `Poly` view `GramMatrix.entries` is rendered only when read, by the CLI
-output, the determinants and the oracles.
+output, the determinants and the oracles. No basis or matrix is cached:
+every CLI call asks for each profile once, so `enumerate_diagrams` and
+`build_gram` build anew on every call.
 
 The algebra tag ("partition", "z2" or "signed") names a `Family` in
 `families.FAMILIES`, which holds the profile window, the row
@@ -49,8 +51,7 @@ configurations and the map of plain profiles into doubled coordinates.
 from __future__ import annotations
 
 import itertools
-import weakref
-from functools import cached_property, lru_cache, update_wrapper
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -119,8 +120,7 @@ class GramMatrix:
 
     `exponents[u][v]` is e for the entry x**e, or None for a zero entry.
     For the plain partition algebra the profile is stored as s1 == s,
-    s2 == 0. A matrix hashes and compares by identity, so the stages that
-    read it (`reduction.coarsening_poset`) can be cached per matrix.
+    s2 == 0. A matrix hashes and compares by identity.
 
     `symmetry` is the `orbit_tree` walk over index permutations of the
     basis, its `generators`, entry u being the index of the image of
@@ -219,83 +219,12 @@ def check_window(algebra: str, k: int, s1: int, s2: int = 0) -> Family:
     return family
 
 
-# -- one-entry caches --------------------------------------------------------------
-
-
-class CacheInfo(NamedTuple):
-    """The statistics of `functools.lru_cache`, under the same names."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-class last_call:
-    """Cache of a function's last call, which lets go of it before the next.
-
-    A call with the arguments of the held one returns the held value. A
-    call with other arguments first drops the held arguments and value and
-    only then computes, so the old and the new value are never alive
-    together, as they are under `lru_cache(maxsize=1)`, which stores the
-    new entry before it evicts the old one. A call that raises leaves the
-    cache empty. Arguments match as `lru_cache` matches them, by equality,
-    keywords in the order given, so both count the same hits and misses;
-    `cache_info()` and `cache_clear()` behave as theirs do.
-    """
-
-    def __init__(self, fn):
-        update_wrapper(self, fn)
-        self.hits = self.misses = 0
-        self._entry = None  # (key, value) of the held call
-
-    def __call__(self, *args, **kwargs):
-        key = self._key(*args, **kwargs)
-        entry = self._entry
-        if entry is not None and entry[0] == key:
-            self.hits += 1
-            return entry[1]
-        self._entry = entry = None  # this frame's reference goes too
-        self.misses += 1
-        value = self.__wrapped__(*args, **kwargs)
-        self._entry = key, value
-        return value
-
-    def _key(self, *args, **kwargs):
-        return args, tuple(kwargs.items())
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses, 1, int(self._entry is not None))
-
-    def cache_clear(self) -> None:
-        self.hits = self.misses = 0
-        self._entry = None
-
-
-class last_call_weak(last_call):
-    """`last_call` of a function of one object, which it holds by a weak
-    reference: the entry goes when that object does. Two references to
-    live objects compare as the objects do (a `GramMatrix` by identity),
-    and a reference to a dead one equals no new one, so a reused id never
-    hits."""
-
-    def _key(self, obj):
-        return weakref.ref(obj, self._expire)
-
-    def _expire(self, ref) -> None:
-        if self._entry is not None and self._entry[0] is ref:
-            self._entry = None
-
-
 # -- enumeration -----------------------------------------------------------------
 
 
-@last_call
+@lru_cache(maxsize=0)  # caches nothing: counts calls for perfbench's cache_info()
 def enumerate_diagrams(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD):
-    """Ordered basis: tuple of (DiagramKey, diagram) for the given profile.
-
-    Cached for the last profile only, like `build_gram`, which reads it: a
-    call for another profile releases the last basis before it enumerates."""
+    """Ordered basis: tuple of (DiagramKey, diagram) for the given profile."""
     family = check_window(algebra, k, s1, s2)
     dim = projected_dimension(algebra, k, s1, s2, cap=guard)
     if dim > guard:
@@ -542,7 +471,7 @@ def row_partition_groups(views, indices=None) -> list[tuple[tuple[int, ...], lis
     return list(groups.items())
 
 
-@last_call
+@lru_cache(maxsize=0)  # caches nothing: counts calls for perfbench's cache_info()
 def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD) -> GramMatrix:
     """Gram matrix over the ordered basis for the given profile.
 
@@ -553,12 +482,9 @@ def build_gram(algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_
     stored as its loop count, the exponent of x**loops, and a zero entry as
     None.
 
-    The cache holds one profile, the last one built (`last_call`): a call
-    for another profile releases the last matrix, its basis and its grid,
-    unless the caller keeps them, before it builds the new one. The verdict
-    visits each profile once and keeps none, so it holds one matrix at a
-    time; a repeated call with the same arguments, guard in the same
-    position, returns the same matrix.
+    Nothing is cached: each call builds a new matrix, and the matrix lives
+    as long as its caller holds it. The verdict and `verify` visit each
+    profile once and keep none, so they hold one matrix at a time.
     """
     basis = enumerate_diagrams(algebra, k, s1, s2, guard)
     keys = tuple(key for key, _ in basis)

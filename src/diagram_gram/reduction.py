@@ -38,8 +38,8 @@ so far, and reads each relation u <= w straight off the exponent grid. It
 returns T as those sparse columns, ((u, T[u][v]), ...) over the nonzero
 entries, and `_congruence` and `BlockDecomposition` keep that form; only
 the `reduce` command densifies it, to checksum it. The dense relation,
-`coarsening_poset`, is built only for `verify` and
-`minimal_common_coarsening`; the reduction never builds it.
+`coarsening_poset`, is built only for `verify`'s poset-duality check, once
+per profile; the reduction and `minimal_common_coarsening` never build it.
 
 The role-swap pairs are read off each diagram's `RowView` (row partition,
 through blocks, flip-fixed flags). A role swap is a pair with one row
@@ -88,7 +88,7 @@ connected components.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from operator import attrgetter
 from typing import NamedTuple
@@ -100,8 +100,6 @@ from .gram import (
     GramMatrix,
     Orbits,
     build_gram,
-    last_call,
-    last_call_weak,
     row_partition_groups,
     unfold_rows,
     unfold_sparse,
@@ -197,16 +195,13 @@ class CoarseningPoset:
         raise AttributeError("CoarseningPoset is immutable")
 
 
-@last_call_weak
+@lru_cache(maxsize=0)  # caches nothing: counts calls for perfbench's cache_info()
 def coarsening_poset(gram: GramMatrix) -> CoarseningPoset:
     """Coarsening order of `gram`'s basis: u below v iff G[u][v] == G[u][u].
 
-    Read off the exponents of the matrix handed in, and cached for the last
-    matrix only, so `verify` and `minimal_common_coarsening` share one
-    poset while they read one matrix. The cache holds that matrix by a weak
-    reference (`last_call_weak`): it keeps no matrix alive, and the poset
-    goes with its matrix. The diagonal is never zero. See the module
-    docstring for why the equality is the coarsening order.
+    Read off the exponents of the matrix handed in; the diagonal is never
+    zero. See the module docstring for why the equality is the coarsening
+    order.
     """
     leq = tuple(
         tuple(e == row[u] for e in row) for u, row in enumerate(gram.exponents)
@@ -221,15 +216,16 @@ def minimal_common_coarsening(gram: GramMatrix, u: int, v: int):
     Applies when G[u][v] is nonzero, that is, when the product of the two
     diagrams keeps the full through count (`verify` checks every entry
     against its product). The candidates and the finest among them are
-    read from `coarsening_poset(gram).leq`, the relation `verify` compares
-    with `diagram_coarser_or_equal` on every pair. Raises if the minimum is
-    not unique.
+    read off the exponent grid, w <= u iff G[w][u] == G[w][w]: the relation
+    of `coarsening_poset`, which `verify` compares with
+    `diagram_coarser_or_equal` on every pair. Raises if the minimum is not
+    unique.
     """
-    if gram.exponents[u][v] is None:
+    grid = gram.exponents
+    if grid[u][v] is None:
         return None
-    leq = coarsening_poset(gram).leq
-    candidates = [w for w, above in enumerate(leq) if above[u] and above[v]]
-    finest = [w for w in candidates if all(leq[o][w] for o in candidates)]
+    candidates = [w for w, row in enumerate(grid) if row[u] == row[w] == row[v]]
+    finest = [w for w in candidates if all(grid[o][w] == grid[o][o] for o in candidates)]
     if len(finest) != 1:
         raise RuntimeError(
             f"common coarsening of {u} and {v} is not unique: {finest}"
@@ -399,18 +395,17 @@ def reduce_gram(gram: GramMatrix) -> BlockDecomposition:
     return BlockDecomposition(gram, transform, reduced, nonzero, cells, violations)
 
 
-@last_call
+@lru_cache(maxsize=0)  # caches nothing: counts calls for perfbench's cache_info()
 def reduced_decomposition(
     algebra: str, k: int, s1: int, s2: int = 0, guard: int = DEFAULT_GUARD
 ) -> BlockDecomposition:
     """`reduce_gram` of `build_gram` for the profile.
 
-    Cached for one profile, the last one reduced, like `build_gram`: a call
-    for another profile releases the last decomposition, with its
-    transform, its reduced rows and its predictions, before it builds the
-    new one. `global_poly` and `verify.run_all_checks` visit each profile
-    once and keep no decomposition, so `reduce_gram` always starts with
-    the last profile's matrix and decomposition released.
+    Nothing is cached: the decomposition, with its matrix, transform,
+    reduced rows and predictions, lives as long as its caller holds it.
+    `global_poly` and `verify.run_all_checks` visit each profile once and
+    keep no decomposition, so `reduce_gram` always starts with the last
+    profile's matrix and decomposition released.
     """
     return reduce_gram(build_gram(algebra, k, s1, s2, guard))
 

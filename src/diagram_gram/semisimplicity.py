@@ -94,16 +94,16 @@ def admissible_profiles(algebra: str, k: int):
     return FAMILIES[algebra].profiles(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)  # caches nothing: counts calls for perfbench's cache_info()
 def global_poly(algebra: str, k: int, guard: int = DEFAULT_GUARD):
     """Obstruction polynomial with its factor records, over all profiles.
 
     The result keeps the merged factors of every profile; its `poly` is
-    multiplied out only when read. The loop keeps no profile: the
-    decomposition goes straight to `det_blocks`, and the profile caches
-    below it hold one profile and drop it before they build the next. So
-    each profile's basis, matrix and reduction are released before the
-    next profile is reduced.
+    multiplied out only when read. The loop keeps no profile, and nothing
+    below it caches one: the decomposition goes straight to `det_blocks`,
+    so each profile's basis, matrix and reduction are released before the
+    next profile is reduced. Nor is the result cached: a CLI call asks for
+    it once.
     """
     check_window(algebra, k, 0, 0)
     records: list[FactorRecord] = []

@@ -99,9 +99,9 @@ def check_poset_duality(decomposition) -> list[str]:
     and one entry serves (u, v) and (v, u). On every ordered pair the Gram
     entry must equal that entry (x**loops when the product keeps every
     through block, else zero) and the poset read off the Gram matrix must
-    equal `diagram_coarser_or_equal`, so the joins read from it are joins
-    of the oracle's relation. On the pairs with deg u < deg v, coarsening
-    must also equal the loop-count criterion.
+    equal `diagram_coarser_or_equal`, so the joins read off the grid are
+    joins of the oracle's relation. On the pairs with deg u < deg v,
+    coarsening must also equal the loop-count criterion.
     """
     gram = decomposition.gram
     diagrams = gram.diagrams

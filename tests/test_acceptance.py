@@ -11,7 +11,7 @@ from fractions import Fraction
 from diagram_gram.golden import published_gram_report, published_reduced_report, load_fixture
 from diagram_gram.gram import build_gram, enumerate_diagrams
 from diagram_gram.reduction import reduced_decomposition
-from diagram_gram.semisimplicity import global_poly, verdict
+from diagram_gram.semisimplicity import verdict
 from diagram_gram.stirling import count_coarser_bruteforce, gen_stirling_z2
 from test_gram import standard_diagram
 
@@ -148,7 +148,7 @@ def test_criterion_08_polynomial_identities(checks_k3):
             result.ok, f"{result.seconds:.2f}s")
 
 
-def test_criterion_09_semisimplicity():
+def test_criterion_09_semisimplicity(memo_global_poly):
     t0 = time.monotonic()
     v = verdict("z2", 4, 2)
     headline = (not v.semisimple) and any(w[2] == "x^2-x-2" for w in v.witnesses)
@@ -158,7 +158,7 @@ def test_criterion_09_semisimplicity():
     rng = random.Random(99)
     for algebra in ("partition", "z2", "signed"):
         for k in (1, 2, 3):
-            result, _ = global_poly(algebra, k)
+            result, _ = memo_global_poly(algebra, k)
             for _ in range(50):
                 q = Fraction(rng.randint(-30, 30), rng.randint(1, 10))
                 if verdict(algebra, k, q).semisimple != (result.poly.eval_at(q) != 0):

@@ -1,11 +1,16 @@
+import gc
 import hashlib
 import json
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
+from diagram_gram import gram
 from diagram_gram.cli import STIRLING_MAX, main
+from diagram_gram.reduction import coarsening_poset, reduced_decomposition
+from diagram_gram.semisimplicity import global_poly
 from diagram_gram.stirling import gen_stirling_z2
 
 
@@ -232,6 +237,40 @@ def test_enumeration_visits_only_the_requested_profile(capsys):
         )
         assert code == 0 and json.loads(out)["count"] == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["semisimple", "--algebra", "signed", "--k", "3", "--q", "2"],
+    ["det", "--algebra", "z2", "--k", "3", "--s1", "1", "--s2", "0"],
+    ["reduce", "--algebra", "signed", "--k", "3", "--s1", "1", "--s2", "0"],
+    ["verify", "--k", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_call_keeps_no_profile(monkeypatch, capsys, argv):
+    # a call asks for each profile once, so the five stages perfbench counts
+    # cache nothing, and once it returns no Gram matrix it built is alive.
+    # The collector is off: a matrix counts as released only once nothing
+    # refers to it
+    built = []
+    make = gram.GramMatrix
+
+    def recorded(*args):
+        matrix = make(*args)
+        built.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(gram, "GramMatrix", recorded)
+    counted = (gram.enumerate_diagrams, gram.build_gram, coarsening_poset,
+               reduced_decomposition, global_poly)
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run_cli(capsys, *argv)
+    finally:
+        gc.enable()
+    assert code == 0 and built
+    for fn in counted:
+        assert (fn.cache_info().hits, fn.cache_info().currsize) == (0, 0), fn.__name__
+    assert sum(ref() is not None for ref in built) == 0
 
 
 @pytest.mark.parametrize(

@@ -25,10 +25,10 @@ from diagram_gram.determinant import (
     det_direct,
     det_isotypic,
 )
-from diagram_gram.gram import build_gram, enumerate_diagrams, projected_dimension
+from diagram_gram.gram import build_gram, projected_dimension
 from diagram_gram.polynomials import Poly, linear_factor, phi_atoms, phi_z2
-from diagram_gram.reduction import BlockDecomposition, coarsening_poset, reduced_decomposition
-from diagram_gram.semisimplicity import admissible_profiles, global_poly
+from diagram_gram.reduction import BlockDecomposition, reduced_decomposition
+from diagram_gram.semisimplicity import admissible_profiles
 from test_gram import fibre_generators, fibre_permutation
 from test_reduction import K4_PROFILES, PROFILES
 
@@ -691,8 +691,7 @@ def test_bareiss_int_matches_the_reference_on_the_z2_k4_gram_matrix(z2_k4_gram, 
 
 def test_every_elimination_is_of_a_symmetric_matrix(monkeypatch, capsys):
     """`_bareiss_int` is handed only symmetric matrices: on every profile
-    of PROFILES and in the three commands the benchmark runs, from cold
-    caches."""
+    of PROFILES and in the three commands the benchmark runs."""
     calls = []
     eliminate = determinant._bareiss_int
 
@@ -702,9 +701,6 @@ def test_every_elimination_is_of_a_symmetric_matrix(monkeypatch, capsys):
         return eliminate(rows)
 
     monkeypatch.setattr(determinant, "_bareiss_int", checked)
-    for cached in (enumerate_diagrams, build_gram, coarsening_poset, reduced_decomposition,
-                   global_poly):
-        cached.cache_clear()
     for profile in PROFILES:
         decomposition = reduced_decomposition(*profile)
         det_blocks(decomposition)

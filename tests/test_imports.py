@@ -62,11 +62,12 @@ def test_cli_import_loads_no_code_generator():
     without `site`, which may load modules of its own: the records are
     `NamedTuple`s and plain classes, so importing the CLI loads neither
     `dataclasses` nor the `inspect` it brings in, and the fixtures are read
-    without `importlib.resources`, which loads `inspect` on Python 3.12."""
+    without `importlib.resources`, which loads `inspect` on Python 3.12.
+    No stage caches a result, so nothing loads `weakref`."""
     code = (
         "import json, sys; import diagram_gram.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'diagram_gram'"
-        " or m in ('dataclasses', 'inspect', 'importlib.resources'))))"
+        " or m in ('dataclasses', 'inspect', 'importlib.resources', 'weakref'))))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     run = subprocess.run(

@@ -48,11 +48,6 @@ CALLS = [
 ALLOWED = {
     # perfbench/spans.py wraps it by name to time the brute-force counts
     "stirling.count_coarser_bruteforce",
-    # perfbench/traced.py and spans.py read it by name for the cache counters
-    "gram.last_call.cache_info",
-    # the lru_cache interface the profile caches keep; the tests clear them
-    # to count misses from a cold start
-    "gram.last_call.cache_clear",
 }
 
 RUNNER = """

@@ -60,7 +60,7 @@ def test_cached_properties_survive_the_frozen_records():
 
 
 def test_matrix_records_compare_by_identity():
-    """The per-matrix caches key on a `GramMatrix` by identity, and no
+    """A `GramMatrix` hashes and compares by identity, and no
     record that holds a matrix hashes or compares its grids by value."""
     gram = build_gram("z2", 2, 1, 0)
     twin = GramMatrix(

@@ -6,6 +6,8 @@ are compared entrywise with `multiply`, `diagram_coarser_or_equal` and
 `swap_pair_parameters`, the role-swap oracle kept in `test_reduction.py`.
 """
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,11 @@ K4_PROFILES = [
     for algebra in ("z2", "signed")
     for s1, s2 in admissible_profiles(algebra, 4)
 ]
+
+# the library caches no matrix and no poset; the hypothesis tests below draw
+# each profile many times
+gram_of = lru_cache(maxsize=None)(build_gram)
+poset_of = lru_cache(maxsize=None)(coarsening_poset)
 
 
 def row_view_reference(diagram) -> RowView:
@@ -126,7 +133,7 @@ def test_role_swaps_match_oracle(profile):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(K4_PROFILES), st.data())
 def test_random_k4_entries_match_products(profile, data):
-    gram = build_gram(*profile)
+    gram = gram_of(*profile)
     n = gram.dimension()
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1))
@@ -137,8 +144,8 @@ def test_random_k4_entries_match_products(profile, data):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(K4_PROFILES), st.data())
 def test_random_k4_poset_matches_coarsening_oracle(profile, data):
-    gram = build_gram(*profile)
-    poset = coarsening_poset(gram)
+    gram = gram_of(*profile)
+    poset = poset_of(gram)
     diagrams = gram.diagrams
     u = data.draw(st.integers(0, len(diagrams) - 1))
     v = data.draw(st.integers(0, len(diagrams) - 1))

@@ -63,11 +63,11 @@ def test_signed_k3_q2_not_semisimple():
     assert any(w[2] == "x^2-x-2" for w in v.witnesses)
 
 
-def test_factor_scan_agrees_with_full_evaluation():
+def test_factor_scan_agrees_with_full_evaluation(memo_global_poly):
     rng = random.Random(2024)
     for algebra in ("partition", "z2", "signed"):
         for k in (1, 2, 3):
-            result, _ = global_poly(algebra, k)
+            result, _ = memo_global_poly(algebra, k)
             for _ in range(50):
                 q = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
                 v = verdict(algebra, k, q)
@@ -114,19 +114,27 @@ def test_det_result_multiplies_out_once_on_demand():
     assert vars(result)["poly"] is result.poly
 
 
-def test_rational_verdict_leaves_the_product_unbuilt():
-    # other tests read `.poly` of the shared cached results
-    global_poly.cache_clear()
+def test_rational_verdict_leaves_the_product_unbuilt(monkeypatch):
+    # the DetResult the verdict itself read, never multiplied out
+    read = []
+    product = semisimplicity.global_poly
+
+    def recorded(*args):
+        result = product(*args)
+        read.append(result[0])
+        return result
+
+    monkeypatch.setattr(semisimplicity, "global_poly", recorded)
     cases = [(a, k) for a in ("partition", "z2", "signed") for k in (1, 2, 3)] + [("z2", 4)]
     for algebra, k in cases:
         verdict(algebra, k, Fraction(5, 2))
-        assert "poly" not in vars(global_poly(algebra, k, DEFAULT_GUARD)[0]), (algebra, k)
+        assert len(read) == 1 and "poly" not in vars(read.pop()), (algebra, k)
 
 
 def test_verdict_never_renders_the_gram_entries(monkeypatch):
     # the pipeline reads the exponent grid; the Poly view is for output.
     # Every read of `entries` is recorded while the verdicts run, on
-    # whichever matrix it is, cached or not
+    # whichever matrix it is
     rendered = []
     render = GramMatrix.entries.func
 
@@ -173,8 +181,8 @@ def test_verdict_builds_no_set_partition_and_no_prediction(monkeypatch):
 
 
 def test_global_poly_releases_each_profile(monkeypatch):
-    # the profile caches hold one profile: once det_blocks has taken a
-    # profile's factors, nothing keeps its matrix or its reduction alive
+    # nothing caches a profile: once det_blocks has taken a profile's
+    # factors, nothing keeps its matrix or its reduction alive
     seen = []
 
     def watched(*args):
@@ -250,7 +258,7 @@ def test_symbolic_verdict_fails_on_a_zero_factor(monkeypatch):
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_partition_non_semisimple_integers_match_the_literature(k):
+def test_partition_non_semisimple_integers_match_the_literature(k, memo_global_poly):
     # P_k(q) is semisimple iff q is not in {0, ..., 2k-2} (Martin & Saleur
     # 1994; Halverson & Ram, Eur. J. Combin. 26, 2005)
     flagged = {q for q in range(-2, 2 * k + 3) if not verdict("partition", k, q).semisimple}
@@ -297,10 +305,10 @@ WITNESS_QS = [Fraction(q) for q in range(-12, 40)] + [
 ]
 
 
-def test_witness_atoms_match_the_division_scan():
+def test_witness_atoms_match_the_division_scan(memo_global_poly):
     pairs = differences = 0
     for algebra, k in WITNESS_CASES:
-        for rec in global_poly(algebra, k)[1]:
+        for rec in memo_global_poly(algebra, k)[1]:
             for q in WITNESS_QS:
                 pairs += 1
                 differences += rec.describe_at(q) != reference_witness(rec.poly, q)

@@ -227,7 +227,7 @@ def test_a_planted_failure_fails_its_own_check_under_its_profile_tag(
 
 
 def test_each_profile_is_built_and_reduced_once():
-    """One visit per profile: the one-profile caches miss once for each."""
+    """One visit per profile: each stage is called once for each."""
     caches = (enumerate_diagrams, build_gram, reduced_decomposition)
     for cache in caches:
         cache.cache_clear()
