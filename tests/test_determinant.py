@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -87,6 +88,28 @@ def det_direct_reference(matrix):
     xs = list(range(bound + 1))
     ys = [_bareiss_reference([[p.eval_at(x) for p in row] for row in matrix]) for x in xs]
     return newton_reference(xs, ys)
+
+
+# `determinant._PACKED_BITS` forcing each point plan of `_eliminate`
+PLANS = {"packed": math.inf, "window": 0}
+
+
+def det_direct_by_plan(matrix, plan):
+    """`det_direct` with every component evaluated by `plan`, after
+    checking that each interpolation took that plan."""
+    packed = []
+    interpolate = determinant._interpolate
+
+    def recorded(xs, ys, width=None):
+        packed.append(width is not None)
+        return interpolate(xs, ys, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(determinant, "_PACKED_BITS", PLANS[plan])
+        patch.setattr(determinant, "_interpolate", recorded)
+        det = det_direct(matrix)
+    assert set(packed) <= {plan == "packed"}
+    return det
 
 
 def test_identity_and_diagonal():
@@ -262,7 +285,9 @@ def test_det_direct_matches_the_reference_on_every_profile(profile):
             if len(comp) > 1
         ]
     for matrix in matrices:
-        assert det_direct(matrix) == det_direct_reference(matrix)
+        det = det_direct_reference(matrix)
+        assert det_direct(matrix) == det
+        assert det_direct_by_plan(matrix, "packed") == det == det_direct_by_plan(matrix, "window")
 
 
 def fibre_pair(gram):
@@ -624,13 +649,16 @@ def test_bareiss_int_matches_the_reference_on_symmetric_matrices(case):
 
 @st.composite
 def symmetric_row_shifted_matrices(draw):
-    """A symmetric integer polynomial matrix with n <= 5 and a planted
+    """A symmetric integer polynomial matrix with n <= 5, coefficients of
+    either sign up to 4, 100 or 2**40 in absolute value, and a planted
     factor x^a_i in row and column i, so x^max(a_i, a_j) at (i, j) and the
-    rows' lowest powers may differ; some diagonal entries may be 0, and rows
-    and columns 0 and n-1 may be equal."""
+    rows' lowest powers may differ; some diagonal entries may be 0, so some
+    pivots are, and rows and columns 0 and n-1 may be equal, or one row and
+    its column zero."""
     n = draw(st.integers(1, 5))
     shifts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    entry = st.lists(st.integers(-4, 4), max_size=4).map(Poly)
+    size = draw(st.sampled_from([4, 100, 2**40]))
+    entry = st.lists(st.integers(-size, size), max_size=4).map(Poly)
     rows = [[Poly.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -638,12 +666,18 @@ def symmetric_row_shifted_matrices(draw):
             rows[i][j] = rows[j][i] = Poly((0,) * max(shifts[i], shifts[j]) + p.coeffs) if p else p
     for i in draw(st.sets(st.integers(0, n - 1))):
         rows[i][i] = Poly.zero()
-    duplicated = n > 1 and draw(st.booleans())
-    if duplicated:
+    shape = draw(st.sampled_from(["as drawn", "duplicated", "zero row"]))
+    if shape == "duplicated" and n > 1:
         rows[n - 1] = list(rows[0])
         for row in rows:
             row[n - 1] = row[0]
-    return tuple(map(tuple, rows)), duplicated
+    elif shape == "zero row":
+        u = draw(st.integers(0, n - 1))
+        rows[u] = [Poly.zero()] * n
+        for row in rows:
+            row[u] = Poly.zero()
+    singular = shape == "zero row" or (shape == "duplicated" and n > 1)
+    return tuple(map(tuple, rows)), singular
 
 
 @settings(max_examples=300, deadline=None)
@@ -653,11 +687,60 @@ def symmetric_row_shifted_matrices(draw):
 # v = (1, 2): Q(0) from the kept matrix, the identity; det = x^3·(1 - x)
 @example((((Poly([0, 1]), Poly([0, 0, 1])), (Poly([0, 0, 1]), Poly([0, 0, 1]))), False))
 def test_det_direct_matches_the_reference_on_symmetric_matrices(case):
-    matrix, duplicated = case
+    matrix, singular = case
     det = det_direct(matrix)
     assert det == _eliminate(matrix) == det_direct_reference(matrix)
-    if duplicated:
+    assert det_direct_by_plan(matrix, "packed") == det == det_direct_by_plan(matrix, "window")
+    if singular:
         assert det.is_zero()
+
+
+def sylvester_hadamard(order):
+    """The symmetric ±1 Hadamard matrix of `order`, a power of 2:
+    H_1 = [1] and H_2m = [[H_m, H_m], [H_m, -H_m]]."""
+    rows = [[1]]
+    while len(rows) < order:
+        rows = [row + row for row in rows] + [row + [-c for c in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("order", [4, 8])
+def test_point_plans_where_the_determinant_meets_the_bound(plan, order):
+    """|det| equals Hadamard's bound H, H² = order**order: the packed
+    point's digits must still hold it."""
+    rows = sylvester_hadamard(order)
+    det = _bareiss_reference(rows)
+    assert det * det == order**order
+    matrix = tuple(tuple(Poly((c,)) for c in row) for row in rows)
+    assert det_direct_by_plan(matrix, plan) == Poly((det,))
+    # every entry times x: the same Q, shifted
+    shifted = tuple(tuple(Poly((0, c)) for c in row) for row in rows)
+    assert det_direct_by_plan(shifted, plan) == Poly((0,) * order + (det,))
+
+
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("c", [1, -1, 2, -2, 3, -4, 127, -128, 2**40, -(2**40) + 1, 3**50])
+def test_point_plans_on_one_monomial(plan, c):
+    """[c·x^3]: Q = c, whose absolute value is the bound H."""
+    assert det_direct_by_plan(((Poly((0, 0, 0, c)),),), plan) == Poly((0, 0, 0, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_interpolate_reads_the_packed_point(data):
+    width = data.draw(st.integers(1, 80))
+    top = (1 << width - 1) - 1
+    poly = Poly(data.draw(st.lists(st.integers(-top, top), max_size=12)))
+    x = 1 << width
+    assert _interpolate([x], [poly.eval_at(x)], width) == poly
+
+
+def test_interpolate_takes_only_the_packed_point_with_a_width():
+    with pytest.raises(ValueError, match="packed point"):
+        _interpolate([3], [7], 1)
+    with pytest.raises(ValueError, match="packed point"):
+        _interpolate([4, 5], [0, 0], 2)
 
 
 def _eliminated_values(matrix, x):
