@@ -141,10 +141,10 @@ passes. If it fails, if there are none (k = 1, or one moves an index out
 of a rho component), if n <= 1, or if Σ m_λ d_λ differs from n, the
 determinant is `det_direct(B)`.
 
-`det_blocks` reads the reduced matrix's nonzero pattern
-(`BlockDecomposition.nonzero`): with rows and columns permuted alike so
-that each connected component of the pattern is contiguous, the matrix is
-block diagonal, so its determinant is the product of the components'.
+`det_blocks` reads the nonzero pattern off the reduced matrix's sparse
+rows (`BlockDecomposition.reduced`): with rows and columns permuted alike
+so that each connected component of the pattern is contiguous, the matrix
+is block diagonal, so its determinant is the product of the components'.
 The fibre permutations leave the reduced matrix invariant (the coarsening
 poset, hence T, is invariant with G), and they map the rho cell onto
 itself; a component inside the rho cell goes to `det_isotypic` under the
@@ -163,7 +163,7 @@ import math
 from collections import Counter
 from functools import cached_property
 from math import factorial
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 
 from .gram import is_invariant
 from .partitions import UnionFind
@@ -579,12 +579,14 @@ def det_isotypic(matrix, k: int, generators) -> Poly:
     return Poly(coeffs)
 
 
-def _components(nonzero) -> list[list[int]]:
+def _components(reduced) -> list[list[int]]:
     """Connected components of the graph joining u and v for every nonzero
-    entry (u, v), as ascending index lists sorted by their first index."""
-    uf = UnionFind(len(nonzero))
-    for u, row in enumerate(nonzero):
-        for v in row:
+    entry (u, v) of the sparse rows `reduced`, ((v, entry), ...) over each
+    row's nonzero entries, as ascending index lists sorted by their first
+    index."""
+    uf = UnionFind(len(reduced))
+    for u, row in enumerate(reduced):
+        for v, _ in row:
             uf.union(u, v)
     return uf.blocks()
 
@@ -601,11 +603,13 @@ def _restricted(gram, comp):
 
 
 def _component_orbits(reduced, components, generators) -> UnionFind:
-    """The components, which cover every index, grouped by the index
-    permutations `generators`: g joins component C to the one holding g(C)
-    when g maps C onto it and reduced[g(u)][g(v)] == reduced[u][v] for all
-    u, v in C, checked entry by entry. Joined components have one block up to a simultaneous
-    permutation, hence one determinant."""
+    """The components of the sparse rows `reduced`, which cover every
+    index, grouped by the index permutations `generators`: g joins
+    component C to the one holding g(C) when g maps C onto it and
+    T'GT[g(u)][g(v)] == T'GT[u][v] for all u, v in C, checked entry by
+    entry. A row's nonzeros lie in its component, so that is row g(u)
+    equal to row u with each column mapped by g. Joined components have one
+    block up to a simultaneous permutation, hence one determinant."""
     owner = {u: i for i, comp in enumerate(components) for u in comp}
     uf = UnionFind(len(components))
     for perm in generators:
@@ -616,17 +620,17 @@ def _component_orbits(reduced, components, generators) -> UnionFind:
             image = [perm[u] for u in comp]
             if sorted(image) != components[j]:
                 continue
-            # one row of the block at a time, read as tuples: equal entries
-            # are mostly the same `Poly`, which compares by identity
-            row, image_row = itemgetter(*comp), itemgetter(*image)
-            if all(image_row(reduced[a]) == row(reduced[u]) for u, a in zip(comp, image)):
+            # equal entries are mostly the same `Poly`, which compares by identity
+            mapped = ({perm[v]: p for v, p in reduced[u]} for u in comp)
+            if all(dict(reduced[a]) == row for a, row in zip(image, mapped)):
                 uf.union(i, j)
     return uf
 
 
 def det_blocks(decomposition) -> DetResult:
     """Determinant of the reduced matrix, as a product over the connected
-    components of its nonzero pattern.
+    components of the nonzero pattern of its sparse rows, each read as a
+    dense block by `BlockDecomposition.submatrix`.
 
     An isolated diagonal entry equal to the named product polynomial keeps
     its atoms symbolic; any other isolated entry is a factor as it stands.
@@ -638,7 +642,7 @@ def det_blocks(decomposition) -> DetResult:
     """
     gram, reduced = decomposition.gram, decomposition.reduced
     rho = set(dict(decomposition.cells).get(("rho",), ()))
-    components = _components(decomposition.nonzero)
+    components = _components(reduced)
     orbits = _component_orbits(reduced, components, gram.generators)
     memo: dict[int, Poly] = {}
     factors: Counter[Poly] = Counter()
@@ -646,15 +650,15 @@ def det_blocks(decomposition) -> DetResult:
         if len(comp) > 1:
             root = orbits.find(i)
             if root not in memo:
-                block = tuple(tuple(reduced[a][b] for b in comp) for a in comp)
+                block = decomposition.submatrix(comp)
                 if rho.issuperset(comp):
                     memo[root] = det_isotypic(block, gram.k, _restricted(gram, comp))
                 else:
                     memo[root] = det_direct(block)
             factors[memo[root]] += 1
             continue
-        (u,) = comp
-        entry, key = reduced[u][u], gram.keys[u]
+        ((entry,),) = decomposition.submatrix(comp)
+        key = gram.keys[comp[0]]
         if entry == gram.phi(key):
             factors.update(phi_atoms(*gram.doubled(key)))
         else:

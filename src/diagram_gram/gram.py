@@ -33,7 +33,7 @@ pairs of row partitions is the oracle in the tests. The walk is made once
 per matrix and kept on it (`GramMatrix.symmetry`). `GramMatrix.orbits`
 hands it, once G is checked invariant entry by entry, to every stage of
 the reduction, which computes the representatives' rows or columns and
-copies the rest the same way (`unfold_rows`, `unfold_sparse`).
+copies the rest as sparse (index, value) pairs (`unfold_sparse`).
 
 A `GramMatrix` stores its entries in this form: `exponents[u][v]` is the
 loop count e of the entry x**e, or None for a zero entry. The coarsening
@@ -362,9 +362,9 @@ class Orbits(NamedTuple):
     every other index: a breadth-first walk over the generators reaches
     child = perm[parent], and read(row) is the row read at perm⁻¹. A matrix
     M invariant under perm has M[perm[u]][w] = M[u][perm⁻¹[w]], so
-    `unfold_rows` fills every child row from its parent's, and the sparse
-    parts of row perm[u] (its nonzero columns, its diffs) are those of row
-    u mapped by perm.
+    `unfold_rows` fills every child row from its parent's, and the
+    (index, value) pairs of row perm[u] (its nonzero entries, its diffs)
+    are those of row u with each index mapped by perm (`unfold_sparse`).
     """
 
     generators: tuple[tuple[int, ...], ...]
@@ -418,12 +418,14 @@ def unfold_rows(rows: list, orbits: Orbits) -> tuple[tuple, ...]:
 
 
 def unfold_sparse(parts: list, orbits: Orbits) -> tuple[tuple, ...]:
-    """The ascending index lists of every row of an invariant matrix (its
-    nonzero columns, say), given those of the representatives in `parts`
-    (the others None): the list of a child is its parent's, mapped by the
-    tree's permutation and sorted."""
+    """The sparse rows of an invariant matrix, given those of the
+    representatives in `parts` (the others None): a row is (index, value)
+    pairs in ascending index, such as the nonzero entries of a row of T'GT
+    or a column of T, and the pairs of a child are its parent's with each
+    index moved by the tree's permutation, sorted on the index (values need
+    no order)."""
     for child, parent, perm, _ in orbits.tree:
-        parts[child] = tuple(sorted(map(perm.__getitem__, parts[parent])))
+        parts[child] = tuple(sorted(((perm[i], x) for i, x in parts[parent]), key=itemgetter(0)))
     return tuple(parts)
 
 

@@ -153,7 +153,10 @@ class Poly:
         """The polynomial whose coefficients are the balanced base-2**width
         digits of `value`: the inverse of p -> p(2**width) on integer
         polynomials whose coefficients are below 2**(width-1) in absolute
-        value (Kronecker substitution)."""
+        value (Kronecker substitution). A width below 2 has no such digits
+        and raises ValueError."""
+        if width < 2:
+            raise ValueError(f"packed width must be at least 2, got {width}")
         base = 1 << width
         half = base >> 1
         coeffs = []

@@ -55,7 +55,7 @@ Orbit representatives. G is invariant under the index permutations
 `GramMatrix.generators` (see `gram`), and `GramMatrix.orbits` checks that
 entry by entry, once per matrix, falling back to the trivial group when it
 fails. Then the poset read off G is invariant, and so are its zeta matrix,
-T, T'GT, the nonzero pattern, the cells and the predictions: a generator
+T, T'GT, the cells and the predictions: a generator
 maps a row partition, its through blocks and a key's cell to those of the
 image. So every stage of `reduce_gram` computes only what belongs to the
 orbit representatives of `GramMatrix.orbits`, and copies the rest along the
@@ -66,30 +66,33 @@ orbit tree by an index permutation:
   that also gives `determinant` its isotypic blocks Y'BY and whose
   docstring derives the digit width, G's exponent grid, L = the columns of
   T at the representatives and R = T, which gives the representatives'
-  rows of T'GT; every other row is its parent's read at g⁻¹
-  (`gram.unfold_rows`). It trusts the orbits it is handed: T is
+  dense rows of T'GT. It trusts the orbits it is handed: T is
   `_zeta_inverse` of the checked G on those orbits, so it is invariant too;
-- the nonzero columns of the representatives' rows are read once, and
-  those of row g(u) are those of row u mapped by g (`gram.unfold_sparse`);
+- `reduce_gram` cuts those rows to their nonzero entries, and row g(u) is
+  row u with column v moved to g(v), since T'GT[g(u)][g(v)] = T'GT[u][v];
 - `compare_blocks` compares the representatives' rows of each cell with
-  their predictions, and maps their diff columns the same way.
+  their predictions, and maps their diffs the same way.
+Each of these copies is one `gram.unfold_sparse` of (index, value) pairs.
 
 T is unitriangular, so its largest column L1 norm L is at least 1, and the
 coefficients of T'GT are at most L**2 in absolute value. T'GT is the first
-`Poly` stage and stays dense rows: its entries are no longer monomials, and
-`BlockDecomposition.block` and `det_direct` index it by (row, column). The
+`Poly` stage. It is block diagonal (the z2 k=4 profiles hold 2,040
+nonzeros among 179,508 entries), so `BlockDecomposition.reduced` keeps it
+as sparse rows, ((v, T'GT[u][v]), ...) over each row's nonzero entries,
+and no stage holds it as n dense rows: `BlockDecomposition.submatrix`
+builds the dense block of a cell or of a component on request. The
 entrywise `Poly` T'GT, the dense back substitution over `coarsening_poset`
 and the dense block compare are the oracles in the tests.
-The off-block violations are the nonzero pattern's entries that join two
-cells, and `det_blocks` splits the determinant along the pattern's
-connected components.
+The off-block violations are the nonzero entries that join two cells,
+and `det_blocks` splits the determinant along the connected components
+of the nonzero pattern.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -101,7 +104,6 @@ from .gram import (
     Orbits,
     build_gram,
     row_partition_groups,
-    unfold_rows,
     unfold_sparse,
 )
 from .polynomials import Poly, congruence, phi_z2
@@ -261,30 +263,26 @@ def _zeta_inverse(grid, orbits: Orbits) -> tuple[tuple[tuple[int, int], ...], ..
                     col.append((u, c))
         col.reverse()
         cols[v] = tuple(col)
-    for child, parent, perm, _ in orbits.tree:
-        cols[child] = tuple(sorted((perm[u], c) for u, c in cols[parent]))
-    return tuple(cols)
+    return unfold_sparse(cols, orbits)
 
 
 def _congruence(transform, grid, orbits: Orbits):
-    """T' G T for T given as the sparse columns of `_zeta_inverse` and G as
-    its exponent grid (x**e as e, zero as None), by `polynomials.congruence`.
-    The result is dense rows of `Poly`; equal results share one `Poly`.
+    """The rows of T' G T at `orbits.representatives`, in that order, for T
+    given as the sparse columns of `_zeta_inverse` and G as its exponent
+    grid (x**e as e, zero as None), by `polynomials.congruence`. Each row is
+    dense, n `Poly`s; equal results share one `Poly`.
 
-    G and T must be invariant under the group of `orbits`: G is checked by
-    `GramMatrix.orbits`, and T is `_zeta_inverse` of that G on those orbits,
-    so it is invariant by construction. Only the rows of the representatives
-    are computed, and every other row is copied from its parent's
-    (`gram.unfold_rows`). A caller with a T of its own that is not invariant
-    passes the trivial group, `orbit_tree((), n)`.
+    G and T must be invariant under the group of `orbits` for these rows to
+    determine the others (`reduce_gram` maps them along the orbit tree): G
+    is checked by `GramMatrix.orbits`, and T is `_zeta_inverse` of that G on
+    those orbits, so it is invariant by construction. A caller with a T of
+    its own that is not invariant passes the trivial group,
+    `orbit_tree((), n)`, and gets every row.
     """
     exponents = set().union(*grid) - {None}
     coeffs = {None: (), **{e: (0,) * e + (1,) for e in exponents}}
     left = [transform[u] for u in orbits.representatives]
-    rows = [None] * len(grid)
-    for u, row in zip(orbits.representatives, congruence(left, grid, transform, coeffs)):
-        rows[u] = row
-    return unfold_rows(rows, orbits)
+    return congruence(left, grid, transform, coeffs)
 
 
 # -- blocks and predictions --------------------------------------------------------
@@ -314,23 +312,24 @@ class DiffEntry(NamedTuple):
 
 
 class BlockDecomposition:
-    """The reduced matrix T'GT with its cells; the closed-form predictions
-    and their diffs are built on first read, so the determinants and the
-    verdict, which read neither, never build them. Immutable; compares by
-    identity."""
+    """The reduced matrix T'GT with its cells. `reduced` holds T'GT as
+    sparse rows: row u is ((v, T'GT[u][v]), ...) over its nonzero entries,
+    in ascending v. Every dense read of it, a cell's block or a component's,
+    goes through `submatrix`. The closed-form predictions and their diffs
+    are built on first read, so the determinants and the verdict, which
+    read neither, never build them. Immutable; compares by identity."""
 
     def __init__(
         self,
         gram: GramMatrix,
         transform: tuple[tuple[tuple[int, int], ...], ...],  # sparse columns of T
-        reduced: tuple[tuple[Poly, ...], ...],
-        nonzero: tuple[tuple[int, ...], ...],  # ascending nonzero columns of each row
+        reduced: tuple[tuple[tuple[int, Poly], ...], ...],  # sparse rows of T'GT
         cells: tuple[tuple[tuple, tuple[int, ...]], ...],  # (label, member indices)
         offblock_violations: tuple[tuple[int, int], ...],
     ):
         self.__dict__.update(
-            gram=gram, transform=transform, reduced=reduced, nonzero=nonzero,
-            cells=cells, offblock_violations=offblock_violations,
+            gram=gram, transform=transform, reduced=reduced, cells=cells,
+            offblock_violations=offblock_violations,
         )
 
     def __setattr__(self, name, value):
@@ -344,11 +343,19 @@ class BlockDecomposition:
     def diffs(self) -> tuple[DiffEntry, ...]:
         return compare_blocks(self.gram, self.reduced, self.cells, self.predicted)
 
+    def submatrix(self, members) -> tuple[tuple[Poly, ...], ...]:
+        """The rows and columns `members` of T'GT, in that order, as dense
+        rows of `Poly`; a zero entry is the shared `Poly.zero()`."""
+        position = {v: b for b, v in enumerate(members)}
+        rows = [[Poly.zero()] * len(position) for _ in position]
+        for a, u in enumerate(members):
+            for v, p in self.reduced[u]:
+                if v in position:
+                    rows[a][position[v]] = p
+        return tuple(map(tuple, rows))
+
     def block(self, label) -> tuple[tuple[Poly, ...], ...]:
-        members = dict(self.cells)[label]
-        return tuple(
-            tuple(self.reduced[u][v] for v in members) for u in members
-        )
+        return self.submatrix(dict(self.cells)[label])
 
     def hard_diffs(self) -> tuple[DiffEntry, ...]:
         return tuple(d for d in self.diffs if not d.informative)
@@ -372,27 +379,28 @@ def reduce_gram(gram: GramMatrix) -> BlockDecomposition:
     forms is made when `predicted` or `diffs` is first read.
 
     Every stage reads the rows or columns of the orbit representatives of
-    `gram.orbits` and copies the rest by index permutation.
+    `gram.orbits` and copies the rest by index permutation. T'GT is kept as
+    sparse rows (`BlockDecomposition`): the representatives' dense rows from
+    `_congruence` are cut to their nonzero entries, and the other rows are
+    mapped from those by `gram.unfold_sparse`, as T's columns are.
     """
     grid, orbits = gram.exponents, gram.orbits
     transform = _zeta_inverse(grid, orbits)
-    reduced = _congruence(transform, grid, orbits)
     # a Poly is zero iff its coefficient tuple is empty
-    columns = range(len(reduced))
-    coeffs = attrgetter("coeffs")
-    nonzero: list = [None] * len(reduced)
-    for u in orbits.representatives:
-        nonzero[u] = tuple(compress(columns, map(coeffs, reduced[u])))
-    nonzero = unfold_sparse(nonzero, orbits)
+    columns, coeffs = range(len(grid)), attrgetter("coeffs")
+    reduced: list = [None] * len(grid)
+    for u, row in zip(orbits.representatives, _congruence(transform, grid, orbits)):
+        reduced[u] = tuple(compress(zip(columns, row), map(coeffs, row)))
+    reduced = unfold_sparse(reduced, orbits)
     cells = _cells_of(gram)
-    cell_of = [None] * len(reduced)
+    cell_of = [None] * len(grid)
     for label, members in cells:
         for m in members:
             cell_of[m] = label
     violations = tuple(
-        (u, v) for u, row in enumerate(nonzero) for v in row if cell_of[u] != cell_of[v]
+        (u, v) for u, row in enumerate(reduced) for v, _ in row if cell_of[u] != cell_of[v]
     )
-    return BlockDecomposition(gram, transform, reduced, nonzero, cells, violations)
+    return BlockDecomposition(gram, transform, reduced, cells, violations)
 
 
 @lru_cache(maxsize=0)  # caches nothing: counts calls for perfbench's cache_info()
@@ -507,36 +515,38 @@ def _predict_rho_entry(gram: GramMatrix, u: int, v: int, swap, swap_value) -> Po
 def compare_blocks(gram: GramMatrix, reduced, cells, predicted) -> tuple[DiffEntry, ...]:
     """Entrywise reduced-vs-predicted diff; rho off-diagonals are informative.
 
+    `reduced` is T'GT as the sparse rows of `BlockDecomposition.reduced`.
     The diffs come in cell order, then row-major within the cell. Only the
     rows of the representatives of `gram.orbits` are compared: the reduced
     matrix is invariant under its group, and so are the predictions, which
     are read off the cells, the row views and the grid, all of which the
-    generators preserve. So the diff columns of row perm[u] are those of
-    row u mapped by perm.
+    generators preserve. So the diffs of row perm[u], as (column, got)
+    pairs, are those of row u with each column mapped by perm
+    (`gram.unfold_sparse`).
     """
     orbits = gram.orbits
     where: list = [None] * len(reduced)
     for label, members in cells:
         for a, u in enumerate(members):
             where[u] = (label, members, a)
-    columns: list = [None] * len(reduced)
+    pairs: list = [None] * len(reduced)
     for u in orbits.representatives:
         label, members, a = where[u]
-        got, want = tuple(map(reduced[u].__getitem__, members)), predicted[label][a]
+        got = tuple(map(dict(reduced[u]).get, members, repeat(Poly.zero())))
+        want = predicted[label][a]
         # equal rows compare in one pass; most entries are the shared zero
-        columns[u] = () if got == want else tuple(
-            v for v, p, q in zip(members, got, want) if p != q
+        pairs[u] = () if got == want else tuple(
+            (v, p) for v, p, q in zip(members, got, want) if p != q
         )
-    columns = unfold_sparse(columns, orbits)
+    pairs = unfold_sparse(pairs, orbits)
     diffs = []
     for label, members in cells:
         pred = predicted[label]
         position = {v: b for b, v in enumerate(members)}
         for a, u in enumerate(members):
-            for v in columns[u]:
+            for v, got in pairs[u]:
                 informative = label[0] == "rho" and u != v
                 diffs.append(DiffEntry(
-                    label, gram.keys[u], gram.keys[v], reduced[u][v], pred[a][position[v]],
-                    informative,
+                    label, gram.keys[u], gram.keys[v], got, pred[a][position[v]], informative,
                 ))
     return tuple(diffs)

@@ -25,7 +25,7 @@ from diagram_gram.semisimplicity import admissible_profiles
 from diagram_gram.stirling import binomial
 from diagram_gram.z2diagrams import Z2Diagram, top_index
 from test_partitions import block_of, make_diagram, part_of, restrict
-from test_reduction import PROFILES
+from test_reduction import PROFILES, whole
 
 
 def standard_diagram(alpha, k: int, algebra: str = "z2"):
@@ -382,7 +382,7 @@ def test_fibre_permutations_act_on_the_basis(profile):
 @pytest.mark.parametrize("profile", PROFILES, ids=str)
 def test_gram_and_reduced_matrices_are_fibre_invariant(profile):
     decomposition = reduced_decomposition(*profile)
-    gram, reduced = decomposition.gram, decomposition.reduced
+    gram, reduced = decomposition.gram, whole(decomposition)
     grid = gram.exponents
     rho = set(dict(decomposition.cells).get(("rho",), ()))
     perms = [fibre_permutation(gram, sigma) for sigma in fibre_generators(gram.k)]

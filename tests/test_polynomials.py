@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,24 @@ def test_monomial_and_degree():
 def test_eval_is_ring_homomorphism(p, q, a):
     assert (p * q).eval_at(a) == p.eval_at(a) * q.eval_at(a)
     assert (p + q).eval_at(a) == p.eval_at(a) + q.eval_at(a)
+
+
+@given(st.integers(2, 12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_from_packed_reads_the_balanced_digits(width, data):
+    # coefficients below 2**(width-1) in absolute value, either sign
+    bound = (1 << width - 1) - 1
+    p = Poly(data.draw(st.lists(st.integers(-bound, bound), max_size=6)))
+    assert Poly.from_packed(p.eval_at(1 << width), width) == p
+
+
+@pytest.mark.parametrize("value", [-3, -1, 0, 1, 5])
+@pytest.mark.parametrize("width", [0, 1])
+def test_from_packed_rejects_a_width_below_two(width, value):
+    # no balanced digits exist there: width 1 with a positive value, and
+    # width 0 with a nonzero one, used to loop while the digits grew
+    with pytest.raises(ValueError, match="at least 2"):
+        Poly.from_packed(value, width)
 
 
 def test_phi_z2_examples():

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from diagram_gram.gram import (
     enumerate_diagrams,
     invariant_orbits,
     orbit_tree,
+    unfold_sparse,
 )
 from diagram_gram.polynomials import Poly, congruence, phi_z2
 from diagram_gram.reduction import (
@@ -62,6 +64,18 @@ def dense(columns):
         for u, c in col:
             rows[u][v] = c
     return tuple(map(tuple, rows))
+
+
+def nonzeros(row):
+    """The nonzero entries of a dense row as ascending (column, entry)
+    pairs: the form of a row of `BlockDecomposition.reduced`."""
+    return tuple((v, p) for v, p in enumerate(row) if not p.is_zero())
+
+
+def whole(decomposition):
+    """The whole reduced matrix T'GT as dense rows, read through
+    `BlockDecomposition.submatrix`."""
+    return decomposition.submatrix(range(len(decomposition.reduced)))
 
 
 def render(grid):
@@ -139,12 +153,24 @@ def test_zeta_inverse_matches_the_dense_reference(profile):
     assert _zeta_inverse(gram.exponents, trivial) == reference
 
 
+@lru_cache(maxsize=None)
+def reduced_oracle(profile):
+    """T'GT of the profile by `congruence_oracle`, from the T of
+    `_zeta_inverse`; memoised, as two tests read it."""
+    gram = build_gram(*profile)
+    return congruence_oracle(_zeta_inverse(gram.exponents, gram.orbits), gram.entries)
+
+
 @pytest.mark.parametrize("profile", PROFILES, ids=str)
 def test_packed_congruence_matches_oracle(profile):
     gram = build_gram(*profile)
     columns = _zeta_inverse(gram.exponents, gram.orbits)
+    oracle = reduced_oracle(profile)
     got = _congruence(columns, gram.exponents, gram.orbits)
-    assert got == congruence_oracle(columns, gram.entries)
+    assert got == tuple(oracle[u] for u in gram.orbits.representatives)
+    # the trivial group's one orbit per index: every row is computed
+    trivial = orbit_tree((), gram.dimension())
+    assert _congruence(columns, gram.exponents, trivial) == oracle
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,9 +229,15 @@ def test_packed_congruence_copies_rows_of_an_invariant_input(data):
     )
     orbits = invariant_orbits(grid, orbit_tree(perms, n))
     assert orbits.generators == tuple(perms)  # the check passes
+    oracle = congruence_oracle(columns, render(grid))
     got = _congruence(columns, grid, orbits)
-    assert got == congruence_oracle(columns, render(grid))
+    assert got == tuple(oracle[u] for u in orbits.representatives)
     assert len({id(p) for row in got for p in row}) == len({p for row in got for p in row})
+    # the representatives' rows, cut to their nonzeros, determine the rest
+    rows = [None] * n
+    for u, row in zip(orbits.representatives, got):
+        rows[u] = nonzeros(row)
+    assert unfold_sparse(rows, orbits) == tuple(map(nonzeros, oracle))
     # an invariant G with a T that is rarely invariant: `_congruence` trusts
     # the orbits it is handed, so such a T goes with the trivial group
     coeff = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
@@ -344,7 +376,9 @@ def test_transform_is_unitriangular_and_methods_agree():
         transform = dense(mobius.transform)
         sequential = sequential_transform(coarsening_poset(gram))
         assert transform == sequential
-        assert mobius.reduced == congruence_oracle(mobius.transform, gram.entries)
+        oracle = reduced_oracle((algebra, k, s1, s2))
+        assert mobius.reduced == tuple(map(nonzeros, oracle))
+        assert whole(mobius) == oracle
         n = gram.dimension()
         for u in range(n):
             assert transform[u][u] == 1
@@ -669,7 +703,9 @@ def test_reduce_gram_reads_the_grid_it_is_handed():
     transform = decomposition.transform
     assert transform == zeta_inverse_reference(coarsening_poset(planted))
     assert transform != reduce_gram(gram).transform
-    assert decomposition.reduced == congruence_oracle(transform, render(planted.exponents))
+    oracle = congruence_oracle(transform, render(planted.exponents))
+    assert decomposition.reduced == tuple(map(nonzeros, oracle))
+    assert whole(decomposition) == oracle
 
 
 def compare_reference(gram, reduced, cells, predicted):
@@ -690,17 +726,26 @@ def compare_reference(gram, reduced, cells, predicted):
 
 @pytest.mark.parametrize("profile", PROFILES + K4_PROFILES, ids=str)
 def test_nonzero_pattern_matches_a_dense_scan(profile):
+    # each sparse row of T'GT is its nonzero pattern with the entries on it
     dec = reduced_decomposition(*profile)
     gram, n = dec.gram, len(dec.reduced)
-    assert dec.nonzero == tuple(
-        tuple(v for v in range(n) if not dec.reduced[u][v].is_zero()) for u in range(n)
-    )
+    for row in dec.reduced:
+        columns = [v for v, _ in row]
+        assert columns == sorted(set(columns))  # ascending
+        assert not any(p.is_zero() for _, p in row)
+    # every row computed by the kernel, none mapped along the orbit tree;
+    # on the `PROFILES` entries that is the dense `Poly` oracle
+    dense = _congruence(dec.transform, gram.exponents, orbit_tree((), n))
+    if profile in PROFILES:
+        assert dense == reduced_oracle(profile)
+    assert dec.reduced == tuple(map(nonzeros, dense))
+    assert whole(dec) == dense
     cell_of = {m: label for label, members in dec.cells for m in members}
     assert dec.offblock_violations == tuple(
         (u, v)
         for u in range(n)
         for v in range(n)
-        if cell_of[u] != cell_of[v] and not dec.reduced[u][v].is_zero()
+        if cell_of[u] != cell_of[v] and not dense[u][v].is_zero()
     )
     assert dec.cells == _cells_of(gram)
     assert dec.predicted == predicted_blocks(gram, dec.cells)
@@ -709,5 +754,5 @@ def test_nonzero_pattern_matches_a_dense_scan(profile):
         (d.block, index[d.row_key], index[d.col_key], d.got, d.predicted, d.informative)
         for d in dec.diffs
     ]
-    assert got == compare_reference(gram, dec.reduced, dec.cells, dec.predicted)
+    assert got == compare_reference(gram, dense, dec.cells, dec.predicted)
 

@@ -125,7 +125,7 @@ def test_poset_duality_catches_a_wrong_gram_entry_at_an_equal_degree_pair(profil
     )
     d = decomposition
     failures = verify.check_poset_duality(BlockDecomposition(
-        planted, d.transform, d.reduced, d.nonzero, d.cells, d.offblock_violations
+        planted, d.transform, d.reduced, d.cells, d.offblock_violations
     ))
     for a, b in ((u, v), (v, u)):
         assert f"pair {a},{b}: row-partition view differs from the oracle" in failures
@@ -145,7 +145,7 @@ def test_gram_invariants_report_an_asymmetric_grid_without_a_determinant():
     )
     d = decomposition
     failures = verify.check_gram_invariants(BlockDecomposition(
-        planted, d.transform, d.reduced, d.nonzero, d.cells, d.offblock_violations
+        planted, d.transform, d.reduced, d.cells, d.offblock_violations
     ))
     assert failures == ["asymmetric at 0,1", "asymmetric at 1,0"]
 
