@@ -9,7 +9,11 @@ blocks, read from `coarser_profile_counts`, whose one walk per diagram sorts
 every admissible grouping by the profile it lands on and so gives the counts
 at all targets. The walk reads the diagram's `RowView` and has no case per
 family: a plain diagram is walked as the flip-fixed slice of a doubled one,
-whose blocks are all flip-fixed. The acceptance suite compares each
+whose blocks are all flip-fixed. What the walk reads of a diagram is each
+row block's through flag and the index of the block holding its flipped
+points, so diagrams that agree on those share one walk. Like `stirling2` and
+`binomial`, the walk and `gen_stirling_z2` are memoised pure functions of
+small integers. The acceptance suite compares each
 diagram's counts with the formula on a target grid and at every profile the
 walk reaches; the formula is never trusted where the enumeration disagrees.
 """
@@ -58,6 +62,7 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
+@lru_cache(maxsize=None)
 def gen_stirling_z2(s1: int, s2: int, r1: int, r2: int, p1: int, p2: int) -> int:
     """Coarser-diagram count for the doubled-vertex families.
 
@@ -99,19 +104,32 @@ def coarser_profile_counts(diagram) -> Counter:
     flip-fixed flags are the diagram's `RowView`, which raises ValueError
     unless the diagram is mirror-symmetric; every plain block is flip-fixed,
     and each other block is paired with the block holding its flipped points.
+
+    The walk reads only each block's through flag, the index of the block
+    holding its flipped points (its own for a flip-fixed block) and whether
+    the counts are keyed by q or (q1, q2), so it runs once per distinct
+    triple; each call returns a fresh `Counter`.
     """
     view = diagram.row_view()
     blocks, fixed = view.blocks, view.fixed
-    through = [i in view.through for i in range(len(blocks))]
+    through = tuple(i in view.through for i in range(len(blocks)))
     even = even_mask(2 * diagram.k)  # a doubled row has 2k points
     position = {mask: i for i, mask in enumerate(blocks)}
-    conj = [
+    conj = tuple(
         i if fixed[i] else position[flip(mask, even)]
         for i, mask in enumerate(blocks)
-    ]
+    )
     plain = isinstance(diagram, PartitionDiagram)
+    return Counter(dict(_walk(through, conj, plain)))
+
+
+@lru_cache(maxsize=None)
+def _walk(through: tuple, conj: tuple, plain: bool) -> tuple:
+    """The admissible groupings of blocks 0..n-1 counted by profile, as
+    (profile, count) pairs: `coarser_profile_counts` for the diagram whose
+    blocks have these through flags and flip images."""
     counts = Counter()
-    for grouping in set_partitions(range(len(blocks))):
+    for grouping in set_partitions(range(len(through))):
         group_of = {}
         for gi, group in enumerate(grouping):
             for b in group:
@@ -139,7 +157,7 @@ def coarser_profile_counts(diagram) -> Counter:
             elif image > gi:
                 q1 += 1
         counts[q2 if plain else (q1, q2)] += 1
-    return counts
+    return tuple(counts.items())
 
 
 def count_coarser_bruteforce(diagram, p1: int, p2: int | None = None) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -181,13 +181,12 @@ def check_stirling_recurrences() -> list[str]:
     """Three-term recurrences over the documented grid.
 
     The plain partition recurrence is the r2-recurrence at s1 = r1 = p1 = 0,
-    inside this grid. Every identity at one (s1, s2) reads gen_stirling_z2
-    at that pair, so its values are memoized per pair, and dropped with it.
+    inside this grid.
     """
     failures = []
     for s1 in range(4):
         for s2 in range(4):
-            g = lru_cache(maxsize=None)(partial(gen_stirling_z2, s1, s2))
+            g = partial(gen_stirling_z2, s1, s2)
             for r1 in range(5):
                 for r2 in range(6 - r1):
                     for p1 in range(r1 + 1):
@@ -216,6 +215,14 @@ def check_stirling_recurrences() -> list[str]:
     return failures
 
 
+def _add_scaled(acc: list, poly: Poly, c: int) -> None:
+    """acc += c * poly on coefficient lists; acc grows to poly's length."""
+    coeffs = poly.coeffs
+    acc.extend([0] * (len(coeffs) - len(acc)))
+    for i, a in enumerate(coeffs):
+        acc[i] += c * a
+
+
 def _shift_holds(t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
     """The shift identity with a = r1 - t1, b = r2 - t2:
 
@@ -232,13 +239,14 @@ def _shift_holds(t1: int, t2: int, s1: int, s2: int, r1: int, r2: int) -> bool:
         return binomial(2 * t, m) * binomial(r, m) * math.factorial(m)
 
     a, b = r1 - t1, r2 - t2
-    rhs = phi_z2(s1 - t1, s2 - t2, a, b)
-    for m in range(2 * t1 + 1):
-        for mp in range(2 * t2 + 1):
+    rhs = list(phi_z2(s1 - t1, s2 - t2, a, b).coeffs)
+    # c(t, r, m) is zero for m > r, so the sums stop at a and b
+    for m in range(min(2 * t1, a) + 1):
+        for mp in range(min(2 * t2, b) + 1):
             if m or mp:
                 c = coeff(t1, a, m) * 2**m * coeff(t2, b, mp)
-                rhs = rhs - phi_z2(s1 + t1, s2 + t2, a - m, b - mp).scalar_mul(c)
-    return phi_z2(s1 + t1, s2 + t2, a, b) == rhs
+                _add_scaled(rhs, phi_z2(s1 + t1, s2 + t2, a - m, b - mp), -c)
+    return phi_z2(s1 + t1, s2 + t2, a, b) == Poly(rhs)
 
 
 def check_phi_identities() -> list[str]:
@@ -284,24 +292,26 @@ def check_monomial_expansion() -> list[str]:
         for s2 in range(4):
             for r1 in range(4):
                 for r2 in range(5):
-                    acc = Poly.zero()
+                    acc = []
                     for p1 in range(r1 + 1):
                         for p2 in range(r1 + r2 - p1 + 1):
-                            acc = acc + phi_z2(s1, s2, p1, p2).scalar_mul(
-                                gen_stirling_z2(s1, s2, r1, r2, p1, p2)
-                            )
-                    if acc != Poly.monomial(2 * r1 + r2):
+                            c = gen_stirling_z2(s1, s2, r1, r2, p1, p2)
+                            _add_scaled(acc, phi_z2(s1, s2, p1, p2), c)
+                    if Poly(acc) != Poly.monomial(2 * r1 + r2):
                         failures.append(f"expansion {s1},{s2},{r1},{r2}")
     return failures
 
 
-def run_all_checks(k_max: int = 3, guard: int = DEFAULT_GUARD):
+def run_all_checks(k_max: int = 3, guard: int = DEFAULT_GUARD, visit=None):
     """Full invariant suite; the plain partition family runs one size higher.
 
     Raises WindowError unless 1 <= k_max <= 3, the scale the suite is sized
     for, and ResourceGuardError when a Gram matrix would exceed `guard`
     rows. The build and reduction of each profile are charged to
-    gram-invariants.
+    gram-invariants. `visit`, when given, is called as
+    `visit((algebra, k, s1, s2), decomposition)` after each profile's
+    checks and before the decomposition is dropped; its time is charged to
+    no check.
     """
     if not 1 <= k_max <= 3:
         raise WindowError(f"verify runs at k from 1 to 3, got {k_max}")
@@ -335,6 +345,8 @@ def run_all_checks(k_max: int = 3, guard: int = DEFAULT_GUARD):
                         start = time.monotonic()
                         failures[name] += [f"{tag} {failure}" for failure in check(decomposition)]
                         seconds[name] += time.monotonic() - start
+                if visit is not None:
+                    visit((algebra, k, s1, s2), decomposition)
                 # the next profile is reduced with this one released
                 del decomposition
     for name, check, applies, _, _ in table:

@@ -1,5 +1,6 @@
 import pytest
 
+from diagram_gram import stirling
 from diagram_gram.families import FAMILIES
 from diagram_gram.gram import enumerate_diagrams
 from diagram_gram.partitions import set_partitions
@@ -221,3 +222,60 @@ def test_profile_counts_equal_the_per_target_walk(algebra, k, s1, s2):
         assert set(counts) <= set(targets)
         assert all(n > 0 for n in counts.values())
         assert sum(counts.values()) == reference_count(diagram)
+
+
+# -- the walk memo: one walk per distinct input, a fresh Counter per call ----
+
+VERIFY_K3_PROFILES = [
+    (algebra, k, s1, s2)
+    for algebra, family in FAMILIES.items()
+    for k in range(1, 3 + family.plain + 1)
+    for s1, s2 in family.profiles(k)
+]
+
+
+def reference_counts(key, diagram) -> dict:
+    """The nonzero counts of the per-target reference walks, keyed as
+    `coarser_profile_counts` keys them."""
+    if isinstance(diagram, Z2Diagram):
+        targets = [(p1, p2) for p1 in range(key.r1 + 2) for p2 in range(key.r1 + key.r2 + 2)]
+    else:
+        targets = range(key.r1 + 2)
+    counts = {target: reference_count(diagram, target) for target in targets}
+    return {target: n for target, n in counts.items() if n}
+
+
+def test_every_verify_diagram_gets_the_reference_counts_with_the_memo_cold():
+    """The 429 diagrams that `verify --k 3` walks, in its order and from a
+    cold memo: a memo key coarser than the walk's inputs would hand some
+    diagram the counts of an earlier one with the same key."""
+    stirling._walk.cache_clear()
+    diagrams = [
+        (key, diagram)
+        for profile in VERIFY_K3_PROFILES
+        for key, diagram in enumerate_diagrams(*profile)
+    ]
+    for key, diagram in diagrams:
+        assert coarser_profile_counts(diagram) == reference_counts(key, diagram), key
+    assert len(diagrams) == 429
+    assert stirling._walk.cache_info().misses == 114
+
+
+def test_a_mutated_result_does_not_reach_the_next_diagram_of_its_signature():
+    """Two distinct diagrams whose blocks have the same through flags and
+    flip images share one walk; each call returns its own Counter."""
+    by_signature = {}
+    for key, diagram in enumerate_diagrams("z2", 3, 1, 0):
+        _, conj, through = _z2_row_units(diagram)
+        by_signature.setdefault((tuple(conj), tuple(through)), []).append((key, diagram))
+    (first_key, first), (key, second) = next(
+        group[:2] for group in by_signature.values() if len(group) > 1
+    )
+    assert first != second
+    stirling._walk.cache_clear()
+    counts = coarser_profile_counts(first)
+    assert counts == reference_counts(first_key, first)
+    counts[(99, 0)] += 1
+    del counts[(first_key.r1, first_key.r2)]
+    assert coarser_profile_counts(second) == reference_counts(key, second)
+    assert stirling._walk.cache_info()[:2] == (1, 1)  # (hits, misses): one walk

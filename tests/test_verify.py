@@ -10,6 +10,7 @@ from diagram_gram.cli import main
 from diagram_gram.diagrams import Diagram
 from diagram_gram.families import FAMILIES
 from diagram_gram.gram import DEFAULT_GUARD, GramMatrix, build_gram, enumerate_diagrams
+from diagram_gram.polynomials import Poly
 from diagram_gram.reduction import BlockDecomposition, CoarseningPoset, reduced_decomposition
 
 
@@ -52,11 +53,12 @@ def test_run_all_checks_pass(checks_k3):
 def test_verify_cli_exit_zero(checks_k3, monkeypatch, capsys):
     calls = []
 
-    def shared_run(k, guard):
+    def shared_run(k, guard, visit):
         calls.append((k, guard))
         return checks_k3
 
-    # the CLI's own work, the two golden comparisons, still runs
+    # the CLI's own work, the two golden comparisons, still runs: no
+    # profile is visited, so the CLI builds signed k=3 (1,0) itself
     monkeypatch.setattr(cli, "run_all_checks", shared_run)
     code = main(["verify", "--k", "3"])
     out = capsys.readouterr().out
@@ -195,6 +197,49 @@ def test_stirling_oracle_catches_a_profile_outside_the_window(monkeypatch):
         assert f"{planted_at}: oracle 1 vs formula 0" in failures[0]
 
 
+def test_a_planted_phi_value_fails_the_identities_that_read_it(monkeypatch):
+    """phi_z2(1, 1, 1, 1) off by one: the shift identities and the
+    monomial expansions that read it name themselves."""
+    original = verify.phi_z2
+
+    def planted(*args):
+        poly = original(*args)
+        return poly + Poly.one() if args == (1, 1, 1, 1) else poly
+
+    assert verify.check_phi_identities() == verify.check_monomial_expansion() == []
+    monkeypatch.setattr(verify, "phi_z2", planted)
+    failures = verify.check_phi_identities()
+    # read as phi_z2(s1 - t1, s2 - t2, a, b) on the right-hand side
+    for name in (
+        "first-family shift 1,2,1,2,1",
+        "second-family shift 1,1,2,1,2",
+        "combined shift 1,1,2,2,2,2",
+    ):
+        assert name in failures
+    # read at (p1, p2) = (r1, r2) = (1, 1), with coefficient 1
+    assert "expansion 1,1,1,1" in verify.check_monomial_expansion()
+
+
+def test_a_planted_stirling_value_fails_the_recurrences_and_the_oracle(monkeypatch):
+    """gen_stirling_z2(1, 0, 0, 1, 0, 1), the count at its own profile,
+    off by one: the recurrence with it on the left fails, and so does the
+    oracle check of z2 k=2 (1,0), whose diagram with r = (0, 1) reads it."""
+    original = verify.gen_stirling_z2
+    planted_at = (1, 0, 0, 1, 0, 1)
+
+    def planted(*args):
+        count = original(*args)
+        return count + 1 if args == planted_at else count
+
+    decomposition = reduced_decomposition("z2", 2, 1, 0)
+    assert verify.check_stirling_recurrences() == []
+    assert verify.check_oracle_equivalence(decomposition) == []
+    monkeypatch.setattr(verify, "gen_stirling_z2", planted)
+    assert "r2-recurrence 1,0,0,1,0,1" in verify.check_stirling_recurrences()
+    failures = verify.check_oracle_equivalence(decomposition)
+    assert failures and all(f == "r=(0,1) p=(0,1): oracle 1 vs formula 2" for f in failures)
+
+
 # one check per line: the planted failure must show only on its own line
 PLANTED = [
     ("gram-invariants", "check_gram_invariants", ("partition", 2, 1, 0)),
@@ -239,6 +284,19 @@ def test_each_profile_is_built_and_reduced_once():
     )
     assert visited == 22
     assert [cache.cache_info().misses for cache in caches] == [visited] * 3
+
+
+@pytest.mark.parametrize("k, builds", [("1", 10), ("2", 23), ("3", 43)])
+def test_a_verify_call_builds_each_profile_once(capsys, k, builds):
+    """The profile loop builds each profile once; `--k 1` and `--k 2` then
+    build signed k=3 (1,0) for the published-table lines, while `--k 3`
+    hands those lines the loop's own decomposition of it."""
+    caches = (enumerate_diagrams, build_gram, reduced_decomposition)
+    for cache in caches:
+        cache.cache_clear()
+    assert main(["verify", "--k", k]) == 0
+    capsys.readouterr()
+    assert [cache.cache_info().misses for cache in caches] == [builds] * 3
 
 
 def test_verify_output_is_pinned(capsys):
