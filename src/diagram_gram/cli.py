@@ -182,8 +182,7 @@ def cmd_reduce(args) -> int:
 def cmd_det(args) -> int:
     s1, s2 = _profile_args(args)
     gram = build_gram(args.algebra, args.k, s1, s2, args.guard)
-    # the first two generators are π((0 1)) and π((0 1 ... k-1)); k = 1 has none
-    direct = det_isotypic(gram.entries, gram.k, gram.generators[:2] if gram.k > 1 else None)
+    direct = det_isotypic(gram.entries, gram.k, gram.fibre_pair)
     decomposition = reduce_gram(gram)
     blocks = det_blocks(decomposition)
     payload = {

@@ -1,6 +1,7 @@
 """Exact determinants of polynomial matrices by evaluation-interpolation.
 
-Polynomial matrices here have integer coefficients. `det_direct` reads
+Polynomial matrices here have integer coefficients, as every `Poly` has
+(`polynomials`), so no entry is checked for them. `det_direct` reads
 only the matrix it is given: it is the production path for every coupled
 component of a reduced matrix outside the rho cell, and it takes every
 determinant that `det_isotypic` splits off. `det_isotypic` splits a matrix
@@ -137,8 +138,9 @@ coefficients and the denominator is a nonzero integer (Y'Y is positive
 definite), so the one division at the end is exact; a remainder raises
 ValueError. Invariance is checked exactly, entry by entry, under the
 generators (0 1) and (0 1 ... k-1), whose index permutations the caller
-passes. If it fails, if there are none (k = 1, or one moves an index out
-of a rho component), if n <= 1, or if Σ m_λ d_λ differs from n, the
+passes (`GramMatrix.fibre_pair`). If it fails, if there are none (k = 1, a
+matrix built without a symmetry, or one moves an index out of a rho
+component), if n <= 1, or if Σ m_λ d_λ differs from n, the
 determinant is `det_direct(B)`.
 
 `det_blocks` reads the nonzero pattern off the reduced matrix's sparse
@@ -323,8 +325,8 @@ def det_direct(matrix) -> Poly:
     rows and columns permuted alike so that each component is contiguous,
     the matrix is block diagonal, so its determinant is the product of the
     components' determinants, each from `_eliminate`. A matrix that is not
-    symmetric, or an entry with a non-integer coefficient, raises ValueError
-    before any evaluation.
+    symmetric raises ValueError before any evaluation; every `Poly` has
+    integer coefficients, so the entries need no check of their own.
     """
     n = len(matrix)
     if n == 0:
@@ -335,17 +337,11 @@ def det_direct(matrix) -> Poly:
     # `Poly`, which compares by identity
     if any(tuple(row) != column for row, column in zip(matrix, zip(*matrix))):
         raise ValueError("det_direct expects a symmetric matrix")
-    integral: set[Poly] = set()
     pattern = UnionFind(n)
     for u, row in enumerate(matrix):
         for v in range(u, n):
-            p = row[v]
-            if p:
+            if row[v]:
                 pattern.union(u, v)
-                if p not in integral:
-                    if not p.is_integral():
-                        raise ValueError("det_direct expects integer-coefficient entries")
-                    integral.add(p)
     det = None
     for comp in pattern.blocks():
         part = _eliminate(tuple(tuple(matrix[a][b] for b in comp) for a in comp))
@@ -369,8 +365,8 @@ def _eliminate(matrix) -> Poly:
     it is evaluated at the D+1 integers -⌊D/2⌋..⌈D/2⌉ and interpolated;
     since Q has integer coefficients, the interpolation's division by D!
     is exact. Each entry at a point comes from one table of powers of x.
-    `det_direct` checks that the coefficients are integers and that
-    the matrix is symmetric. At x != 0 every entry is divided by the common
+    Every `Poly` has integer coefficients, and `det_direct` checks that the
+    matrix is symmetric. At x != 0 every entry is divided by the common
     x^c, c = min v_i, so that the matrix stays symmetric, and each value by
     x^(Σv_i - n·c); the table holds the entries divided by x^c. Q(0) is the
     determinant of the kept matrix: the coefficient of x^(v_i) at (i, j)
@@ -555,8 +551,6 @@ def det_isotypic(matrix, k: int, generators) -> Poly:
         return det_direct(matrix)
     # one C of every λ's columns, so that B is packed once
     entries = {p: p.coeffs for row in matrix for p in row}
-    if not all(map(Poly.is_integral, entries)):
-        raise ValueError("det_isotypic expects integer-coefficient entries")
     columns = [tuple(y.items()) for ys, _ in bases for y in ys]
     product = congruence(columns, matrix, columns, entries)
     numerator, denominator = Poly.one(), 1
@@ -592,13 +586,13 @@ def _components(reduced) -> list[list[int]]:
 
 
 def _restricted(gram, comp):
-    """π((0 1)) and π((0 1 ... k-1)), the first two of `gram.generators`,
-    on the indices of `comp`; None at k = 1, where there are none, or when
-    one of them moves some member out of `comp`."""
-    if gram.k == 1:
+    """`gram.fibre_pair`, π((0 1)) and π((0 1 ... k-1)), on the indices of
+    `comp`; None where the matrix has no such pair, or when one of them
+    moves some member out of `comp`."""
+    if gram.fibre_pair is None:
         return None
     position = {u: i for i, u in enumerate(comp)}
-    pair = tuple(tuple(position.get(perm[u]) for u in comp) for perm in gram.generators[:2])
+    pair = tuple(tuple(position.get(perm[u]) for u in comp) for perm in gram.fibre_pair)
     return None if any(None in perm for perm in pair) else pair
 
 

@@ -20,17 +20,22 @@ row. The Gram, poset and role-swap stages work on that view instead of on
 products, and so does `stirling.coarser_profile_counts`. A basis diagram
 is built from its view (`Diagram.from_view`), which the enumeration
 assembles from the row configuration; any other diagram computes its view
-from its masks on first read. A plain diagram is the flip-fixed slice of a
+from its masks on first read.
+
+The e/g flip belongs to the diagram's class: `Diagram.flip` maps a mask to
+its image, the identity on a plain diagram and the exchange of the points
+2i and 2i+1 on a doubled one. A plain diagram is the flip-fixed slice of a
 doubled one: its flip fixes every point, so every block counts as
-flip-fixed, in the view and in the whole-diagram oracle
-`reduction.diagram_coarser_or_equal` alike.
+flip-fixed, in the view, in `reduction.block_types` and in
+`stirling.coarser_profile_counts` alike, and none of them asks which kind
+of diagram it reads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-__all__ = ["Diagram", "PartitionDiagram", "RowView", "even_mask", "flip", "points"]
+__all__ = ["Diagram", "PartitionDiagram", "RowView", "points"]
 
 
 def points(mask: int) -> tuple[int, ...]:
@@ -43,26 +48,15 @@ def points(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def flip(mask: int, even: int) -> int:
-    """The image of `mask` under the e/g flip, which exchanges the points
-    2i and 2i+1; `even` is the mask of the even points in range."""
-    return (mask & even) << 1 | (mask >> 1) & even
-
-
-def even_mask(n: int) -> int:
-    """The mask of the even points below the even number n: 0b0101...01."""
-    return ((1 << n) - 1) // 3
-
-
 class RowView:
     """A mirror-symmetric diagram as one row partition plus its through blocks.
 
     `blocks` holds the row blocks as bitmasks over the row's points, ordered
     by least point; `through` lists the positions in `blocks` of the blocks
     that run to the other row, ascending; `fixed[i]` says whether block i is
-    mapped to itself by the e/g flip. Every block of a plain diagram counts
-    as flip-fixed: plain diagrams are the flip-fixed slice of the doubled
-    ones. Views are immutable and compare by value.
+    mapped to itself by the diagram's `Diagram.flip`, which fixes every
+    block of a plain diagram: plain diagrams are the flip-fixed slice of
+    the doubled ones. Views are immutable and compare by value.
     """
 
     def __init__(self, blocks: tuple[int, ...], through: tuple[int, ...], fixed: tuple[bool, ...]):
@@ -97,10 +91,11 @@ class Diagram:
     """A set partition of two rows of `per_fibre * k` points each, stored as
     `masks`, the bitmasks of its blocks ordered by least point.
 
-    `PartitionDiagram` has one point per fibre in a row and `Z2Diagram` two.
-    A diagram is built from its masks (`from_masks`) or from its row view
-    (`from_view`). Instances are immutable; two diagrams are equal when
-    they are of one class and have the same k and masks.
+    `PartitionDiagram` has one point per fibre in a row and `Z2Diagram` two,
+    which `flip` exchanges. A diagram is built from its masks (`from_masks`)
+    or from its row view (`from_view`). Instances are immutable; two
+    diagrams are equal when they are of one class and have the same k and
+    masks.
     """
 
     __slots__ = ("k", "masks", "_view")
@@ -139,9 +134,19 @@ class Diagram:
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def row_size(self) -> int:
+        """The number of points in a row, `per_fibre * k`."""
+        return self.per_fibre * self.k
+
+    def flip(self, mask: int) -> int:
+        """The image of the points `mask` under the e/g flip: the identity
+        on a plain diagram, whose flip fixes every point."""
+        return mask
+
     def propagating_number(self) -> int:
         """Number of blocks meeting both the top and the bottom row."""
-        row = self.per_fibre * self.k
+        row = self.row_size
         top = (1 << row) - 1
         return sum(1 for m in self.masks if m & top and m >> row)
 
@@ -150,14 +155,14 @@ class Diagram:
         the masks once per instance unless the diagram was built from them.
 
         Raises ValueError unless the bottom row mirrors the top row and every
-        through block joins a row block to its own mirror image. For doubled
-        diagrams the flip exchanges the points 2i and 2i+1 of a row.
+        through block joins a row block to its own mirror image. A block is
+        flip-fixed when `flip` maps it to itself.
         """
         try:
             return self._view
         except AttributeError:
             pass
-        row = self.per_fibre * self.k
+        row = self.row_size
         low = (1 << row) - 1
         # a block holding top points has its least point on top, so the
         # row blocks come ordered by least point
@@ -174,11 +179,7 @@ class Diagram:
                 bottom.add(b)
         if bottom != set(blocks):
             raise ValueError("diagram is not mirror-symmetric")
-        if self.per_fibre == 2:
-            even = even_mask(row)
-            fixed = tuple(flip(m, even) == m for m in blocks)
-        else:
-            fixed = (True,) * len(blocks)
+        fixed = tuple(self.flip(m) == m for m in blocks)
         view = RowView(tuple(blocks), tuple(through), fixed)
         object.__setattr__(self, "_view", view)
         return view
@@ -197,7 +198,7 @@ class Diagram:
             raise TypeError("cannot multiply diagrams of different families")
         if self.k != other.k:
             raise ValueError(f"k mismatch: {self.k} != {other.k}")
-        row = self.per_fibre * self.k  # points in a row
+        row = self.row_size
         top = (1 << row) - 1
         middle = top << row
         # self holds the top row 0..row-1 and the middle row row..2row-1;

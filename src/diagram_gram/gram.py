@@ -156,6 +156,14 @@ class GramMatrix:
     def generators(self) -> tuple[tuple[int, ...], ...]:
         return self.symmetry.generators if self.symmetry else ()
 
+    @property
+    def fibre_pair(self) -> tuple[tuple[int, ...], ...] | None:
+        """π((0 1)) and π((0 1 ... k-1)), the first two `generators`, as
+        `determinant.det_isotypic` takes them; None at k = 1, where there
+        are none, and on a matrix that claims no symmetry."""
+        pair = self.generators[:2]
+        return pair if self.k > 1 and pair else None
+
     @cached_property
     def orbits(self) -> Orbits:
         """The orbits every stage of the reduction reads: `symmetry` once

@@ -1,10 +1,14 @@
-"""Exact univariate polynomials over arbitrary-precision rationals.
+"""Exact univariate polynomials with arbitrary-precision integer coefficients.
 
-Coefficients are Python ints wherever possible and `fractions.Fraction`
-otherwise; arithmetic never rounds. The named product families used for the
-reduced Gram-matrix diagonals live here as `phi_z2`, the product of the atoms
-that `phi_atoms` lists; the plain partition family's falling products
-(x-s)...(x-s-r+1) are its slice phi_z2(0, s, 0, r).
+Every coefficient is a Python int, and the constructor raises TypeError on
+anything else, so every `Poly` lies in Z[x] and no stage checks that again;
+arithmetic never rounds. Rationals occur only as the parameter q and as
+values there: `eval_at` takes an exact rational such as a `Fraction`.
+
+The named product families used for the reduced Gram-matrix diagonals live
+here as `phi_z2`, the product of the atoms that `phi_atoms` lists; the plain
+partition family's falling products (x-s)...(x-s-r+1) are its slice
+phi_z2(0, s, 0, r).
 
 The atoms x-m and x^2-x-2m have integer roots only: x^2-x-2m has rational
 roots exactly when m = q(q-1)/2 for an integer q, and then factors as
@@ -15,31 +19,25 @@ integer q, the quadratic at equal m, for m < max(8, deg + 2).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable
 
 __all__ = ["Poly", "congruence", "phi_atoms", "phi_z2", "quadratic_factor", "linear_factor"]
 
 
-def _normalize_scalar(c: Scalar) -> Scalar:
-    if type(c) is int:  # the common case, without the ABC instance check
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class Poly:
-    """Dense exact polynomial; `coeffs[i]` multiplies x**i, no trailing zeros."""
+    """Dense integer polynomial; `coeffs[i]` multiplies x**i, no trailing
+    zeros. A coefficient that is not an int (a bool, a `Fraction`, a float)
+    raises TypeError."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_normalize_scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"Poly coefficients are ints, not {type(c).__name__}")
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -57,7 +55,7 @@ class Poly:
         return _ONE
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "Poly":
+    def monomial(cls, exponent: int, coeff: int = 1) -> "Poly":
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         return cls([0] * exponent + [coeff])
@@ -73,9 +71,6 @@ class Poly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -95,7 +90,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scalar_mul(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -110,16 +105,17 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def scalar_mul(self, c: Scalar) -> "Poly":
+    def scalar_mul(self, c: int) -> "Poly":
         if c == 0:
             return _ZERO
         return Poly([c * a for a in self.coeffs])
 
-    def eval_at(self, q: Scalar) -> Scalar:
-        acc: Scalar = 0
+    def eval_at(self, q):
+        """The value at q, an int or an exact rational such as a `Fraction`."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
-        return _normalize_scalar(acc)
+        return acc
 
     # -- rendering -----------------------------------------------------------
 

@@ -47,7 +47,8 @@ partition and two different through sets; (t1, t2) count the through
 blocks only u has. `diagram_coarser_or_equal` decides the coarsening on
 whole diagrams; it is the oracle the tests and `verify` compare the poset
 against. It is one walk over the block masks and their through and flip
-types for every family, a plain diagram's blocks all being flip-fixed.
+types for every family: `block_types` asks each diagram's own `flip`,
+which fixes every block of a plain diagram, and never its kind.
 The role-swap oracle on whole diagrams, `swap_pair_parameters`, lives in
 the tests.
 
@@ -96,7 +97,6 @@ from itertools import compress, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
-from .diagrams import even_mask, flip
 from .gram import (
     DEFAULT_GUARD,
     DiagramKey,
@@ -132,17 +132,12 @@ def block_types(diagram) -> list[tuple[bool, bool]]:
     """(is_through, is_flip_fixed) of each block of a whole diagram, read
     off its masks.
 
-    A block is through when it meets both rows. The flip exchanges the
-    points 2i and 2i+1 of a doubled row and fixes every point of a plain
-    row, which has one point per fibre: so every plain block is flip-fixed.
+    A block is through when it meets both rows, and flip-fixed when the
+    diagram's `flip` maps it to itself, as it maps every plain block.
     """
-    row = diagram.per_fibre * diagram.k
+    row = diagram.row_size
     top = (1 << row) - 1
-    through = [bool(m & top and m >> row) for m in diagram.masks]
-    if diagram.per_fibre == 1:
-        return [(t, True) for t in through]
-    even = even_mask(2 * row)
-    return [(t, flip(m, even) == m) for t, m in zip(through, diagram.masks)]
+    return [(bool(m & top and m >> row), diagram.flip(m) == m) for m in diagram.masks]
 
 
 def diagram_coarser_or_equal(da, db, types_a=None, types_b=None) -> bool:

@@ -7,15 +7,18 @@ gen_stirling_z2(0, s, 0, r, 0, p). `count_coarser_bruteforce` computes the same
 quantity by exhaustively enumerating merge patterns of the diagram's row
 blocks, read from `coarser_profile_counts`, whose one walk per diagram sorts
 every admissible grouping by the profile it lands on and so gives the counts
-at all targets. The walk reads the diagram's `RowView` and has no case per
-family: a plain diagram is walked as the flip-fixed slice of a doubled one,
-whose blocks are all flip-fixed. What the walk reads of a diagram is each
-row block's through flag and the index of the block holding its flipped
-points, so diagrams that agree on those share one walk. Like `stirling2` and
-`binomial`, the walk and `gen_stirling_z2` are memoised pure functions of
-small integers. The acceptance suite compares each
-diagram's counts with the formula on a target grid and at every profile the
-walk reaches; the formula is never trusted where the enumeration disagrees.
+at all targets. The walk reads the diagram's `RowView` and its `flip` and
+has no case per family: a plain diagram is walked as the flip-fixed slice
+of a doubled one, whose blocks are all flip-fixed, and its counts are keyed
+by (q1, q2) like every other diagram's, with q1 = 0. What the walk reads of
+a diagram is each row block's through flag and the index of the block
+holding its flipped points, so diagrams that agree on those share one
+walk, a plain diagram with a doubled one whose blocks are all flip-fixed.
+Like `stirling2` and `binomial`, the walk and `gen_stirling_z2` are
+memoised pure functions of small integers. The acceptance suite compares
+each diagram's counts with the formula on a target grid and at every
+profile the walk reaches; the formula is never trusted where the
+enumeration disagrees.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from .diagrams import PartitionDiagram, even_mask, flip
+from .diagrams import PartitionDiagram
 from .partitions import set_partitions
 from .z2diagrams import Z2Diagram
 
@@ -97,34 +100,28 @@ def coarser_profile_counts(diagram) -> Counter:
     """Every coarser diagram's horizontal-edge profile, with its count.
 
     One walk over the set partitions of the diagram's row blocks gives all
-    targets at once, as `{(q1, q2): n}` for a doubled diagram and `{q: n}`
-    for a plain one, whose q1 is always 0. The count is over the
-    unrestricted symmetric family: every type-respecting blockwise merge of
-    the diagram's row structure. The blocks, through positions and
-    flip-fixed flags are the diagram's `RowView`, which raises ValueError
-    unless the diagram is mirror-symmetric; every plain block is flip-fixed,
-    and each other block is paired with the block holding its flipped points.
+    targets at once, as `{(q1, q2): n}`; q1 is always 0 for a plain diagram,
+    whose blocks are all flip-fixed. The count is over the unrestricted
+    symmetric family: every type-respecting blockwise merge of the diagram's
+    row structure. The blocks and through positions are the diagram's
+    `RowView`, which raises ValueError unless the diagram is
+    mirror-symmetric, and each block is paired with the block holding its
+    image under the diagram's `flip`, itself for a flip-fixed block.
 
-    The walk reads only each block's through flag, the index of the block
-    holding its flipped points (its own for a flip-fixed block) and whether
-    the counts are keyed by q or (q1, q2), so it runs once per distinct
-    triple; each call returns a fresh `Counter`.
+    The walk reads only each block's through flag and the index of the
+    block holding its flipped points, so it runs once per distinct pair of
+    tuples; each call returns a fresh `Counter`.
     """
     view = diagram.row_view()
-    blocks, fixed = view.blocks, view.fixed
+    blocks = view.blocks
     through = tuple(i in view.through for i in range(len(blocks)))
-    even = even_mask(2 * diagram.k)  # a doubled row has 2k points
     position = {mask: i for i, mask in enumerate(blocks)}
-    conj = tuple(
-        i if fixed[i] else position[flip(mask, even)]
-        for i, mask in enumerate(blocks)
-    )
-    plain = isinstance(diagram, PartitionDiagram)
-    return Counter(dict(_walk(through, conj, plain)))
+    conj = tuple(position[diagram.flip(mask)] for mask in blocks)
+    return Counter(dict(_walk(through, conj)))
 
 
 @lru_cache(maxsize=None)
-def _walk(through: tuple, conj: tuple, plain: bool) -> tuple:
+def _walk(through: tuple, conj: tuple) -> tuple:
     """The admissible groupings of blocks 0..n-1 counted by profile, as
     (profile, count) pairs: `coarser_profile_counts` for the diagram whose
     blocks have these through flags and flip images."""
@@ -156,7 +153,7 @@ def _walk(through: tuple, conj: tuple, plain: bool) -> tuple:
                 q2 += 1
             elif image > gi:
                 q1 += 1
-        counts[q2 if plain else (q1, q2)] += 1
+        counts[q1, q2] += 1
     return tuple(counts.items())
 
 
@@ -165,10 +162,11 @@ def count_coarser_bruteforce(diagram, p1: int, p2: int | None = None) -> int:
 
     For a doubled diagram, (p1, p2) is the target profile; for a plain
     partition diagram, p1 is the target horizontal-edge count and p2 must be
-    omitted. Read from `coarser_profile_counts`.
+    omitted. Read from `coarser_profile_counts`, at (0, p1) for a plain
+    diagram.
     """
     if isinstance(diagram, Z2Diagram) and p2 is None:
         raise ValueError("doubled diagrams need a (p1, p2) target")
     if isinstance(diagram, PartitionDiagram) and p2 is not None:
         raise ValueError("plain diagrams take a single target count")
-    return coarser_profile_counts(diagram)[p1 if p2 is None else (p1, p2)]
+    return coarser_profile_counts(diagram)[(0, p1) if p2 is None else (p1, p2)]

@@ -26,9 +26,9 @@ from diagram_gram.determinant import (
     det_direct,
     det_isotypic,
 )
-from diagram_gram.gram import build_gram, projected_dimension
-from diagram_gram.polynomials import Poly, linear_factor, phi_atoms, phi_z2
-from diagram_gram.reduction import BlockDecomposition, reduced_decomposition
+from diagram_gram.gram import GramMatrix, build_gram, projected_dimension
+from diagram_gram.polynomials import Poly, phi_atoms, phi_z2
+from diagram_gram.reduction import BlockDecomposition, reduce_gram, reduced_decomposition
 from diagram_gram.semisimplicity import admissible_profiles
 from test_gram import fibre_generators, fibre_permutation
 from test_reduction import K4_PROFILES, PROFILES, whole
@@ -62,18 +62,22 @@ def _bareiss_reference(rows):
 
 
 def newton_reference(xs, ys):
-    """Newton interpolation through (xs[i], ys[i]) over the rationals."""
+    """Newton interpolation through (xs[i], ys[i]) over the rationals, on
+    plain lists of `Fraction`s; the result must have integer coefficients,
+    and only they become a `Poly`."""
     n = len(xs)
     coeffs = [Fraction(y) for y in ys]  # divided differences, built in place
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly.zero()
-    basis = Poly.one()
+    poly = [Fraction(0)] * n  # ascending coefficients
+    basis = [Fraction(1)]  # (x - xs[0])...(x - xs[i-1]), ascending
     for i in range(n):
-        poly = poly + basis.scalar_mul(coeffs[i])
-        basis = basis * linear_factor(xs[i])
-    return poly
+        for e, b in enumerate(basis):
+            poly[e] += coeffs[i] * b
+        basis = [a - xs[i] * b for a, b in zip([0, *basis], [*basis, 0])]
+    assert all(c.denominator == 1 for c in poly), "a non-integer coefficient"
+    return Poly(c.numerator for c in poly)
 
 
 def det_direct_reference(matrix):
@@ -164,7 +168,7 @@ def test_published_determinant_factorization():
     reduced = det_direct(whole(dec))
     blocks = det_blocks(dec)
     assert direct == reduced == blocks.poly
-    assert direct.is_monic() and direct.is_integral()
+    assert direct.is_monic() and all(type(c) is int for c in direct.coeffs)
     assert direct.degree() == sum(2 * key.r1 + key.r2 for key in gram.keys)
     # det G == x^9 * det(paired-edge block) * det(tail block)
     factors = dict(blocks.factored)
@@ -827,6 +831,21 @@ def test_interpolate_rejects_non_integer_coefficients(xs, ys):
 
 
 def test_fraction_coefficient_rejected():
-    half = Poly([Fraction(1, 2), 1])
-    with pytest.raises(ValueError):
-        det_direct(((Poly.monomial(1), Poly.one()), (Poly.one(), half)))
+    # no matrix entry can hold a non-integer coefficient: `Poly` rejects it
+    # where it is built, before any determinant sees it
+    with pytest.raises(TypeError):
+        Poly([Fraction(1, 2), 1])
+
+
+def test_det_blocks_of_a_matrix_that_claims_no_symmetry():
+    # a GramMatrix built without `symmetry` has no fibre pair, so its rho
+    # component goes to det_isotypic without generators and is eliminated
+    # whole; the determinant is the symmetric matrix's
+    gram = build_gram("signed", 3, 1, 0)
+    bare = GramMatrix(
+        gram.algebra, gram.k, gram.s1, gram.s2, gram.keys, gram.diagrams, gram.exponents
+    )
+    assert bare.generators == () and bare.fibre_pair is None
+    assert gram.fibre_pair == gram.generators[:2]
+    assert det_blocks(reduce_gram(bare)) == det_blocks(reduce_gram(gram))
+    assert build_gram("z2", 1, 1, 0).fibre_pair is None  # k = 1 has no pair

@@ -19,7 +19,27 @@ def test_basic_arithmetic():
     assert str(Poly.zero()) == "0"
     assert Poly([1, 2]) - Poly([1, 2]) == Poly.zero()
     assert Poly([0, 0, 0]) == Poly.zero()
-    assert Poly([Fraction(2, 2)]) == Poly.one()
+
+
+@pytest.mark.parametrize(
+    "coeff", [Fraction(2, 2), Fraction(1, 2), 1.0, True, False, "1"], ids=repr
+)
+def test_coefficients_other_than_ints_are_rejected(coeff):
+    # every Poly lies in Z[x]: a Fraction, even an integral one, a float, a
+    # bool or a string raises at construction, also as a trailing zero
+    for coeffs in ([coeff], [1, coeff], [coeff, 1]):
+        with pytest.raises(TypeError):
+            Poly(coeffs)
+    with pytest.raises(TypeError):
+        Poly.monomial(2, coeff)
+
+
+def test_big_int_coefficients_are_kept():
+    big = 3**400
+    p = Poly([-big, 0, big])
+    assert p.coeffs == (-big, 0, big) and all(type(c) is int for c in p.coeffs)
+    assert (p * p).coeffs[0] == big * big
+    assert Poly.from_packed(p.eval_at(1 << 700), 700) == p
 
 
 def test_eval_examples():
@@ -86,8 +106,8 @@ def test_phi_factors_are_monic_of_expected_degree():
 
 
 def test_json_roundtrip():
-    p = Poly([Fraction(1, 3), -2, 5])
-    assert Poly(map(Fraction, p.to_json())) == p
+    p = Poly([-3**90, -2, 5])
+    assert Poly(map(int, p.to_json())) == p
     assert Poly([8, 5, -4, -2, 1]).to_json() == ["8", "5", "-4", "-2", "1"]
 
 

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagram_gram.diagrams import PartitionDiagram, RowView, points
-from diagram_gram.gram import build_gram
+from diagram_gram.gram import build_gram, enumerate_diagrams
 from diagram_gram.polynomials import Poly
 from diagram_gram.reduction import (
+    block_types,
     coarsening_poset,
     diagram_coarser_or_equal,
     reduced_decomposition,
@@ -25,6 +26,7 @@ from diagram_gram.semisimplicity import admissible_profiles
 from diagram_gram.z2diagrams import Z2Diagram
 from test_partitions import make_diagram, part_of
 from test_reduction import swap_pair_parameters
+from test_stirling import VERIFY_K3_PROFILES
 
 PROFILES = (
     [
@@ -185,3 +187,39 @@ def test_row_view_from_masks_matches_the_oracle(profile):
                     prod.row_view()
             else:
                 assert prod.row_view() == want
+
+
+def even_mask_flags(diagram):
+    """The flip-fixed flags of `diagram`'s row blocks and its `block_types`,
+    from the mask formula alone: the oracle for the readers of
+    `Diagram.flip`. Every plain block is flip-fixed, and a doubled block m
+    is when (m & even) << 1 | (m >> 1) & even == m, with even = 0b0101...01
+    the mask of the even points below the row length (row blocks) or twice
+    it (whole blocks)."""
+    row = diagram.per_fibre * diagram.k
+    top = (1 << row) - 1
+    row_blocks = [m & top for m in diagram.masks if m & top]
+    through = [bool(m & top and m >> row) for m in diagram.masks]
+    if diagram.per_fibre == 1:
+        return (True,) * len(row_blocks), [(t, True) for t in through]
+
+    def fixed(m, points):
+        even = ((1 << points) - 1) // 3
+        return (m & even) << 1 | (m >> 1) & even == m
+
+    return (
+        tuple(fixed(m, row) for m in row_blocks),
+        [(t, fixed(m, 2 * row)) for t, m in zip(through, diagram.masks)],
+    )
+
+
+@pytest.mark.parametrize("profile", VERIFY_K3_PROFILES, ids=str)
+def test_flip_flags_equal_the_even_mask_oracle(profile):
+    # the basis diagrams keep the view their family assembled; a diagram
+    # rebuilt from its masks computes it with its class's `flip`
+    for _, diagram in enumerate_diagrams(*profile):
+        rebuilt = type(diagram).from_masks(diagram.k, diagram.masks)
+        fixed, types = even_mask_flags(diagram)
+        for d in (diagram, rebuilt):
+            assert d.row_view().fixed == fixed
+            assert block_types(d) == types

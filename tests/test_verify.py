@@ -176,11 +176,11 @@ def test_poset_duality_makes_one_product_per_unordered_pair(monkeypatch):
 
 def test_stirling_oracle_catches_a_profile_outside_the_window(monkeypatch):
     """A walk that reports a profile off the target grid, where the formula
-    is zero, fails the check; a plain diagram's q is read as (0, q)."""
+    is zero, fails the check; a plain diagram's counts are keyed (0, q)."""
     original = verify.coarser_profile_counts
     for profile, planted_key, planted_at in (
         (("z2", 1, 0, 0), (99, 0), "p=(99,0)"),
-        (("partition", 2, 1, 0), 99, "p=(0,99)"),
+        (("partition", 2, 1, 0), (0, 99), "p=(0,99)"),
     ):
 
         def planted(diagram):
